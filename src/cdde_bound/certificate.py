@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import envelope, stability
-from .linalg import as_vector, solve
-from .model import SystemSpec, validate_structure
+from .linalg import as_vector, lu_factor, lu_solve, solve
+from .model import SystemSpec, _clamp_roundoff, validate_structure
 
 # Shrinking mu by this factor keeps the comparison inequalities strict and
 # the downstream target box strictly positive when the closed-form mu makes
@@ -80,24 +80,23 @@ class BoundCertificate:
         }
 
 
-def _clamp_tiny_negative(v: np.ndarray) -> np.ndarray:
-    return np.where((v > -1e-12) & (v < 0.0), 0.0, v)
+def ultimate_bound(spec: SystemSpec, coupling_lu=None) -> tuple[np.ndarray, np.ndarray]:
+    """Equilibrium under maximal constant disturbances; the limsup bound.
+    ``coupling_lu`` is the coupling matrix's factorization, if already known."""
+    if coupling_lu is None:
+        coupling_lu = lu_factor(stability.coupling_matrix(spec))
+    v = lu_solve(*coupling_lu, -np.concatenate([spec.omega_bar, spec.d_bar]))
+    return _clamp_roundoff(v[:spec.n]), _clamp_roundoff(v[spec.n:])
 
 
-def ultimate_bound(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Equilibrium under maximal constant disturbances; the limsup bound."""
-    rhs = -np.concatenate([spec.omega_bar, spec.d_bar])
-    v = solve(stability.coupling_matrix(spec), rhs)
-    return _clamp_tiny_negative(v[:spec.n]), _clamp_tiny_negative(v[spec.n:])
-
-
-def comparison_vectors(spec: SystemSpec, xi, init_x_bound, init_y_bound
-                       ) -> tuple[np.ndarray, np.ndarray]:
+def comparison_vectors(spec: SystemSpec, xi, init_x_bound, init_y_bound,
+                       direction=None) -> tuple[np.ndarray, np.ndarray]:
     """Strictly positive comparison pair scaled over the initial envelopes.
 
     Solves the coupling system for the direction and scales it by the
     largest ratio of initial envelope to direction entry, so the result
     dominates the initial data while preserving the strict inequalities.
+    ``direction`` is that solution (the joint-condition witness), if known.
     """
     n, m = spec.n, spec.m
     xi_vec = np.ones(n + m) if xi is None else as_vector(xi, "xi")
@@ -109,19 +108,22 @@ def comparison_vectors(spec: SystemSpec, xi, init_x_bound, init_y_bound
         raise ValueError("initial bounds must match the system dimensions")
     ix = np.maximum(ix, 0.0)
     iy = np.maximum(iy, 0.0)
-    v = solve(stability.coupling_matrix(spec), -xi_vec)
-    p_dir, q_dir = v[:n], v[n:]
+    if direction is None:
+        v = solve(stability.coupling_matrix(spec), -xi_vec)
+        direction = v[:n], v[n:]
+    p_dir, q_dir = direction
     if p_dir.min() <= 1e-12 or q_dir.min() <= 1e-12:
         raise HypothesisViolated("comparison direction not strictly positive")
     rho = max(float((ix / p_dir).max()), float((iy / q_dir).max()), RHO_MIN)
     return rho * p_dir, rho * q_dir
 
 
-def raw_contraction_factor(spec: SystemSpec, p, q) -> float:
-    """Closed-form contraction factor from the three ratio families."""
+def raw_contraction_factor(spec: SystemSpec, p, q, shift=None) -> float:
+    """Closed-form contraction factor from the three ratio families;
+    ``shift`` is ``solve(A, B q)``, if already known."""
     pv = as_vector(p, "p")
     qv = as_vector(q, "q")
-    m1 = -solve(spec.A, spec.B @ qv)
+    m1 = -(solve(spec.A, spec.B @ qv) if shift is None else shift)
     m2 = solve(np.eye(spec.m) - spec.D, spec.C @ pv)
     m3 = spec.C @ pv + spec.D @ qv
     worst = max(float((m1 / pv).max()), float((m2 / qv).max()),
@@ -133,9 +135,9 @@ def raw_contraction_factor(spec: SystemSpec, p, q) -> float:
     return mu
 
 
-def contraction_factor(spec: SystemSpec, p, q) -> float:
+def contraction_factor(spec: SystemSpec, p, q, shift=None) -> float:
     """Safety-scaled contraction factor, strictly inside (0, 1)."""
-    mu = MU_SAFETY * raw_contraction_factor(spec, p, q)
+    mu = MU_SAFETY * raw_contraction_factor(spec, p, q, shift)
     return min(max(mu, MU_MIN), MU_MAX)
 
 
@@ -156,7 +158,7 @@ def compute_certificate(spec: SystemSpec, alpha_step: float = 1e-3,
                                report.diagnostic or "joint condition fails")
 
     try:
-        eta, varsigma = ultimate_bound(spec)
+        eta, varsigma = ultimate_bound(spec, report.coupling_lu)
     except Exception as exc:
         raise CertificateError("ultimate-bound", str(exc)) from exc
 
@@ -165,17 +167,18 @@ def compute_certificate(spec: SystemSpec, alpha_step: float = 1e-3,
     psi_hat = np.maximum(spec.psi_bar, eta)
     phi_hat = np.maximum(spec.phi_bar, varsigma)
     try:
-        p, q = comparison_vectors(spec, xi, psi_hat - eta, phi_hat - varsigma)
+        p, q = comparison_vectors(spec, xi, psi_hat - eta, phi_hat - varsigma,
+                                  (report.witness_p, report.witness_q))
     except Exception as exc:
         raise CertificateError("comparison-vectors", str(exc)) from exc
 
     try:
-        mu = contraction_factor(spec, p, q)
+        shift = solve(spec.A, spec.B @ q)
+        mu = contraction_factor(spec, p, q, shift)
     except Exception as exc:
         raise CertificateError("contraction-factor", str(exc)) from exc
 
     try:
-        shift = solve(spec.A, spec.B @ q)
         theta_bar = p + shift
         delta = (1.0 - mu) * p + shift
         conv = envelope.finite_time(spec.A, theta_bar, delta, alpha_step)

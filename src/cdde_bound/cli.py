@@ -25,12 +25,11 @@ from .certificate import (BoundCertificate, CertificateError, compute_certificat
 from .model import SystemSpec, validate_structure
 from .simulator import (InvalidScenario, SignalSpec, SimulationScenario,
                         default_scenario, simulate, verify_domination,
-                        write_trajectory_csv)
+                        write_csv, write_trajectory_csv)
 from .stability import check_joint_condition
 
-DEFAULT_ALPHA_STEP = 1e-3
-DEFAULT_SIM_STEP = 1e-3
-DEFAULT_T_END = 40.0
+# alpha_step, simulation step and t_end; each must be finite and positive
+DEFAULTS = {"alpha_step": 1e-3, "step": 1e-3, "t_end": 40.0}
 VERIFY_GRID = [(0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0), (1.0, 0.0), (1.0, 1.0)]
 
 
@@ -81,7 +80,29 @@ def load_problem(path) -> tuple[SystemSpec, dict | None, dict]:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ProblemFormatError("options must be an object")
+    options = {key: _positive(f"options.{key}", value) if key in DEFAULTS else value
+               for key, value in options.items()}
+    if options.get("xi") is not None:
+        options["xi"] = _weights("options.xi", options["xi"], spec)
     return spec, scenario_cfg, options
+
+
+def _positive(name: str, value) -> float:
+    try:
+        v = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"{name}: {exc}") from exc
+    if not (np.isfinite(v) and v > 0.0):
+        raise ProblemFormatError(f"{name} must be finite and positive, got {value!r}")
+    return v
+
+
+def _weights(name: str, values, spec: SystemSpec) -> list[float]:
+    if not isinstance(values, (list, tuple)):
+        raise ProblemFormatError(f"{name} must be an array")
+    if len(values) != spec.n + spec.m:
+        raise ProblemFormatError(f"{name} must have {spec.n + spec.m} entries, got {len(values)}")
+    return [_positive(name, v) for v in values]
 
 
 def build_scenario(spec: SystemSpec, scenario_cfg, *, a: float, b: float,
@@ -114,13 +135,7 @@ def _write_json(path, payload: dict) -> None:
 def _write_staircase_csv(path, cert: BoundCertificate, t_end: float, step: float) -> None:
     times = np.arange(int(round(t_end / step)) + 1) * step
     xb, yb = sample_staircase(cert, times)
-    n, m = xb.shape[1], yb.shape[1]
-    header = ["t"] + [f"xb_{i + 1}" for i in range(n)] + [f"yb_{j + 1}" for j in range(m)]
-    data = np.hstack([times[:, None], xb, yb])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in data:
-            fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+    write_csv(path, times, {"xb": xb, "yb": yb})
 
 
 def _fmt_vec(v: np.ndarray) -> str:
@@ -153,20 +168,14 @@ def _parse_xi(args, spec: SystemSpec):
     raw = getattr(args, "xi", None)
     if raw is None:
         return None
-    try:
-        xi = [float(tok) for tok in raw.split(",")]
-    except ValueError as exc:
-        raise ProblemFormatError(f"--xi: {exc}") from exc
-    if len(xi) != spec.n + spec.m:
-        raise ProblemFormatError(f"--xi must have {spec.n + spec.m} entries, got {len(xi)}")
-    return xi
+    return _weights("--xi", raw.split(","), spec)
 
 
 def _options(args, options: dict):
-    alpha_step = float(getattr(args, "alpha_step", None) or options.get("alpha_step", DEFAULT_ALPHA_STEP))
-    step = float(getattr(args, "step", None) or options.get("step", DEFAULT_SIM_STEP))
-    t_end = float(getattr(args, "t_end", None) or options.get("t_end", DEFAULT_T_END))
-    return alpha_step, step, t_end
+    """(alpha_step, step, t_end): a flag overrides the file, the file the default."""
+    return tuple(options.get(key, default) if getattr(args, key, None) is None
+                 else _positive("--" + key.replace("_", "-"), getattr(args, key))
+                 for key, default in DEFAULTS.items())
 
 
 def _certificate_summary(cert: BoundCertificate) -> str:

@@ -21,12 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrix, as_matrix, as_vector, inverse
+from .linalg import SingularMatrix, as_matrix, as_vector
 from .model import NONNEG_TOL
-from .stability import NotStable, _require_metzler, alpha_max
+from .stability import (NotStable, _neg_inverse_if_hurwitz, _require_metzler, alpha_max,
+                        is_metzler_hurwitz)
 
 # entries of b above this threshold participate in the ratio minimum
 INDEX_TOL = 1e-12
+# finite_time sweeps the alpha grid in blocks whose (G, n, n) float64 arrays
+# take about this many bytes each; about three are alive at once
+BLOCK_BYTES = 1 << 18
 
 
 class DecayRateTooLarge(ValueError):
@@ -58,37 +62,34 @@ class ConvergenceResult:
     per_component_alpha: np.ndarray
 
 
-def _neg_shifted_inverse(A: np.ndarray, alpha: float) -> np.ndarray:
-    """-inv(A + alpha I), raising DecayRateTooLarge unless it is >= 0."""
-    M = A + alpha * np.eye(A.shape[0])
+def _envelope_factors(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Optimal factors ``gamma[g, i]`` at each rate ``alphas[g]``, by one
+    inversion of the stack ``A + alphas[g] I``, which must be Hurwitz."""
+    span = f"alpha={alphas[0]}" if alphas.size == 1 else f"alpha in [{alphas[0]}, {alphas[-1]}]"
+    shifted = alphas[:, None, None] * np.eye(A.shape[0])
+    shifted += A
     try:
-        Minv = inverse(M)
+        neg_inv = _neg_inverse_if_hurwitz(shifted)
     except SingularMatrix as exc:
-        raise DecayRateTooLarge(f"alpha={alpha}: shifted matrix singular") from exc
-    if not (Minv <= 1e-12).all():
-        raise DecayRateTooLarge(f"alpha={alpha}: shifted matrix not Hurwitz")
-    return -Minv
-
-
-def _gamma_from_inverse(neg_inv: np.ndarray, theta_bar: np.ndarray, i: int) -> float:
-    a = neg_inv @ theta_bar
-    b = neg_inv[:, i]
-    mask = b > INDEX_TOL
-    if not mask.any():
-        raise EmptyIndexSet(f"column {i} of the shifted inverse has no positive entry")
-    return float((a[mask] / b[mask]).min())
+        raise DecayRateTooLarge(f"{span}: shifted matrix singular") from exc
+    if neg_inv is None:
+        raise DecayRateTooLarge(f"{span}: shifted matrix not Hurwitz")
+    a = neg_inv @ theta                                 # (G, n)
+    # b = neg_inv[g, :, i]; the ratio a_j / b_j is overwritten into neg_inv
+    mask = neg_inv > INDEX_TOL
+    if not mask.any(axis=1).all():
+        raise EmptyIndexSet("a column of the shifted inverse has no positive entry")
+    np.divide(a[:, :, None], neg_inv, out=neg_inv, where=mask)
+    np.copyto(neg_inv, np.inf, where=~mask)
+    return neg_inv.min(axis=1)
 
 
 def gamma_component(A, alpha: float, theta_bar, i: int) -> float:
     """Optimal envelope factor for component ``i`` at decay rate ``alpha``."""
-    M = as_matrix(A, "A")
-    _require_metzler(M)
-    theta = as_vector(theta_bar, "theta_bar")
-    if theta.min() < -NONNEG_TOL:
-        raise ValueError("theta_bar must be nonnegative")
-    if not 0 <= i < M.shape[0]:
-        raise IndexError(f"component index {i} out of range for dimension {M.shape[0]}")
-    return _gamma_from_inverse(_neg_shifted_inverse(M, alpha), theta, i)
+    gamma = exponential_estimate(A, alpha, theta_bar).gamma
+    if not 0 <= i < gamma.shape[0]:
+        raise IndexError(f"component index {i} out of range for dimension {gamma.shape[0]}")
+    return float(gamma[i])
 
 
 def exponential_estimate(A, alpha: float, theta_bar) -> ExponentialEstimate:
@@ -98,10 +99,10 @@ def exponential_estimate(A, alpha: float, theta_bar) -> ExponentialEstimate:
     M = as_matrix(A, "A")
     _require_metzler(M)
     theta = as_vector(theta_bar, "theta_bar")
-    neg_inv = _neg_shifted_inverse(M, alpha)
-    gamma = np.array([_gamma_from_inverse(neg_inv, theta, i)
-                      for i in range(M.shape[0])])
-    return ExponentialEstimate(alpha=alpha, gamma=gamma)
+    if theta.min() < -NONNEG_TOL:
+        raise ValueError("theta_bar must be nonnegative")
+    return ExponentialEstimate(alpha=alpha,
+                               gamma=_envelope_factors(M, np.array([alpha]), theta)[0])
 
 
 def time_to_threshold(gamma_i: float, delta_i: float, alpha: float) -> float:
@@ -136,38 +137,38 @@ def finite_time(A, theta_bar, delta, alpha_step: float) -> ConvergenceResult:
     if theta.min() < -NONNEG_TOL:
         raise ValueError("theta_bar must be nonnegative")
 
-    a_max = alpha_max(M, alpha_step)
-    grid = [k * alpha_step for k in range(1, int(round(a_max / alpha_step)) + 1)]
-    if not grid:
-        # Hurwitz margin smaller than the grid step: halve until admissible.
-        a = alpha_step
-        for _ in range(60):
-            a /= 2.0
-            try:
-                _neg_shifted_inverse(M, a)
-            except DecayRateTooLarge:
-                continue
-            grid = [a]
-            break
-        if not grid:
-            raise NotStable("no admissible decay rate found")
-
     dim = M.shape[0]
+    k_max = int(round(alpha_max(M, alpha_step) / alpha_step))
+    if k_max:
+        per_block = max(1, BLOCK_BYTES // (8 * dim * dim))
+        blocks = [np.arange(k0, min(k0 + per_block, k_max + 1)) * alpha_step
+                  for k0 in range(1, k_max + 1, per_block)]
+    else:
+        # Hurwitz margin smaller than the grid step: halve until admissible.
+        eye = np.eye(dim)
+        halved = (alpha_step / 2.0 ** j for j in range(1, 61))
+        rate = next((a for a in halved if is_metzler_hurwitz(M + a * eye)), None)
+        if rate is None:
+            raise NotStable("no admissible decay rate found")
+        blocks = [np.array([rate])]
+
     best_t = np.full(dim, np.inf)
     best_alpha = np.zeros(dim)
-    for alpha in grid:
-        neg_inv = _neg_shifted_inverse(M, alpha)
-        a_vec = neg_inv @ theta
-        for i in range(dim):
-            b = neg_inv[:, i]
-            mask = b > INDEX_TOL
-            if not mask.any():
-                raise EmptyIndexSet(f"column {i} has no positive entry")
-            gamma_i = (a_vec[mask] / b[mask]).min()
-            t_i = time_to_threshold(float(gamma_i), float(dlt[i]), alpha)
-            if t_i < best_t[i]:
-                best_t[i] = t_i
-                best_alpha[i] = alpha
+    for alphas in blocks:
+        gamma = _envelope_factors(M, alphas, theta)
+        if gamma.min() < 0.0:
+            raise ValueError(f"gamma must be nonnegative, got {gamma.min()}")
+        # time_to_threshold over the block; math.log rounds as it does there
+        ratio = gamma / dlt
+        t = np.zeros_like(ratio)
+        above = ratio > 1.0
+        t[above] = np.fromiter(map(math.log, ratio[above]), float)
+        t /= alphas[:, None]
+        first = t.argmin(axis=0)                # ties go to the smallest alpha
+        t_first = t[first, np.arange(dim)]
+        better = t_first < best_t
+        best_t[better] = t_first[better]
+        best_alpha[better] = alphas[first[better]]
     return ConvergenceResult(T=float(best_t.max()),
                              per_component_T=best_t,
                              per_component_alpha=best_alpha)

@@ -24,8 +24,6 @@ from .linalg import DimensionMismatch, as_matrix, as_vector
 # the same tolerance.
 NONNEG_TOL = 1e-12
 
-ValidationReport = list
-
 
 def _clamp_roundoff(a: np.ndarray) -> np.ndarray:
     return np.where((a > -NONNEG_TOL) & (a < 0.0), 0.0, a)
@@ -102,7 +100,7 @@ class SystemSpec:
         return self.D.shape[0]
 
 
-def validate_structure(spec: SystemSpec) -> ValidationReport:
+def validate_structure(spec: SystemSpec) -> list[str]:
     """Collect violated structural requirements as human-readable findings.
 
     Never raises; an empty list means the system is structurally admissible

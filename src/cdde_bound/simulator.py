@@ -480,21 +480,20 @@ def default_scenario(spec: SystemSpec, a: float = 1.0, b: float = 1.0,
 
 def write_trajectory_csv(traj: Trajectory, path,
                          cert: BoundCertificate | None = None) -> None:
-    """Write the trajectory (and optionally the bound columns) as CSV.
-
-    Columns: ``t,x_1..x_n,y_1..y_m`` plus ``xb_*,yb_*`` when a certificate
-    is supplied; values printed with 9 significant digits, LF endings.
-    """
-    n = traj.x_samples.shape[1]
-    m = traj.y_samples.shape[1]
-    header = (["t"] + [f"x_{i + 1}" for i in range(n)]
-              + [f"y_{j + 1}" for j in range(m)])
-    blocks = [traj.times[:, None], traj.x_samples, traj.y_samples]
+    """Write the trajectory as CSV: columns ``t,x_1..x_n,y_1..y_m``, plus
+    ``xb_*,yb_*`` when a certificate is supplied."""
+    columns = {"x": traj.x_samples, "y": traj.y_samples}
     if cert is not None:
-        xb, yb = sample_staircase(cert, traj.times)
-        header += [f"xb_{i + 1}" for i in range(n)] + [f"yb_{j + 1}" for j in range(m)]
-        blocks += [xb, yb]
-    data = np.hstack(blocks)
+        columns["xb"], columns["yb"] = sample_staircase(cert, traj.times)
+    write_csv(path, traj.times, columns)
+
+
+def write_csv(path, times: np.ndarray, columns: dict[str, np.ndarray]) -> None:
+    """The one CSV writer: column ``t``, then ``prefix_1..prefix_k`` for each
+    ``prefix -> (rows, k)`` array; 9 significant digits, LF endings."""
+    header = ["t"] + [f"{prefix}_{i + 1}" for prefix, block in columns.items()
+                      for i in range(block.shape[1])]
+    data = np.hstack([times[:, None], *columns.values()])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in data:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrix, as_matrix, as_vector, inverse, solve
+from .linalg import SingularMatrix, as_matrix, as_vector, inverse, lu_factor, lu_solve
 from .model import SystemSpec
 
 METZLER_TOL = 1e-12
@@ -45,12 +45,24 @@ class StabilityReport:
     witness_p: np.ndarray | None = None
     witness_q: np.ndarray | None = None
     diagnostic: str | None = None
+    # lu_factor of the coupling matrix, for further solves against it
+    coupling_lu: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _require_metzler(A: np.ndarray) -> None:
     off = A[~np.eye(A.shape[0], dtype=bool)]
     if off.size and off.min() < -METZLER_TOL:
         raise NotMetzler(f"off-diagonal entry {off.min()} below -{METZLER_TOL}")
+
+
+def _neg_inverse_if_hurwitz(M: np.ndarray) -> np.ndarray | None:
+    """``-inv(M)`` if the Metzler matrix, or every member of the stack, ``M``
+    is Hurwitz (nonsingular with ``inv(M) <= 0``), else None; raises
+    SingularMatrix for a singular member."""
+    neg_inv = inverse(M)
+    if not (neg_inv <= 1e-12).all():
+        return None
+    return np.negative(neg_inv, out=neg_inv)
 
 
 def is_metzler_hurwitz(A) -> bool:
@@ -60,24 +72,20 @@ def is_metzler_hurwitz(A) -> bool:
         raise NotMetzler(f"matrix must be square, got {M.shape}")
     _require_metzler(M)
     try:
-        Minv = inverse(M)
+        return _neg_inverse_if_hurwitz(M) is not None
     except SingularMatrix:
         return False
-    return bool((Minv <= 1e-12).all())
 
 
 def is_schur_nonneg(D) -> bool:
-    """Schur test for a nonnegative matrix via the sign of inv(I - D)."""
+    """Schur test for a nonnegative matrix: ``D`` is Schur iff the Metzler
+    matrix ``D - I`` is Hurwitz, i.e. ``inv(I - D) >= 0``."""
     M = as_matrix(D, "D")
     if M.shape[0] != M.shape[1]:
         raise NotNonnegative(f"matrix must be square, got {M.shape}")
     if M.min() < -METZLER_TOL:
         raise NotNonnegative(f"entry {M.min()} below -{METZLER_TOL}")
-    try:
-        R = inverse(np.eye(M.shape[0]) - M)
-    except SingularMatrix:
-        return False
-    return bool((R >= -1e-12).all())
+    return is_metzler_hurwitz(M - np.eye(M.shape[0]))
 
 
 def coupling_matrix(spec: SystemSpec) -> np.ndarray:
@@ -114,14 +122,15 @@ def check_joint_condition(spec: SystemSpec, xi=None) -> StabilityReport:
         if xi_vec.min() <= 0.0:
             raise ValueError("xi must be strictly positive")
     try:
-        v = solve(coupling_matrix(spec), -xi_vec)
+        factors = lu_factor(coupling_matrix(spec))
     except SingularMatrix as exc:
         return StabilityReport(a_is_metzler, bcd_nonnegative, d_is_schur, False,
                                diagnostic=f"coupling matrix singular: {exc}")
+    v = lu_solve(*factors, -xi_vec)
     p, q = v[:n], v[n:]
     if p.min() > WITNESS_TOL and q.min() > WITNESS_TOL:
         return StabilityReport(a_is_metzler, bcd_nonnegative, d_is_schur, True,
-                               witness_p=p, witness_q=q)
+                               witness_p=p, witness_q=q, coupling_lu=factors)
     return StabilityReport(a_is_metzler, bcd_nonnegative, d_is_schur, False,
                            diagnostic="witness vector not strictly positive")
 
@@ -130,15 +139,24 @@ def alpha_max(A, step: float) -> float:
     """Largest grid multiple of ``step`` keeping ``A + alpha I`` Hurwitz.
 
     The spectral abscissa of ``A + alpha I`` is strictly increasing in
-    ``alpha``, so the scan terminates.
+    ``alpha``, so the Hurwitz test is monotone in the grid index ``k``: a
+    doubling search brackets the first failing ``k`` and a bisection finds
+    it, about ``2 log2(alpha_max / step)`` tests.
     """
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not (np.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be positive and finite, got {step}")
     M = as_matrix(A, "A")
     if not is_metzler_hurwitz(M):
         raise NotStable("matrix is not Hurwitz, no positive decay rate exists")
     eye = np.eye(M.shape[0])
-    k = 1
-    while is_metzler_hurwitz(M + (k * step) * eye):
-        k += 1
-    return (k - 1) * step
+
+    def hurwitz(k: int) -> bool:
+        return is_metzler_hurwitz(M + (k * step) * eye)
+
+    good, bad = 0, 1                    # hurwitz(good) holds throughout
+    while hurwitz(bad):
+        good, bad = bad, 2 * bad
+    while bad - good > 1:               # and from here on, not hurwitz(bad)
+        mid = (good + bad) // 2
+        good, bad = (mid, bad) if hurwitz(mid) else (good, mid)
+    return good * step

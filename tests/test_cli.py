@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -78,6 +79,40 @@ def test_bound_deterministic_bytes(tmp_path, sample_problem_path):
     assert outs[0] == outs[1]
 
 
+def test_bound_golden_bytes(tmp_path, sample_problem_path):
+    # SHA-256 of the sample outputs as written by the per-column inverse and
+    # the linear alpha_max scan, before the certificate code was vectorized
+    out = tmp_path / "out"
+    assert main(["bound", str(sample_problem_path), "--out", str(out),
+                 "--t-end", "4", "--step", "0.01"]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("certificate.json", "staircase.csv")}
+    assert digests == {
+        "certificate.json": "753b705485ec8b2a8134fd448177a46101d11c8b9196f9fa3908ec6be8fec643",
+        "staircase.csv": "d77b7fc2cc372c7c61b66fb13ae5923f53e58b6ce9c48de87403c1a4f11762f2",
+    }
+
+
+@pytest.mark.parametrize("options, flags", [
+    pytest.param({"xi": [1.0, 1.0, 1.0, 1.0]}, [], id="xi-short"),
+    pytest.param({"xi": [1.0, 1.0, 0.0, 1.0, 1.0]}, [], id="xi-zero"),
+    pytest.param({"xi": [1.0, 1.0, -2.0, 1.0, 1.0]}, [], id="xi-negative"),
+    pytest.param({"xi": "ones"}, [], id="xi-not-array"),
+    pytest.param({"step": "abc"}, [], id="step-text"),
+    pytest.param({"alpha_step": 0.0}, [], id="alpha-step-zero"),
+    pytest.param({"t_end": -1.0}, [], id="t-end-negative"),
+    pytest.param({}, ["--alpha-step", "0"], id="flag-alpha-step-zero"),
+    pytest.param({}, ["--alpha-step", "-1"], id="flag-alpha-step-negative"),
+    pytest.param({}, ["--t-end", "0"], id="flag-t-end-zero"),
+    pytest.param({}, ["--step", "inf"], id="flag-step-inf"),
+    pytest.param({}, ["--xi", "1,1,1,1,0"], id="flag-xi-zero"),
+])
+def test_bound_malformed_options_exit_2(tmp_path, capsys, options, flags):
+    path = write_problem(tmp_path, lambda d: d.setdefault("options", {}).update(options))
+    assert main(["bound", str(path), "--out", str(tmp_path / "out")] + flags) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_bound_short_circuit_flag(tmp_path, sample_problem_path):
     def shrink(doc):
         doc["system"]["psi_bar"] = [0.07, 0.14, 0.05]
@@ -112,10 +147,18 @@ def test_simulate_full_horizon_row_count(tmp_path, sample_problem_path):
 
 
 def test_cli_entrypoint_help():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import cdde_bound
+    # the child imports the package under test, installed or not
+    src = str(Path(cdde_bound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "cdde_bound", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "check" in proc.stdout and "verify" in proc.stdout
 

@@ -56,9 +56,10 @@ def test_gamma_errors():
 
 
 def test_empty_index_set_guard():
-    from cdde_bound.envelope import EmptyIndexSet, _gamma_from_inverse
+    # -inv(A + alpha I) = 1e-13 passes the sign test but lies below INDEX_TOL
+    from cdde_bound.envelope import EmptyIndexSet
     with pytest.raises(EmptyIndexSet):
-        _gamma_from_inverse(np.zeros((2, 2)), np.ones(2), 0)
+        gamma_component([[-1e13]], 0.5, [1.0], 0)
 
 
 def test_exponential_estimate_rejects_nonpositive_rate(sample_spec):

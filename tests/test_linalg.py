@@ -92,6 +92,14 @@ def test_inverse_sign_pattern_vs_cofactor_oracle():
     assert (got <= 0.0).all()
 
 
+def test_stack_members_have_their_own_pivot_threshold():
+    # a threshold shared across the stack would call the tiny member singular
+    stack = np.stack([1e-15 * np.eye(3), 1e3 * np.eye(3)])
+    got = inverse(stack)
+    assert np.array_equal(got[0], inverse(stack[0]))
+    assert np.array_equal(got[1], inverse(stack[1]))
+
+
 def test_cmp_leq_basic():
     assert cmp_leq([1.0, 2.0], [1.0, 2.0], 0.0)
     assert not cmp_leq([1.0, 3.0], [1.0, 2.0], 0.0)
