@@ -199,11 +199,8 @@ def staircase(cert: BoundCertificate, t: float) -> tuple[np.ndarray, np.ndarray]
     """Bound vectors valid at time ``t``; nonincreasing in t, limit (eta, varsigma)."""
     if t < 0.0:
         raise NegativeTime(f"bound requested at negative time {t}")
-    if cert.constant_bound:
-        return cert.eta.copy(), cert.varsigma.copy()
-    k = int(t // cert.T_star)
-    factor = (1.0 - cert.mu) ** k
-    return cert.eta + factor * cert.p, cert.varsigma + factor * (1.0 - cert.mu) * cert.q
+    xb, yb = sample_staircase(cert, [t])
+    return xb[0], yb[0]
 
 
 def sample_staircase(cert: BoundCertificate, times) -> tuple[np.ndarray, np.ndarray]:

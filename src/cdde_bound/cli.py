@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +21,10 @@ import numpy as np
 from .certificate import (BoundCertificate, CertificateError, compute_certificate,
                           sample_staircase)
 from .model import SystemSpec, validate_structure
-from .simulator import (InvalidScenario, SignalSpec, SimulationScenario,
-                        default_scenario, simulate, verify_domination,
-                        write_csv, write_trajectory_csv)
+from .simulator import (DominationReport, InvalidScenario, SignalSpec,
+                        SimulationScenario, Trajectory, UnstableStep,
+                        default_scenario, simulate, simulate_many,
+                        verify_domination, write_csv, write_trajectory_csv)
 from .stability import check_joint_condition
 
 # alpha_step, simulation step and t_end; each must be finite and positive
@@ -166,9 +165,7 @@ def cmd_check(args) -> int:
 
 def _parse_xi(args, spec: SystemSpec):
     raw = getattr(args, "xi", None)
-    if raw is None:
-        return None
-    return _weights("--xi", raw.split(","), spec)
+    return None if raw is None else _weights("--xi", raw.split(","), spec)
 
 
 def _options(args, options: dict):
@@ -196,11 +193,7 @@ def cmd_bound(args) -> int:
     spec, _, options = load_problem(args.problem)
     alpha_step, step, t_end = _options(args, options)
     xi = _parse_xi(args, spec) or options.get("xi")
-    try:
-        cert = compute_certificate(spec, alpha_step=alpha_step, xi=xi)
-    except CertificateError as exc:
-        print(f"FAIL {exc}", file=sys.stderr)
-        return 1
+    cert = compute_certificate(spec, alpha_step=alpha_step, xi=xi)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "certificate.json", cert.to_dict())
@@ -215,42 +208,44 @@ def cmd_simulate(args) -> int:
     _, step, t_end = _options(args, options)
     scenario = build_scenario(spec, scenario_cfg, a=args.a, b=args.b,
                               t_end=t_end, step=step)
-    try:
-        traj = simulate(scenario)
-    except InvalidScenario as exc:
-        print(f"FAIL scenario: {exc}", file=sys.stderr)
-        return 1
+    traj = simulate(scenario)
     write_trajectory_csv(traj, args.out)
     print(f"wrote {args.out} ({traj.times.shape[0]} rows)")
     return 0
+
+
+def grid_reports(spec: SystemSpec, scenario_cfg, cert: BoundCertificate, *,
+                 t_end: float, step: float) -> list[DominationReport]:
+    """Reports for VERIFY_GRID from one batched run of the corners F = (0, 0),
+    W = (1, 0) and Delta = (0, 1).  For fixed delays the system is linear in
+    (psi, phi, w, d), so scenario (a, b) is ``F + a (W - F) + b (Delta - F)``;
+    each is composed and checked in turn."""
+    runs = simulate_many([build_scenario(spec, scenario_cfg, a=a, b=b, t_end=t_end, step=step)
+                          for a, b in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))])
+
+    def compose(name: str, a: float, b: float) -> np.ndarray:
+        free, omega, dist = (getattr(run, name) for run in runs)
+        return free + a * (omega - free) + b * (dist - free)
+
+    return [verify_domination(Trajectory(runs[0].times, compose("x_samples", a, b),
+                                         compose("y_samples", a, b)), cert)
+            for a, b in VERIFY_GRID]
 
 
 def cmd_verify(args) -> int:
     spec, scenario_cfg, options = load_problem(args.problem)
     alpha_step, step, t_end = _options(args, options)
     xi = _parse_xi(args, spec) or options.get("xi")
-    try:
-        cert = compute_certificate(spec, alpha_step=alpha_step, xi=xi)
-    except CertificateError as exc:
-        print(f"FAIL {exc}", file=sys.stderr)
-        return 1
+    cert = compute_certificate(spec, alpha_step=alpha_step, xi=xi)
     if args.a is not None or args.b is not None:
-        combos = [(args.a if args.a is not None else 1.0,
-                   args.b if args.b is not None else 1.0)]
+        a = 1.0 if args.a is None else args.a
+        b = 1.0 if args.b is None else args.b
+        combos = [(a, b)]
+        scenario = build_scenario(spec, scenario_cfg, a=a, b=b, t_end=t_end, step=step)
+        reports = [verify_domination(simulate(scenario), cert)]
     else:
         combos = VERIFY_GRID
-
-    def run(combo):
-        a, b = combo
-        scenario = build_scenario(spec, scenario_cfg, a=a, b=b, t_end=t_end, step=step)
-        return verify_domination(simulate(scenario), cert)
-
-    workers = int(os.environ.get("CDDE_BOUND_THREADS", "1"))
-    if workers > 1 and len(combos) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run, combos))
-    else:
-        reports = [run(c) for c in combos]
+        reports = grid_reports(spec, scenario_cfg, cert, t_end=t_end, step=step)
 
     ok = True
     for (a, b), rep in zip(combos, reports):
@@ -275,10 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="compute the bound certificate")
     p_bound.add_argument("problem")
-    p_bound.add_argument("--alpha-step", dest="alpha_step", type=float)
-    p_bound.add_argument("--xi")
-    p_bound.add_argument("--step", type=float, help="staircase sampling step")
-    p_bound.add_argument("--t-end", dest="t_end", type=float)
     p_bound.add_argument("--out", default=".", help="output directory")
     p_bound.set_defaults(func=cmd_bound)
 
@@ -286,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("problem")
     p_sim.add_argument("--a", type=float, default=1.0, help="scale on the omega signal")
     p_sim.add_argument("--b", type=float, default=1.0, help="scale on the d signal")
-    p_sim.add_argument("--step", type=float)
-    p_sim.add_argument("--t-end", dest="t_end", type=float)
     p_sim.add_argument("--out", default="trajectory.csv")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -297,24 +286,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="single omega scale (default: preset grid)")
     p_ver.add_argument("--b", type=float, default=None,
                        help="single d scale (default: preset grid)")
-    p_ver.add_argument("--alpha-step", dest="alpha_step", type=float)
-    p_ver.add_argument("--xi")
-    p_ver.add_argument("--step", type=float)
-    p_ver.add_argument("--t-end", dest="t_end", type=float)
     p_ver.set_defaults(func=cmd_verify)
+    for p in (p_bound, p_sim, p_ver):
+        p.add_argument("--step", type=float, help="time grid step (staircase samples for bound)")
+        p.add_argument("--t-end", dest="t_end", type=float)
+    for p in (p_bound, p_ver):
+        p.add_argument("--alpha-step", dest="alpha_step", type=float)
+        p.add_argument("--xi", help="comma-separated positive weights for the witness solve")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ProblemFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except InvalidScenario as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
+    except CertificateError as exc:
+        print(f"FAIL {exc}", file=sys.stderr)
+        return 1
+    except (InvalidScenario, UnstableStep) as exc:
+        print(f"FAIL scenario: {exc}", file=sys.stderr)
         return 1
 
 

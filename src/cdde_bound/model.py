@@ -108,15 +108,12 @@ def validate_structure(spec: SystemSpec) -> list[str]:
     """
     findings: list[str] = []
     A = spec.A
-    for i in range(spec.n):
-        for j in range(spec.n):
-            if i != j and A[i, j] < -NONNEG_TOL:
-                findings.append(f"A not Metzler at ({i}, {j}): {A[i, j]}")
+    for i, j in np.argwhere((A < -NONNEG_TOL) & ~np.eye(spec.n, dtype=bool)):
+        findings.append(f"A not Metzler at ({i}, {j}): {A[i, j]}")
     for name in ("B", "C", "D"):
         M = getattr(spec, name)
-        for (i, j), v in np.ndenumerate(M):
-            if v < -NONNEG_TOL:
-                findings.append(f"{name} not nonnegative at ({i}, {j}): {v}")
+        for i, j in np.argwhere(M < -NONNEG_TOL):
+            findings.append(f"{name} not nonnegative at ({i}, {j}): {M[i, j]}")
     for name in ("omega_bar", "d_bar", "psi_bar", "phi_bar"):
         v = getattr(spec, name)
         bad = np.where(v < -NONNEG_TOL)[0]

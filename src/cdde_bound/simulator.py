@@ -18,7 +18,8 @@ When ``h2(t)`` falls below the step size, the delayed argument can no
 longer be resolved by the history grid; the relation is then closed
 algebraically as ``(I - D) y = C x + d``, its vanishing-delay limit.
 Scenario envelope checks run at grid points only; violations strictly
-between grid points are not detectable at this resolution.
+between grid points are not detectable at this resolution.  Scenarios that
+share the system, the delays and the grid run as one batch.
 """
 
 from __future__ import annotations
@@ -30,13 +31,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .certificate import BoundCertificate, sample_staircase
-from .linalg import DimensionMismatch, as_vector, lu_factor, lu_solve
+from .linalg import DimensionMismatch, as_vector, inverse
 from .model import SystemSpec
 
 DIVERGENCE_LIMIT = 1e12
 GRID_TOL = 1e-12
 # minimum jump magnitude worth tracking
 JUMP_TOL = 1e-13
+# grid steps per block of sampled disturbances, and rows per block of CSV
+BLOCK_STEPS = 512
 
 SIGNAL_KINDS = ("zero", "constant", "abs_sin", "abs_cos",
                 "const_plus_abs_sin", "const_plus_abs_cos")
@@ -74,10 +77,8 @@ class SignalSpec:
         amp = tuple(float(a) for a in self.amplitude)
         if not amp:
             raise ValueError("amplitude must have at least one component")
-        freq = tuple(float(f) for f in self.frequency)
-        if not freq:
-            freq = (0.0,) * len(amp)
-        elif len(freq) == 1:
+        freq = tuple(float(f) for f in self.frequency) or (0.0,)
+        if len(freq) == 1:
             freq = freq * len(amp)
         if len(freq) != len(amp):
             raise ValueError(f"frequency length {len(freq)} does not match amplitude length {len(amp)}")
@@ -170,10 +171,6 @@ class Trajectory:
     x_samples: np.ndarray
     y_samples: np.ndarray
 
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0]) if self.times.shape[0] > 1 else 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class DominationReport:
@@ -194,71 +191,90 @@ def _check_envelope(name: str, times, values, upper, tol=1e-12):
     if (v < -tol).any():
         k = np.argwhere(v < -tol)[0]
         raise InvalidScenario(f"{name} negative at t={times[k[0]]:g}: {v[tuple(k)]}")
-    if upper is not None:
-        over = v - upper[None, :]
-        if (over > tol).any():
-            k = np.argwhere(over > tol)[0]
-            raise InvalidScenario(
-                f"{name} exceeds its bound at t={times[k[0]]:g}: "
-                f"{v[tuple(k)]} > {upper[k[1]]}")
+    over = v - upper[None, :]
+    if (over > tol).any():
+        k = np.argwhere(over > tol)[0]
+        raise InvalidScenario(f"{name} exceeds its bound at t={times[k[0]]:g}: "
+                              f"{v[tuple(k)]} > {upper[k[1]]}")
+
+
+def _history_times(h_max: float, step: float) -> np.ndarray:
+    """Grid times in [-h_max, 0) at which the initial history is checked."""
+    hist = -h_max + step * np.arange(int(math.floor(h_max / step - 1e-9)) + 1)
+    return hist[hist < 0.0]
 
 
 def simulate(scenario: SimulationScenario) -> Trajectory:
     """Integrate the scenario over [0, t_end] on the uniform grid."""
-    spec = scenario.spec
+    return simulate_many([scenario])[0]
+
+
+def simulate_many(scenarios) -> list[Trajectory]:
+    """Integrate scenarios sharing system, delays and grid in one pass, with
+    states ``(K+1, S, n)``; returns per-member views, in order.  ``omega``,
+    ``d``, ``psi`` and ``phi`` may differ.  The jump list is shared: a jump
+    is tracked when any member jumps there by more than ``JUMP_TOL`` (a
+    member continuous there then moves by truncation error, not rounding)."""
+    first = scenarios[0]
+    spec = first.spec
+    for sc in scenarios[1:]:
+        if not _same_system(sc.spec, spec):
+            raise MismatchedScenarios("scenarios use different systems")
+        if sc.h1 != first.h1 or sc.h2 != first.h2:
+            raise MismatchedScenarios("scenarios use different delay signals")
+        if sc.t_end != first.t_end or sc.step != first.step:
+            raise MismatchedScenarios("scenarios use different grids")
     n, m = spec.n, spec.m
-    h = scenario.step
+    h = first.step
     if spec.h_max > 0.0 and h > spec.h_max:
         raise InvalidScenario(f"step {h} exceeds the delay bound {spec.h_max}")
-    K = int(round(scenario.t_end / h))
+    K = int(round(first.t_end / h))
     if K < 1:
-        raise InvalidScenario(f"t_end {scenario.t_end} shorter than one step {h}")
+        raise InvalidScenario(f"t_end {first.t_end} shorter than one step {h}")
     ts = np.arange(K + 1) * h
 
-    A, B, C, D = spec.A, spec.B, spec.C, spec.D
-    lu_im_d = lu_factor(np.eye(m) - D)
+    AT, BT, CT, DT = spec.A.T.copy(), spec.B.T.copy(), spec.C.T.copy(), spec.D.T.copy()
+    closure = inverse(np.eye(m) - spec.D).T
 
-    omega_fn, d_fn = scenario.omega, scenario.d
-    h1_sig, h2_sig = scenario.h1, scenario.h2
-    phi_fn = scenario.phi
+    def at(name: str, t: float) -> np.ndarray:              # (S, dim)
+        return np.array([getattr(sc, name)(t) for sc in scenarios])
 
-    # signal samples at grid and half-grid stage times
-    W0 = omega_fn.sample(ts)
-    Wh = omega_fn.sample(ts[:-1] + 0.5 * h)
-    D0 = d_fn.sample(ts)
-    H10 = h1_sig.sample(ts)[:, 0]
-    H1h = h1_sig.sample(ts[:-1] + 0.5 * h)[:, 0]
-    H20 = h2_sig.sample(ts)[:, 0]
+    def on(name: str, times: np.ndarray) -> np.ndarray:     # (len(times), S, dim)
+        return np.stack([getattr(sc, name).sample(times) for sc in scenarios], axis=1)
 
-    # admissibility of the scenario data, checked at grid points
-    _check_envelope("psi", ts[:1], scenario.psi, spec.psi_bar)
-    if spec.h_max > 0.0:
-        hist_ts = -spec.h_max + h * np.arange(int(math.floor(spec.h_max / h - 1e-9)) + 1)
-        hist_ts = hist_ts[hist_ts < 0.0]
-        if hist_ts.size:
-            _check_envelope("phi", hist_ts, phi_fn.sample(hist_ts), spec.phi_bar)
-    _check_envelope("omega", ts, W0, spec.omega_bar)
-    _check_envelope("d", ts, D0, spec.d_bar)
+    # admissibility of the scenario data, checked at grid points; the
+    # disturbances are sampled in blocks so memory does not grow with t_end
+    hist_ts = _history_times(spec.h_max, h)
+    for sc in scenarios:
+        _check_envelope("psi", ts[:1], sc.psi, spec.psi_bar)
+        _check_envelope("phi", hist_ts, sc.phi.sample(hist_ts), spec.phi_bar)
+        for name, sig, upper in (("omega", sc.omega, spec.omega_bar), ("d", sc.d, spec.d_bar)):
+            for k0 in range(0, K + 1, BLOCK_STEPS):
+                block = ts[k0:k0 + BLOCK_STEPS]
+                _check_envelope(name, block, sig.sample(block), upper)
+    H10 = first.h1.sample(ts)[:, 0]
+    H1h = first.h1.sample(ts[:-1] + 0.5 * h)[:, 0]
+    H20 = first.h2.sample(ts)[:, 0]
     for name, vals in (("h1", H10), ("h2", H20)):
         _check_envelope(name, ts, vals[:, None], np.array([spec.h_max]))
 
-    xs = np.empty((K + 1, n))
-    ys = np.empty((K + 1, m))
-    xs[0] = scenario.psi
+    xs = np.empty((K + 1, len(scenarios), n))
+    ys = np.empty((K + 1, len(scenarios), m))
+    xs[0] = [sc.psi for sc in scenarios]
 
-    # y jump bookkeeping: times plus one-sided values (left, right)
+    # y jump bookkeeping: times plus one-sided values (left, right), (S, m) each
     bp_t: list[float] = []
     bp_lr: list[tuple[np.ndarray, np.ndarray]] = []
 
     def yhist(tq: float, kmax: int) -> np.ndarray:
         if tq < 0.0:
-            return phi_fn(tq)
+            return at("phi", tq)
         pos = tq / h
         i0 = int(pos)
         if i0 >= kmax:
             return ys[kmax]
-        t_lo = ts[i0]
-        t_hi = ts[i0 + 1]
+        t_lo = i0 * h
+        t_hi = (i0 + 1) * h
         j = bisect_right(bp_t, t_lo)
         if j < len(bp_t) and bp_t[j] <= t_hi:
             tstar = bp_t[j]
@@ -275,20 +291,19 @@ def simulate(scenario: SimulationScenario) -> Trajectory:
         return ys[i0] * (1.0 - frac) + ys[i0 + 1] * frac
 
     def darg(t: float) -> float:
-        return t - float(h1_sig(t)[0])
+        return t - float(first.h1(t)[0])
 
     def g2(t: float) -> float:
-        return t - float(h2_sig(t)[0])
+        return t - float(first.h2(t)[0])
 
-    def rk4(x, t0, t1, kav, z0, zh, z1, w0, wh, w1):
-        hh = t1 - t0
-        c0 = B @ z0 + w0
-        ch = B @ zh + wh
-        c1 = B @ z1 + w1
-        k1 = A @ x + c0
-        k2 = A @ (x + (0.5 * hh) * k1) + ch
-        k3 = A @ (x + (0.5 * hh) * k2) + ch
-        k4 = A @ (x + hh * k3) + c1
+    def rk4(x, hh, z0, zh, z1, w0, wh, w1):
+        c0 = z0 @ BT + w0
+        ch = zh @ BT + wh
+        c1 = z1 @ BT + w1
+        k1 = x @ AT + c0
+        k2 = (x + (0.5 * hh) * k1) @ AT + ch
+        k3 = (x + (0.5 * hh) * k2) @ AT + ch
+        k4 = (x + hh * k3) @ AT + c1
         return x + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def crossings(f, t0: float, t1: float) -> list[tuple[float, int]]:
@@ -296,9 +311,7 @@ def simulate(scenario: SimulationScenario) -> Trajectory:
         at the endpoints, then bisection)."""
         out = []
         f0, f1 = f(t0), f(t1)
-        lo, hi = (f0, f1) if f0 <= f1 else (f1, f0)
-        i = bisect_right(bp_t, lo)
-        while i < len(bp_t) and bp_t[i] <= hi:
+        for i in range(bisect_right(bp_t, min(f0, f1)), bisect_right(bp_t, max(f0, f1))):
             target = bp_t[i]
             ta, tb = t0, t1
             fa = f(ta) - target
@@ -310,100 +323,104 @@ def simulate(scenario: SimulationScenario) -> Trajectory:
                 else:
                     tb = tm
             out.append((0.5 * (ta + tb), i))
-            i += 1
         out.sort()
         return out
 
     def advance(x, t0: float, t1: float, kav: int) -> np.ndarray:
-        """Split-aware advance over [t0, t1] (slow path, used near jumps)."""
-        tk = ts[kav]
-        segs = crossings(darg, t0, t1)
-        tprev, bp_start = t0, None
-        for tau, i in segs:
-            if tau - tprev > 1e-14:
-                x = _sub_rk4(x, tprev, tau, kav, tk, bp_start, i)
-                tprev, bp_start = tau, i
-            else:
-                bp_start = i
-        return _sub_rk4(x, tprev, t1, kav, tk, bp_start, None)
-
-    def _sub_rk4(x, t0, t1, kav, tk, bp_start, bp_end):
-        th = t0 + 0.5 * (t1 - t0)
-        z0 = bp_lr[bp_start][1] if bp_start is not None else yhist(min(darg(t0), tk), kav)
-        zh = yhist(min(darg(th), tk), kav)
-        z1 = bp_lr[bp_end][0] if bp_end is not None else yhist(min(darg(t1), tk), kav)
-        return rk4(x, t0, t1, kav, z0, zh, z1,
-                   omega_fn(t0), omega_fn(th), omega_fn(t1))
+        """Split-aware advance over [t0, t1] (slow path, used near jumps): one
+        step per piece, boundary stages on the matching side of the jump."""
+        tk = kav * h
+        pieces = [(t0, None)] + [(tau, i) for tau, i in crossings(darg, t0, t1)]
+        pieces.append((t1, None))
+        for (ta, start), (tb, end) in zip(pieces, pieces[1:]):
+            if tb - ta <= 1e-14 and end is not None:
+                continue
+            th = ta + 0.5 * (tb - ta)
+            z0 = bp_lr[start][1] if start is not None else yhist(min(darg(ta), tk), kav)
+            zh = yhist(min(darg(th), tk), kav)
+            z1 = bp_lr[end][0] if end is not None else yhist(min(darg(tb), tk), kav)
+            x = rk4(x, tb - ta, z0, zh, z1, at("omega", ta), at("omega", th), at("omega", tb))
+        return x
 
     def bracket_hits(lo: float, hi: float) -> bool:
-        if lo > hi:
-            lo, hi = hi, lo
-        j = bisect_right(bp_t, lo)
-        return j < len(bp_t) and bp_t[j] <= hi
+        return bisect_right(bp_t, min(lo, hi)) < bisect_right(bp_t, max(lo, hi))
+
+    # Away from jumps a step is linear in (x, z0, zh, z1, w0, wh, w1) with
+    # fixed maps; rk4 applied to unit rows gives them once.  The w part of
+    # a block of steps is then one product.
+    parts = np.split(np.eye(4 * n + 3 * m), np.cumsum([n, m, m, m, n, n]), axis=1)
+    step_map = rk4(parts[0], h, *parts[1:])
+    xz_map, w_map = step_map[:n + 3 * m], step_map[n + 3 * m:]
+
+    def output(x, tq: float, delay: float, dv, kmax: int) -> np.ndarray:
+        # a delay below one step is closed algebraically (module docstring)
+        if delay < h:
+            return (x @ CT + dv) @ closure
+        return x @ CT + yhist(tq, kmax) @ DT + dv
 
     # initial y from the difference relation (right-continuous at 0)
-    if H20[0] < h:
-        ys[0] = lu_solve(*lu_im_d, C @ xs[0] + D0[0])
-    else:
-        ys[0] = C @ xs[0] + D @ yhist(-H20[0], 0) + D0[0]
-    left0 = phi_fn(0.0)
+    ys[0] = output(xs[0], -H20[0], H20[0], on("d", ts[:1])[0], 0)
+    left0 = at("phi", 0.0)
     if np.max(np.abs(ys[0] - left0)) > JUMP_TOL:
         bp_t.append(0.0)
         bp_lr.append((left0, ys[0].copy()))
 
-    for k in range(K):
-        t0 = ts[k]
-        t1 = ts[k + 1]
+    for k0 in range(0, K, BLOCK_STEPS):
+        k1 = min(k0 + BLOCK_STEPS, K)
+        block = ts[k0:k1 + 1]
+        W0 = on("omega", block)
+        Wh = on("omega", block[:-1] + 0.5 * h)
+        D0 = on("d", block)
+        forcing = np.concatenate((W0[:-1], Wh, W0[1:]), axis=2) @ w_map
+        h1_0, h1_h, h2_0 = H10[k0:k1 + 1].tolist(), H1h[k0:k1].tolist(), H20[k0:k1 + 1].tolist()
+        for j in range(k1 - k0):
+            k = k0 + j
+            t0 = k * h
+            t1 = (k + 1) * h
 
-        # --- advance x ---
-        d_lo = t0 - H10[k]
-        d_hi = t1 - H10[k + 1]
-        if bp_t and bracket_hits(d_lo, d_hi):
-            xn = advance(xs[k], t0, t1, k)
-        else:
-            tk = t0
-            z0 = yhist(min(d_lo, tk), k)
-            zh = yhist(min(t0 + 0.5 * h - H1h[k], tk), k)
-            z1 = yhist(min(d_hi, tk), k)
-            xn = rk4(xs[k], t0, t1, k, z0, zh, z1, W0[k], Wh[k], W0[k + 1])
-        if not (np.abs(xn) < DIVERGENCE_LIMIT).all():
-            raise UnstableStep(f"state magnitude exceeded {DIVERGENCE_LIMIT:g} at t={t1:g}")
-        xs[k + 1] = xn
+            # --- advance x ---
+            d_lo = t0 - h1_0[j]
+            d_hi = t1 - h1_0[j + 1]
+            if bp_t and bracket_hits(d_lo, d_hi):
+                xn = advance(xs[k], t0, t1, k)
+            else:
+                z0 = yhist(min(d_lo, t0), k)
+                zh = yhist(min(t0 + 0.5 * h - h1_h[j], t0), k)
+                z1 = yhist(min(d_hi, t0), k)
+                xn = np.concatenate((xs[k], z0, zh, z1), axis=1) @ xz_map + forcing[j]
+            if not (np.abs(xn) < DIVERGENCE_LIMIT).all():
+                raise UnstableStep(f"state magnitude exceeded {DIVERGENCE_LIMIT:g} at t={t1:g}")
+            xs[k + 1] = xn
 
-        # --- propagate y jumps crossed by t - h2(t) in (t0, t1] ---
-        g_lo = t0 - H20[k]
-        g_hi = t1 - H20[k + 1]
-        if bp_t and bracket_hits(g_lo, g_hi):
-            new_events = []
-            for tstar, i in crossings(g2, t0, t1):
-                left_src, right_src = bp_lr[i]
-                xstar = advance(xs[k], t0, tstar, k) if tstar - t0 > 1e-14 else xs[k]
-                dv = d_fn(tstar)
-                new_left = C @ xstar + D @ left_src + dv
-                new_right = C @ xstar + D @ right_src + dv
-                if np.max(np.abs(new_right - new_left)) > JUMP_TOL:
-                    new_events.append((tstar, new_left, new_right))
-            for tstar, new_left, new_right in new_events:
-                j = bisect_left(bp_t, tstar)
-                if (j < len(bp_t) and abs(bp_t[j] - tstar) < GRID_TOL) or \
-                   (j > 0 and abs(bp_t[j - 1] - tstar) < GRID_TOL):
-                    continue
-                bp_t.insert(j, tstar)
-                bp_lr.insert(j, (new_left, new_right))
+            # --- propagate y jumps crossed by t - h2(t) in (t0, t1] ---
+            g_lo = t0 - h2_0[j]
+            g_hi = t1 - h2_0[j + 1]
+            if bp_t and bracket_hits(g_lo, g_hi):
+                new_events = []
+                for tstar, i in crossings(g2, t0, t1):
+                    xstar = advance(xs[k], t0, tstar, k) if tstar - t0 > 1e-14 else xs[k]
+                    cx = xstar @ CT
+                    dv = at("d", tstar)
+                    left, right = (cx + side @ DT + dv for side in bp_lr[i])
+                    if np.max(np.abs(right - left)) > JUMP_TOL:
+                        new_events.append((tstar, left, right))
+                for tstar, left, right in new_events:
+                    i = bisect_left(bp_t, tstar)
+                    if all(abs(u - tstar) >= GRID_TOL for u in bp_t[max(i - 1, 0):i + 1]):
+                        bp_t.insert(i, tstar)
+                        bp_lr.insert(i, (left, right))
 
-        # --- evaluate y at the new grid point ---
-        if H20[k + 1] < h:
-            yn = lu_solve(*lu_im_d, C @ xs[k + 1] + D0[k + 1])
-        else:
-            yn = C @ xs[k + 1] + D @ yhist(g_hi, k) + D0[k + 1]
-        if not (np.abs(yn) < DIVERGENCE_LIMIT).all():
-            raise UnstableStep(f"output magnitude exceeded {DIVERGENCE_LIMIT:g} at t={t1:g}")
-        ys[k + 1] = yn
+            # --- evaluate y at the new grid point ---
+            yn = output(xn, g_hi, h2_0[j + 1], D0[j + 1], k)
+            if not (np.abs(yn) < DIVERGENCE_LIMIT).all():
+                raise UnstableStep(f"output magnitude exceeded {DIVERGENCE_LIMIT:g} at t={t1:g}")
+            ys[k + 1] = yn
 
     ts.setflags(write=False)
     xs.setflags(write=False)
     ys.setflags(write=False)
-    return Trajectory(times=ts, x_samples=xs, y_samples=ys)
+    return [Trajectory(times=ts, x_samples=xs[:, i], y_samples=ys[:, i])
+            for i in range(len(scenarios))]
 
 
 def verify_domination(traj: Trajectory, cert: BoundCertificate,
@@ -435,28 +452,19 @@ def comparison_check(scenario_lo: SimulationScenario,
     """Ordered initial data with identical driving must stay ordered.
 
     Requires identical system, disturbances, delays and grid, and
-    ``psi_lo <= psi_hi``, ``phi_lo <= phi_hi``; simulates both and checks
-    the ordering at every grid time.
+    ``psi_lo <= psi_hi``, ``phi_lo <= phi_hi``; simulates both as one batch
+    and checks the ordering at every grid time.
     """
     lo, hi = scenario_lo, scenario_hi
-    if not _same_system(lo.spec, hi.spec):
-        raise MismatchedScenarios("scenarios use different systems")
-    for name in ("omega", "d", "h1", "h2"):
+    for name in ("omega", "d"):
         if getattr(lo, name) != getattr(hi, name):
             raise MismatchedScenarios(f"scenarios use different {name} signals")
-    if lo.t_end != hi.t_end or lo.step != hi.step:
-        raise MismatchedScenarios("scenarios use different grids")
     if (lo.psi > hi.psi).any():
         raise MismatchedScenarios("psi_lo exceeds psi_hi")
-    if lo.phi != hi.phi:
-        if lo.spec.h_max > 0.0:
-            hist = -lo.spec.h_max + lo.step * np.arange(
-                int(math.floor(lo.spec.h_max / lo.step - 1e-9)) + 1)
-            hist = hist[hist < 0.0]
-            if hist.size and (lo.phi.sample(hist) > hi.phi.sample(hist)).any():
-                raise MismatchedScenarios("phi_lo exceeds phi_hi on the history grid")
-    tr_lo = simulate(lo)
-    tr_hi = simulate(hi)
+    hist = _history_times(lo.spec.h_max, lo.step)
+    if lo.phi != hi.phi and (lo.phi.sample(hist) > hi.phi.sample(hist)).any():
+        raise MismatchedScenarios("phi_lo exceeds phi_hi on the history grid")
+    tr_lo, tr_hi = simulate_many([lo, hi])
     return bool((tr_lo.x_samples <= tr_hi.x_samples + slack).all()
                 and (tr_lo.y_samples <= tr_hi.y_samples + slack).all())
 
@@ -490,11 +498,14 @@ def write_trajectory_csv(traj: Trajectory, path,
 
 def write_csv(path, times: np.ndarray, columns: dict[str, np.ndarray]) -> None:
     """The one CSV writer: column ``t``, then ``prefix_1..prefix_k`` for each
-    ``prefix -> (rows, k)`` array; 9 significant digits, LF endings."""
+    ``prefix -> (rows, k)`` array; 9 significant digits, LF endings.  Rows
+    are formatted a block at a time, so memory does not grow with the rows."""
     header = ["t"] + [f"{prefix}_{i + 1}" for prefix, block in columns.items()
                       for i in range(block.shape[1])]
-    data = np.hstack([times[:, None], *columns.values()])
+    fmt = ",".join(["%.9g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in data:
-            fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        for r0 in range(0, times.shape[0], BLOCK_STEPS):
+            rows = slice(r0, r0 + BLOCK_STEPS)
+            data = np.hstack([times[rows, None], *(c[rows] for c in columns.values())])
+            fh.writelines(fmt % tuple(row) for row in data.tolist())

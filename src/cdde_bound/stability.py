@@ -113,14 +113,11 @@ def check_joint_condition(spec: SystemSpec, xi=None) -> StabilityReport:
     if not (a_is_metzler and bcd_nonnegative):
         return StabilityReport(a_is_metzler, bcd_nonnegative, d_is_schur, False,
                                diagnostic="structural requirements violated")
-    if xi is None:
-        xi_vec = np.ones(n + m)
-    else:
-        xi_vec = as_vector(xi, "xi")
-        if xi_vec.shape[0] != n + m:
-            raise ValueError(f"xi must have length {n + m}, got {xi_vec.shape[0]}")
-        if xi_vec.min() <= 0.0:
-            raise ValueError("xi must be strictly positive")
+    xi_vec = np.ones(n + m) if xi is None else as_vector(xi, "xi")
+    if xi_vec.shape[0] != n + m:
+        raise ValueError(f"xi must have length {n + m}, got {xi_vec.shape[0]}")
+    if xi_vec.min() <= 0.0:
+        raise ValueError("xi must be strictly positive")
     try:
         factors = lu_factor(coupling_matrix(spec))
     except SingularMatrix as exc:

@@ -1,9 +1,12 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from cdde_bound.cli import main
+from cdde_bound.certificate import compute_certificate
+from cdde_bound.cli import VERIFY_GRID, build_scenario, grid_reports, load_problem, main
+from cdde_bound.simulator import simulate, verify_domination
 
 from conftest import SAMPLE_PROBLEM
 
@@ -233,11 +236,29 @@ def test_verify_grid_runs_all_six(capsys, sample_problem_path):
     assert out.count("-> OK") == 6
 
 
-def test_verify_threaded_output_identical(capsys, monkeypatch, sample_problem_path):
-    args = ["verify", str(sample_problem_path), "--t-end", "2", "--step", "0.004"]
-    assert main(args) == 0
-    sequential = capsys.readouterr().out
-    monkeypatch.setenv("CDDE_BOUND_THREADS", "3")
-    assert main(args) == 0
-    threaded = capsys.readouterr().out
-    assert threaded == sequential
+def test_verify_grid_matches_direct_runs(sample_problem_path):
+    # the grid is composed from three corner runs by superposition; each
+    # report must agree with a direct run of its own scenario
+    spec, cfg, _ = load_problem(sample_problem_path)
+    cert = compute_certificate(spec)
+    grid = grid_reports(spec, cfg, cert, t_end=4.0, step=0.004)
+    assert len(grid) == len(VERIFY_GRID)
+    for (a, b), got in zip(VERIFY_GRID, grid):
+        scenario = build_scenario(spec, cfg, a=a, b=b, t_end=4.0, step=0.004)
+        want = verify_domination(simulate(scenario), cert)
+        assert np.abs(got.x_margin - want.x_margin).max() <= 1e-12
+        assert np.abs(got.y_margin - want.y_margin).max() <= 1e-12
+        assert got.first_violation_time == want.first_violation_time
+
+
+def test_simulate_diverging_system_fails_cleanly(tmp_path, capsys):
+    # A = I makes x grow like e^t, past the divergence limit near t = 26
+    path = write_problem(tmp_path, lambda d: d["system"].update(
+        A=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    code = main(["simulate", str(path), "--t-end", "40", "--step", "0.01",
+                 "--out", str(tmp_path / "traj.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("FAIL scenario: state magnitude exceeded")
+    assert "Traceback" not in err
+    assert not (tmp_path / "traj.csv").exists()

@@ -1,5 +1,6 @@
 """Property tests: the stacked LU, the logarithmic margin search and the
-blocked decay-rate sweep against the one-matrix-at-a-time oracles."""
+blocked decay-rate sweep against the one-matrix-at-a-time oracles; the
+batched simulator against single runs and against superposition."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,20 @@ from hypothesis import given, settings, strategies as st
 
 from cdde_bound.envelope import finite_time
 from cdde_bound.linalg import SingularMatrix, inverse
+from cdde_bound.simulator import simulate, simulate_many
 from cdde_bound.stability import alpha_max
 
+from conftest import make_sample_scenario, make_sample_system
 from oracles import alpha_max_scan, finite_time_loop, inverse_by_columns
 
 SEEDS = st.integers(0, 2**32 - 1)
+UNIT = st.floats(0.0, 1.0)
+# History scales of at least 1/2 keep y(0) - phi(0) away from zero on the
+# sample, so every member starts with a y jump and all share one jump list.
+# A member that is continuous where another jumps gets extra knots and split
+# steps, and then agrees only to the integrator's truncation error.
+HISTORY = st.floats(0.5, 1.0)
+SAMPLE = make_sample_system()
 
 
 @st.composite
@@ -78,3 +88,34 @@ def test_stack_with_one_singular_member_raises(n, g, seed, data):
     stack[bad, rng.integers(n)] = 0.0
     with pytest.raises(SingularMatrix, match=f"stack member {bad}$"):
         inverse(stack)
+
+
+def sample_run(a, b, psi_scale=1.0, phi_scale=1.0):
+    """The sample's rectified-sine scenario with its time-varying delays,
+    on a horizon that holds the first jump generations."""
+    return make_sample_scenario(SAMPLE, a, b, t_end=4.0, step=1e-2,
+                                psi=psi_scale * SAMPLE.psi_bar,
+                                phi=phi_scale * SAMPLE.phi_bar)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(UNIT, UNIT, UNIT, HISTORY), min_size=1, max_size=4))
+def test_batch_member_equals_its_single_run(members):
+    scenarios = [sample_run(*member) for member in members]
+    for scenario, got in zip(scenarios, simulate_many(scenarios)):
+        want = simulate(scenario)
+        assert np.abs(got.x_samples - want.x_samples).max() <= 1e-12
+        assert np.abs(got.y_samples - want.y_samples).max() <= 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(UNIT, UNIT, UNIT, HISTORY)
+def test_superposed_corners_equal_direct_run(a, b, psi_scale, phi_scale):
+    free, omega, dist = simulate_many([sample_run(0.0, 0.0, psi_scale, phi_scale),
+                                       sample_run(1.0, 0.0, psi_scale, phi_scale),
+                                       sample_run(0.0, 1.0, psi_scale, phi_scale)])
+    want = simulate(sample_run(a, b, psi_scale, phi_scale))
+    for name in ("x_samples", "y_samples"):
+        base = getattr(free, name)
+        got = base + a * (getattr(omega, name) - base) + b * (getattr(dist, name) - base)
+        assert np.abs(got - getattr(want, name)).max() <= 1e-12

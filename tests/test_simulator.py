@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from scipy.linalg import expm
 from cdde_bound.certificate import compute_certificate, ultimate_bound
 from cdde_bound.linalg import solve
 from cdde_bound.model import SystemSpec
-from cdde_bound.simulator import (InvalidScenario, MismatchedScenarios,
+from cdde_bound.simulator import (JUMP_TOL, InvalidScenario, MismatchedScenarios,
                                   SignalSpec, SimulationScenario, UnstableStep,
                                   comparison_check, default_scenario, simulate,
-                                  verify_domination, write_trajectory_csv)
+                                  simulate_many, verify_domination, write_csv,
+                                  write_trajectory_csv)
 
 from conftest import make_sample_scenario
 
@@ -229,3 +231,88 @@ def test_trajectory_csv(tmp_path, sample_spec):
     first = [float(tok) for tok in lines[1].split(",")]
     assert first[0] == 0.0
     assert first[1:4] == pytest.approx(sample_spec.psi_bar.tolist(), abs=1e-8)
+
+
+def assert_batch_matches_single_runs(scenarios, tol=1e-12):
+    batch = simulate_many(scenarios)
+    assert len(batch) == len(scenarios)
+    for scenario, got in zip(scenarios, batch):
+        want = simulate(scenario)
+        assert np.array_equal(got.times, want.times)
+        assert np.abs(got.x_samples - want.x_samples).max() <= tol
+        assert np.abs(got.y_samples - want.y_samples).max() <= tol
+
+
+def test_batch_members_match_single_runs(sample_spec):
+    # the sample's time-varying delays; histories of at least half phi_bar
+    # give every member a y jump at t = 0, so all share one jump list
+    rng = np.random.default_rng(3)
+    scenarios = [make_sample_scenario(sample_spec, a, b, t_end=5.0, step=2e-3,
+                                      psi=rng.uniform(0.0, 1.0, 3) * sample_spec.psi_bar,
+                                      phi=rng.uniform(0.5, 1.0, 2) * sample_spec.phi_bar)
+                 for a, b in [(0.0, 0.0), (1.0, 0.3), (0.4, 1.0), (0.7, 0.7)]]
+    assert_batch_matches_single_runs(scenarios)
+
+
+def test_batch_tracks_the_union_of_jumps(sample_spec):
+    # one member rests at the equilibrium of constant disturbances, so its
+    # history matches y(0) and it has no jump; the other starts with a jump.
+    # The shared jump list must keep the jump for the second member.
+    spec = sample_spec
+    w, d = 0.8 * spec.omega_bar, 0.5 * spec.d_bar
+    coupling = np.block([[spec.A, spec.B], [spec.C, spec.D - np.eye(2)]])
+    eq = np.linalg.solve(coupling, -np.concatenate([w, d]))
+    wave = make_sample_scenario(spec, 1.0, 1.0, t_end=6.0, step=2e-3)
+    rest = SimulationScenario(spec=spec, omega=SignalSpec.constant(w),
+                              d=SignalSpec.constant(d), h1=wave.h1, h2=wave.h2,
+                              psi=eq[:3], phi=eq[3:], t_end=6.0, step=2e-3)
+    alone = [simulate(rest), simulate(wave)]
+    assert np.abs(alone[0].y_samples[0] - eq[3:]).max() <= JUMP_TOL
+    assert np.abs(alone[1].y_samples[0] - spec.phi_bar).max() > 1.0
+    assert_batch_matches_single_runs([rest, wave])
+    assert_batch_matches_single_runs([wave, rest])
+
+
+def test_batch_members_are_views(sample_spec):
+    scenarios = [make_sample_scenario(sample_spec, a, 1.0, t_end=0.5, step=1e-3)
+                 for a in (0.0, 1.0)]
+    first, second = simulate_many(scenarios)
+    assert first.x_samples.base is second.x_samples.base
+    assert not first.x_samples.flags.writeable
+
+
+def test_batch_checks_every_member(sample_spec):
+    ok = make_sample_scenario(sample_spec, 1.0, 1.0, t_end=10.0, step=2e-3)
+    too_strong = make_sample_scenario(sample_spec, 2.0, 1.0, t_end=10.0, step=2e-3)
+    with pytest.raises(InvalidScenario):
+        simulate_many([ok, too_strong])
+    # with A = 40 only the member that starts away from zero diverges
+    growing = scalar_scenario(a_val=40.0)
+    with pytest.raises(UnstableStep):
+        simulate_many([replace(growing, psi=[0.0]), growing])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("spec", None), ("h1", SignalSpec.constant([1.5])), ("h2", SignalSpec.constant([1.5])),
+    ("step", 2e-3), ("t_end", 2.0)], ids=["system", "h1", "h2", "step", "t_end"])
+def test_batch_rejects_mismatched_members(sample_spec, field, value):
+    base = make_sample_scenario(sample_spec, 1.0, 1.0, t_end=1.0, step=1e-3)
+    if field == "spec":
+        value = replace(sample_spec, A=2.0 * sample_spec.A)
+    with pytest.raises(MismatchedScenarios):
+        simulate_many([base, replace(base, **{field: value})])
+
+
+def test_csv_writer_matches_fstring_reference(tmp_path):
+    times = np.array([0.0, 1e-3, 2.5, 40.0, 1e16])
+    block = np.array([[np.inf, -np.inf, np.nan],
+                      [-0.0, 5e-324, 2.2250738585072014e-308],
+                      [1e16, 123456789.0, 1.0 / 3.0],
+                      [-1.5e-7, 1e-300, 9.999999995],
+                      [0.1, -2.0, 1234567890123.0]])
+    out = tmp_path / "t.csv"
+    write_csv(out, times, {"x": block[:, :2], "y": block[:, 2:]})
+    rows = np.hstack([times[:, None], block])
+    want = "t,x_1,x_2,y_1\n" + "".join(
+        ",".join(f"{v:.9g}" for v in row) + "\n" for row in rows)
+    assert out.read_bytes() == want.encode()
