@@ -24,7 +24,7 @@ import numpy as np
 
 from . import envelope, stability
 from .linalg import as_vector, lu_factor, lu_solve, solve
-from .model import SystemSpec, _clamp_roundoff, validate_structure
+from .model import NONNEG_TOL, SystemSpec, _clamp_roundoff, validate_structure
 
 # Shrinking mu by this factor keeps the comparison inequalities strict and
 # the downstream target box strictly positive when the closed-form mu makes
@@ -112,7 +112,7 @@ def comparison_vectors(spec: SystemSpec, xi, init_x_bound, init_y_bound,
         v = solve(stability.coupling_matrix(spec), -xi_vec)
         direction = v[:n], v[n:]
     p_dir, q_dir = direction
-    if p_dir.min() <= 1e-12 or q_dir.min() <= 1e-12:
+    if not (p_dir.min() > NONNEG_TOL and q_dir.min() > NONNEG_TOL):
         raise HypothesisViolated("comparison direction not strictly positive")
     rho = max(float((ix / p_dir).max()), float((iy / q_dir).max()), RHO_MIN)
     return rho * p_dir, rho * q_dir

@@ -22,9 +22,8 @@ from .certificate import (BoundCertificate, CertificateError, compute_certificat
                           sample_staircase)
 from .model import SystemSpec, validate_structure
 from .simulator import (DominationReport, InvalidScenario, SignalSpec,
-                        SimulationScenario, Trajectory, UnstableStep,
-                        default_scenario, simulate, simulate_many,
-                        verify_domination, write_csv, write_trajectory_csv)
+                        SimulationScenario, Trajectory, UnstableStep, simulate,
+                        simulate_many, verify_domination, write_csv, write_trajectory_csv)
 from .stability import check_joint_condition
 
 # alpha_step, simulation step and t_end; each must be finite and positive
@@ -37,18 +36,17 @@ class ProblemFormatError(ValueError):
 
 
 def _signal_from_config(cfg, dim: int, name: str) -> SignalSpec:
-    if isinstance(cfg, (list, tuple)):
-        sig = SignalSpec.constant(cfg)
-    elif isinstance(cfg, dict):
-        try:
-            sig = SignalSpec(kind=cfg["kind"],
-                             amplitude=tuple(cfg["amplitude"]),
+    if not isinstance(cfg, (list, tuple, dict)):
+        raise ProblemFormatError(f"scenario.{name} must be a signal object or an array")
+    try:
+        if isinstance(cfg, dict):
+            sig = SignalSpec(kind=cfg["kind"], amplitude=tuple(cfg["amplitude"]),
                              frequency=tuple(cfg.get("frequency", ())),
                              offset=float(cfg.get("offset", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProblemFormatError(f"scenario.{name}: {exc}") from exc
-    else:
-        raise ProblemFormatError(f"scenario.{name} must be a signal object or an array")
+        else:
+            sig = SignalSpec.constant(cfg)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"scenario.{name}: {exc}") from exc
     if sig.dim != dim:
         raise ProblemFormatError(f"scenario.{name} must have dimension {dim}, got {sig.dim}")
     return sig
@@ -106,9 +104,12 @@ def _weights(name: str, values, spec: SystemSpec) -> list[float]:
 
 def build_scenario(spec: SystemSpec, scenario_cfg, *, a: float, b: float,
                    t_end: float, step: float) -> SimulationScenario:
-    """Scenario from the file section (scaled by a, b) or the default preset."""
+    """Scenario from the file section, or else the default preset (constant
+    disturbances at the envelopes), with omega scaled by a and d by b."""
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ProblemFormatError(f"--a and --b must be finite, got {a!r} and {b!r}")
     if scenario_cfg is None:
-        return default_scenario(spec, a=a, b=b, t_end=t_end, step=step)
+        scenario_cfg = {"omega": spec.omega_bar.tolist(), "d": spec.d_bar.tolist()}
     if not isinstance(scenario_cfg, dict):
         raise ProblemFormatError("scenario must be an object")
     omega = _signal_from_config(scenario_cfg.get("omega", [0.0] * spec.n), spec.n, "omega")

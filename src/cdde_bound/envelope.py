@@ -22,12 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SingularMatrix, as_matrix, as_vector
-from .model import NONNEG_TOL
+from .model import NONNEG_TOL, negative
 from .stability import (NotStable, _neg_inverse_if_hurwitz, _require_metzler, alpha_max,
                         is_metzler_hurwitz)
 
-# entries of b above this threshold participate in the ratio minimum
-INDEX_TOL = 1e-12
 # finite_time sweeps the alpha grid in blocks whose (G, n, n) float64 arrays
 # take about this many bytes each; about three are alive at once
 BLOCK_BYTES = 1 << 18
@@ -76,7 +74,7 @@ def _envelope_factors(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray) -> n
         raise DecayRateTooLarge(f"{span}: shifted matrix not Hurwitz")
     a = neg_inv @ theta                                 # (G, n)
     # b = neg_inv[g, :, i]; the ratio a_j / b_j is overwritten into neg_inv
-    mask = neg_inv > INDEX_TOL
+    mask = neg_inv > NONNEG_TOL
     if not mask.any(axis=1).all():
         raise EmptyIndexSet("a column of the shifted inverse has no positive entry")
     np.divide(a[:, :, None], neg_inv, out=neg_inv, where=mask)
@@ -99,7 +97,7 @@ def exponential_estimate(A, alpha: float, theta_bar) -> ExponentialEstimate:
     M = as_matrix(A, "A")
     _require_metzler(M)
     theta = as_vector(theta_bar, "theta_bar")
-    if theta.min() < -NONNEG_TOL:
+    if negative(theta).any():
         raise ValueError("theta_bar must be nonnegative")
     return ExponentialEstimate(alpha=alpha,
                                gamma=_envelope_factors(M, np.array([alpha]), theta)[0])
@@ -134,7 +132,7 @@ def finite_time(A, theta_bar, delta, alpha_step: float) -> ConvergenceResult:
         raise ValueError("theta_bar and delta must match the dimension of A")
     if dlt.min() <= 0.0:
         raise NonpositiveThreshold(f"delta must be strictly positive, got {dlt}")
-    if theta.min() < -NONNEG_TOL:
+    if negative(theta).any():
         raise ValueError("theta_bar must be nonnegative")
 
     dim = M.shape[0]

@@ -19,10 +19,15 @@ import numpy as np
 
 from .linalg import DimensionMismatch, as_matrix, as_vector
 
-# Entries this far below zero are treated as round-off from textual input:
-# values in (-NONNEG_TOL, 0) are clamped to 0 on load, and sign checks use
-# the same tolerance.
+# The one sign tolerance.  Entries this far below zero are treated as
+# round-off from textual input: values in (-NONNEG_TOL, 0) are clamped to 0
+# on load, and every sign decision of the package uses this threshold.
 NONNEG_TOL = 1e-12
+
+
+def negative(a) -> np.ndarray:
+    """Mask of the entries that are not ``>= -NONNEG_TOL``; NaN counts as negative."""
+    return ~(np.asarray(a) >= -NONNEG_TOL)
 
 
 def _clamp_roundoff(a: np.ndarray) -> np.ndarray:
@@ -108,16 +113,15 @@ def validate_structure(spec: SystemSpec) -> list[str]:
     """
     findings: list[str] = []
     A = spec.A
-    for i, j in np.argwhere((A < -NONNEG_TOL) & ~np.eye(spec.n, dtype=bool)):
+    for i, j in np.argwhere(negative(A) & ~np.eye(spec.n, dtype=bool)):
         findings.append(f"A not Metzler at ({i}, {j}): {A[i, j]}")
     for name in ("B", "C", "D"):
         M = getattr(spec, name)
-        for i, j in np.argwhere(M < -NONNEG_TOL):
+        for i, j in np.argwhere(negative(M)):
             findings.append(f"{name} not nonnegative at ({i}, {j}): {M[i, j]}")
     for name in ("omega_bar", "d_bar", "psi_bar", "phi_bar"):
         v = getattr(spec, name)
-        bad = np.where(v < -NONNEG_TOL)[0]
-        for i in bad:
+        for i in np.flatnonzero(negative(v)):
             findings.append(f"{name} not nonnegative at {i}: {v[i]}")
     if spec.h_max < 0.0:
         findings.append(f"h_max negative: {spec.h_max}")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .certificate import BoundCertificate, sample_staircase
 from .linalg import DimensionMismatch, as_vector, inverse
-from .model import SystemSpec
+from .model import SystemSpec, negative
 
 DIVERGENCE_LIMIT = 1e12
 GRID_TOL = 1e-12
@@ -82,9 +82,13 @@ class SignalSpec:
             freq = freq * len(amp)
         if len(freq) != len(amp):
             raise ValueError(f"frequency length {len(freq)} does not match amplitude length {len(amp)}")
+        offset = float(self.offset)
+        for label, values in (("amplitude", amp), ("frequency", freq), ("offset", (offset,))):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{label} must be finite, got {values}")
         object.__setattr__(self, "amplitude", amp)
         object.__setattr__(self, "frequency", freq)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "_amp", np.array(amp))
         object.__setattr__(self, "_freq", np.array(freq))
 
@@ -186,16 +190,15 @@ class DominationReport:
         return self.first_violation_time is None
 
 
-def _check_envelope(name: str, times, values, upper, tol=1e-12):
+def _check_envelope(name: str, times, values, upper):
     v = np.atleast_2d(values)
-    if (v < -tol).any():
-        k = np.argwhere(v < -tol)[0]
-        raise InvalidScenario(f"{name} negative at t={times[k[0]]:g}: {v[tuple(k)]}")
-    over = v - upper[None, :]
-    if (over > tol).any():
-        k = np.argwhere(over > tol)[0]
-        raise InvalidScenario(f"{name} exceeds its bound at t={times[k[0]]:g}: "
-                              f"{v[tuple(k)]} > {upper[k[1]]}")
+    if negative(v).any():
+        i, j = np.argwhere(negative(v))[0]
+        raise InvalidScenario(f"{name} negative at t={times[i]:g}: {v[i, j]}")
+    if negative(upper - v).any():
+        i, j = np.argwhere(negative(upper - v))[0]
+        raise InvalidScenario(f"{name} exceeds its bound at t={times[i]:g}: "
+                              f"{v[i, j]} > {upper[j]}")
 
 
 def _history_times(h_max: float, step: float) -> np.ndarray:

@@ -17,11 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SingularMatrix, as_matrix, as_vector, inverse, lu_factor, lu_solve
-from .model import SystemSpec
-
-METZLER_TOL = 1e-12
-# strict positivity threshold for witness vectors
-WITNESS_TOL = 1e-12
+from .model import NONNEG_TOL, SystemSpec, negative
 
 
 class NotMetzler(ValueError):
@@ -51,8 +47,8 @@ class StabilityReport:
 
 def _require_metzler(A: np.ndarray) -> None:
     off = A[~np.eye(A.shape[0], dtype=bool)]
-    if off.size and off.min() < -METZLER_TOL:
-        raise NotMetzler(f"off-diagonal entry {off.min()} below -{METZLER_TOL}")
+    if negative(off).any():
+        raise NotMetzler(f"off-diagonal entry {off.min()} below -{NONNEG_TOL}")
 
 
 def _neg_inverse_if_hurwitz(M: np.ndarray) -> np.ndarray | None:
@@ -60,7 +56,7 @@ def _neg_inverse_if_hurwitz(M: np.ndarray) -> np.ndarray | None:
     is Hurwitz (nonsingular with ``inv(M) <= 0``), else None; raises
     SingularMatrix for a singular member."""
     neg_inv = inverse(M)
-    if not (neg_inv <= 1e-12).all():
+    if not (neg_inv <= NONNEG_TOL).all():
         return None
     return np.negative(neg_inv, out=neg_inv)
 
@@ -83,8 +79,8 @@ def is_schur_nonneg(D) -> bool:
     M = as_matrix(D, "D")
     if M.shape[0] != M.shape[1]:
         raise NotNonnegative(f"matrix must be square, got {M.shape}")
-    if M.min() < -METZLER_TOL:
-        raise NotNonnegative(f"entry {M.min()} below -{METZLER_TOL}")
+    if negative(M).any():
+        raise NotNonnegative(f"entry {M.min()} below -{NONNEG_TOL}")
     return is_metzler_hurwitz(M - np.eye(M.shape[0]))
 
 
@@ -102,13 +98,8 @@ def check_joint_condition(spec: SystemSpec, xi=None) -> StabilityReport:
     inequalities ``A p + B q < 0`` and ``C p + (D - I) q < 0``.
     """
     n, m = spec.n, spec.m
-    offA = spec.A[~np.eye(n, dtype=bool)]
-    a_is_metzler = bool(offA.size == 0 or offA.min() >= -METZLER_TOL)
-    bcd_nonnegative = bool(
-        spec.B.min(initial=0.0) >= -METZLER_TOL
-        and spec.C.min(initial=0.0) >= -METZLER_TOL
-        and spec.D.min(initial=0.0) >= -METZLER_TOL
-    )
+    a_is_metzler = not negative(spec.A[~np.eye(n, dtype=bool)]).any()
+    bcd_nonnegative = not any(negative(M).any() for M in (spec.B, spec.C, spec.D))
     d_is_schur = bcd_nonnegative and is_schur_nonneg(spec.D)
     if not (a_is_metzler and bcd_nonnegative):
         return StabilityReport(a_is_metzler, bcd_nonnegative, d_is_schur, False,
@@ -125,7 +116,7 @@ def check_joint_condition(spec: SystemSpec, xi=None) -> StabilityReport:
                                diagnostic=f"coupling matrix singular: {exc}")
     v = lu_solve(*factors, -xi_vec)
     p, q = v[:n], v[n:]
-    if p.min() > WITNESS_TOL and q.min() > WITNESS_TOL:
+    if v.min() > NONNEG_TOL:
         return StabilityReport(a_is_metzler, bcd_nonnegative, d_is_schur, True,
                                witness_p=p, witness_q=q, coupling_lu=factors)
     return StabilityReport(a_is_metzler, bcd_nonnegative, d_is_schur, False,

@@ -4,8 +4,9 @@ per-rate sweep of the decay-rate grid, one matrix at a time."""
 
 import numpy as np
 
-from cdde_bound.envelope import INDEX_TOL, ConvergenceResult, time_to_threshold
+from cdde_bound.envelope import ConvergenceResult, time_to_threshold
 from cdde_bound.linalg import SingularMatrix, lu_factor, lu_solve
+from cdde_bound.model import NONNEG_TOL
 from cdde_bound.stability import is_metzler_hurwitz
 
 
@@ -42,12 +43,12 @@ def finite_time_loop(a: np.ndarray, theta: np.ndarray, delta: np.ndarray,
             minv = inverse_by_columns(a + alpha * np.eye(n))
         except SingularMatrix:
             raise AssertionError(f"grid rate {alpha} singular") from None
-        assert (minv <= 1e-12).all()
+        assert (minv <= NONNEG_TOL).all()
         neg_inv = -minv
         a_vec = neg_inv @ theta
         for i in range(n):
             b = neg_inv[:, i]
-            mask = b > INDEX_TOL
+            mask = b > NONNEG_TOL
             t_i = time_to_threshold(float((a_vec[mask] / b[mask]).min()),
                                     float(delta[i]), alpha)
             if t_i < best_t[i]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -262,3 +263,29 @@ def test_simulate_diverging_system_fails_cleanly(tmp_path, capsys):
     assert err.startswith("FAIL scenario: state magnitude exceeded")
     assert "Traceback" not in err
     assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("scenario, flags", [
+    pytest.param({"omega": {"kind": "abs_sin", "amplitude": [math.nan, 0.3, 0.1]}}, [],
+                 id="amplitude-nan"),
+    pytest.param({"omega": {"kind": "abs_sin", "amplitude": [0.5, 0.3, 0.1],
+                            "frequency": [math.inf]}}, [], id="frequency-inf"),
+    pytest.param({"d": {"kind": "const_plus_abs_cos", "amplitude": [0.1, 0.05],
+                        "offset": math.nan}}, [], id="offset-nan"),
+    pytest.param({"h1": {"kind": "constant", "amplitude": [math.nan]}}, [], id="h1-nan"),
+    pytest.param({"h1": [math.nan]}, [], id="h1-nan-array"),
+    pytest.param({}, ["--a", "nan"], id="flag-a-nan"),
+    pytest.param({}, ["--b", "inf"], id="flag-b-inf"),
+    pytest.param(None, ["--a", "nan"], id="flag-a-nan-default-scenario"),
+])
+def test_simulate_verify_nonfinite_inputs_exit_2(tmp_path, capsys, command, scenario, flags):
+    def mutate(doc):
+        if scenario is None:
+            del doc["scenario"]
+        else:
+            doc["scenario"].update(scenario)
+    path = write_problem(tmp_path, mutate)
+    out = ["--out", str(tmp_path / "traj.csv")] if command == "simulate" else []
+    assert main([command, str(path), "--t-end", "0.5"] + out + flags) == 2
+    assert capsys.readouterr().err.startswith("input error: ")

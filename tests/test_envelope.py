@@ -56,7 +56,8 @@ def test_gamma_errors():
 
 
 def test_empty_index_set_guard():
-    # -inv(A + alpha I) = 1e-13 passes the sign test but lies below INDEX_TOL
+    # -inv(A + alpha I) = 1e-13 passes the sign test but is not above NONNEG_TOL,
+    # so the column has no entry in the ratio minimum
     from cdde_bound.envelope import EmptyIndexSet
     with pytest.raises(EmptyIndexSet):
         gamma_component([[-1e13]], 0.5, [1.0], 0)

@@ -49,6 +49,9 @@ def test_signal_frequency_broadcast_and_validation():
         SignalSpec("wiggle", (1.0,))
     with pytest.raises(ValueError):
         SignalSpec("abs_sin", (1.0, 2.0), (0.1, 0.2, 0.3))
+    for args in [((math.nan,),), ((1.0,), (math.inf,)), ((1.0,), (1.0,), -math.inf)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            SignalSpec("const_plus_abs_sin", *args)
 
 
 def test_zero_data_stays_at_origin(sample_spec):
