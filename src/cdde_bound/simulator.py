@@ -20,12 +20,25 @@ algebraically as ``(I - D) y = C x + d``, its vanishing-delay limit.
 Scenario envelope checks run at grid points only; violations strictly
 between grid points are not detectable at this resolution.  Scenarios that
 share the system, the delays and the grid run as one batch.
+
+Steps run in windows, by the method of steps (Bellman & Cooke, 1963): a
+window from grid time t_w is the longest run of steps whose delayed
+arguments all lie at or before t_w and whose delay brackets hold no stored
+jump.  Every delayed input of a window is then known at t_w, so the
+interpolation weights of all of them are planned at once, one gather reads
+them, one product turns them into the inputs ``u_k`` of the Runge-Kutta map
+``x_{k+1} = x_k P + u_k``, a tight loop runs that recurrence, and one
+product gives the window's outputs.  A step whose bracket holds a jump
+takes the split path above on its own; delays below two steps give windows
+of one step, each advanced with a single product.  Only a step whose h2
+bracket holds a jump adds jumps, so one plan serves every window up to and
+including the next such step.  The divergence checks run once per block of
+``BLOCK_STEPS`` steps and name the first failing grid time.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -114,6 +127,11 @@ class SignalSpec:
             wave = wave + self.offset
         return wave
 
+    # a finite frequency can still overflow the phase; the NaN that follows
+    # is reported by the envelope check, not as a numpy warning.  Scalar
+    # calls (the simulator's bisection) skip the errstate, which costs more
+    # than the evaluation; they run inside the simulator's own errstate.
+    @np.errstate(over="ignore", invalid="ignore")
     def sample(self, times: np.ndarray) -> np.ndarray:
         """Evaluate on a grid; shape (len(times), dim)."""
         return self._eval(np.asarray(times, dtype=float))
@@ -192,6 +210,9 @@ class DominationReport:
 
 def _check_envelope(name: str, times, values, upper):
     v = np.atleast_2d(values)
+    if not np.isfinite(v).all():
+        i, j = np.argwhere(~np.isfinite(v))[0]
+        raise InvalidScenario(f"{name} not finite at t={times[i]:g}: {v[i, j]}")
     if negative(v).any():
         i, j = np.argwhere(negative(v))[0]
         raise InvalidScenario(f"{name} negative at t={times[i]:g}: {v[i, j]}")
@@ -227,7 +248,7 @@ def simulate_many(scenarios) -> list[Trajectory]:
             raise MismatchedScenarios("scenarios use different delay signals")
         if sc.t_end != first.t_end or sc.step != first.step:
             raise MismatchedScenarios("scenarios use different grids")
-    n, m = spec.n, spec.m
+    n, m, S = spec.n, spec.m, len(scenarios)
     h = first.step
     if spec.h_max > 0.0 and h > spec.h_max:
         raise InvalidScenario(f"step {h} exceeds the delay bound {spec.h_max}")
@@ -261,37 +282,69 @@ def simulate_many(scenarios) -> list[Trajectory]:
     for name, vals in (("h1", H10), ("h2", H20)):
         _check_envelope(name, ts, vals[:, None], np.array([spec.h_max]))
 
-    xs = np.empty((K + 1, len(scenarios), n))
-    ys = np.empty((K + 1, len(scenarios), m))
+    xs = np.empty((K + 1, S, n))
+    # zeros, not empty: a history weight of 0 still multiplies a stored row
+    ys = np.zeros((K + 1, S, m))
     xs[0] = [sc.psi for sc in scenarios]
 
-    # y jump bookkeeping: times plus one-sided values (left, right), (S, m) each
-    bp_t: list[float] = []
-    bp_lr: list[tuple[np.ndarray, np.ndarray]] = []
+    # y jumps, sorted by time: times (J,), left and right values (J, S, m)
+    jumps = [np.empty(0), np.empty((0, S, m)), np.empty((0, S, m))]
 
-    def yhist(tq: float, kmax: int) -> np.ndarray:
-        if tq < 0.0:
-            return at("phi", tq)
-        pos = tq / h
-        i0 = int(pos)
-        if i0 >= kmax:
-            return ys[kmax]
-        t_lo = i0 * h
-        t_hi = (i0 + 1) * h
-        j = bisect_right(bp_t, t_lo)
-        if j < len(bp_t) and bp_t[j] <= t_hi:
-            tstar = bp_t[j]
-            left, right = bp_lr[j]
-            if tq < tstar:
-                w = (tq - t_lo) / (tstar - t_lo)
-                return ys[i0] * (1.0 - w) + left * w
-            denom = t_hi - tstar
-            if denom <= 0.0:
-                return ys[i0 + 1]
-            w = (tq - tstar) / denom
-            return right * (1.0 - w) + ys[i0 + 1] * w
+    def weights(tq: np.ndarray, kmax) -> tuple:
+        """y at the times ``tq`` as ``wt[0] ys[idx[0]] + wt[1] ys[idx[1]] +
+        extra``: phi before 0, ys[kmax] from the grid time kmax on (with
+        weight 0 on the next row, not yet computed and still zero), else
+        linear between grid values, with the matching one-sided value (in
+        ``extra``) in place of the grid value across a jump.  ``kmax`` may
+        differ per read; no jump is stored after t_kmax yet."""
+        bp, lefts, rights = jumps
+        pos = np.minimum(tq / h, kmax)
+        i0 = pos.astype(np.intp)
         frac = pos - i0
-        return ys[i0] * (1.0 - frac) + ys[i0 + 1] * frac
+        idx = i0 + np.array([[0], [1]])
+        wt = np.array([1.0 - frac, frac])
+        extra, with_extra = None, np.zeros(len(tq), dtype=bool)
+        past = np.flatnonzero(tq < 0.0)
+        if len(past):
+            idx[:, past], wt[:, past] = 0, 0.0
+            extra = np.zeros((len(tq), S, m))
+            extra[past] = on("phi", tq[past])
+            with_extra[past] = True
+        t_lo, t_hi = i0 * h, (i0 + 1) * h
+        j = np.searchsorted(bp, t_lo, side="right")
+        cut = np.flatnonzero((j < np.searchsorted(bp, t_hi, side="right")) & (tq >= 0.0))
+        if len(cut):
+            j, q, t_lo, t_hi = j[cut], tq[cut], t_lo[cut], t_hi[cut]
+            tstar = bp[j]
+            before = q < tstar
+            # after the jump, weight 1 on the upper grid value when the jump sits on it
+            denom = t_hi - tstar
+            w = np.where(before, (q - t_lo) / (tstar - t_lo),
+                         np.divide(q - tstar, denom, out=np.ones_like(q), where=denom > 0.0))
+            idx[:, cut] = idx[(~before).astype(np.intp), cut]
+            wt[0, cut], wt[1, cut] = np.where(before, 1.0 - w, w), 0.0
+            if extra is None:
+                extra = np.zeros((len(tq), S, m))
+            extra[cut] = (np.where(before[:, None, None], lefts[j], rights[j])
+                          * np.where(before, w, 1.0 - w)[:, None, None])
+            with_extra[cut] = True
+        # reads with an extra term, counted up to each read
+        if extra is not None:
+            extra = (extra, np.concatenate(([0], np.cumsum(with_extra))).tolist())
+        return idx, wt[:, :, None, None], extra
+
+    def gather(plan, r0: int, r1: int) -> np.ndarray:
+        """y at the planned reads r0..r1-1 (``weights``), shape (r1 - r0, S, m)."""
+        idx, wt, extra = plan
+        z = ys.take(idx[:, r0:r1], axis=0)
+        z *= wt[:, r0:r1]
+        z = z[0] + z[1]
+        if extra is not None and extra[1][r1] > extra[1][r0]:
+            z += extra[0][r0:r1]
+        return z
+
+    def yhist(tq: np.ndarray, kmax: int) -> np.ndarray:
+        return gather(weights(tq, kmax), 0, len(tq))
 
     def darg(t: float) -> float:
         return t - float(first.h1(t)[0])
@@ -311,15 +364,18 @@ def simulate_many(scenarios) -> list[Trajectory]:
 
     def crossings(f, t0: float, t1: float) -> list[tuple[float, int]]:
         """Times in (t0, t1] where f crosses a stored jump time (sign test
-        at the endpoints, then bisection)."""
+        at the endpoints, then bisection until the bracket stops moving)."""
         out = []
         f0, f1 = f(t0), f(t1)
-        for i in range(bisect_right(bp_t, min(f0, f1)), bisect_right(bp_t, max(f0, f1))):
-            target = bp_t[i]
+        bp = jumps[0]
+        for i in range(*np.searchsorted(bp, [min(f0, f1), max(f0, f1)], side="right")):
+            target = float(bp[i])
             ta, tb = t0, t1
             fa = f(ta) - target
             for _ in range(60):
                 tm = 0.5 * (ta + tb)
+                if tm == ta or tm == tb:     # the bracket moves no more
+                    break
                 fm = f(tm) - target
                 if (fa <= 0.0) == (fm <= 0.0):
                     ta, fa = tm, fm
@@ -335,18 +391,43 @@ def simulate_many(scenarios) -> list[Trajectory]:
         tk = kav * h
         pieces = [(t0, None)] + [(tau, i) for tau, i in crossings(darg, t0, t1)]
         pieces.append((t1, None))
-        for (ta, start), (tb, end) in zip(pieces, pieces[1:]):
-            if tb - ta <= 1e-14 and end is not None:
-                continue
-            th = ta + 0.5 * (tb - ta)
-            z0 = bp_lr[start][1] if start is not None else yhist(min(darg(ta), tk), kav)
-            zh = yhist(min(darg(th), tk), kav)
-            z1 = bp_lr[end][0] if end is not None else yhist(min(darg(tb), tk), kav)
+        steps = [(ta, start, ta + 0.5 * (tb - ta), tb, end)
+                 for (ta, start), (tb, end) in zip(pieces, pieces[1:])
+                 if tb - ta > 1e-14 or end is None]
+        z = iter(yhist(np.array([min(darg(t), tk) for ta, start, th, tb, end in steps
+                                 for t, side in ((ta, start), (th, None), (tb, end))
+                                 if side is None]), kav))
+        for ta, start, th, tb, end in steps:
+            z0 = next(z) if start is None else jumps[2][start]
+            zh = next(z)
+            z1 = next(z) if end is None else jumps[1][end]
             x = rk4(x, tb - ta, z0, zh, z1, at("omega", ta), at("omega", th), at("omega", tb))
         return x
 
-    def bracket_hits(lo: float, hi: float) -> bool:
-        return bisect_right(bp_t, min(lo, hi)) < bisect_right(bp_t, max(lo, hi))
+    def propagate(k: int) -> None:
+        """Store the y jumps made where t - h2(t) crosses a stored jump in
+        (t_k, t_{k+1}]."""
+        t0, t1 = k * h, (k + 1) * h
+        new_events = []
+        for tstar, i in crossings(g2, t0, t1):
+            xstar = advance(xs[k], t0, tstar, k) if tstar - t0 > 1e-14 else xs[k]
+            cx = xstar @ CT
+            dv = at("d", tstar)
+            left, right = (cx + side[i] @ DT + dv for side in jumps[1:])
+            if np.max(np.abs(right - left)) > JUMP_TOL:
+                new_events.append((tstar, left, right))
+        for tstar, left, right in new_events:
+            bp = jumps[0]
+            i = int(np.searchsorted(bp, tstar))
+            if all(abs(u - tstar) >= GRID_TOL for u in bp[max(i - 1, 0):i + 1]):
+                jumps[:] = (np.insert(bp, i, tstar), np.insert(jumps[1], i, left, axis=0),
+                            np.insert(jumps[2], i, right, axis=0))
+
+    def crosses(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Steps whose bracket of delayed arguments holds a stored jump time."""
+        bp = jumps[0]
+        return (np.searchsorted(bp, np.minimum(lo, hi), side="right")
+                < np.searchsorted(bp, np.maximum(lo, hi), side="right"))
 
     # Away from jumps a step is linear in (x, z0, zh, z1, w0, wh, w1) with
     # fixed maps; rk4 applied to unit rows gives them once.  The w part of
@@ -354,70 +435,103 @@ def simulate_many(scenarios) -> list[Trajectory]:
     parts = np.split(np.eye(4 * n + 3 * m), np.cumsum([n, m, m, m, n, n]), axis=1)
     step_map = rk4(parts[0], h, *parts[1:])
     xz_map, w_map = step_map[:n + 3 * m], step_map[n + 3 * m:]
+    P, Mz = xz_map[:n], xz_map[n:]
 
-    def output(x, tq: float, delay: float, dv, kmax: int) -> np.ndarray:
-        # a delay below one step is closed algebraically (module docstring)
-        if delay < h:
+    def recur(k: int, z: np.ndarray, f: np.ndarray) -> None:
+        """x over the len(f) steps from t_k, given their delayed y as
+        (steps, 3, S, m) in the order z0, zh, z1: x_{i+1} = x_i P + u_i.  A
+        lone step is one product of (x, z0, zh, z1) with both maps."""
+        L = len(f)
+        if L == 1:
+            z = z[0]
+            xs[k + 1] = np.concatenate((xs[k], z[0], z[1], z[2]), axis=1) @ xz_map + f[0]
+            return
+        u = z.transpose(0, 2, 1, 3).reshape(L, S, 3 * m) @ Mz + f
+        x = xs[k]
+        for row, ui in zip(xs[k + 1:k + 1 + L], u):
+            np.matmul(x, P, out=row)
+            row += ui
+            x = row
+
+    def output(x, z, dv, closed: bool):
+        """y from x, d and the delayed y ``z``; a delay below one step is
+        closed algebraically (module docstring) and ignores z."""
+        if closed:
             return (x @ CT + dv) @ closure
-        return x @ CT + yhist(tq, kmax) @ DT + dv
+        return x @ CT + z @ DT + dv
+
+    def check(k: int, L: int) -> None:
+        """Raise at the first grid time in (t_k, t_{k+L}] with a state or an
+        output beyond the divergence limit, the state first at equal times."""
+        state, out = (~(np.abs(v[k + 1:k + 1 + L]) < DIVERGENCE_LIMIT).all(axis=(1, 2))
+                      for v in (xs, ys))
+        if (state | out).any():
+            r = int((state | out).argmax())
+            raise UnstableStep(f"{'state' if state[r] else 'output'} magnitude exceeded "
+                               f"{DIVERGENCE_LIMIT:g} at t={ts[k + 1 + r]:g}")
 
     # initial y from the difference relation (right-continuous at 0)
-    ys[0] = output(xs[0], -H20[0], H20[0], on("d", ts[:1])[0], 0)
+    ys[0] = output(xs[0], yhist(-H20[:1], 0)[0], on("d", ts[:1])[0], H20[0] < h)
     left0 = at("phi", 0.0)
     if np.max(np.abs(ys[0] - left0)) > JUMP_TOL:
-        bp_t.append(0.0)
-        bp_lr.append((left0, ys[0].copy()))
+        jumps[:] = (np.zeros(1), left0[None], ys[0][None].copy())
 
-    for k0 in range(0, K, BLOCK_STEPS):
-        k1 = min(k0 + BLOCK_STEPS, K)
-        block = ts[k0:k1 + 1]
-        W0 = on("omega", block)
-        Wh = on("omega", block[:-1] + 0.5 * h)
-        D0 = on("d", block)
-        forcing = np.concatenate((W0[:-1], Wh, W0[1:]), axis=2) @ w_map
-        h1_0, h1_h, h2_0 = H10[k0:k1 + 1].tolist(), H1h[k0:k1].tolist(), H20[k0:k1 + 1].tolist()
-        for j in range(k1 - k0):
-            k = k0 + j
-            t0 = k * h
-            t1 = (k + 1) * h
-
-            # --- advance x ---
-            d_lo = t0 - h1_0[j]
-            d_hi = t1 - h1_0[j + 1]
-            if bp_t and bracket_hits(d_lo, d_hi):
-                xn = advance(xs[k], t0, t1, k)
-            else:
-                z0 = yhist(min(d_lo, t0), k)
-                zh = yhist(min(t0 + 0.5 * h - h1_h[j], t0), k)
-                z1 = yhist(min(d_hi, t0), k)
-                xn = np.concatenate((xs[k], z0, zh, z1), axis=1) @ xz_map + forcing[j]
-            if not (np.abs(xn) < DIVERGENCE_LIMIT).all():
-                raise UnstableStep(f"state magnitude exceeded {DIVERGENCE_LIMIT:g} at t={t1:g}")
-            xs[k + 1] = xn
-
-            # --- propagate y jumps crossed by t - h2(t) in (t0, t1] ---
-            g_lo = t0 - h2_0[j]
-            g_hi = t1 - h2_0[j + 1]
-            if bp_t and bracket_hits(g_lo, g_hi):
-                new_events = []
-                for tstar, i in crossings(g2, t0, t1):
-                    xstar = advance(xs[k], t0, tstar, k) if tstar - t0 > 1e-14 else xs[k]
-                    cx = xstar @ CT
-                    dv = at("d", tstar)
-                    left, right = (cx + side @ DT + dv for side in bp_lr[i])
-                    if np.max(np.abs(right - left)) > JUMP_TOL:
-                        new_events.append((tstar, left, right))
-                for tstar, left, right in new_events:
-                    i = bisect_left(bp_t, tstar)
-                    if all(abs(u - tstar) >= GRID_TOL for u in bp_t[max(i - 1, 0):i + 1]):
-                        bp_t.insert(i, tstar)
-                        bp_lr.insert(i, (left, right))
-
-            # --- evaluate y at the new grid point ---
-            yn = output(xn, g_hi, h2_0[j + 1], D0[j + 1], k)
-            if not (np.abs(yn) < DIVERGENCE_LIMIT).all():
-                raise UnstableStep(f"output magnitude exceeded {DIVERGENCE_LIMIT:g} at t={t1:g}")
-            ys[k + 1] = yn
+    # Windows, split steps and plans as in the module docstring.  A step k
+    # reads y at four times: t_k, t_k + h/2 and t_{k+1} less h1 (clamped to
+    # t_k) for x, and t_{k+1} less h2 for y.  Rows after a divergence may
+    # overflow until the block's check() names the first one.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, K, BLOCK_STEPS):
+            k1 = min(k0 + BLOCK_STEPS, K)
+            nb = k1 - k0
+            t0s, t1s = ts[k0:k1], ts[k0 + 1:k1 + 1]
+            W0 = on("omega", ts[k0:k1 + 1])
+            Wh = on("omega", t0s + 0.5 * h)
+            D1 = on("d", t1s)
+            forcing = np.concatenate((W0[:-1], Wh, W0[1:]), axis=2) @ w_map
+            lo1, hi1 = t0s - H10[k0:k1], t1s - H10[k0 + 1:k1 + 1]
+            lo2, hi2 = t0s - H20[k0:k1], t1s - H20[k0 + 1:k1 + 1]
+            reads = np.stack((np.minimum(lo1, t0s), np.minimum(t0s + 0.5 * h - H1h[k0:k1], t0s),
+                              np.minimum(hi1, t0s), hi2), axis=1)
+            closed = H20[k0 + 1:k1 + 1] < h
+            latest = np.where(closed, reads[:, :3].max(axis=1), reads.max(axis=1))
+            # a window from step r ends at the first later step that reads
+            # past t_r or that closes y differently
+            flips = np.append(np.flatnonzero(np.diff(closed)) + 1, nb)
+            reach = np.minimum.reduce([
+                np.maximum(np.searchsorted(np.maximum.accumulate(latest), t0s, side="right"),
+                           np.arange(1, nb + 1)),
+                flips[np.searchsorted(flips, np.arange(nb), side="right")]]).tolist()
+            closed = closed.tolist()
+            j = 0
+            while j < nb:
+                hit2 = crosses(lo2[j:], hi2[j:])
+                stop = min(j + 1 + int(np.append(hit2, True).argmax()), nb)
+                hit1 = crosses(lo1[j:stop], hi1[j:stop])
+                split = hit1 | hit2[:stop - j]
+                # the segment's windows; a split step is a window of its own
+                starts, w = [], j
+                for c in (np.flatnonzero(split) + j).tolist() + [stop]:
+                    while w < c:
+                        starts.append(w)
+                        w = min(reach[w], c)
+                    starts.append(c)
+                    w = c + 1
+                plan = weights(reads[j:stop].ravel(),
+                               k0 + np.repeat(starts[:-1], np.diff(starts) * 4))
+                for w, w1 in zip(starts, starts[1:]):
+                    k, L = k0 + w, w1 - w
+                    z = gather(plan, 4 * (w - j), 4 * (w1 - j)).reshape(L, 4, S, m)
+                    if hit1[w - j]:
+                        xs[k + 1] = advance(xs[k], k * h, (k + 1) * h, k)
+                    else:
+                        recur(k, z[:, :3], forcing[w:w1])
+                    if hit2[w - j]:
+                        propagate(k)
+                    ys[k + 1:k + 1 + L] = output(xs[k + 1:k + 1 + L], z[:, 3], D1[w:w1],
+                                                 closed[w])
+                j = stop
+            check(k0, nb)
 
     ts.setflags(write=False)
     xs.setflags(write=False)

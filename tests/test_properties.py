@@ -1,6 +1,9 @@
 """Property tests: the stacked LU, the logarithmic margin search and the
 blocked decay-rate sweep against the one-matrix-at-a-time oracles; the
-batched simulator against single runs and against superposition."""
+batched simulator against single runs and against superposition; the
+windowed simulator against the per-step one."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from cdde_bound.envelope import finite_time
 from cdde_bound.linalg import SingularMatrix, inverse
-from cdde_bound.simulator import simulate, simulate_many
+from cdde_bound.simulator import SignalSpec, simulate, simulate_many
 from cdde_bound.stability import alpha_max
 
 from conftest import make_sample_scenario, make_sample_system
-from oracles import alpha_max_scan, finite_time_loop, inverse_by_columns
+from oracles import alpha_max_scan, finite_time_loop, inverse_by_columns, simulate_stepwise
 
 SEEDS = st.integers(0, 2**32 - 1)
 UNIT = st.floats(0.0, 1.0)
@@ -119,3 +122,49 @@ def test_superposed_corners_equal_direct_run(a, b, psi_scale, phi_scale):
         base = getattr(free, name)
         got = base + a * (getattr(omega, name) - base) + b * (getattr(dist, name) - base)
         assert np.abs(got - getattr(want, name)).max() <= 1e-12
+
+
+@st.composite
+def delay(draw, step):
+    """A delay signal within the sample's bound h_max = 2: constant (free,
+    an exact multiple of the step, between one and two steps, or below one
+    step, where the output is closed algebraically) or time-varying with
+    slope below 1, which may dip below the step."""
+    kind = draw(st.sampled_from(["free", "multiple", "one_to_two_steps", "below_step",
+                                 "varying"]))
+    if kind == "varying":
+        amp = draw(st.floats(0.01, 1.0))
+        return SignalSpec(draw(st.sampled_from(["const_plus_abs_sin", "const_plus_abs_cos"])),
+                          (amp,), (draw(st.floats(0.0, 0.99 / amp)),), draw(st.floats(0.0, 1.0)))
+    value = {"free": lambda: draw(st.floats(step, 2.0)),
+             "multiple": lambda: draw(st.integers(1, 40)) * step,
+             "one_to_two_steps": lambda: draw(st.floats(step, 2.0 * step)),
+             "below_step": lambda: draw(st.floats(0.0, step, exclude_max=True))}[kind]()
+    return SignalSpec.constant([value])
+
+
+@st.composite
+def delay_batch(draw):
+    """Sample-system members sharing random delays on a coarse grid.  An
+    optional member at rest (all data zero) has no jump of its own, so the
+    batch's union jump list differs from its own."""
+    step = draw(st.sampled_from([1.0 / 128.0, 0.01, 0.02]))
+    h1, h2 = draw(delay(step)), draw(delay(step))
+    t_end = draw(st.floats(0.5, 3.0))
+    members = draw(st.lists(st.tuples(UNIT, UNIT, UNIT, UNIT), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        members.insert(draw(st.integers(0, len(members))), (0.0, 0.0, 0.0, 0.0))
+    return [replace(make_sample_scenario(SAMPLE, a, b, t_end=t_end, step=step,
+                                         psi=psi * SAMPLE.psi_bar, phi=phi * SAMPLE.phi_bar),
+                    h1=h1, h2=h2)
+            for a, b, psi, phi in members]
+
+
+@settings(max_examples=40, deadline=None)
+@given(delay_batch())
+def test_windowed_run_equals_stepwise_run(scenarios):
+    for got, want in zip(simulate_many(scenarios), simulate_stepwise(scenarios)):
+        assert np.array_equal(got.times, want.times)
+        for name in ("x_samples", "y_samples"):
+            ref = getattr(want, name)
+            assert np.abs(getattr(got, name) - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -15,17 +15,19 @@ from cdde_bound.simulator import (JUMP_TOL, InvalidScenario, MismatchedScenarios
                                   write_trajectory_csv)
 
 from conftest import make_sample_scenario
+from oracles import simulate_stepwise
 
 
-def scalar_scenario(a_val=-1.0, psi=1.0, t_end=1.0, step=1e-3, omega=None):
-    spec = SystemSpec(A=[[a_val]], B=[[0.0]], C=[[0.0]], D=[[0.0]], h_max=1.0,
+def scalar_scenario(a_val=-1.0, psi=1.0, t_end=1.0, step=1e-3, omega=None, c_val=0.0,
+                    delay=1.0):
+    spec = SystemSpec(A=[[a_val]], B=[[0.0]], C=[[c_val]], D=[[0.0]], h_max=1.0,
                       omega_bar=[1.0] if omega else [0.0], d_bar=[0.0],
                       psi_bar=[abs(psi)], phi_bar=[0.0])
     return SimulationScenario(
         spec=spec,
         omega=omega if omega else SignalSpec.zero(1),
         d=SignalSpec.zero(1),
-        h1=SignalSpec.constant([1.0]), h2=SignalSpec.constant([1.0]),
+        h1=SignalSpec.constant([delay]), h2=SignalSpec.constant([delay]),
         psi=[psi], phi=[0.0], t_end=t_end, step=step)
 
 
@@ -192,6 +194,47 @@ def test_unstable_step_detected():
         simulate(scenario)
 
 
+@pytest.mark.parametrize("a_val, c_val, delay, t_end, message", [
+    (40.0, 0.0, 1.0, 1.0, "state magnitude exceeded 1e+12 at t=0.691"),
+    (40.0, 0.0, 5e-4, 1.0, "state magnitude exceeded 1e+12 at t=0.691"),
+    (1.0, 1e10, 1.0, 10.0, "output magnitude exceeded 1e+12 at t=4.606"),
+    (1.0, 1e10, 5e-4, 10.0, "output magnitude exceeded 1e+12 at t=4.606"),
+    (40.0, 1.0, 1.0, 1.0, "state magnitude exceeded 1e+12 at t=0.691"),
+    (1e6, 0.0, 1.0, 1.0, "state magnitude exceeded 1e+12 at t=0.002"),
+], ids=["state", "state-one-step-windows", "output", "output-closed", "both", "state-overflow"])
+def test_divergence_names_first_failing_grid_time(a_val, c_val, delay, t_end, message):
+    # the divergence checks run once per block of steps; they must still name
+    # the first failing grid time of the per-step integrator, state before
+    # output, and the rest of the block may overflow without a numpy warning
+    scenario = scalar_scenario(a_val=a_val, c_val=c_val, delay=delay, t_end=t_end)
+    for run in (simulate_many, simulate_stepwise):
+        with pytest.raises(UnstableStep) as err:
+            run([scenario])
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("h1, h2", [
+    (SignalSpec.constant([0.0]), SignalSpec.constant([0.0])),
+    (SignalSpec.constant([0.015]), SignalSpec.constant([0.015])),
+    (SignalSpec.constant([0.5]), SignalSpec("const_plus_abs_sin", (0.02,), (40.0,), 0.0)),
+], ids=["delay-free", "one-and-a-half-steps", "h2-crossing-the-step"])
+def test_short_delays_match_stepwise(sample_spec, h1, h2):
+    # windows of one or two steps; in the last case h2 dips below the step
+    # over and over, so a window must end where closed and held steps meet
+    scenarios = [replace(make_sample_scenario(sample_spec, a, 1.0, t_end=3.0, step=0.01),
+                         h1=h1, h2=h2) for a in (0.0, 1.0)]
+    for got, want in zip(simulate_many(scenarios), simulate_stepwise(scenarios)):
+        for name in ("x_samples", "y_samples"):
+            ref = getattr(want, name)
+            assert np.abs(getattr(got, name) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_output_overflow_reported_without_warning():
+    # y = 1e300 x overflows at the first step; the per-step loop warned here
+    with pytest.raises(UnstableStep, match="^output magnitude exceeded 1e[+]12 at t=0.001$"):
+        simulate(scalar_scenario(a_val=1e6, c_val=1e300))
+
+
 def test_verify_domination_zero_trajectory(sample_spec):
     cert = compute_certificate(sample_spec)
     scenario = make_sample_scenario(sample_spec, 0.0, 0.0, t_end=2.0, step=1e-3,
@@ -291,7 +334,7 @@ def test_batch_checks_every_member(sample_spec):
         simulate_many([ok, too_strong])
     # with A = 40 only the member that starts away from zero diverges
     growing = scalar_scenario(a_val=40.0)
-    with pytest.raises(UnstableStep):
+    with pytest.raises(UnstableStep, match="^state magnitude exceeded 1e[+]12 at t=0.691$"):
         simulate_many([replace(growing, psi=[0.0]), growing])
 
 
