@@ -4,22 +4,19 @@ validates every certificate numerically."""
 
 from .certificate import (BoundCertificate, CertificateError, HypothesisViolated,
                           NegativeTime, compute_certificate, comparison_vectors,
-                          continuous_envelope, contraction_factor,
-                          raw_contraction_factor, sample_staircase, staircase,
-                          ultimate_bound)
+                          contraction_factor, raw_contraction_factor, sample_staircase,
+                          staircase, ultimate_bound)
 from .envelope import (ConvergenceResult, DecayRateTooLarge, EmptyIndexSet,
-                       ExponentialEstimate, NonpositiveThreshold,
-                       exponential_estimate, finite_time, gamma_component,
-                       time_to_threshold)
+                       ExponentialEstimate, NonpositiveThreshold, finite_time,
+                       gamma_component)
 from .linalg import (DimensionMismatch, SingularMatrix, cmp_leq, inverse, solve)
 from .model import SystemSpec, validate_structure
 from .simulator import (DominationReport, InvalidScenario, MismatchedScenarios,
                         SignalSpec, SimulationScenario, Trajectory, UnstableStep,
-                        comparison_check, default_scenario, simulate,
-                        verify_domination, write_trajectory_csv)
+                        simulate, verify_domination, write_trajectory_csv)
 from .stability import (NotMetzler, NotNonnegative, NotStable, StabilityReport,
                         alpha_max, check_joint_condition, coupling_matrix,
-                        is_metzler_hurwitz, is_schur_nonneg)
+                        is_metzler_hurwitz)
 
 __version__ = "0.1.0"
 
@@ -31,11 +28,9 @@ __all__ = [
     "NotMetzler", "NotNonnegative", "NotStable", "SignalSpec",
     "SimulationScenario", "SingularMatrix", "StabilityReport", "SystemSpec",
     "Trajectory", "UnstableStep", "alpha_max", "check_joint_condition",
-    "cmp_leq", "comparison_check", "comparison_vectors", "compute_certificate",
-    "continuous_envelope", "contraction_factor", "coupling_matrix",
-    "default_scenario", "exponential_estimate", "finite_time", "gamma_component",
-    "inverse", "is_metzler_hurwitz", "is_schur_nonneg", "raw_contraction_factor",
-    "sample_staircase", "simulate", "solve", "staircase", "time_to_threshold",
-    "ultimate_bound", "validate_structure", "verify_domination",
+    "cmp_leq", "comparison_vectors", "compute_certificate", "contraction_factor",
+    "coupling_matrix", "finite_time", "gamma_component", "inverse",
+    "is_metzler_hurwitz", "raw_contraction_factor", "sample_staircase", "simulate",
+    "solve", "staircase", "ultimate_bound", "validate_structure", "verify_domination",
     "write_trajectory_csv",
 ]

@@ -28,7 +28,8 @@ from .model import NONNEG_TOL, SystemSpec, _clamp_roundoff, validate_structure
 
 # Shrinking mu by this factor keeps the comparison inequalities strict and
 # the downstream target box strictly positive when the closed-form mu makes
-# one of them an equality.
+# one of them an equality.  A scaled mu below MU_MIN refuses the certificate:
+# raising it to MU_MIN would break the inequalities.
 MU_SAFETY = 0.999
 MU_MIN = 1e-9
 MU_MAX = 0.999
@@ -136,9 +137,13 @@ def raw_contraction_factor(spec: SystemSpec, p, q, shift=None) -> float:
 
 
 def contraction_factor(spec: SystemSpec, p, q, shift=None) -> float:
-    """Safety-scaled contraction factor, strictly inside (0, 1)."""
+    """Safety-scaled contraction factor in ``[MU_MIN, MU_MAX]``, never above
+    the raw factor; raises HypothesisViolated when it would fall below
+    ``MU_MIN``."""
     mu = MU_SAFETY * raw_contraction_factor(spec, p, q, shift)
-    return min(max(mu, MU_MIN), MU_MAX)
+    if mu < MU_MIN:
+        raise HypothesisViolated(f"contraction factor {mu:.3e} below MU_MIN = {MU_MIN:.0e}")
+    return min(mu, MU_MAX)
 
 
 def compute_certificate(spec: SystemSpec, alpha_step: float = 1e-3,
@@ -218,19 +223,3 @@ def sample_staircase(cert: BoundCertificate, times) -> tuple[np.ndarray, np.ndar
     yb = cert.varsigma[None, :] + (factor * (1.0 - cert.mu))[:, None] * cert.q[None, :]
     return xb, yb
 
-
-def continuous_envelope(cert: BoundCertificate, t: float
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Smooth geometric envelope dominating the staircase.
-
-    Convenience only: the certified object is the staircase; this curve
-    replaces the exponent k by ``t / T_star - 1`` (respectively
-    ``t / T_star`` for the second part) and lies on or above it everywhere.
-    """
-    if t < 0.0:
-        raise NegativeTime(f"bound requested at negative time {t}")
-    if cert.constant_bound:
-        return cert.eta.copy(), cert.varsigma.copy()
-    base = 1.0 - cert.mu
-    return (cert.eta + base ** (t / cert.T_star - 1.0) * cert.p,
-            cert.varsigma + base ** (t / cert.T_star) * cert.q)

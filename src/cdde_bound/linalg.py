@@ -1,19 +1,23 @@
 """Dense real linear algebra for small systems.
 
-Everything here operates on plain numpy float64 arrays.  The solver is a
-partially pivoted LU factorization written out explicitly so that the
-singularity threshold is under our control: the coupling matrices handled
-by this package are provably nonsingular when the modelling hypotheses
-hold, so a near-zero pivot signals a modelling error and must surface as
-:class:`SingularMatrix` rather than as solver-dependent noise.
+Everything here operates on plain numpy float64 arrays.  ``inverse`` hands a
+single matrix or a whole ``(G, n, n)`` stack to LAPACK through one
+``np.linalg.inv`` call; it drives every sign-of-inverse test and the
+decay-rate sweep.  The coupling matrix and ``solve`` go through a partially
+pivoted LU written out here, whose rounding the pinned certificate bytes
+depend on.  The matrices handled by this package are provably nonsingular
+when the modelling hypotheses hold, so a near-singular one signals a
+modelling error and must surface as :class:`SingularMatrix` rather than as
+solver-dependent noise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Pivot magnitudes below PIVOT_RTOL times the largest entry of the input
-# matrix declare the matrix singular.
+# The one singularity threshold: ``inverse`` rejects a matrix whose
+# reciprocal 1-norm condition is below it, ``lu_factor`` one with a pivot
+# below it times the largest entry of the input.
 PIVOT_RTOL = 1e-12
 
 
@@ -44,73 +48,81 @@ def as_vector(data, name: str = "vector") -> np.ndarray:
     return _as_array(data, name, 1)
 
 
-def lu_factor(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Partially pivoted LU factorization of ``(n, n)`` or of each member of
-    a stack ``(G, n, n)``, every member with its own threshold.
-
-    Returns ``(lu, perm)`` where ``lu`` packs the unit-lower and upper
-    triangular factors and ``perm`` maps factored rows to input rows.
-    Raises :class:`SingularMatrix`, naming the stack member, when a pivot
-    falls below the relative threshold.
-    """
-    a = _as_array(matrix, "matrix", 3 if np.ndim(matrix) == 3 else 2)
+def _square(a: np.ndarray) -> int:
     nrows, ncols = a.shape[-2:]
     if nrows != ncols:
         raise DimensionMismatch(f"matrix must be square, got {nrows}x{ncols}")
-    lu = a.reshape(-1, nrows, nrows)            # a view of ``a``, factored in place
-    member = " in stack member {}" if a.ndim == 3 else ""
-    scale = np.abs(lu).max(axis=(1, 2), initial=0.0)
-    if not scale.all():
-        raise SingularMatrix("zero matrix" + member.format(int(np.argmin(scale))))
+    return nrows
+
+
+def lu_factor(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Partially pivoted LU factorization.
+
+    Returns ``(lu, perm)`` where ``lu`` packs the unit-lower and upper
+    triangular factors and ``perm`` maps factored rows to input rows.
+    Raises :class:`SingularMatrix` when a pivot falls below the relative
+    threshold.
+    """
+    lu = as_matrix(matrix)                      # a fresh copy, factored in place
+    n = _square(lu)
+    scale = np.abs(lu).max(initial=0.0)
+    if scale == 0.0:
+        raise SingularMatrix("zero matrix")
     tol = PIVOT_RTOL * scale
-    g = np.arange(lu.shape[0])
-    perm = np.tile(np.arange(nrows), (lu.shape[0], 1))
-    for k in range(nrows):
-        col = np.abs(lu[:, k:, k])
-        p = col.argmax(axis=1)
-        low = col[g, p] < tol
-        p += k
-        if low.any():
-            j = int(np.argmax(low))
-            raise SingularMatrix(f"pivot {lu[j, p[j], k]:.3e} below threshold {tol[j]:.3e} "
-                                 f"at column {k}" + member.format(j))
-        rows, idx = lu[g, p], perm[g, p]
-        lu[g, p], perm[g, p] = lu[:, k], perm[:, k]
-        lu[:, k], perm[:, k] = rows, idx
-        lu[:, k + 1:, k] /= lu[:, k, k, None]
-        lu[:, k + 1:, k + 1:] -= lu[:, k + 1:, k, None] * lu[:, k, None, k + 1:]
-    return a, perm.reshape(a.shape[:-1])
+    perm = np.arange(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if abs(lu[p, k]) < tol:
+            raise SingularMatrix(f"pivot {lu[p, k]:.3e} below threshold {tol:.3e} at column {k}")
+        lu[[k, p]] = lu[[p, k]]
+        perm[[k, p]] = perm[[p, k]]
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return lu, perm
 
 
 def lu_solve(lu: np.ndarray, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve for ``rhs`` of shape ``(n,)`` or ``(n, r)``, with the leading
-    stack axis of ``lu`` when it has one."""
-    n = lu.shape[-1]
-    L = lu.reshape(-1, n, n)
-    g = np.arange(L.shape[0])[:, None]
-    x = np.asarray(rhs, dtype=float).reshape(L.shape[0], n, -1)[g, perm.reshape(-1, n)]
-    for i in range(1, n):
-        x[:, i] -= (L[:, i, None, :i] @ x[:, :i])[:, 0]
-    for i in range(n - 1, -1, -1):
-        x[:, i] -= (L[:, i, None, i + 1:] @ x[:, i + 1:])[:, 0]
-        x[:, i] /= L[:, i, i, None]
-    return x.reshape(np.shape(rhs))
+    """Solve for a vector ``rhs`` against the factors from :func:`lu_factor`."""
+    x = np.asarray(rhs, dtype=float)[perm]
+    for i in range(1, lu.shape[0]):
+        x[i] -= lu[i, :i] @ x[:i]
+    for i in range(lu.shape[0] - 1, -1, -1):
+        x[i] -= lu[i, i + 1:] @ x[i + 1:]
+        x[i] /= lu[i, i]
+    return x
 
 
 def solve(matrix, rhs) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` by LU with partial pivoting."""
     b = as_vector(rhs, "rhs")
-    lu, perm = lu_factor(as_matrix(matrix))
+    lu, perm = lu_factor(matrix)
     if lu.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"rhs length {b.shape[0]} does not match matrix order {lu.shape[0]}")
     return lu_solve(lu, perm, b)
 
 
 def inverse(matrix) -> np.ndarray:
-    """Inverse of a matrix or of each member of a stack: one factorization,
-    one solve against the identity."""
-    lu, perm = lu_factor(matrix)
-    return lu_solve(lu, perm, np.broadcast_to(np.eye(lu.shape[-1]), lu.shape))
+    """Inverse of a matrix or of each member of a stack ``(G, n, n)``, by
+    one LAPACK call.  Raises :class:`SingularMatrix`, naming the stack
+    member, when a member's reciprocal 1-norm condition is below
+    ``PIVOT_RTOL``."""
+    a = _as_array(matrix, "matrix", 3 if np.ndim(matrix) == 3 else 2)
+    _square(a)
+    member = " in stack member {}" if a.ndim == 3 else ""
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        # LAPACK met an exact zero pivot; slogdet factors the same way
+        j = int(np.argmin(np.abs(np.linalg.slogdet(a).sign)))
+        raise SingularMatrix("exactly singular" + member.format(j)) from None
+    with np.errstate(all="ignore"):         # an overflowing norm is singular too
+        cond = np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
+    bad = ~(cond * PIVOT_RTOL < 1.0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise SingularMatrix(f"reciprocal condition {1.0 / cond.flat[j]:.3e} below threshold "
+                             f"{PIVOT_RTOL:.3e}" + member.format(j))
+    return inv
 
 
 def cmp_leq(u, v, slack: float = 0.0) -> bool:

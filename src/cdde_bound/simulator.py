@@ -586,23 +586,6 @@ def comparison_check(scenario_lo: SimulationScenario,
                 and (tr_lo.y_samples <= tr_hi.y_samples + slack).all())
 
 
-def default_scenario(spec: SystemSpec, a: float = 1.0, b: float = 1.0,
-                     t_end: float = 40.0, step: float = 1e-3) -> SimulationScenario:
-    """Worst-case-flavoured scenario built from the declared envelopes:
-    constant disturbances at ``a * omega_bar`` / ``b * d_bar``, delays held
-    at the bound, initial data at the envelopes."""
-    h_sig = SignalSpec.constant([spec.h_max])
-    return SimulationScenario(
-        spec=spec,
-        omega=SignalSpec.constant(a * spec.omega_bar),
-        d=SignalSpec.constant(b * spec.d_bar),
-        h1=h_sig, h2=h_sig,
-        psi=spec.psi_bar.copy(),
-        phi=SignalSpec.constant(spec.phi_bar),
-        t_end=t_end, step=step,
-    )
-
-
 def write_trajectory_csv(traj: Trajectory, path,
                          cert: BoundCertificate | None = None) -> None:
     """Write the trajectory as CSV: columns ``t,x_1..x_n,y_1..y_m``, plus

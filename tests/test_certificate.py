@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from cdde_bound.certificate import (CertificateError, HypothesisViolated,
+from cdde_bound.certificate import (MU_MIN, CertificateError, HypothesisViolated,
                                     NegativeTime, compute_certificate,
-                                    comparison_vectors, continuous_envelope,
-                                    contraction_factor, raw_contraction_factor,
-                                    sample_staircase, staircase, ultimate_bound)
+                                    comparison_vectors, contraction_factor,
+                                    raw_contraction_factor, sample_staircase,
+                                    staircase, ultimate_bound)
 from cdde_bound.linalg import cmp_leq, solve
 from cdde_bound.model import SystemSpec
 
@@ -97,6 +97,28 @@ def test_contraction_factor_detects_bad_pair():
     # ratios: M1/p = 1/4, M2/q = 2, M3/q = 2 -> mu = -1
     with pytest.raises(HypothesisViolated):
         raw_contraction_factor(scalar_coupled_spec(), [4.0], [1.0])
+
+
+def tiny_margin_spec(d: float) -> SystemSpec:
+    """y nearly stationary (D = d close to 1): the raw factor is about
+    (1 - d) / 2, below MU_MIN for the d used here."""
+    return SystemSpec(A=[[-1.0]], B=[[1e-12]], C=[[1.0]], D=[[d]], h_max=0.1,
+                      omega_bar=[0.0], d_bar=[0.0], psi_bar=[1.0], phi_bar=[1.0])
+
+
+@pytest.mark.parametrize("d", [1.0 - 1e-9, 1.0 - 1e-10])
+def test_contraction_factor_below_mu_min_is_refused(d):
+    # raising MU_SAFETY * raw up to MU_MIN would certify a mu the comparison
+    # inequalities do not allow
+    spec = tiny_margin_spec(d)
+    direction = solve([[-1.0, 1e-12], [1.0, d - 1.0]], [-1.0, -1.0])
+    p, q = comparison_vectors(spec, None, [1.0], [1.0], (direction[:1], direction[1:]))
+    assert 0.0 < raw_contraction_factor(spec, p, q) < MU_MIN
+    with pytest.raises(HypothesisViolated, match="below MU_MIN"):
+        contraction_factor(spec, p, q)
+    with pytest.raises(CertificateError) as info:
+        compute_certificate(spec)
+    assert info.value.stage == "contraction-factor"
 
 
 def test_certificate_sample_dwell(sample_spec, sample_cert):
@@ -191,14 +213,6 @@ def test_staircase_negative_time(sample_cert):
         staircase(sample_cert, -0.1)
     with pytest.raises(NegativeTime):
         sample_staircase(sample_cert, [-1.0, 0.0])
-
-
-def test_continuous_envelope_dominates_staircase(sample_cert):
-    for t in np.linspace(0.0, 30.0, 401):
-        xs, ys = staircase(sample_cert, t)
-        xc, yc = continuous_envelope(sample_cert, t)
-        assert (xc >= xs - 1e-12).all()
-        assert (yc >= ys - 1e-12).all()
 
 
 def test_certificate_serialization(sample_cert):

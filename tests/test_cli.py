@@ -86,7 +86,10 @@ def test_bound_deterministic_bytes(tmp_path, sample_problem_path):
 
 def test_bound_golden_bytes(tmp_path, sample_problem_path):
     # SHA-256 of the sample outputs as written by the per-column inverse and
-    # the linear alpha_max scan, before the certificate code was vectorized
+    # the linear alpha_max scan, before the certificate code was vectorized.
+    # The digest depends on the BLAS kernels: OpenBLAS on an FMA core type
+    # writes these bytes, OPENBLAS_CORETYPE=Prescott, Nehalem or Sandybridge
+    # writes a certificate.json with digest a14e8dd2...; CI pins numpy.
     out = tmp_path / "out"
     assert main(["bound", str(sample_problem_path), "--out", str(out),
                  "--t-end", "4", "--step", "0.01"]) == 0
@@ -96,6 +99,33 @@ def test_bound_golden_bytes(tmp_path, sample_problem_path):
         "certificate.json": "753b705485ec8b2a8134fd448177a46101d11c8b9196f9fa3908ec6be8fec643",
         "staircase.csv": "d77b7fc2cc372c7c61b66fb13ae5923f53e58b6ce9c48de87403c1a4f11762f2",
     }
+
+
+def time_rescaled(c):
+    """The sample with time measured in units 1/c: A, B and omega_bar
+    divide by c, h_max multiplies by c."""
+    def mutate(doc):
+        system = doc["system"]
+        for name in ("A", "B"):
+            system[name] = (np.array(system[name]) / c).tolist()
+        system["omega_bar"] = (np.array(system["omega_bar"]) / c).tolist()
+        system["h_max"] *= c
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda d: d["system"].update(
+        A=[[-1.0]], B=[[1e-12]], C=[[1.0]], D=[[1.0 - 1e-9]], h_max=0.1,
+        omega_bar=[0.0], d_bar=[0.0], psi_bar=[1.0], phi_bar=[1.0]), id="d-near-one"),
+    pytest.param(time_rescaled(1e9), id="sample-time-rescaled-1e9"),
+])
+def test_bound_contraction_factor_below_mu_min_exits_1(tmp_path, capsys, mutate):
+    path = write_problem(tmp_path, mutate)
+    assert main(["bound", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL contraction-factor:") and "below MU_MIN" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "certificate.json").exists()
 
 
 @pytest.mark.parametrize("options, flags", [

@@ -100,6 +100,29 @@ def test_stack_members_have_their_own_pivot_threshold():
     assert np.array_equal(got[1], inverse(stack[1]))
 
 
+def test_inverse_names_near_singular_member():
+    # condition about 4e13, above 1 / PIVOT_RTOL: LAPACK inverts it, the
+    # condition test rejects it
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+    assert np.isfinite(np.linalg.inv(near)).all()
+    stack = np.stack([np.eye(2), 3.0 * np.eye(2), near, np.eye(2)])
+    with pytest.raises(SingularMatrix, match=r"reciprocal condition .* in stack member 2$"):
+        inverse(stack)
+    with pytest.raises(SingularMatrix, match=r"below threshold 1\.000e-12$"):
+        inverse(near)
+
+
+def test_inverse_names_exactly_singular_member():
+    exact = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(exact)
+    stack = np.stack([np.eye(3), exact, np.eye(3)])
+    with pytest.raises(SingularMatrix, match="exactly singular in stack member 1$"):
+        inverse(stack)
+    with pytest.raises(SingularMatrix, match="exactly singular$"):
+        inverse(exact)
+
+
 def test_cmp_leq_basic():
     assert cmp_leq([1.0, 2.0], [1.0, 2.0], 0.0)
     assert not cmp_leq([1.0, 3.0], [1.0, 2.0], 0.0)

@@ -1,7 +1,8 @@
-"""Property tests: the stacked LU, the logarithmic margin search and the
-blocked decay-rate sweep against the one-matrix-at-a-time oracles; the
-batched simulator against single runs and against superposition; the
-windowed simulator against the per-step one."""
+"""Property tests: the stacked inverse, the logarithmic margin search and
+the blocked decay-rate sweep against the one-matrix-at-a-time oracles;
+emitted certificates against numpy.linalg; the batched simulator against
+single runs and against superposition; the windowed simulator against the
+per-step one."""
 
 from dataclasses import replace
 
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdde_bound.certificate import MU_SAFETY, compute_certificate
 from cdde_bound.envelope import finite_time
 from cdde_bound.linalg import SingularMatrix, inverse
+from cdde_bound.model import SystemSpec
 from cdde_bound.simulator import SignalSpec, simulate, simulate_many
 from cdde_bound.stability import alpha_max
 
@@ -91,6 +94,51 @@ def test_stack_with_one_singular_member_raises(n, g, seed, data):
     stack[bad, rng.integers(n)] = 0.0
     with pytest.raises(SingularMatrix, match=f"stack member {bad}$"):
         inverse(stack)
+
+
+@st.composite
+def admissible_system(draw):
+    """Random admissible system, n <= 6, m <= 3, built around a positive
+    vector v = (p, q) with [[A, B], [C, D - I]] v < 0: the diagonal of A
+    absorbs the x rows, and C, D are scaled so that C p + D q < q."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(SEEDS))
+
+    def sparse(rows, cols):
+        return rng.uniform(0.0, 1.0, (rows, cols)) * (rng.uniform(size=(rows, cols)) < 0.7)
+
+    p, q = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, m)
+    A, B, C, D = sparse(n, n), sparse(n, m), sparse(m, n), sparse(m, m)
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, -(A @ p + B @ q + rng.uniform(0.05, 1.0, n) * p) / p)
+    load = (C @ p + D @ q) / q
+    if load.max() > 0.0:
+        shrink = draw(st.floats(0.05, 0.95)) / load.max()
+        C, D = C * shrink, D * shrink
+    return SystemSpec(A=A, B=B, C=C, D=D, h_max=draw(st.floats(0.0, 2.0)),
+                      omega_bar=rng.uniform(0.0, 1.0, n), d_bar=rng.uniform(0.0, 1.0, m),
+                      psi_bar=rng.uniform(0.0, 5.0, n), phi_bar=rng.uniform(0.0, 5.0, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_system())
+def test_certificate_holds_against_numpy(spec):
+    A, B, C, D, m = spec.A, spec.B, spec.C, spec.D, spec.m
+    cert = compute_certificate(spec, alpha_step=1e-2)
+    p, q, keep = cert.p, cert.q, 1.0 - cert.mu
+    families = [(-np.linalg.solve(A, B @ q), p),
+                (np.linalg.solve(np.eye(m) - D, C @ p), q),
+                (C @ p + D @ q, q)]
+    for lhs, rhs in families:
+        assert (lhs <= keep * rhs).all()
+    # mu is never raised above the safety-scaled raw factor; the two raw
+    # factors differ by the solvers' rounding only
+    raw = 1.0 - max(float((lhs / rhs).max()) for lhs, rhs in families)
+    assert cert.mu <= MU_SAFETY * raw + 1e-12
+    coupling = np.block([[A, B], [C, D - np.eye(m)]])
+    want = np.linalg.solve(coupling, -np.concatenate([spec.omega_bar, spec.d_bar]))
+    got = np.concatenate([cert.eta, cert.varsigma])
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
 
 
 def sample_run(a, b, psi_scale=1.0, phi_scale=1.0):

@@ -10,7 +10,7 @@ from cdde_bound.linalg import solve
 from cdde_bound.model import SystemSpec
 from cdde_bound.simulator import (JUMP_TOL, InvalidScenario, MismatchedScenarios,
                                   SignalSpec, SimulationScenario, UnstableStep,
-                                  comparison_check, default_scenario, simulate,
+                                  comparison_check, simulate,
                                   simulate_many, verify_domination, write_csv,
                                   write_trajectory_csv)
 
@@ -256,13 +256,6 @@ def test_verify_domination_detects_violation(sample_spec):
     assert not report.ok
     assert report.first_violation_time is not None
     assert report.x_margin.max() > 0 or report.y_margin.max() > 0
-
-
-def test_default_scenario_round_trip(sample_spec):
-    scenario = default_scenario(sample_spec, a=0.5, b=1.0, t_end=2.0, step=1e-3)
-    traj = simulate(scenario)
-    cert = compute_certificate(sample_spec)
-    assert verify_domination(traj, cert).ok
 
 
 def test_trajectory_csv(tmp_path, sample_spec):
