@@ -29,8 +29,8 @@ class DimensionMismatch(ValueError):
     """Operands have inconsistent dimensions."""
 
 
-def _as_array(data, name: str, ndim: int) -> np.ndarray:
-    a = np.array(data, dtype=float)
+def _as_array(data, name: str, ndim: int, copy: bool = True) -> np.ndarray:
+    a = np.array(data, dtype=float) if copy else np.asarray(data, dtype=float)
     if a.ndim != ndim:
         raise DimensionMismatch(f"{name} must be {ndim}-D, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -106,7 +106,8 @@ def inverse(matrix) -> np.ndarray:
     one LAPACK call.  Raises :class:`SingularMatrix`, naming the stack
     member, when a member's reciprocal 1-norm condition is below
     ``PIVOT_RTOL``."""
-    a = _as_array(matrix, "matrix", 3 if np.ndim(matrix) == 3 else 2)
+    # validated in place: np.linalg.inv makes its own copy
+    a = _as_array(matrix, "matrix", 3 if np.ndim(matrix) == 3 else 2, copy=False)
     _square(a)
     member = " in stack member {}" if a.ndim == 3 else ""
     try:

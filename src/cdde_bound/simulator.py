@@ -27,13 +27,15 @@ arguments all lie at or before t_w and whose delay brackets hold no stored
 jump.  Every delayed input of a window is then known at t_w, so the
 interpolation weights of all of them are planned at once, one gather reads
 them, one product turns them into the inputs ``u_k`` of the Runge-Kutta map
-``x_{k+1} = x_k P + u_k``, a tight loop runs that recurrence, and one
-product gives the window's outputs.  A step whose bracket holds a jump
-takes the split path above on its own; delays below two steps give windows
-of one step, each advanced with a single product.  Only a step whose h2
-bracket holds a jump adds jumps, so one plan serves every window up to and
-including the next such step.  The divergence checks run once per block of
-``BLOCK_STEPS`` steps and name the first failing grid time.
+``x_{k+1} = x_k P + u_k``, a doubling prefix scan (Hillis & Steele, 1986;
+Blelloch, 1990) runs that recurrence in about log2 of the window's length
+products with the powers ``P^(2^j)``, and one product gives the window's
+outputs.  A step whose bracket holds a jump takes the split path above on
+its own; delays below two steps give windows of one step, each advanced
+with a single product.  Only a step whose h2 bracket holds a jump adds
+jumps, so one plan serves every window up to and including the next such
+step.  The divergence checks run once per block of ``BLOCK_STEPS`` steps
+and name the first failing grid time.
 """
 
 from __future__ import annotations
@@ -330,7 +332,7 @@ def simulate_many(scenarios) -> list[Trajectory]:
             with_extra[cut] = True
         # reads with an extra term, counted up to each read
         if extra is not None:
-            extra = (extra, np.concatenate(([0], np.cumsum(with_extra))).tolist())
+            extra = (extra, np.concatenate(([0], np.cumsum(with_extra))))
         return idx, wt[:, :, None, None], extra
 
     def gather(plan, r0: int, r1: int) -> np.ndarray:
@@ -439,19 +441,31 @@ def simulate_many(scenarios) -> list[Trajectory]:
 
     def recur(k: int, z: np.ndarray, f: np.ndarray) -> None:
         """x over the len(f) steps from t_k, given their delayed y as
-        (steps, 3, S, m) in the order z0, zh, z1: x_{i+1} = x_i P + u_i.  A
-        lone step is one product of (x, z0, zh, z1) with both maps."""
+        (steps, 3, S, m) in the order z0, zh, z1: x_{i+1} = x_i P + u_i, as
+        a doubling scan over chunks of ``span`` steps.  A lone step is one
+        product of (x, z0, zh, z1) with both maps."""
         L = len(f)
         if L == 1:
             z = z[0]
             xs[k + 1] = np.concatenate((xs[k], z[0], z[1], z[2]), axis=1) @ xz_map + f[0]
             return
-        u = z.transpose(0, 2, 1, 3).reshape(L, S, 3 * m) @ Mz + f
+        # one row per step and member, so each product is one 2-D matmul
+        u = xs[k + 1:k + 1 + L].reshape(L * S, n)
+        np.matmul(z.transpose(0, 2, 1, 3).reshape(L * S, 3 * m), Mz, out=u)
+        u += f.reshape(L * S, n)
         x = xs[k]
-        for row, ui in zip(xs[k + 1:k + 1 + L], u):
-            np.matmul(x, P, out=row)
-            row += ui
-            x = row
+        for c in range(0, L * S, span * S):
+            v = u[c:c + span * S]
+            v[:S] += x @ P
+            # Hillis-Steele: after the round with a stride of 2^j steps
+            # (d rows), each step holds the inputs of the 2^(j+1) steps up
+            # to it, each carried there by a power of P
+            for j, Pd in enumerate(powers):
+                d = S << j
+                if d >= len(v):
+                    break
+                v[d:] += v[:-d] @ Pd
+            x = v[-S:]
 
     def output(x, z, dv, closed: bool):
         """y from x, d and the delayed y ``z``; a delay below one step is
@@ -481,6 +495,16 @@ def simulate_many(scenarios) -> list[Trajectory]:
     # t_k) for x, and t_{k+1} less h2 for y.  Rows after a divergence may
     # overflow until the block's check() names the first one.
     with np.errstate(over="ignore", invalid="ignore"):
+        # P^(2^j) for recur's scan, 2^j < BLOCK_STEPS.  A power that
+        # overflows ends the list (a never-excited mode of 0 * inf would
+        # fake a divergence), and the scan then runs in shorter chunks.
+        powers = [P]
+        while 2 ** len(powers) < BLOCK_STEPS:
+            square = powers[-1] @ powers[-1]
+            if not np.isfinite(square).all():
+                break
+            powers.append(square)
+        span = 2 ** len(powers)
         for k0 in range(0, K, BLOCK_STEPS):
             k1 = min(k0 + BLOCK_STEPS, K)
             nb = k1 - k0
@@ -541,15 +565,19 @@ def simulate_many(scenarios) -> list[Trajectory]:
 
 
 def verify_domination(traj: Trajectory, cert: BoundCertificate,
-                      slack: float = 1e-6) -> DominationReport:
-    """Compare a trajectory against the staircase bound at every grid time."""
+                      slack: float = 1e-6, bound=None) -> DominationReport:
+    """Compare a trajectory against the staircase bound at every grid time.
+    ``bound`` is ``sample_staircase(cert, traj.times)`` when the caller has
+    it already."""
     n = traj.x_samples.shape[1]
     m = traj.y_samples.shape[1]
     if cert.eta.shape[0] != n or cert.varsigma.shape[0] != m:
         raise DimensionMismatch("certificate and trajectory dimensions differ")
-    xb, yb = sample_staircase(cert, traj.times)
-    dx = traj.x_samples - xb
-    dy = traj.y_samples - yb
+    xb, yb = sample_staircase(cert, traj.times) if bound is None else bound
+    # column-major, so the reductions below run along contiguous time
+    # series rather than across rows of n or m entries (ten times faster)
+    dx = np.subtract(traj.x_samples, xb, order="F")
+    dy = np.subtract(traj.y_samples, yb, order="F")
     viol = (dx > slack).any(axis=1) | (dy > slack).any(axis=1)
     first = float(traj.times[int(np.argmax(viol))]) if viol.any() else None
     return DominationReport(x_margin=dx.max(axis=0), y_margin=dy.max(axis=0),

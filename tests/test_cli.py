@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,6 +261,20 @@ def test_verify_rejects_scenario_exceeding_certified_envelope(tmp_path, capsys):
     assert "at t=" in capsys.readouterr().err
 
 
+def test_verify_sample_stdout_pinned(capsys, sample_problem_path):
+    # the sample's verify report, byte for byte; the simulator's recurrence
+    # and the grid's shared staircase must not move a printed digit
+    code = main(["verify", str(sample_problem_path), "--t-end", "6"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "a=0 b=0: x margins [-0.965916, -1.56819, 0] y margins [-3.53962, -1.87129] -> OK\n"
+        "a=0 b=1: x margins [-0.961585, -1.55707, 0] y margins [-3.23962, -1.77416] -> OK\n"
+        "a=0.5 b=0: x margins [-0.932937, -1.55059, 0] y margins [-3.53962, -1.8658] -> OK\n"
+        "a=0.5 b=1: x margins [-0.928607, -1.53947, 0] y margins [-3.23962, -1.76907] -> OK\n"
+        "a=1 b=0: x margins [-0.899959, -1.53299, 0] y margins [-3.53962, -1.8603] -> OK\n"
+        "a=1 b=1: x margins [-0.895628, -1.52187, 0] y margins [-3.23962, -1.76358] -> OK\n")
+
+
 def test_verify_grid_runs_all_six(capsys, sample_problem_path):
     code = main(["verify", str(sample_problem_path),
                  "--t-end", "2", "--step", "0.004"])
@@ -269,18 +284,25 @@ def test_verify_grid_runs_all_six(capsys, sample_problem_path):
 
 
 def test_verify_grid_matches_direct_runs(sample_problem_path):
-    # the grid is composed from three corner runs by superposition; each
-    # report must agree with a direct run of its own scenario
+    # the grid is composed from three corner runs by superposition and checked
+    # against one sampled staircase; each report must agree with a direct run
+    # of its own scenario, violating or not: tampered certificates make every
+    # point violate at t = 0 (eta halved) or later, by d scale (T_star / 5)
     spec, cfg, _ = load_problem(sample_problem_path)
-    cert = compute_certificate(spec)
-    grid = grid_reports(spec, cfg, cert, t_end=4.0, step=0.004)
-    assert len(grid) == len(VERIFY_GRID)
-    for (a, b), got in zip(VERIFY_GRID, grid):
-        scenario = build_scenario(spec, cfg, a=a, b=b, t_end=4.0, step=0.004)
-        want = verify_domination(simulate(scenario), cert)
-        assert np.abs(got.x_margin - want.x_margin).max() <= 1e-12
-        assert np.abs(got.y_margin - want.y_margin).max() <= 1e-12
-        assert got.first_violation_time == want.first_violation_time
+    computed = compute_certificate(spec)
+    for cert, violations in ((computed, [None] * 6),
+                             (replace(computed, eta=0.5 * computed.eta), [0.0] * 6),
+                             (replace(computed, T_star=0.2 * computed.T_star), [2.8, 2.404] * 3)):
+        grid = grid_reports(spec, cfg, cert, t_end=4.0, step=0.004)
+        assert len(grid) == len(VERIFY_GRID)
+        assert [None if rep.ok else round(rep.first_violation_time, 9)
+                for rep in grid] == violations
+        for (a, b), got in zip(VERIFY_GRID, grid):
+            scenario = build_scenario(spec, cfg, a=a, b=b, t_end=4.0, step=0.004)
+            want = verify_domination(simulate(scenario), cert)
+            assert np.abs(got.x_margin - want.x_margin).max() <= 1e-12
+            assert np.abs(got.y_margin - want.y_margin).max() <= 1e-12
+            assert got.first_violation_time == want.first_violation_time
 
 
 def test_simulate_diverging_system_fails_cleanly(tmp_path, capsys):

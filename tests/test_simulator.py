@@ -229,6 +229,23 @@ def test_short_delays_match_stepwise(sample_spec, h1, h2):
             assert np.abs(getattr(got, name) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_overflowing_step_map_power_fakes_no_divergence():
+    # A = diag(-1e4, -1) at step 1e-3: RK4 multiplies the stiff mode by ~291
+    # per step, so P^128 overflows.  That mode starts at 0 and is never
+    # excited, so it stays 0 step by step; the doubling scan must not turn
+    # 0 * inf into a NaN state and a false divergence
+    spec = SystemSpec(A=[[-1e4, 0.0], [0.0, -1.0]], B=[[0.0], [0.0]], C=[[0.0, 1.0]],
+                      D=[[0.0]], h_max=1.0, omega_bar=[0.0, 0.0], d_bar=[0.0],
+                      psi_bar=[0.0, 1.0], phi_bar=[0.0])
+    scenario = SimulationScenario(spec=spec, omega=SignalSpec.zero(2), d=SignalSpec.zero(1),
+                                  h1=SignalSpec.constant([1.0]), h2=SignalSpec.constant([1.0]),
+                                  psi=[0.0, 1.0], phi=SignalSpec.zero(1), t_end=2.0, step=1e-3)
+    (got,), (want,) = simulate_many([scenario]), simulate_stepwise([scenario])
+    assert (got.x_samples[:, 0] == 0.0).all()
+    np.testing.assert_allclose(got.x_samples, want.x_samples, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got.y_samples, want.y_samples, rtol=1e-12, atol=0.0)
+
+
 def test_output_overflow_reported_without_warning():
     # y = 1e300 x overflows at the first step; the per-step loop warned here
     with pytest.raises(UnstableStep, match="^output magnitude exceeded 1e[+]12 at t=0.001$"):
