@@ -29,6 +29,10 @@ from .stability import (NotStable, _neg_inverse_if_hurwitz, _require_metzler, al
 # finite_time sweeps the alpha grid in blocks whose (G, n, n) float64 arrays
 # take about this many bytes each; about three are alive at once
 BLOCK_BYTES = 1 << 18
+# relative margin of the np.log screen in _block_entry_times: numpy's log is
+# within an ulp (~1e-16) of math.log, near 1 included, so a margin far above
+# that keeps every row that may attain the exact minimum
+_LOG_SCREEN_RTOL = 1e-9
 
 
 class DecayRateTooLarge(ValueError):
@@ -156,17 +160,35 @@ def finite_time(A, theta_bar, delta, alpha_step: float) -> ConvergenceResult:
         gamma = _envelope_factors(M, alphas, theta)
         if gamma.min() < 0.0:
             raise ValueError(f"gamma must be nonnegative, got {gamma.min()}")
-        # time_to_threshold over the block; math.log rounds as it does there
-        ratio = gamma / dlt
-        t = np.zeros_like(ratio)
-        above = ratio > 1.0
-        t[above] = np.fromiter(map(math.log, ratio[above]), float)
-        t /= alphas[:, None]
-        first = t.argmin(axis=0)                # ties go to the smallest alpha
-        t_first = t[first, np.arange(dim)]
+        # time_to_threshold over the block: np.log screens the grid, and
+        # math.log, which rounds as it does there, decides near the minimum
+        first, t_first = _block_entry_times(gamma, dlt, alphas)
         better = t_first < best_t
         best_t[better] = t_first[better]
         best_alpha[better] = alphas[first[better]]
     return ConvergenceResult(T=float(best_t.max()),
                              per_component_T=best_t,
                              per_component_alpha=best_alpha)
+
+
+def _block_entry_times(gamma: np.ndarray, dlt: np.ndarray,
+                       alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of ``gamma`` (G, n), the row with the earliest entry time
+    ``time_to_threshold(gamma[g, i], dlt[i], alphas[g])`` and that time; ties
+    go to the smallest alpha.
+
+    ``np.log`` screens the grid and ``math.log``, which rounds as it does in
+    ``time_to_threshold``, decides: only rows within a relative
+    ``_LOG_SCREEN_RTOL`` of a column's screened minimum get an exact time,
+    the others ``inf``.  The two logs differ by at most an ulp, so every row
+    that attains the exact minimum, ties included, is kept."""
+    ratio = gamma / dlt
+    above = ratio > 1.0
+    approx = np.log(np.where(above, ratio, 1.0)) / alphas[:, None]
+    near = approx <= approx.min(axis=0) * (1.0 + _LOG_SCREEN_RTOL)
+    t = np.where(near, 0.0, np.inf)
+    exact = near & above
+    t[exact] = np.fromiter(map(math.log, ratio[exact]), float)
+    t /= alphas[:, None]
+    first = t.argmin(axis=0)
+    return first, t[first, np.arange(t.shape[1])]

@@ -468,11 +468,15 @@ def simulate_many(scenarios) -> list[Trajectory]:
             x = v[-S:]
 
     def output(x, z, dv, closed: bool):
-        """y from x, d and the delayed y ``z``; a delay below one step is
-        closed algebraically (module docstring) and ignores z."""
+        """y from x, d and the delayed y ``z``, as 2-D products over the rows
+        (step, member); a delay below one step is closed algebraically
+        (module docstring) and ignores z."""
+        x, y = x.reshape(-1, n), dv.reshape(-1, m)
         if closed:
-            return (x @ CT + dv) @ closure
-        return x @ CT + z @ DT + dv
+            y = (x @ CT + y) @ closure
+        else:
+            y = x @ CT + z.reshape(-1, m) @ DT + y
+        return y.reshape(dv.shape)
 
     def check(k: int, L: int) -> None:
         """Raise at the first grid time in (t_k, t_{k+L}] with a state or an
@@ -512,7 +516,10 @@ def simulate_many(scenarios) -> list[Trajectory]:
             W0 = on("omega", ts[k0:k1 + 1])
             Wh = on("omega", t0s + 0.5 * h)
             D1 = on("d", t1s)
-            forcing = np.concatenate((W0[:-1], Wh, W0[1:]), axis=2) @ w_map
+            # products over 2-D rows (step, member): a stacked product runs one
+            # small matmul per step
+            forcing = (np.concatenate((W0[:-1], Wh, W0[1:]), axis=2).reshape(nb * S, 3 * n)
+                       @ w_map).reshape(nb, S, n)
             lo1, hi1 = t0s - H10[k0:k1], t1s - H10[k0 + 1:k1 + 1]
             lo2, hi2 = t0s - H20[k0:k1], t1s - H20[k0 + 1:k1 + 1]
             reads = np.stack((np.minimum(lo1, t0s), np.minimum(t0s + 0.5 * h - H1h[k0:k1], t0s),
@@ -627,13 +634,29 @@ def write_trajectory_csv(traj: Trajectory, path,
 def write_csv(path, times: np.ndarray, columns: dict[str, np.ndarray]) -> None:
     """The one CSV writer: column ``t``, then ``prefix_1..prefix_k`` for each
     ``prefix -> (rows, k)`` array; 9 significant digits, LF endings.  Rows
-    are formatted a block at a time, so memory does not grow with the rows."""
+    are formatted a block at a time, so memory does not grow with the rows.
+    Within a block, a run of rows whose values after ``t`` repeat bit for
+    bit (a staircase's dwell interval) formats that tail once and writes
+    each row as its own ``t`` plus the tail; a block without a repeated row
+    formats each whole row with one ``%`` string."""
     header = ["t"] + [f"{prefix}_{i + 1}" for prefix, block in columns.items()
                       for i in range(block.shape[1])]
-    fmt = ",".join(["%.9g"] * len(header)) + "\n"
+    tail_fmt = ",%.9g" * (len(header) - 1) + "\n"
+    fmt = "%.9g" + tail_fmt
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for r0 in range(0, times.shape[0], BLOCK_STEPS):
             rows = slice(r0, r0 + BLOCK_STEPS)
             data = np.hstack([times[rows, None], *(c[rows] for c in columns.values())])
-            fh.writelines(fmt % tuple(row) for row in data.tolist())
+            # bits, not ==: -0.0 equals 0.0 but prints differently
+            bits = data[:, 1:].view(np.int64)
+            repeat = (bits[1:] == bits[:-1]).all(axis=1)
+            if not repeat.any():
+                fh.writelines(fmt % tuple(row) for row in data.tolist())
+                continue
+            starts = np.append(0, np.flatnonzero(~repeat) + 1)
+            tails = [tail_fmt % tuple(row) for row in data[starts, 1:].tolist()]
+            bounds = [*starts.tolist(), len(data)]
+            ts = data[:, 0].tolist()
+            fh.writelines("%.9g" % t + tail for tail, r, r1 in zip(tails, bounds, bounds[1:])
+                          for t in ts[r:r1])

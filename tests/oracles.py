@@ -1,7 +1,10 @@
 """Reference implementations the vectorized code is checked against: the
 per-column inverse, the linear Hurwitz-margin scan and the per-rate sweep of
-the decay-rate grid, one matrix at a time; and the per-step simulator."""
+the decay-rate grid, one matrix at a time; the entry-time choice over a
+block of rates with an exact log at every rate; and the per-step
+simulator."""
 
+import math
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -61,6 +64,20 @@ def finite_time_loop(a: np.ndarray, theta: np.ndarray, delta: np.ndarray,
                 best_alpha[i] = alpha
     return ConvergenceResult(T=float(best_t.max()), per_component_T=best_t,
                              per_component_alpha=best_alpha)
+
+
+def block_entry_times_all_logs(gamma: np.ndarray, dlt: np.ndarray,
+                               alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """finite_time's choice over a block of rates without the np.log screen:
+    ``math.log`` at every ratio above 1, then per column the first row of
+    least time (ties go to the smallest alpha) and that time."""
+    ratio = gamma / dlt
+    t = np.zeros_like(ratio)
+    above = ratio > 1.0
+    t[above] = np.fromiter(map(math.log, ratio[above]), float)
+    t /= alphas[:, None]
+    first = t.argmin(axis=0)
+    return first, t[first, np.arange(t.shape[1])]
 
 
 def simulate_stepwise(scenarios) -> list[Trajectory]:

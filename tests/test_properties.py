@@ -1,24 +1,27 @@
 """Property tests: the stacked inverse, the logarithmic margin search and
-the blocked decay-rate sweep against the one-matrix-at-a-time oracles;
-emitted certificates against numpy.linalg; the batched simulator against
-single runs and against superposition; the windowed simulator against the
-per-step one."""
+the blocked decay-rate sweep against the one-matrix-at-a-time oracles; the
+screened entry-time choice against an exact log at every rate; emitted
+certificates against numpy.linalg; the batched simulator against single runs
+and against superposition; the windowed simulator against the per-step
+one."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdde_bound.certificate import MU_SAFETY, compute_certificate
-from cdde_bound.envelope import finite_time
+from cdde_bound.envelope import _block_entry_times, finite_time
 from cdde_bound.linalg import SingularMatrix, inverse
 from cdde_bound.model import SystemSpec
 from cdde_bound.simulator import SignalSpec, simulate, simulate_many
 from cdde_bound.stability import alpha_max
 
 from conftest import make_sample_scenario, make_sample_system
-from oracles import alpha_max_scan, finite_time_loop, inverse_by_columns, simulate_stepwise
+from oracles import (alpha_max_scan, block_entry_times_all_logs, finite_time_loop,
+                     inverse_by_columns, simulate_stepwise)
 
 SEEDS = st.integers(0, 2**32 - 1)
 UNIT = st.floats(0.0, 1.0)
@@ -71,6 +74,71 @@ def test_finite_time_equals_per_rate_loop(case):
     assert np.array_equal(got.per_component_alpha, want.per_component_alpha)
     np.testing.assert_allclose(got.per_component_T, want.per_component_T, rtol=1e-12, atol=0)
     assert got.T == got.per_component_T.max()
+
+
+def _tie_ratio(t0: float, alpha: float) -> float | None:
+    """A ratio r with math.log(r) / alpha == t0 exactly, found by walking
+    from exp(t0 * alpha) one ulp at a time; None if the walk misses it."""
+    r = math.exp(t0 * alpha)
+    for _ in range(32):
+        t = math.log(r) / alpha
+        if t == t0:
+            return r
+        r = float(np.nextafter(r, np.inf if t < t0 else -np.inf))
+    return None
+
+
+@st.composite
+def entry_grid(draw):
+    """Envelope factors (G, n) over the rates k * step, k = 1..G, with
+    columns that hold the cases the log screen must keep: exact ties between
+    rates, ratios of 1 and 1 + k ulp, and a component already inside its
+    target box (t = 0 at every rate)."""
+    rng = np.random.default_rng(draw(SEEDS))
+    g, n = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    alphas = np.arange(1, g + 1) * draw(st.sampled_from([1e-3, 0.05, 0.3]))
+    # powers of two, so gamma / dlt gives each ratio back exactly
+    dlt = 2.0 ** rng.integers(-3, 4, n).astype(float)
+    ratio = np.exp(rng.uniform(-0.5, 5.0, (g, n)))
+    for i in range(n):
+        kind = draw(st.sampled_from(["random", "ulps", "ties", "inside"]))
+        if kind == "ulps":
+            ratio[:, i] = 1.0 + rng.integers(0, 5, g) * np.spacing(1.0)
+        elif kind == "inside":
+            ratio[:, i] = np.where(rng.uniform(size=g) < 0.3, 1.0, rng.uniform(0.1, 1.0, g))
+        elif kind == "ties":
+            # every rate that can reach the time of row g0 exactly ties with
+            # it; the others enter later
+            g0 = int(rng.integers(g))
+            t0 = math.log(ratio[g0, i] + 3.0) / alphas[g0]
+            for row, alpha in enumerate(alphas):
+                tie = _tie_ratio(t0, alpha)
+                ratio[row, i] = tie if tie is not None else 1.5 * math.exp(t0 * alpha)
+    return ratio * dlt, dlt, alphas
+
+
+def _tie_rounded_apart():
+    """Rates 1 and 2 whose entry times tie exactly under math.log, where
+    np.log puts the first, which must win, an ulp above the second.  The two
+    logs differ on about 1 in 1000 ratios below e; where this platform's
+    logs agree on every sampled ratio, a plain tie is returned."""
+    r = np.exp(np.random.default_rng(0).uniform(0.0, 1.0, 1 << 12))
+    for r1 in r[np.log(r) > np.fromiter(map(math.log, r), float)].tolist():
+        r2 = _tie_ratio(math.log(r1), 2.0)
+        if r2 is not None and np.log(r2) / 2.0 == math.log(r1):
+            return np.array([[r1], [r2]]), np.ones(1), np.array([1.0, 2.0])
+    return np.array([[2.0], [4.0]]), np.ones(1), np.array([1.0, 2.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry_grid())
+@example(_tie_rounded_apart())
+def test_log_screen_keeps_the_exact_choice(case):
+    gamma, dlt, alphas = case
+    got_first, got_t = _block_entry_times(gamma, dlt, alphas)
+    want_first, want_t = block_entry_times_all_logs(gamma, dlt, alphas)
+    assert np.array_equal(got_first, want_first)
+    assert np.array_equal(got_t, want_t)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from cdde_bound.certificate import compute_certificate, ultimate_bound
 from cdde_bound.linalg import solve
 from cdde_bound.model import SystemSpec
-from cdde_bound.simulator import (JUMP_TOL, InvalidScenario, MismatchedScenarios,
+from cdde_bound.simulator import (BLOCK_STEPS, JUMP_TOL, InvalidScenario, MismatchedScenarios,
                                   SignalSpec, SimulationScenario, UnstableStep,
                                   comparison_check, simulate,
                                   simulate_many, verify_domination, write_csv,
@@ -370,5 +370,38 @@ def test_csv_writer_matches_fstring_reference(tmp_path):
     write_csv(out, times, {"x": block[:, :2], "y": block[:, 2:]})
     rows = np.hstack([times[:, None], block])
     want = "t,x_1,x_2,y_1\n" + "".join(
+        ",".join(f"{v:.9g}" for v in row) + "\n" for row in rows)
+    assert out.read_bytes() == want.encode()
+
+
+def _repeated_rows():
+    """(times, columns) cases for the writer's reuse of a repeated row tail."""
+    rng = np.random.default_rng(3)
+    signed_zero = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+    nan_rows = np.array([[np.nan, 2.0]] * 3 + [[np.nan, -np.inf]] * 2)
+    rows = BLOCK_STEPS + 10
+    # one run of equal rows from BLOCK_STEPS - 5 to BLOCK_STEPS + 5
+    across = rng.uniform(size=(rows, 3))
+    across[BLOCK_STEPS - 5:BLOCK_STEPS + 5] = across[BLOCK_STEPS - 5]
+    # a constant-bound staircase: every row of the first block equal
+    constant = np.tile([0.25, 1.0 / 3.0, 7e-9], (BLOCK_STEPS + 3, 1))
+    return {
+        "signed-zero": (np.arange(5) * 0.5, {"x": signed_zero}),
+        "nan-rows": (np.arange(5) * 0.5, {"x": nan_rows[:, :1], "y": nan_rows[:, 1:]}),
+        "run-across-blocks": (np.arange(rows) * 1e-3, {"xb": across[:, :2], "yb": across[:, 2:]}),
+        "constant-block": (np.arange(BLOCK_STEPS + 3) * 0.04,
+                           {"xb": constant[:, :2], "yb": constant[:, 2:]}),
+        "t-only": (np.arange(BLOCK_STEPS + 3) * 1e-3, {}),
+    }
+
+
+@pytest.mark.parametrize("case", list(_repeated_rows()))
+def test_csv_tail_reuse_matches_fstring_reference(tmp_path, case):
+    times, columns = _repeated_rows()[case]
+    out = tmp_path / "t.csv"
+    write_csv(out, times, columns)
+    rows = np.hstack([times[:, None], *columns.values()])
+    header = ["t"] + [f"{p}_{i + 1}" for p, c in columns.items() for i in range(c.shape[1])]
+    want = ",".join(header) + "\n" + "".join(
         ",".join(f"{v:.9g}" for v in row) + "\n" for row in rows)
     assert out.read_bytes() == want.encode()
