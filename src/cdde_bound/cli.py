@@ -12,6 +12,7 @@ failure, 2 unreadable or malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -267,7 +268,10 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` leaves
+    it unchanged, so every call of ``main`` shares it."""
     parser = argparse.ArgumentParser(
         prog="cdde-bound",
         description="Componentwise state bounds for positive coupled "

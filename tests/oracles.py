@@ -1,8 +1,8 @@
 """Reference implementations the vectorized code is checked against: the
 per-column inverse, the linear Hurwitz-margin scan and the per-rate sweep of
 the decay-rate grid, one matrix at a time; the entry-time choice over a
-block of rates with an exact log at every rate; and the per-step
-simulator."""
+block of rates with an exact log at every rate; the per-step simulator;
+and Python's own "%.9g" for CSV rows."""
 
 import math
 from bisect import bisect_left, bisect_right
@@ -284,3 +284,8 @@ def simulate_stepwise(scenarios) -> list[Trajectory]:
     ys.setflags(write=False)
     return [Trajectory(times=ts, x_samples=xs[:, i], y_samples=ys[:, i])
             for i in range(len(scenarios))]
+
+
+def csv_rows_fstring(rows) -> bytes:
+    """Each row as its ``%.9g`` values joined by commas, LF-terminated."""
+    return "".join(",".join(f"{v:.9g}" for v in row) + "\n" for row in rows).encode()

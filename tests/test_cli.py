@@ -233,6 +233,16 @@ def test_simulate_deterministic_bytes(tmp_path, sample_problem_path):
     assert outs[0] == outs[1]
 
 
+def test_simulate_golden_bytes(tmp_path, sample_problem_path):
+    # SHA-256 of the sample's trajectory as written by the per-row "%.9g"
+    # writer, before the numpy encoder replaced it
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", str(sample_problem_path), "--t-end", "2",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "7897e2ef282e85f58d7784a93d227d1a21686b3f0f2591c98778fc684d1c9232"
+
+
 def test_simulate_inadmissible_scale_fails(tmp_path, capsys, sample_problem_path):
     out = tmp_path / "traj.csv"
     code = main(["simulate", str(sample_problem_path), "--a", "2",

@@ -3,7 +3,7 @@ the blocked decay-rate sweep against the one-matrix-at-a-time oracles; the
 screened entry-time choice against an exact log at every rate; emitted
 certificates against numpy.linalg; the batched simulator against single runs
 and against superposition; the windowed simulator against the per-step
-one."""
+one; the CSV encoder against Python's "%.9g"."""
 
 import math
 from dataclasses import replace
@@ -16,12 +16,12 @@ from cdde_bound.certificate import MU_SAFETY, compute_certificate
 from cdde_bound.envelope import _block_entry_times, finite_time
 from cdde_bound.linalg import SingularMatrix, inverse
 from cdde_bound.model import SystemSpec
-from cdde_bound.simulator import SignalSpec, simulate, simulate_many
+from cdde_bound.simulator import SignalSpec, _encode, simulate, simulate_many
 from cdde_bound.stability import alpha_max
 
 from conftest import make_sample_scenario, make_sample_system
-from oracles import (alpha_max_scan, block_entry_times_all_logs, finite_time_loop,
-                     inverse_by_columns, simulate_stepwise)
+from oracles import (alpha_max_scan, block_entry_times_all_logs, csv_rows_fstring,
+                     finite_time_loop, inverse_by_columns, simulate_stepwise)
 
 SEEDS = st.integers(0, 2**32 - 1)
 UNIT = st.floats(0.0, 1.0)
@@ -284,3 +284,35 @@ def test_windowed_run_equals_stepwise_run(scenarios):
         for name in ("x_samples", "y_samples"):
             ref = getattr(want, name)
             assert np.abs(getattr(got, name) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def ulps_from(x: float, d: int) -> float:
+    """x moved by d units in the last place."""
+    return float((np.array(x).view(np.int64) + d).view(np.float64))
+
+
+# every cell kind the encoder treats apart: NaN, infinities, signed zeros,
+# subnormals, powers of ten a few ulp off (where floor(log10) can be off by
+# one), exact binary fractions (exact decimal ties among them) and any double
+CSV_CELLS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.builds(lambda k, d, s: s * ulps_from(10.0 ** k, d), st.integers(-300, 300),
+              st.integers(-3, 3), st.sampled_from([1.0, -1.0])),
+    st.builds(lambda m, j: m / 2.0 ** j, st.integers(-10 ** 12, 10 ** 12), st.integers(0, 16)),
+    st.floats(-1e3, 1e3),
+    st.floats(),
+)
+
+
+@st.composite
+def csv_block(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    cells = draw(st.lists(CSV_CELLS, min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=float).reshape(rows, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(csv_block())
+def test_csv_encoder_equals_fstring(block):
+    assert _encode(block) == csv_rows_fstring(block)

@@ -10,12 +10,12 @@ from cdde_bound.linalg import solve
 from cdde_bound.model import SystemSpec
 from cdde_bound.simulator import (BLOCK_STEPS, JUMP_TOL, InvalidScenario, MismatchedScenarios,
                                   SignalSpec, SimulationScenario, UnstableStep,
-                                  comparison_check, simulate,
+                                  _CSV_CELLS, _encode, comparison_check, simulate,
                                   simulate_many, verify_domination, write_csv,
                                   write_trajectory_csv)
 
 from conftest import make_sample_scenario
-from oracles import simulate_stepwise
+from oracles import csv_rows_fstring, simulate_stepwise
 
 
 def scalar_scenario(a_val=-1.0, psi=1.0, t_end=1.0, step=1e-3, omega=None, c_val=0.0,
@@ -405,3 +405,28 @@ def test_csv_tail_reuse_matches_fstring_reference(tmp_path, case):
     want = ",".join(header) + "\n" + "".join(
         ",".join(f"{v:.9g}" for v in row) + "\n" for row in rows)
     assert out.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("value", [
+    12345678.25, 123456789.5,   # exact decimal ties: the fallback rounds them half-even
+    9.999999995, 99999.99995,   # near ties: the scaled product rounds onto .5
+    9.9999999995, 999999999.7,  # round up to a power of ten: the mantissa carries
+    1e-05, 1.5e-07, 0.0001, 123456789.0, 1e16, 1e30,     # exponent forms
+    1e31, 1e+100, 1e-300, 5e-324, 2.2250738585072014e-308,   # outside the exact powers
+    0.0, math.nan, math.inf,
+])
+def test_csv_encoder_cases(value):
+    block = np.array([[value, -value], [value / 3.0, np.nextafter(value, 0.0)]])
+    assert _encode(block) == csv_rows_fstring(block)
+
+
+def test_csv_writer_encodes_wide_blocks_in_chunks(tmp_path):
+    # 40 columns: each full block is encoded in several calls
+    assert BLOCK_STEPS > _CSV_CELLS // 40
+    rng = np.random.default_rng(7)
+    times = np.arange(600) * 1e-3
+    x = rng.standard_normal((600, 39)) * 10.0 ** rng.integers(-6, 6, (600, 39))
+    out = tmp_path / "t.csv"
+    write_csv(out, times, {"x": x})
+    header = "t," + ",".join(f"x_{i + 1}" for i in range(39)) + "\n"
+    assert out.read_bytes() == header.encode() + csv_rows_fstring(np.hstack([times[:, None], x]))
