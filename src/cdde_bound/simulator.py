@@ -21,6 +21,17 @@ Scenario envelope checks run at grid points only; violations strictly
 between grid points are not detectable at this resolution.  Scenarios that
 share the system, the delays and the grid run as one batch.
 
+The disturbances are evaluated a block of ``BLOCK_STEPS`` steps at a time
+for the whole batch: each distinct wave, |sin| or |cos| at one frequency,
+once for the grid times and once for the half-step times, and each member's
+values as amplitude times wave (plus its offset).  The envelope checks of
+omega and d run on these same samples, each block before it is stepped.
+Error precedence is that of checking all scenario data before the first
+step: a failed check or a divergence first runs the full scan, psi, phi,
+omega and d at every grid time, member by member, then h1 and h2, so any
+envelope violation wins over a divergence, and the first one in that order
+is the one reported.
+
 Steps run in windows, by the method of steps (Bellman & Cooke, 1963): a
 window from grid time t_w is the longest run of steps whose delayed
 arguments all lie at or before t_w and whose delay brackets hold no stored
@@ -41,13 +52,15 @@ and name the first failing grid time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
 from .certificate import BoundCertificate, sample_staircase
 from .linalg import DimensionMismatch, as_vector, inverse
 from .model import SystemSpec, negative
+from .signals import SignalSpec, _SignalBatch
 
 DIVERGENCE_LIMIT = 1e12
 GRID_TOL = 1e-12
@@ -55,9 +68,6 @@ GRID_TOL = 1e-12
 JUMP_TOL = 1e-13
 # grid steps per block of sampled disturbances, and rows per block of CSV
 BLOCK_STEPS = 512
-
-SIGNAL_KINDS = ("zero", "constant", "abs_sin", "abs_cos",
-                "const_plus_abs_sin", "const_plus_abs_cos")
 
 
 class InvalidScenario(ValueError):
@@ -70,86 +80,6 @@ class UnstableStep(RuntimeError):
 
 class MismatchedScenarios(ValueError):
     """Scenario pair is not comparable."""
-
-
-@dataclass(frozen=True)
-class SignalSpec:
-    """Nonnegative scalar- or vector-valued signal preset.
-
-    ``amplitude`` fixes the output dimension.  ``frequency`` (rad per time
-    unit) applies to the oscillating kinds and broadcasts from a single
-    value; ``offset`` only applies to the ``const_plus_*`` kinds.
-    """
-
-    kind: str
-    amplitude: tuple[float, ...]
-    frequency: tuple[float, ...] = ()
-    offset: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in SIGNAL_KINDS:
-            raise ValueError(f"unknown signal kind {self.kind!r}; expected one of {SIGNAL_KINDS}")
-        amp = tuple(float(a) for a in self.amplitude)
-        if not amp:
-            raise ValueError("amplitude must have at least one component")
-        freq = tuple(float(f) for f in self.frequency) or (0.0,)
-        if len(freq) == 1:
-            freq = freq * len(amp)
-        if len(freq) != len(amp):
-            raise ValueError(f"frequency length {len(freq)} does not match amplitude length {len(amp)}")
-        offset = float(self.offset)
-        for label, values in (("amplitude", amp), ("frequency", freq), ("offset", (offset,))):
-            if not np.isfinite(values).all():
-                raise ValueError(f"{label} must be finite, got {values}")
-        object.__setattr__(self, "amplitude", amp)
-        object.__setattr__(self, "frequency", freq)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "_amp", np.array(amp))
-        object.__setattr__(self, "_freq", np.array(freq))
-
-    @property
-    def dim(self) -> int:
-        return len(self.amplitude)
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self._eval(t)
-
-    def _eval(self, t) -> np.ndarray:
-        kind = self.kind
-        if kind == "zero":
-            return np.zeros(self.dim) if np.isscalar(t) else np.zeros((len(t), self.dim))
-        if kind == "constant":
-            return self._amp.copy() if np.isscalar(t) else np.tile(self._amp, (len(t), 1))
-        phase = np.multiply.outer(t, self._freq) if not np.isscalar(t) else self._freq * t
-        if kind in ("abs_sin", "const_plus_abs_sin"):
-            wave = self._amp * np.abs(np.sin(phase))
-        else:
-            wave = self._amp * np.abs(np.cos(phase))
-        if kind.startswith("const_plus"):
-            wave = wave + self.offset
-        return wave
-
-    # a finite frequency can still overflow the phase; the NaN that follows
-    # is reported by the envelope check, not as a numpy warning.  Scalar
-    # calls (the simulator's bisection) skip the errstate, which costs more
-    # than the evaluation; they run inside the simulator's own errstate.
-    @np.errstate(over="ignore", invalid="ignore")
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        """Evaluate on a grid; shape (len(times), dim)."""
-        return self._eval(np.asarray(times, dtype=float))
-
-    def scaled(self, factor: float) -> "SignalSpec":
-        """Scale the whole signal value (amplitude and offset) by ``factor``."""
-        return replace(self, amplitude=tuple(factor * a for a in self.amplitude),
-                       frequency=self.frequency, offset=factor * self.offset)
-
-    @staticmethod
-    def constant(values) -> "SignalSpec":
-        return SignalSpec(kind="constant", amplitude=tuple(float(v) for v in np.atleast_1d(values)))
-
-    @staticmethod
-    def zero(dim: int) -> "SignalSpec":
-        return SignalSpec(kind="zero", amplitude=(0.0,) * dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,17 +141,44 @@ class DominationReport:
 
 
 def _check_envelope(name: str, times, values, upper):
+    """Raise at the first entry of ``values`` (time first, component last)
+    that is not finite, is negative or exceeds ``upper``, in that order."""
     v = np.atleast_2d(values)
     if not np.isfinite(v).all():
-        i, j = np.argwhere(~np.isfinite(v))[0]
-        raise InvalidScenario(f"{name} not finite at t={times[i]:g}: {v[i, j]}")
+        i = np.argwhere(~np.isfinite(v))[0]
+        raise InvalidScenario(f"{name} not finite at t={times[i[0]]:g}: {v[tuple(i)]}")
     if negative(v).any():
-        i, j = np.argwhere(negative(v))[0]
-        raise InvalidScenario(f"{name} negative at t={times[i]:g}: {v[i, j]}")
+        i = np.argwhere(negative(v))[0]
+        raise InvalidScenario(f"{name} negative at t={times[i[0]]:g}: {v[tuple(i)]}")
     if negative(upper - v).any():
-        i, j = np.argwhere(negative(upper - v))[0]
-        raise InvalidScenario(f"{name} exceeds its bound at t={times[i]:g}: "
-                              f"{v[i, j]} > {upper[j]}")
+        i = np.argwhere(negative(upper - v))[0]
+        raise InvalidScenario(f"{name} exceeds its bound at t={times[i[0]]:g}: "
+                              f"{v[tuple(i)]} > {upper[i[-1]]}")
+
+
+@contextmanager
+def _first_violation_wins(scenarios, ts: np.ndarray):
+    """On an InvalidScenario or UnstableStep, raise instead the first
+    envelope violation of the batch's data, if any: psi, phi, omega and d,
+    each at every grid time ``ts``, member by member, then h1 and h2.  This
+    scan runs on the error path only; it makes any violation win over a
+    divergence, whatever block either shows up in."""
+    try:
+        yield
+    except (InvalidScenario, UnstableStep):
+        spec = scenarios[0].spec
+        hist_ts = _history_times(spec.h_max, scenarios[0].step)
+        for sc in scenarios:
+            _check_envelope("psi", ts[:1], sc.psi, spec.psi_bar)
+            _check_envelope("phi", hist_ts, sc.phi.sample(hist_ts), spec.phi_bar)
+            for name, sig, upper in (("omega", sc.omega, spec.omega_bar),
+                                     ("d", sc.d, spec.d_bar)):
+                for k0 in range(0, len(ts), BLOCK_STEPS):
+                    block = ts[k0:k0 + BLOCK_STEPS]
+                    _check_envelope(name, block, sig.sample(block), upper)
+        for name in ("h1", "h2"):
+            _check_envelope(name, ts, getattr(scenarios[0], name).sample(ts), [spec.h_max])
+        raise
 
 
 def _history_times(h_max: float, step: float) -> np.ndarray:
@@ -262,27 +219,20 @@ def simulate_many(scenarios) -> list[Trajectory]:
     AT, BT, CT, DT = spec.A.T.copy(), spec.B.T.copy(), spec.C.T.copy(), spec.D.T.copy()
     closure = inverse(np.eye(m) - spec.D).T
 
+    # each distinct wave once per call for the whole batch (_SignalBatch)
+    batch = {name: _SignalBatch([getattr(sc, name) for sc in scenarios])
+             for name in ("omega", "d", "phi")}
+
     def at(name: str, t: float) -> np.ndarray:              # (S, dim)
-        return np.array([getattr(sc, name)(t) for sc in scenarios])
+        return batch[name](np.array([t]))[0]
 
     def on(name: str, times: np.ndarray) -> np.ndarray:     # (len(times), S, dim)
-        return np.stack([getattr(sc, name).sample(times) for sc in scenarios], axis=1)
+        return batch[name](times)
 
-    # admissibility of the scenario data, checked at grid points; the
-    # disturbances are sampled in blocks so memory does not grow with t_end
     hist_ts = _history_times(spec.h_max, h)
-    for sc in scenarios:
-        _check_envelope("psi", ts[:1], sc.psi, spec.psi_bar)
-        _check_envelope("phi", hist_ts, sc.phi.sample(hist_ts), spec.phi_bar)
-        for name, sig, upper in (("omega", sc.omega, spec.omega_bar), ("d", sc.d, spec.d_bar)):
-            for k0 in range(0, K + 1, BLOCK_STEPS):
-                block = ts[k0:k0 + BLOCK_STEPS]
-                _check_envelope(name, block, sig.sample(block), upper)
     H10 = first.h1.sample(ts)[:, 0]
     H1h = first.h1.sample(ts[:-1] + 0.5 * h)[:, 0]
     H20 = first.h2.sample(ts)[:, 0]
-    for name, vals in (("h1", H10), ("h2", H20)):
-        _check_envelope(name, ts, vals[:, None], np.array([spec.h_max]))
 
     xs = np.empty((K + 1, S, n))
     # zeros, not empty: a history weight of 0 still multiplies a stored row
@@ -348,11 +298,14 @@ def simulate_many(scenarios) -> list[Trajectory]:
     def yhist(tq: np.ndarray, kmax: int) -> np.ndarray:
         return gather(weights(tq, kmax), 0, len(tq))
 
+    # the delays at one time, on np.float64 scalars (_SignalBatch.scalar)
+    h1_at, h2_at = first.h1._batch.scalar, first.h2._batch.scalar
+
     def darg(t: float) -> float:
-        return t - float(first.h1(t)[0])
+        return t - float(h1_at(t))
 
     def g2(t: float) -> float:
-        return t - float(first.h2(t)[0])
+        return t - float(h2_at(t))
 
     def rk4(x, hh, z0, zh, z1, w0, wh, w1):
         c0 = z0 @ BT + w0
@@ -399,11 +352,12 @@ def simulate_many(scenarios) -> list[Trajectory]:
         z = iter(yhist(np.array([min(darg(t), tk) for ta, start, th, tb, end in steps
                                  for t, side in ((ta, start), (th, None), (tb, end))
                                  if side is None]), kav))
-        for ta, start, th, tb, end in steps:
+        w = on("omega", np.array([t for ta, start, th, tb, end in steps for t in (ta, th, tb)]))
+        for i, (ta, start, th, tb, end) in enumerate(steps):
             z0 = next(z) if start is None else jumps[2][start]
             zh = next(z)
             z1 = next(z) if end is None else jumps[1][end]
-            x = rk4(x, tb - ta, z0, zh, z1, at("omega", ta), at("omega", th), at("omega", tb))
+            x = rk4(x, tb - ta, z0, zh, z1, *w[3 * i:3 * i + 3])
         return x
 
     def propagate(k: int) -> None:
@@ -488,17 +442,25 @@ def simulate_many(scenarios) -> list[Trajectory]:
             raise UnstableStep(f"{'state' if state[r] else 'output'} magnitude exceeded "
                                f"{DIVERGENCE_LIMIT:g} at t={ts[k + 1 + r]:g}")
 
-    # initial y from the difference relation (right-continuous at 0)
-    ys[0] = output(xs[0], yhist(-H20[:1], 0)[0], on("d", ts[:1])[0], H20[0] < h)
-    left0 = at("phi", 0.0)
-    if np.max(np.abs(ys[0] - left0)) > JUMP_TOL:
-        jumps[:] = (np.zeros(1), left0[None], ys[0][None].copy())
+    # A finite frequency can overflow a signal's phase, and rows after a
+    # divergence may overflow until the block's check() names the first one.
+    with np.errstate(over="ignore", invalid="ignore"), _first_violation_wins(scenarios, ts):
+        # the scenario data, checked at grid points before the integrator
+        # reads them: psi, phi, the delays and d at t = 0 here, omega and d
+        # block by block
+        _check_envelope("psi", ts[:1], xs[:1], spec.psi_bar)
+        _check_envelope("phi", hist_ts, on("phi", hist_ts), spec.phi_bar)
+        for name, vals in (("h1", H10), ("h2", H20)):
+            _check_envelope(name, ts, vals[:, None], [spec.h_max])
+        d0 = on("d", ts[:1])
+        _check_envelope("d", ts[:1], d0, spec.d_bar)
 
-    # Windows, split steps and plans as in the module docstring.  A step k
-    # reads y at four times: t_k, t_k + h/2 and t_{k+1} less h1 (clamped to
-    # t_k) for x, and t_{k+1} less h2 for y.  Rows after a divergence may
-    # overflow until the block's check() names the first one.
-    with np.errstate(over="ignore", invalid="ignore"):
+        # initial y from the difference relation (right-continuous at 0)
+        ys[0] = output(xs[0], yhist(-H20[:1], 0)[0], d0[0], H20[0] < h)
+        left0 = at("phi", 0.0)
+        if np.max(np.abs(ys[0] - left0)) > JUMP_TOL:
+            jumps[:] = (np.zeros(1), left0[None], ys[0][None].copy())
+
         # P^(2^j) for recur's scan, 2^j < BLOCK_STEPS.  A power that
         # overflows ends the list (a never-excited mode of 0 * inf would
         # fake a divergence), and the scan then runs in shorter chunks.
@@ -509,13 +471,18 @@ def simulate_many(scenarios) -> list[Trajectory]:
                 break
             powers.append(square)
         span = 2 ** len(powers)
+        # Windows, split steps and plans as in the module docstring.  A step
+        # k reads y at four times: t_k, t_k + h/2 and t_{k+1} less h1
+        # (clamped to t_k) for x, and t_{k+1} less h2 for y.
         for k0 in range(0, K, BLOCK_STEPS):
             k1 = min(k0 + BLOCK_STEPS, K)
             nb = k1 - k0
             t0s, t1s = ts[k0:k1], ts[k0 + 1:k1 + 1]
             W0 = on("omega", ts[k0:k1 + 1])
-            Wh = on("omega", t0s + 0.5 * h)
+            _check_envelope("omega", ts[k0:k1 + 1], W0, spec.omega_bar)
             D1 = on("d", t1s)
+            _check_envelope("d", t1s, D1, spec.d_bar)
+            Wh = on("omega", t0s + 0.5 * h)
             # products over 2-D rows (step, member): a stacked product runs one
             # small matmul per step
             forcing = (np.concatenate((W0[:-1], Wh, W0[1:]), axis=2).reshape(nb * S, 3 * n)

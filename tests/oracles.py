@@ -2,7 +2,8 @@
 per-column inverse, the linear Hurwitz-margin scan and the per-rate sweep of
 the decay-rate grid, one matrix at a time; the entry-time choice over a
 block of rates with an exact log at every rate; the per-step simulator;
-and Python's own "%.9g" for CSV rows."""
+one signal's values on a grid, one signal at a time; and Python's own
+"%.9g" for CSV rows."""
 
 import math
 from bisect import bisect_left, bisect_right
@@ -78,6 +79,21 @@ def block_entry_times_all_logs(gamma: np.ndarray, dlt: np.ndarray,
     t /= alphas[:, None]
     first = t.argmin(axis=0)
     return first, t[first, np.arange(t.shape[1])]
+
+
+def signal_values(sig, times: np.ndarray) -> np.ndarray:
+    """``sig`` on the float64 ``times``, shape (len(times), dim): amplitude
+    times |sin| or |cos| of the outer product of times and frequencies, plus
+    the offset, as ``SignalSpec`` evaluated one signal at a time."""
+    if sig.kind == "zero":
+        return np.zeros((len(times), sig.dim))
+    amp = np.array(sig.amplitude)
+    if sig.kind == "constant":
+        return np.tile(amp, (len(times), 1))
+    trig = np.sin if sig.kind.endswith("sin") else np.cos
+    with np.errstate(over="ignore", invalid="ignore"):
+        wave = amp * np.abs(trig(np.multiply.outer(times, np.array(sig.frequency))))
+    return wave + sig.offset if sig.kind.startswith("const_plus") else wave
 
 
 def simulate_stepwise(scenarios) -> list[Trajectory]:

@@ -3,7 +3,8 @@ the blocked decay-rate sweep against the one-matrix-at-a-time oracles; the
 screened entry-time choice against an exact log at every rate; emitted
 certificates against numpy.linalg; the batched simulator against single runs
 and against superposition; the windowed simulator against the per-step
-one; the CSV encoder against Python's "%.9g"."""
+one; the shared-wave signal batch against one signal at a time; the CSV
+encoder against Python's "%.9g"."""
 
 import math
 from dataclasses import replace
@@ -16,12 +17,14 @@ from cdde_bound.certificate import MU_SAFETY, compute_certificate
 from cdde_bound.envelope import _block_entry_times, finite_time
 from cdde_bound.linalg import SingularMatrix, inverse
 from cdde_bound.model import SystemSpec
+from cdde_bound.signals import SIGNAL_KINDS, _SignalBatch
 from cdde_bound.simulator import SignalSpec, _encode, simulate, simulate_many
 from cdde_bound.stability import alpha_max
 
 from conftest import make_sample_scenario, make_sample_system
 from oracles import (alpha_max_scan, block_entry_times_all_logs, csv_rows_fstring,
-                     finite_time_loop, inverse_by_columns, simulate_stepwise)
+                     finite_time_loop, inverse_by_columns, signal_values,
+                     simulate_stepwise)
 
 SEEDS = st.integers(0, 2**32 - 1)
 UNIT = st.floats(0.0, 1.0)
@@ -316,3 +319,48 @@ def csv_block(draw):
 @given(csv_block())
 def test_csv_encoder_equals_fstring(block):
     assert _encode(block) == csv_rows_fstring(block)
+
+
+# frequencies members share or not, zero, negative, and one whose phase
+# overflows to inf (a NaN value) beyond t = 1.8
+FREQS = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, -0.5, 40.0, 1e308])
+
+
+@st.composite
+def signal_batch(draw):
+    dim = draw(st.integers(1, 3))
+    members = []
+    for _ in range(draw(st.integers(1, 5))):
+        sig = SignalSpec(draw(st.sampled_from(SIGNAL_KINDS)),
+                         tuple(draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim))),
+                         tuple(draw(st.lists(FREQS, min_size=dim, max_size=dim))),
+                         draw(st.floats(-3.0, 3.0)))
+        scale = draw(st.sampled_from([None, 0.0, 0.5]))
+        members.append(sig if scale is None else sig.scaled(scale))
+    times = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20)))
+    return members, times
+
+
+@settings(max_examples=200, deadline=None)
+@given(signal_batch())
+def test_signal_batch_equals_member_samples(case):
+    members, times = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _SignalBatch(members)(times)
+    want = np.stack([sig.sample(times) for sig in members], axis=1)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # and each member's sample is the one-signal formula, bit for bit
+    ref = np.stack([signal_values(sig, times) for sig in members], axis=1)
+    assert np.array_equal(want.view(np.int64), ref.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SIGNAL_KINDS), st.floats(-3.0, 3.0), FREQS, st.floats(-3.0, 3.0),
+       st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=50))
+def test_scalar_delay_path_equals_sample(kind, amp, freq, offset, times):
+    sig = SignalSpec(kind, (amp,), (freq,), offset)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = np.array([sig._batch.scalar(t) for t in times])
+    want = sig.sample(np.array(times))[:, 0]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -348,6 +348,37 @@ def test_batch_checks_every_member(sample_spec):
         simulate_many([replace(growing, psi=[0.0]), growing])
 
 
+def _precedence_cases():
+    """Members with faults in different blocks; the error raised is the
+    first one of psi, phi, omega (every grid time), d (every grid time),
+    member by member, and any envelope violation before a divergence."""
+    # 2 |sin(0.29 t)| first exceeds a bound of 1 at t = 1.806, in block 3
+    late = SignalSpec("abs_sin", (2.0,), (0.29,))
+    calm = scalar_scenario(t_end=2.0, omega=late)
+    growing = scalar_scenario(a_val=40.0, t_end=2.0, omega=late)
+    quiet_d = replace(calm, spec=replace(calm.spec, d_bar=[1.0]), omega=SignalSpec.zero(1))
+    omega_late = "omega exceeds its bound at t=1.806: 1.000244597866036 > 1.0"
+    return {
+        # the member without omega diverges at t = 0.691, in block 1
+        "late-omega-after-divergence": (
+            [replace(growing, omega=SignalSpec.zero(1)), growing], omega_late),
+        "d-at-block-0-then-late-omega": ([replace(calm, d=SignalSpec.constant([0.5]))],
+                                         omega_late),
+        "later-psi-after-earlier-omega": ([calm, replace(calm, psi=[2.0])], omega_late),
+        "late-d-in-second-member": (
+            [quiet_d, replace(quiet_d, d=late)],
+            "d exceeds its bound at t=1.806: 1.000244597866036 > 1.0"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_precedence_cases()))
+def test_error_precedence_is_member_by_member(case):
+    members, message = _precedence_cases()[case]
+    with pytest.raises(InvalidScenario) as err:
+        simulate_many(members)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("field, value", [
     ("spec", None), ("h1", SignalSpec.constant([1.5])), ("h2", SignalSpec.constant([1.5])),
     ("step", 2e-3), ("t_end", 2.0)], ids=["system", "h1", "h2", "step", "t_end"])
