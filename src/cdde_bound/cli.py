@@ -21,10 +21,11 @@ import numpy as np
 
 from .certificate import (BoundCertificate, CertificateError, compute_certificate,
                           sample_staircase)
+from .csvio import write_csv
 from .model import SystemSpec, validate_structure
 from .simulator import (DominationReport, InvalidScenario, SignalSpec,
                         SimulationScenario, Trajectory, UnstableStep, simulate,
-                        simulate_many, verify_domination, write_csv, write_trajectory_csv)
+                        simulate_many, verify_domination, write_trajectory_csv)
 from .stability import check_joint_condition
 
 # alpha_step, simulation step and t_end; each must be finite and positive
@@ -227,9 +228,12 @@ def grid_reports(spec: SystemSpec, scenario_cfg, cert: BoundCertificate, *,
         build_scenario(spec, scenario_cfg, a=a, b=b, t_end=t_end, step=step)
         for a, b in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))])
     bound = sample_staircase(cert, free.times)
-    parts = {name: (getattr(free, name), getattr(omega, name) - getattr(free, name),
-                    getattr(dist, name) - getattr(free, name))
-             for name in ("x_samples", "y_samples")}
+    # each trajectory is a view that steps over the batch's rows; a
+    # contiguous F makes the differences and every composition contiguous
+    parts = {}
+    for name in ("x_samples", "y_samples"):
+        base = np.ascontiguousarray(getattr(free, name))
+        parts[name] = base, getattr(omega, name) - base, getattr(dist, name) - base
 
     def compose(name: str, a: float, b: float) -> np.ndarray:
         base, d_omega, d_dist = parts[name]

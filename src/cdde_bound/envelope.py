@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrix, as_matrix, as_vector
+from .linalg import SingularMatrix, as_matrix, as_vector, inverse
 from .model import NONNEG_TOL, negative
-from .stability import (NotStable, _neg_inverse_if_hurwitz, _require_metzler, alpha_max,
-                        is_metzler_hurwitz)
+from .stability import NotStable, _require_metzler, alpha_max, is_metzler_hurwitz
 
-# finite_time sweeps the alpha grid in blocks whose (G, n, n) float64 arrays
+# finite_time sweeps the alpha grid in blocks whose (n, n, G) float64 arrays
 # take about this many bytes each; about three are alive at once
 BLOCK_BYTES = 1 << 18
 # relative margin of the np.log screen in _block_entry_times: numpy's log is
@@ -66,24 +65,34 @@ class ConvergenceResult:
 
 def _envelope_factors(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Optimal factors ``gamma[g, i]`` at each rate ``alphas[g]``, by one
-    inversion of the stack ``A + alphas[g] I``, which must be Hurwitz."""
+    inversion of the stack ``A + alphas[g] I``, which must be Hurwitz.
+
+    The stack is built with the members on the last axis, ``(n, n, G)``, and
+    every per-member test runs along it, G entries at a time: the condition
+    test in ``inverse``, the index mask, the ratios and their minimum.  Only
+    LAPACK and the product ``a`` see the members first."""
     span = f"alpha={alphas[0]}" if alphas.size == 1 else f"alpha in [{alphas[0]}, {alphas[-1]}]"
-    shifted = alphas[:, None, None] * np.eye(A.shape[0])
-    shifted += A
+    shifted = np.eye(A.shape[0])[:, :, None] * alphas
+    shifted += A[:, :, None]
     try:
-        neg_inv = _neg_inverse_if_hurwitz(shifted)
+        neg_inv = inverse(shifted.transpose(2, 0, 1))
     except SingularMatrix as exc:
         raise DecayRateTooLarge(f"{span}: shifted matrix singular") from exc
-    if neg_inv is None:
+    # a Metzler matrix is Hurwitz iff it is nonsingular with inv <= 0
+    if not (neg_inv <= NONNEG_TOL).all():
         raise DecayRateTooLarge(f"{span}: shifted matrix not Hurwitz")
+    np.negative(neg_inv, out=neg_inv)
     a = neg_inv @ theta                                 # (G, n)
-    # b = neg_inv[g, :, i]; the ratio a_j / b_j is overwritten into neg_inv
-    mask = neg_inv > NONNEG_TOL
-    if not mask.any(axis=1).all():
+    # b[j, i, g] = neg_inv[g, j, i], written over the spent stack; the ratio
+    # a_j / b_j is then overwritten into b
+    b = shifted
+    np.copyto(b, neg_inv.transpose(1, 2, 0))
+    mask = b > NONNEG_TOL
+    if not mask.any(axis=0).all():
         raise EmptyIndexSet("a column of the shifted inverse has no positive entry")
-    np.divide(a[:, :, None], neg_inv, out=neg_inv, where=mask)
-    np.copyto(neg_inv, np.inf, where=~mask)
-    return neg_inv.min(axis=1)
+    np.divide(a.T[:, None, :], b, out=b, where=mask)
+    np.copyto(b, np.inf, where=~mask)
+    return b.min(axis=0).T
 
 
 def gamma_component(A, alpha: float, theta_bar, i: int) -> float:

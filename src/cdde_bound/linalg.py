@@ -101,11 +101,26 @@ def solve(matrix, rhs) -> np.ndarray:
     return lu_solve(lu, perm, b)
 
 
+def _ill_conditioned(a: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the reciprocal 1-norm condition of ``a``, from its inverse
+    ``inv``, is below ``PIVOT_RTOL`` (or NaN), and the condition number.
+
+    Both are one matrix or ``(n, n, G)`` stacks with the members on the last
+    axis.  ``inv`` comes members first from ``np.linalg.inv`` and is copied
+    contiguous along the stack, so each reduction runs over G entries at a
+    time; the column sums add the rows in order, as on the members-first
+    array.  Runs under the caller's ``errstate``: an overflowing norm counts
+    as ill-conditioned."""
+    cond = np.abs(a).sum(axis=0).max(axis=0) * np.abs(inv, order="C").sum(axis=0).max(axis=0)
+    return ~(cond * PIVOT_RTOL < 1.0), cond
+
+
 def inverse(matrix) -> np.ndarray:
     """Inverse of a matrix or of each member of a stack ``(G, n, n)``, by
     one LAPACK call.  Raises :class:`SingularMatrix`, naming the stack
     member, when a member's reciprocal 1-norm condition is below
-    ``PIVOT_RTOL``."""
+    ``PIVOT_RTOL``.  A stack that is a view of an ``(n, n, G)`` array, as
+    the decay-rate sweep passes it, is read along G throughout."""
     # validated in place: np.linalg.inv makes its own copy
     a = _as_array(matrix, "matrix", 3 if np.ndim(matrix) == 3 else 2, copy=False)
     _square(a)
@@ -116,9 +131,9 @@ def inverse(matrix) -> np.ndarray:
         # LAPACK met an exact zero pivot; slogdet factors the same way
         j = int(np.argmin(np.abs(np.linalg.slogdet(a).sign)))
         raise SingularMatrix("exactly singular" + member.format(j)) from None
+    last = (a, inv) if a.ndim == 2 else (a.transpose(1, 2, 0), inv.transpose(1, 2, 0))
     with np.errstate(all="ignore"):         # an overflowing norm is singular too
-        cond = np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
-    bad = ~(cond * PIVOT_RTOL < 1.0)
+        bad, cond = _ill_conditioned(*last)
     if bad.any():
         j = int(np.argmax(bad))
         raise SingularMatrix(f"reciprocal condition {1.0 / cond.flat[j]:.3e} below threshold "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrix, as_matrix, as_vector, inverse, lu_factor, lu_solve
+from .linalg import SingularMatrix, _ill_conditioned, as_matrix, as_vector, lu_factor, lu_solve
 from .model import NONNEG_TOL, SystemSpec, negative
 
 
@@ -51,14 +51,15 @@ def _require_metzler(A: np.ndarray) -> None:
         raise NotMetzler(f"off-diagonal entry {off.min()} below -{NONNEG_TOL}")
 
 
-def _neg_inverse_if_hurwitz(M: np.ndarray) -> np.ndarray | None:
-    """``-inv(M)`` if the Metzler matrix, or every member of the stack, ``M``
-    is Hurwitz (nonsingular with ``inv(M) <= 0``), else None; raises
-    SingularMatrix for a singular member."""
-    neg_inv = inverse(M)
-    if not (neg_inv <= NONNEG_TOL).all():
-        return None
-    return np.negative(neg_inv, out=neg_inv)
+def _is_hurwitz(M: np.ndarray) -> bool:
+    """Sign-of-inverse test of one finite Metzler matrix: ``inverse``'s
+    singularity test, then ``inv(M) <= 0``, without its checks of the input.
+    Runs under the caller's ``errstate``."""
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return False
+    return not _ill_conditioned(M, inv)[0] and bool((inv <= NONNEG_TOL).all())
 
 
 def is_metzler_hurwitz(A) -> bool:
@@ -67,10 +68,8 @@ def is_metzler_hurwitz(A) -> bool:
     if M.shape[0] != M.shape[1]:
         raise NotMetzler(f"matrix must be square, got {M.shape}")
     _require_metzler(M)
-    try:
-        return _neg_inverse_if_hurwitz(M) is not None
-    except SingularMatrix:
-        return False
+    with np.errstate(all="ignore"):
+        return _is_hurwitz(M)
 
 
 def is_schur_nonneg(D) -> bool:
@@ -139,12 +138,18 @@ def alpha_max(A, step: float) -> float:
     eye = np.eye(M.shape[0])
 
     def hurwitz(k: int) -> bool:
-        return is_metzler_hurwitz(M + (k * step) * eye)
+        # is_metzler_hurwitz without its check of the structure, which the
+        # shift cannot change: the off-diagonal entries are those of M
+        shifted = M + (k * step) * eye
+        if not np.isfinite(shifted).all():
+            raise ValueError("A contains non-finite entries")
+        return _is_hurwitz(shifted)
 
     good, bad = 0, 1                    # hurwitz(good) holds throughout
-    while hurwitz(bad):
-        good, bad = bad, 2 * bad
-    while bad - good > 1:               # and from here on, not hurwitz(bad)
-        mid = (good + bad) // 2
-        good, bad = (mid, bad) if hurwitz(mid) else (good, mid)
+    with np.errstate(all="ignore"):     # for _is_hurwitz
+        while hurwitz(bad):
+            good, bad = bad, 2 * bad
+        while bad - good > 1:           # and from here on, not hurwitz(bad)
+            mid = (good + bad) // 2
+            good, bad = (mid, bad) if hurwitz(mid) else (good, mid)
     return good * step

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cdde_bound.certificate import MU_SAFETY, compute_certificate
+from cdde_bound.csvio import _encode
 from cdde_bound.envelope import _block_entry_times, finite_time
 from cdde_bound.linalg import SingularMatrix, inverse
 from cdde_bound.model import SystemSpec
 from cdde_bound.signals import SIGNAL_KINDS, _SignalBatch
-from cdde_bound.simulator import SignalSpec, _encode, simulate, simulate_many
+from cdde_bound.simulator import SignalSpec, simulate, simulate_many
 from cdde_bound.stability import alpha_max
 
 from conftest import make_sample_scenario, make_sample_system

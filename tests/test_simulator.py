@@ -6,13 +6,12 @@ import pytest
 from scipy.linalg import expm
 
 from cdde_bound.certificate import compute_certificate, ultimate_bound
+from cdde_bound.csvio import _CSV_CELLS, _CSV_ROWS, _encode, write_csv
 from cdde_bound.linalg import solve
 from cdde_bound.model import SystemSpec
-from cdde_bound.simulator import (BLOCK_STEPS, JUMP_TOL, InvalidScenario, MismatchedScenarios,
-                                  SignalSpec, SimulationScenario, UnstableStep,
-                                  _CSV_CELLS, _encode, comparison_check, simulate,
-                                  simulate_many, verify_domination, write_csv,
-                                  write_trajectory_csv)
+from cdde_bound.simulator import (JUMP_TOL, InvalidScenario, MismatchedScenarios, SignalSpec,
+                                  SimulationScenario, UnstableStep, comparison_check, simulate,
+                                  simulate_many, verify_domination, write_trajectory_csv)
 
 from conftest import make_sample_scenario
 from oracles import csv_rows_fstring, simulate_stepwise
@@ -410,19 +409,19 @@ def _repeated_rows():
     rng = np.random.default_rng(3)
     signed_zero = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
     nan_rows = np.array([[np.nan, 2.0]] * 3 + [[np.nan, -np.inf]] * 2)
-    rows = BLOCK_STEPS + 10
-    # one run of equal rows from BLOCK_STEPS - 5 to BLOCK_STEPS + 5
+    rows = _CSV_ROWS + 10
+    # one run of equal rows from _CSV_ROWS - 5 to _CSV_ROWS + 5
     across = rng.uniform(size=(rows, 3))
-    across[BLOCK_STEPS - 5:BLOCK_STEPS + 5] = across[BLOCK_STEPS - 5]
+    across[_CSV_ROWS - 5:_CSV_ROWS + 5] = across[_CSV_ROWS - 5]
     # a constant-bound staircase: every row of the first block equal
-    constant = np.tile([0.25, 1.0 / 3.0, 7e-9], (BLOCK_STEPS + 3, 1))
+    constant = np.tile([0.25, 1.0 / 3.0, 7e-9], (_CSV_ROWS + 3, 1))
     return {
         "signed-zero": (np.arange(5) * 0.5, {"x": signed_zero}),
         "nan-rows": (np.arange(5) * 0.5, {"x": nan_rows[:, :1], "y": nan_rows[:, 1:]}),
         "run-across-blocks": (np.arange(rows) * 1e-3, {"xb": across[:, :2], "yb": across[:, 2:]}),
-        "constant-block": (np.arange(BLOCK_STEPS + 3) * 0.04,
+        "constant-block": (np.arange(_CSV_ROWS + 3) * 0.04,
                            {"xb": constant[:, :2], "yb": constant[:, 2:]}),
-        "t-only": (np.arange(BLOCK_STEPS + 3) * 1e-3, {}),
+        "t-only": (np.arange(_CSV_ROWS + 3) * 1e-3, {}),
     }
 
 
@@ -453,7 +452,7 @@ def test_csv_encoder_cases(value):
 
 def test_csv_writer_encodes_wide_blocks_in_chunks(tmp_path):
     # 40 columns: each full block is encoded in several calls
-    assert BLOCK_STEPS > _CSV_CELLS // 40
+    assert _CSV_ROWS > _CSV_CELLS // 40
     rng = np.random.default_rng(7)
     times = np.arange(600) * 1e-3
     x = rng.standard_normal((600, 39)) * 10.0 ** rng.integers(-6, 6, (600, 39))
