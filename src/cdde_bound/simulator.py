@@ -18,14 +18,27 @@ When ``h2(t)`` falls below the step size, the delayed argument can no
 longer be resolved by the history grid; the relation is then closed
 algebraically as ``(I - D) y = C x + d``, its vanishing-delay limit.
 Scenario envelope checks run at grid points only; violations strictly
-between grid points are not detectable at this resolution.  Scenarios that
-share the system, the delays and the grid run as one batch.
+between grid points are not detectable at this resolution.
 
-The disturbances are evaluated a block of ``BLOCK_STEPS`` steps at a time
-for the whole batch: each distinct wave, |sin| or |cos| at one frequency,
-once for the grid times and once for the half-step times, and each member's
-values as amplitude times wave (plus its offset).  The envelope checks of
-omega and d run on these same samples, each block before it is stepped.
+Scenarios that share the system, the delays and the grid run as one batch,
+held by one run record (``_Run``): its constant maps, signal batches and
+delays, and the state it fills in, x, y and the stored jumps.  Its stages
+run in this order:
+
+1. start: check psi, phi, the delays and d at t = 0, set y at 0 from the
+   difference relation and store its jump from phi;
+2. then, block by block of ``BLOCK_STEPS`` steps:
+   - signal sampling and envelope checks: each distinct wave, |sin| or
+     |cos| at one frequency, once for the grid times and once for the
+     half-step times for the whole batch, each member's values as
+     amplitude times wave (plus its offset); omega and d are checked on
+     these same samples before the block is stepped;
+   - the segment and window walk below, which per window runs read
+     planning (``weights``, ``gather``), then the windowed scan
+     (``recur``) or the split step (``advance``, with the crossing search),
+     then jump propagation (``propagate``) and the output;
+   - the divergence check, which names the first failing grid time.
+
 Error precedence is that of checking all scenario data before the first
 step: a failed check or a divergence first runs the full scan, psi, phi,
 omega and d at every grid time, member by member, then h1 and h2, so any
@@ -45,8 +58,7 @@ outputs.  A step whose bracket holds a jump takes the split path above on
 its own; delays below two steps give windows of one step, each advanced
 with a single product.  Only a step whose h2 bracket holds a jump adds
 jumps, so one plan serves every window up to and including the next such
-step.  The divergence checks run once per block of ``BLOCK_STEPS`` steps
-and name the first failing grid time.
+step.
 """
 
 from __future__ import annotations
@@ -109,8 +121,8 @@ class SimulationScenario:
                                ("phi", phi, m), ("h1", self.h1, 1), ("h2", self.h2, 1)]:
             if sig.dim != dim:
                 raise DimensionMismatch(f"{name} signal must have dimension {dim}, got {sig.dim}")
-        if not (self.t_end > 0.0 and self.step > 0.0):
-            raise ValueError("t_end and step must be positive")
+        if not (0.0 < self.t_end < math.inf and 0.0 < self.step < math.inf):
+            raise ValueError("t_end and step must be finite and positive")
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "phi", phi)
@@ -200,57 +212,183 @@ def simulate_many(scenarios) -> list[Trajectory]:
     is tracked when any member jumps there by more than ``JUMP_TOL`` (a
     member continuous there then moves by truncation error, not rounding)."""
     first = scenarios[0]
-    spec = first.spec
     for sc in scenarios[1:]:
-        if not _same_system(sc.spec, spec):
+        if not _same_system(sc.spec, first.spec):
             raise MismatchedScenarios("scenarios use different systems")
         if sc.h1 != first.h1 or sc.h2 != first.h2:
             raise MismatchedScenarios("scenarios use different delay signals")
         if sc.t_end != first.t_end or sc.step != first.step:
             raise MismatchedScenarios("scenarios use different grids")
-    n, m, S = spec.n, spec.m, len(scenarios)
-    h = first.step
-    if spec.h_max > 0.0 and h > spec.h_max:
-        raise InvalidScenario(f"step {h} exceeds the delay bound {spec.h_max}")
-    K = int(round(first.t_end / h))
-    if K < 1:
-        raise InvalidScenario(f"t_end {first.t_end} shorter than one step {h}")
-    ts = np.arange(K + 1) * h
+    run = _Run(scenarios)
+    # A finite frequency can overflow a signal's phase, and rows after a
+    # divergence may overflow until the block's check names the first one.
+    with np.errstate(over="ignore", invalid="ignore"), _first_violation_wins(scenarios, run.ts):
+        run.start()
+        for k0 in range(0, run.K, BLOCK_STEPS):
+            run.block(k0, min(k0 + BLOCK_STEPS, run.K))
+    for v in (run.ts, run.xs, run.ys):
+        v.setflags(write=False)
+    return [Trajectory(times=run.ts, x_samples=run.xs[:, i], y_samples=run.ys[:, i])
+            for i in range(len(scenarios))]
 
-    AT, BT, CT, DT = spec.A.T.copy(), spec.B.T.copy(), spec.C.T.copy(), spec.D.T.copy()
-    closure = inverse(np.eye(m) - spec.D).T
 
-    # each distinct wave once per call for the whole batch (_SignalBatch)
-    batch = {name: _SignalBatch([getattr(sc, name) for sc in scenarios])
-             for name in ("omega", "d", "phi")}
+class _Run:
+    """One batch on its grid (module docstring).  The constants are the
+    maps of a step away from jumps, the transposed system matrices, the
+    signal batches and the delays; the state is x and y on the grid,
+    ``xs`` (K+1, S, n) and ``ys`` (K+1, S, m), and the stored y jumps,
+    sorted by time: ``jump_times`` (J,) with the values on either side,
+    ``jump_left`` and ``jump_right`` (J, S, m)."""
 
-    def at(name: str, t: float) -> np.ndarray:              # (S, dim)
-        return batch[name](np.array([t]))[0]
+    def __init__(self, scenarios):
+        first = scenarios[0]
+        self.spec = spec = first.spec
+        n, m, S = self.n, self.m, self.S = spec.n, spec.m, len(scenarios)
+        self.h = h = first.step
+        if spec.h_max > 0.0 and h > spec.h_max:
+            raise InvalidScenario(f"step {h} exceeds the delay bound {spec.h_max}")
+        self.K = K = int(round(first.t_end / h))
+        if K < 1:
+            raise InvalidScenario(f"t_end {first.t_end} shorter than one step {h}")
+        self.ts = ts = np.arange(K + 1) * h
+        self.AT, self.BT, self.CT, self.DT = (M.T.copy() for M in (spec.A, spec.B, spec.C, spec.D))
+        self.closure = inverse(np.eye(m) - spec.D).T
+        # each distinct wave once per call for the whole batch (_SignalBatch)
+        self.omega, self.d, self.phi = (_SignalBatch([getattr(sc, name) for sc in scenarios])
+                                        for name in ("omega", "d", "phi"))
+        self.H10 = first.h1.sample(ts)[:, 0]
+        self.H1h = first.h1.sample(ts[:-1] + 0.5 * h)[:, 0]
+        self.H20 = first.h2.sample(ts)[:, 0]
+        # the delays at one time, on np.float64 scalars (_SignalBatch.scalar)
+        self.h1_at, self.h2_at = first.h1._batch.scalar, first.h2._batch.scalar
+        # Away from jumps a step is linear in (x, z0, zh, z1, w0, wh, w1) with
+        # fixed maps; rk4 applied to unit rows gives them once.  The w part of
+        # a block of steps is then one product.
+        parts = np.split(np.eye(4 * n + 3 * m), np.cumsum([n, m, m, m, n, n]), axis=1)
+        step_map = self.rk4(parts[0], h, *parts[1:])
+        self.xz_map, self.w_map = step_map[:n + 3 * m], step_map[n + 3 * m:]
+        self.P, self.Mz = self.xz_map[:n], self.xz_map[n:]
+        self.xs = np.empty((K + 1, S, n))
+        self.xs[0] = [sc.psi for sc in scenarios]
+        # zeros, not empty: a history weight of 0 still multiplies a stored row
+        self.ys = np.zeros((K + 1, S, m))
+        self.jump_times = np.empty(0)
+        self.jump_left, self.jump_right = np.empty((0, S, m)), np.empty((0, S, m))
 
-    def on(name: str, times: np.ndarray) -> np.ndarray:     # (len(times), S, dim)
-        return batch[name](times)
+    def start(self) -> None:
+        """Check the data at t = 0, set y there, and store its jump from phi."""
+        spec, ts, h = self.spec, self.ts, self.h
+        # the scenario data, checked at grid points before the integrator
+        # reads them: psi, phi, the delays and d at t = 0 here, omega and d
+        # block by block
+        _check_envelope("psi", ts[:1], self.xs[:1], spec.psi_bar)
+        hist_ts = _history_times(spec.h_max, h)
+        _check_envelope("phi", hist_ts, self.phi(hist_ts), spec.phi_bar)
+        for name, vals in (("h1", self.H10), ("h2", self.H20)):
+            _check_envelope(name, ts, vals[:, None], [spec.h_max])
+        d0 = self.d(ts[:1])
+        _check_envelope("d", ts[:1], d0, spec.d_bar)
 
-    hist_ts = _history_times(spec.h_max, h)
-    H10 = first.h1.sample(ts)[:, 0]
-    H1h = first.h1.sample(ts[:-1] + 0.5 * h)[:, 0]
-    H20 = first.h2.sample(ts)[:, 0]
+        # initial y from the difference relation (right-continuous at 0)
+        z0 = self.gather(self.weights(-self.H20[:1], 0), 0, 1)[0]
+        self.ys[0] = self.output(self.xs[0], z0, d0[0], self.H20[0] < h)
+        left0 = self.phi(np.zeros(1))[0]
+        if np.max(np.abs(self.ys[0] - left0)) > JUMP_TOL:
+            self.jump_times, self.jump_left = np.zeros(1), left0[None]
+            self.jump_right = self.ys[0][None].copy()
 
-    xs = np.empty((K + 1, S, n))
-    # zeros, not empty: a history weight of 0 still multiplies a stored row
-    ys = np.zeros((K + 1, S, m))
-    xs[0] = [sc.psi for sc in scenarios]
+        # P^(2^j) for recur's scan, 2^j < BLOCK_STEPS.  A power that
+        # overflows ends the list (a never-excited mode of 0 * inf would
+        # fake a divergence), and the scan then runs in shorter chunks.
+        self.powers = [self.P]
+        while 2 ** len(self.powers) < BLOCK_STEPS:
+            square = self.powers[-1] @ self.powers[-1]
+            if not np.isfinite(square).all():
+                break
+            self.powers.append(square)
+        self.span = 2 ** len(self.powers)
 
-    # y jumps, sorted by time: times (J,), left and right values (J, S, m)
-    jumps = [np.empty(0), np.empty((0, S, m)), np.empty((0, S, m))]
+    def sample(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
+        """The disturbances of steps k0..k1-1, checked against their
+        envelopes: each step's forcing, omega through the w part of the step
+        map, (steps, S, n), and d at the step ends, (steps, S, m)."""
+        ts, h, spec = self.ts, self.h, self.spec
+        nb = k1 - k0
+        t0s, t1s = ts[k0:k1], ts[k0 + 1:k1 + 1]
+        W0 = self.omega(ts[k0:k1 + 1])
+        _check_envelope("omega", ts[k0:k1 + 1], W0, spec.omega_bar)
+        D1 = self.d(t1s)
+        _check_envelope("d", t1s, D1, spec.d_bar)
+        Wh = self.omega(t0s + 0.5 * h)
+        # products over 2-D rows (step, member): a stacked product runs one
+        # small matmul per step
+        forcing = (np.concatenate((W0[:-1], Wh, W0[1:]), axis=2).reshape(nb * self.S, 3 * self.n)
+                   @ self.w_map).reshape(nb, self.S, self.n)
+        return forcing, D1
 
-    def weights(tq: np.ndarray, kmax) -> tuple:
+    def block(self, k0: int, k1: int) -> None:
+        """Steps k0..k1-1: sample the disturbances, walk the segments up to
+        each step whose h2 bracket holds a jump, window by window, and check
+        for divergence."""
+        ts, h, S, m, xs = self.ts, self.h, self.S, self.m, self.xs
+        nb = k1 - k0
+        forcing, D1 = self.sample(k0, k1)
+        # Windows, split steps and plans as in the module docstring.  A step
+        # k reads y at four times: t_k, t_k + h/2 and t_{k+1} less h1
+        # (clamped to t_k) for x, and t_{k+1} less h2 for y.
+        t0s, t1s = ts[k0:k1], ts[k0 + 1:k1 + 1]
+        lo1, hi1 = t0s - self.H10[k0:k1], t1s - self.H10[k0 + 1:k1 + 1]
+        lo2, hi2 = t0s - self.H20[k0:k1], t1s - self.H20[k0 + 1:k1 + 1]
+        reads = np.stack((np.minimum(lo1, t0s), np.minimum(t0s + 0.5 * h - self.H1h[k0:k1], t0s),
+                          np.minimum(hi1, t0s), hi2), axis=1)
+        closed = self.H20[k0 + 1:k1 + 1] < h
+        latest = np.where(closed, reads[:, :3].max(axis=1), reads.max(axis=1))
+        # a window from step r ends at the first later step that reads
+        # past t_r or that closes y differently
+        flips = np.append(np.flatnonzero(np.diff(closed)) + 1, nb)
+        reach = np.minimum.reduce([
+            np.maximum(np.searchsorted(np.maximum.accumulate(latest), t0s, side="right"),
+                       np.arange(1, nb + 1)),
+            flips[np.searchsorted(flips, np.arange(nb), side="right")]]).tolist()
+        closed = closed.tolist()
+        j = 0
+        while j < nb:
+            hit2 = self.crosses(lo2[j:], hi2[j:])
+            stop = min(j + 1 + int(np.append(hit2, True).argmax()), nb)
+            hit1 = self.crosses(lo1[j:stop], hi1[j:stop])
+            split = hit1 | hit2[:stop - j]
+            # the segment's windows; a split step is a window of its own
+            starts, w = [], j
+            for c in (np.flatnonzero(split) + j).tolist() + [stop]:
+                while w < c:
+                    starts.append(w)
+                    w = min(reach[w], c)
+                starts.append(c)
+                w = c + 1
+            plan = self.weights(reads[j:stop].ravel(),
+                                k0 + np.repeat(starts[:-1], np.diff(starts) * 4))
+            for w, w1 in zip(starts, starts[1:]):
+                k, L = k0 + w, w1 - w
+                z = self.gather(plan, 4 * (w - j), 4 * (w1 - j)).reshape(L, 4, S, m)
+                if hit1[w - j]:
+                    xs[k + 1] = self.advance(xs[k], k * h, (k + 1) * h, k)
+                else:
+                    self.recur(k, z[:, :3], forcing[w:w1])
+                if hit2[w - j]:
+                    self.propagate(k)
+                self.ys[k + 1:k + 1 + L] = self.output(xs[k + 1:k + 1 + L], z[:, 3], D1[w:w1],
+                                                       closed[w])
+            j = stop
+        self.check(k0, nb)
+
+    def weights(self, tq: np.ndarray, kmax) -> tuple:
         """y at the times ``tq`` as ``wt[0] ys[idx[0]] + wt[1] ys[idx[1]] +
         extra``: phi before 0, ys[kmax] from the grid time kmax on (with
         weight 0 on the next row, not yet computed and still zero), else
         linear between grid values, with the matching one-sided value (in
         ``extra``) in place of the grid value across a jump.  ``kmax`` may
         differ per read; no jump is stored after t_kmax yet."""
-        bp, lefts, rights = jumps
+        h, S, m, bp = self.h, self.S, self.m, self.jump_times
         pos = np.minimum(tq / h, kmax)
         i0 = pos.astype(np.intp)
         frac = pos - i0
@@ -261,7 +399,7 @@ def simulate_many(scenarios) -> list[Trajectory]:
         if len(past):
             idx[:, past], wt[:, past] = 0, 0.0
             extra = np.zeros((len(tq), S, m))
-            extra[past] = on("phi", tq[past])
+            extra[past] = self.phi(tq[past])
             with_extra[past] = True
         t_lo, t_hi = i0 * h, (i0 + 1) * h
         j = np.searchsorted(bp, t_lo, side="right")
@@ -278,7 +416,7 @@ def simulate_many(scenarios) -> list[Trajectory]:
             wt[0, cut], wt[1, cut] = np.where(before, 1.0 - w, w), 0.0
             if extra is None:
                 extra = np.zeros((len(tq), S, m))
-            extra[cut] = (np.where(before[:, None, None], lefts[j], rights[j])
+            extra[cut] = (np.where(before[:, None, None], self.jump_left[j], self.jump_right[j])
                           * np.where(before, w, 1.0 - w)[:, None, None])
             with_extra[cut] = True
         # reads with an extra term, counted up to each read
@@ -286,29 +424,18 @@ def simulate_many(scenarios) -> list[Trajectory]:
             extra = (extra, np.concatenate(([0], np.cumsum(with_extra))))
         return idx, wt[:, :, None, None], extra
 
-    def gather(plan, r0: int, r1: int) -> np.ndarray:
+    def gather(self, plan, r0: int, r1: int) -> np.ndarray:
         """y at the planned reads r0..r1-1 (``weights``), shape (r1 - r0, S, m)."""
         idx, wt, extra = plan
-        z = ys.take(idx[:, r0:r1], axis=0)
+        z = self.ys.take(idx[:, r0:r1], axis=0)
         z *= wt[:, r0:r1]
         z = z[0] + z[1]
         if extra is not None and extra[1][r1] > extra[1][r0]:
             z += extra[0][r0:r1]
         return z
 
-    def yhist(tq: np.ndarray, kmax: int) -> np.ndarray:
-        return gather(weights(tq, kmax), 0, len(tq))
-
-    # the delays at one time, on np.float64 scalars (_SignalBatch.scalar)
-    h1_at, h2_at = first.h1._batch.scalar, first.h2._batch.scalar
-
-    def darg(t: float) -> float:
-        return t - float(h1_at(t))
-
-    def g2(t: float) -> float:
-        return t - float(h2_at(t))
-
-    def rk4(x, hh, z0, zh, z1, w0, wh, w1):
+    def rk4(self, x, hh, z0, zh, z1, w0, wh, w1):
+        AT, BT = self.AT, self.BT
         c0 = z0 @ BT + w0
         ch = zh @ BT + wh
         c1 = z1 @ BT + w1
@@ -318,21 +445,22 @@ def simulate_many(scenarios) -> list[Trajectory]:
         k4 = (x + hh * k3) @ AT + c1
         return x + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def crossings(f, t0: float, t1: float) -> list[tuple[float, int]]:
-        """Times in (t0, t1] where f crosses a stored jump time (sign test
-        at the endpoints, then bisection until the bracket stops moving)."""
+    def crossings(self, delay, t0: float, t1: float) -> list[tuple[float, int]]:
+        """Times in (t0, t1] where ``t - delay(t)`` crosses a stored jump
+        time, with the jump's index (sign test at the endpoints, then
+        bisection until the bracket stops moving)."""
         out = []
-        f0, f1 = f(t0), f(t1)
-        bp = jumps[0]
+        f0, f1 = t0 - float(delay(t0)), t1 - float(delay(t1))
+        bp = self.jump_times
         for i in range(*np.searchsorted(bp, [min(f0, f1), max(f0, f1)], side="right")):
             target = float(bp[i])
             ta, tb = t0, t1
-            fa = f(ta) - target
+            fa = f0 - target
             for _ in range(60):
                 tm = 0.5 * (ta + tb)
                 if tm == ta or tm == tb:     # the bracket moves no more
                     break
-                fm = f(tm) - target
+                fm = tm - float(delay(tm)) - target
                 if (fa <= 0.0) == (fm <= 0.0):
                     ta, fa = tm, fm
                 else:
@@ -341,202 +469,103 @@ def simulate_many(scenarios) -> list[Trajectory]:
         out.sort()
         return out
 
-    def advance(x, t0: float, t1: float, kav: int) -> np.ndarray:
+    def advance(self, x, t0: float, t1: float, kav: int) -> np.ndarray:
         """Split-aware advance over [t0, t1] (slow path, used near jumps): one
         step per piece, boundary stages on the matching side of the jump."""
-        tk = kav * h
-        pieces = [(t0, None)] + [(tau, i) for tau, i in crossings(darg, t0, t1)]
-        pieces.append((t1, None))
+        h1_at, tk = self.h1_at, kav * self.h
+        pieces = [(t0, None)] + self.crossings(h1_at, t0, t1) + [(t1, None)]
         steps = [(ta, start, ta + 0.5 * (tb - ta), tb, end)
                  for (ta, start), (tb, end) in zip(pieces, pieces[1:])
                  if tb - ta > 1e-14 or end is None]
-        z = iter(yhist(np.array([min(darg(t), tk) for ta, start, th, tb, end in steps
-                                 for t, side in ((ta, start), (th, None), (tb, end))
-                                 if side is None]), kav))
-        w = on("omega", np.array([t for ta, start, th, tb, end in steps for t in (ta, th, tb)]))
+        tq = np.array([min(t - float(h1_at(t)), tk) for ta, start, th, tb, end in steps
+                       for t, side in ((ta, start), (th, None), (tb, end)) if side is None])
+        z = iter(self.gather(self.weights(tq, kav), 0, len(tq)))
+        w = self.omega(np.array([t for ta, start, th, tb, end in steps for t in (ta, th, tb)]))
         for i, (ta, start, th, tb, end) in enumerate(steps):
-            z0 = next(z) if start is None else jumps[2][start]
+            z0 = next(z) if start is None else self.jump_right[start]
             zh = next(z)
-            z1 = next(z) if end is None else jumps[1][end]
-            x = rk4(x, tb - ta, z0, zh, z1, *w[3 * i:3 * i + 3])
+            z1 = next(z) if end is None else self.jump_left[end]
+            x = self.rk4(x, tb - ta, z0, zh, z1, *w[3 * i:3 * i + 3])
         return x
 
-    def propagate(k: int) -> None:
+    def propagate(self, k: int) -> None:
         """Store the y jumps made where t - h2(t) crosses a stored jump in
         (t_k, t_{k+1}]."""
-        t0, t1 = k * h, (k + 1) * h
+        t0, t1 = k * self.h, (k + 1) * self.h
+        x0 = self.xs[k]
         new_events = []
-        for tstar, i in crossings(g2, t0, t1):
-            xstar = advance(xs[k], t0, tstar, k) if tstar - t0 > 1e-14 else xs[k]
-            cx = xstar @ CT
-            dv = at("d", tstar)
-            left, right = (cx + side[i] @ DT + dv for side in jumps[1:])
+        for tstar, i in self.crossings(self.h2_at, t0, t1):
+            xstar = self.advance(x0, t0, tstar, k) if tstar - t0 > 1e-14 else x0
+            cx = xstar @ self.CT
+            dv = self.d(np.array([tstar]))[0]
+            left = cx + self.jump_left[i] @ self.DT + dv
+            right = cx + self.jump_right[i] @ self.DT + dv
             if np.max(np.abs(right - left)) > JUMP_TOL:
                 new_events.append((tstar, left, right))
         for tstar, left, right in new_events:
-            bp = jumps[0]
+            bp = self.jump_times
             i = int(np.searchsorted(bp, tstar))
             if all(abs(u - tstar) >= GRID_TOL for u in bp[max(i - 1, 0):i + 1]):
-                jumps[:] = (np.insert(bp, i, tstar), np.insert(jumps[1], i, left, axis=0),
-                            np.insert(jumps[2], i, right, axis=0))
+                self.jump_times = np.insert(bp, i, tstar)
+                self.jump_left = np.insert(self.jump_left, i, left, axis=0)
+                self.jump_right = np.insert(self.jump_right, i, right, axis=0)
 
-    def crosses(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    def crosses(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Steps whose bracket of delayed arguments holds a stored jump time."""
-        bp = jumps[0]
+        bp = self.jump_times
         return (np.searchsorted(bp, np.minimum(lo, hi), side="right")
                 < np.searchsorted(bp, np.maximum(lo, hi), side="right"))
 
-    # Away from jumps a step is linear in (x, z0, zh, z1, w0, wh, w1) with
-    # fixed maps; rk4 applied to unit rows gives them once.  The w part of
-    # a block of steps is then one product.
-    parts = np.split(np.eye(4 * n + 3 * m), np.cumsum([n, m, m, m, n, n]), axis=1)
-    step_map = rk4(parts[0], h, *parts[1:])
-    xz_map, w_map = step_map[:n + 3 * m], step_map[n + 3 * m:]
-    P, Mz = xz_map[:n], xz_map[n:]
-
-    def recur(k: int, z: np.ndarray, f: np.ndarray) -> None:
+    def recur(self, k: int, z: np.ndarray, f: np.ndarray) -> None:
         """x over the len(f) steps from t_k, given their delayed y as
         (steps, 3, S, m) in the order z0, zh, z1: x_{i+1} = x_i P + u_i, as
         a doubling scan over chunks of ``span`` steps.  A lone step is one
         product of (x, z0, zh, z1) with both maps."""
+        xs, S, n = self.xs, self.S, self.n
         L = len(f)
         if L == 1:
             z = z[0]
-            xs[k + 1] = np.concatenate((xs[k], z[0], z[1], z[2]), axis=1) @ xz_map + f[0]
+            xs[k + 1] = np.concatenate((xs[k], z[0], z[1], z[2]), axis=1) @ self.xz_map + f[0]
             return
         # one row per step and member, so each product is one 2-D matmul
         u = xs[k + 1:k + 1 + L].reshape(L * S, n)
-        np.matmul(z.transpose(0, 2, 1, 3).reshape(L * S, 3 * m), Mz, out=u)
+        np.matmul(z.transpose(0, 2, 1, 3).reshape(L * S, 3 * self.m), self.Mz, out=u)
         u += f.reshape(L * S, n)
         x = xs[k]
-        for c in range(0, L * S, span * S):
-            v = u[c:c + span * S]
-            v[:S] += x @ P
+        for c in range(0, L * S, self.span * S):
+            v = u[c:c + self.span * S]
+            v[:S] += x @ self.P
             # Hillis-Steele: after the round with a stride of 2^j steps
             # (d rows), each step holds the inputs of the 2^(j+1) steps up
             # to it, each carried there by a power of P
-            for j, Pd in enumerate(powers):
+            for j, Pd in enumerate(self.powers):
                 d = S << j
                 if d >= len(v):
                     break
                 v[d:] += v[:-d] @ Pd
             x = v[-S:]
 
-    def output(x, z, dv, closed: bool):
+    def output(self, x, z, dv, closed: bool):
         """y from x, d and the delayed y ``z``, as 2-D products over the rows
         (step, member); a delay below one step is closed algebraically
         (module docstring) and ignores z."""
+        n, m = self.n, self.m
         x, y = x.reshape(-1, n), dv.reshape(-1, m)
         if closed:
-            y = (x @ CT + y) @ closure
+            y = (x @ self.CT + y) @ self.closure
         else:
-            y = x @ CT + z.reshape(-1, m) @ DT + y
+            y = x @ self.CT + z.reshape(-1, m) @ self.DT + y
         return y.reshape(dv.shape)
 
-    def check(k: int, L: int) -> None:
+    def check(self, k: int, L: int) -> None:
         """Raise at the first grid time in (t_k, t_{k+L}] with a state or an
         output beyond the divergence limit, the state first at equal times."""
         state, out = (~(np.abs(v[k + 1:k + 1 + L]) < DIVERGENCE_LIMIT).all(axis=(1, 2))
-                      for v in (xs, ys))
+                      for v in (self.xs, self.ys))
         if (state | out).any():
             r = int((state | out).argmax())
             raise UnstableStep(f"{'state' if state[r] else 'output'} magnitude exceeded "
-                               f"{DIVERGENCE_LIMIT:g} at t={ts[k + 1 + r]:g}")
-
-    # A finite frequency can overflow a signal's phase, and rows after a
-    # divergence may overflow until the block's check() names the first one.
-    with np.errstate(over="ignore", invalid="ignore"), _first_violation_wins(scenarios, ts):
-        # the scenario data, checked at grid points before the integrator
-        # reads them: psi, phi, the delays and d at t = 0 here, omega and d
-        # block by block
-        _check_envelope("psi", ts[:1], xs[:1], spec.psi_bar)
-        _check_envelope("phi", hist_ts, on("phi", hist_ts), spec.phi_bar)
-        for name, vals in (("h1", H10), ("h2", H20)):
-            _check_envelope(name, ts, vals[:, None], [spec.h_max])
-        d0 = on("d", ts[:1])
-        _check_envelope("d", ts[:1], d0, spec.d_bar)
-
-        # initial y from the difference relation (right-continuous at 0)
-        ys[0] = output(xs[0], yhist(-H20[:1], 0)[0], d0[0], H20[0] < h)
-        left0 = at("phi", 0.0)
-        if np.max(np.abs(ys[0] - left0)) > JUMP_TOL:
-            jumps[:] = (np.zeros(1), left0[None], ys[0][None].copy())
-
-        # P^(2^j) for recur's scan, 2^j < BLOCK_STEPS.  A power that
-        # overflows ends the list (a never-excited mode of 0 * inf would
-        # fake a divergence), and the scan then runs in shorter chunks.
-        powers = [P]
-        while 2 ** len(powers) < BLOCK_STEPS:
-            square = powers[-1] @ powers[-1]
-            if not np.isfinite(square).all():
-                break
-            powers.append(square)
-        span = 2 ** len(powers)
-        # Windows, split steps and plans as in the module docstring.  A step
-        # k reads y at four times: t_k, t_k + h/2 and t_{k+1} less h1
-        # (clamped to t_k) for x, and t_{k+1} less h2 for y.
-        for k0 in range(0, K, BLOCK_STEPS):
-            k1 = min(k0 + BLOCK_STEPS, K)
-            nb = k1 - k0
-            t0s, t1s = ts[k0:k1], ts[k0 + 1:k1 + 1]
-            W0 = on("omega", ts[k0:k1 + 1])
-            _check_envelope("omega", ts[k0:k1 + 1], W0, spec.omega_bar)
-            D1 = on("d", t1s)
-            _check_envelope("d", t1s, D1, spec.d_bar)
-            Wh = on("omega", t0s + 0.5 * h)
-            # products over 2-D rows (step, member): a stacked product runs one
-            # small matmul per step
-            forcing = (np.concatenate((W0[:-1], Wh, W0[1:]), axis=2).reshape(nb * S, 3 * n)
-                       @ w_map).reshape(nb, S, n)
-            lo1, hi1 = t0s - H10[k0:k1], t1s - H10[k0 + 1:k1 + 1]
-            lo2, hi2 = t0s - H20[k0:k1], t1s - H20[k0 + 1:k1 + 1]
-            reads = np.stack((np.minimum(lo1, t0s), np.minimum(t0s + 0.5 * h - H1h[k0:k1], t0s),
-                              np.minimum(hi1, t0s), hi2), axis=1)
-            closed = H20[k0 + 1:k1 + 1] < h
-            latest = np.where(closed, reads[:, :3].max(axis=1), reads.max(axis=1))
-            # a window from step r ends at the first later step that reads
-            # past t_r or that closes y differently
-            flips = np.append(np.flatnonzero(np.diff(closed)) + 1, nb)
-            reach = np.minimum.reduce([
-                np.maximum(np.searchsorted(np.maximum.accumulate(latest), t0s, side="right"),
-                           np.arange(1, nb + 1)),
-                flips[np.searchsorted(flips, np.arange(nb), side="right")]]).tolist()
-            closed = closed.tolist()
-            j = 0
-            while j < nb:
-                hit2 = crosses(lo2[j:], hi2[j:])
-                stop = min(j + 1 + int(np.append(hit2, True).argmax()), nb)
-                hit1 = crosses(lo1[j:stop], hi1[j:stop])
-                split = hit1 | hit2[:stop - j]
-                # the segment's windows; a split step is a window of its own
-                starts, w = [], j
-                for c in (np.flatnonzero(split) + j).tolist() + [stop]:
-                    while w < c:
-                        starts.append(w)
-                        w = min(reach[w], c)
-                    starts.append(c)
-                    w = c + 1
-                plan = weights(reads[j:stop].ravel(),
-                               k0 + np.repeat(starts[:-1], np.diff(starts) * 4))
-                for w, w1 in zip(starts, starts[1:]):
-                    k, L = k0 + w, w1 - w
-                    z = gather(plan, 4 * (w - j), 4 * (w1 - j)).reshape(L, 4, S, m)
-                    if hit1[w - j]:
-                        xs[k + 1] = advance(xs[k], k * h, (k + 1) * h, k)
-                    else:
-                        recur(k, z[:, :3], forcing[w:w1])
-                    if hit2[w - j]:
-                        propagate(k)
-                    ys[k + 1:k + 1 + L] = output(xs[k + 1:k + 1 + L], z[:, 3], D1[w:w1],
-                                                 closed[w])
-                j = stop
-            check(k0, nb)
-
-    ts.setflags(write=False)
-    xs.setflags(write=False)
-    ys.setflags(write=False)
-    return [Trajectory(times=ts, x_samples=xs[:, i], y_samples=ys[:, i])
-            for i in range(len(scenarios))]
+                               f"{DIVERGENCE_LIMIT:g} at t={self.ts[k + 1 + r]:g}")
 
 
 def verify_domination(traj: Trajectory, cert: BoundCertificate,
@@ -564,29 +593,6 @@ def _same_system(a: SystemSpec, b: SystemSpec) -> bool:
         np.array_equal(getattr(a, f), getattr(b, f))
         for f in ("A", "B", "C", "D", "omega_bar", "d_bar", "psi_bar", "phi_bar")
     ) and a.h_max == b.h_max
-
-
-def comparison_check(scenario_lo: SimulationScenario,
-                     scenario_hi: SimulationScenario,
-                     slack: float = 1e-9) -> bool:
-    """Ordered initial data with identical driving must stay ordered.
-
-    Requires identical system, disturbances, delays and grid, and
-    ``psi_lo <= psi_hi``, ``phi_lo <= phi_hi``; simulates both as one batch
-    and checks the ordering at every grid time.
-    """
-    lo, hi = scenario_lo, scenario_hi
-    for name in ("omega", "d"):
-        if getattr(lo, name) != getattr(hi, name):
-            raise MismatchedScenarios(f"scenarios use different {name} signals")
-    if (lo.psi > hi.psi).any():
-        raise MismatchedScenarios("psi_lo exceeds psi_hi")
-    hist = _history_times(lo.spec.h_max, lo.step)
-    if lo.phi != hi.phi and (lo.phi.sample(hist) > hi.phi.sample(hist)).any():
-        raise MismatchedScenarios("phi_lo exceeds phi_hi on the history grid")
-    tr_lo, tr_hi = simulate_many([lo, hi])
-    return bool((tr_lo.x_samples <= tr_hi.x_samples + slack).all()
-                and (tr_lo.y_samples <= tr_hi.y_samples + slack).all())
 
 
 def write_trajectory_csv(traj: Trajectory, path,

@@ -3,7 +3,8 @@ the blocked decay-rate sweep against the one-matrix-at-a-time oracles; the
 screened entry-time choice against an exact log at every rate; emitted
 certificates against numpy.linalg; the batched simulator against single runs
 and against superposition; the windowed simulator against the per-step
-one; the shared-wave signal batch against one signal at a time; the CSV
+one, and bit for bit against itself before its split into stages; the
+shared-wave signal batch against one signal at a time; the CSV
 encoder against Python's "%.9g"."""
 
 import math
@@ -22,6 +23,7 @@ from cdde_bound.signals import SIGNAL_KINDS, _SignalBatch
 from cdde_bound.simulator import SignalSpec, simulate, simulate_many
 from cdde_bound.stability import alpha_max
 
+import oracles
 from conftest import make_sample_scenario, make_sample_system
 from oracles import (alpha_max_scan, block_entry_times_all_logs, csv_rows_fstring,
                      finite_time_loop, inverse_by_columns, signal_values,
@@ -283,11 +285,16 @@ def delay_batch(draw):
 @settings(max_examples=40, deadline=None)
 @given(delay_batch())
 def test_windowed_run_equals_stepwise_run(scenarios):
-    for got, want in zip(simulate_many(scenarios), simulate_stepwise(scenarios)):
+    runs = zip(simulate_many(scenarios), simulate_stepwise(scenarios),
+               oracles.simulate_many(scenarios))
+    for got, want, closures in runs:
         assert np.array_equal(got.times, want.times)
         for name in ("x_samples", "y_samples"):
             ref = getattr(want, name)
             assert np.abs(getattr(got, name) - ref).max() <= 1e-12 * np.abs(ref).max()
+            # bit for bit as the simulator before its split into stages
+            assert np.array_equal(getattr(got, name).view(np.int64),
+                                  getattr(closures, name).view(np.int64))
 
 
 def ulps_from(x: float, d: int) -> float:

@@ -10,11 +10,11 @@ from cdde_bound.csvio import _CSV_CELLS, _CSV_ROWS, _encode, write_csv
 from cdde_bound.linalg import solve
 from cdde_bound.model import SystemSpec
 from cdde_bound.simulator import (JUMP_TOL, InvalidScenario, MismatchedScenarios, SignalSpec,
-                                  SimulationScenario, UnstableStep, comparison_check, simulate,
-                                  simulate_many, verify_domination, write_trajectory_csv)
+                                  SimulationScenario, UnstableStep, simulate, simulate_many,
+                                  verify_domination, write_trajectory_csv)
 
 from conftest import make_sample_scenario
-from oracles import csv_rows_fstring, simulate_stepwise
+from oracles import comparison_check, csv_rows_fstring, simulate_stepwise
 
 
 def scalar_scenario(a_val=-1.0, psi=1.0, t_end=1.0, step=1e-3, omega=None, c_val=0.0,
@@ -185,6 +185,13 @@ def test_invalid_scenario_step_exceeds_delay_bound(sample_spec):
     scenario = make_sample_scenario(sample_spec, 1.0, 1.0, t_end=10.0, step=3.0)
     with pytest.raises(InvalidScenario):
         simulate(scenario)
+
+
+@pytest.mark.parametrize("field", ["t_end", "step"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_scenario_grid_must_be_finite(sample_spec, field, value):
+    with pytest.raises(ValueError, match="t_end and step must be finite and positive"):
+        make_sample_scenario(sample_spec, 1.0, 1.0, **{field: value})
 
 
 def test_unstable_step_detected():
