@@ -173,9 +173,13 @@ def _parse_xi(args, spec: SystemSpec):
 
 def _options(args, options: dict):
     """(alpha_step, step, t_end): a flag overrides the file, the file the default."""
-    return tuple(options.get(key, default) if getattr(args, key, None) is None
-                 else _positive("--" + key.replace("_", "-"), getattr(args, key))
-                 for key, default in DEFAULTS.items())
+    alpha_step, step, t_end = (options.get(key, default) if getattr(args, key, None) is None
+                               else _positive("--" + key.replace("_", "-"), getattr(args, key))
+                               for key, default in DEFAULTS.items())
+    # the number of time steps, t_end / step, must be a finite count
+    if not np.isfinite(t_end / step):
+        raise ProblemFormatError(f"t_end / step must be finite, got {t_end!r} / {step!r}")
+    return alpha_step, step, t_end
 
 
 def _certificate_summary(cert: BoundCertificate) -> str:

@@ -2,19 +2,20 @@
 per-column inverse, the linear Hurwitz-margin scan and the per-rate sweep of
 the decay-rate grid, one matrix at a time; the members-first decay-rate
 sweep and the margin search with a full Hurwitz test per index, which the
-members-last sweep must match bit for bit; the entry-time choice over a
-block of rates with an exact log at every rate; the per-step simulator,
-and the windowed one as it was before it was split into stages, which the
-package's must match bit for bit; the comparison check of ordered initial
-data; one signal's values on a grid, one signal at a time; and Python's own
-"%.9g" for CSV rows."""
+members-last sweep must match bit for bit; the members-last sweep over the
+whole grid, which the pruned sweep must match bit for bit; the entry-time
+choice over a block of rates with an exact log at every rate; the per-step
+simulator, and the windowed one as it was before it was split into stages,
+which the package's must match bit for bit; the comparison check of ordered
+initial data; one signal's values on a grid, one signal at a time; and
+Python's own "%.9g" for CSV rows."""
 
 import math
 from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from cdde_bound import simulator
+from cdde_bound import envelope, simulator, stability
 from cdde_bound.envelope import (BLOCK_BYTES, ConvergenceResult, DecayRateTooLarge,
                                  EmptyIndexSet, NonpositiveThreshold, _block_entry_times,
                                  time_to_threshold)
@@ -218,6 +219,61 @@ def finite_time(A, theta_bar, delta, alpha_step: float) -> ConvergenceResult:
     best_alpha = np.zeros(dim)
     for alphas in blocks:
         gamma = _envelope_factors(M, alphas, theta)
+        if gamma.min() < 0.0:
+            raise ValueError(f"gamma must be nonnegative, got {gamma.min()}")
+        # time_to_threshold over the block: np.log screens the grid, and
+        # math.log, which rounds as it does there, decides near the minimum
+        first, t_first = _block_entry_times(gamma, dlt, alphas)
+        better = t_first < best_t
+        best_t[better] = t_first[better]
+        best_alpha[better] = alphas[first[better]]
+    return ConvergenceResult(T=float(best_t.max()),
+                             per_component_T=best_t,
+                             per_component_alpha=best_alpha)
+
+
+# The members-last decay-rate sweep over the whole grid, a block of rates
+# at a time, as it was before the sweep was pruned, copied verbatim but for
+# the module prefixes: the pruned sweep must match it bit for bit.
+
+def finite_time_blocked(A, theta_bar, delta, alpha_step: float) -> ConvergenceResult:
+    """Certified time after which every solution sits inside the target box.
+
+    Sweeps the decay-rate grid ``alpha_step, 2*alpha_step, ...`` up to the
+    largest admissible rate, takes per component the best (smallest) entry
+    time over the grid, and returns the maximum over components.  Every
+    solution of x' = A x with 0 <= x(0) <= theta_bar satisfies
+    x(t) <= delta for all t >= T.
+    """
+    M = as_matrix(A, "A")
+    theta = as_vector(theta_bar, "theta_bar")
+    dlt = as_vector(delta, "delta")
+    if theta.shape[0] != M.shape[0] or dlt.shape[0] != M.shape[0]:
+        raise ValueError("theta_bar and delta must match the dimension of A")
+    if dlt.min() <= 0.0:
+        raise NonpositiveThreshold(f"delta must be strictly positive, got {dlt}")
+    if negative(theta).any():
+        raise ValueError("theta_bar must be nonnegative")
+
+    dim = M.shape[0]
+    k_max = int(round(stability.alpha_max(M, alpha_step) / alpha_step))
+    if k_max:
+        per_block = max(1, BLOCK_BYTES // (8 * dim * dim))
+        blocks = [np.arange(k0, min(k0 + per_block, k_max + 1)) * alpha_step
+                  for k0 in range(1, k_max + 1, per_block)]
+    else:
+        # Hurwitz margin smaller than the grid step: halve until admissible.
+        eye = np.eye(dim)
+        halved = (alpha_step / 2.0 ** j for j in range(1, 61))
+        rate = next((a for a in halved if stability.is_metzler_hurwitz(M + a * eye)), None)
+        if rate is None:
+            raise NotStable("no admissible decay rate found")
+        blocks = [np.array([rate])]
+
+    best_t = np.full(dim, np.inf)
+    best_alpha = np.zeros(dim)
+    for alphas in blocks:
+        gamma = envelope._envelope_factors(M, alphas, theta)
         if gamma.min() < 0.0:
             raise ValueError(f"gamma must be nonnegative, got {gamma.min()}")
         # time_to_threshold over the block: np.log screens the grid, and

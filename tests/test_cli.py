@@ -149,6 +149,16 @@ def test_bound_malformed_options_exit_2(tmp_path, capsys, options, flags):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bound", "simulate", "verify"])
+def test_step_count_overflow_exits_2(tmp_path, capsys, sample_problem_path, command):
+    out = {"bound": ["--out", str(tmp_path / "out")],
+           "simulate": ["--out", str(tmp_path / "traj.csv")]}.get(command, [])
+    assert main([command, str(sample_problem_path), "--t-end", "1e300",
+                 "--step", "1e-300"] + out) == 2
+    assert capsys.readouterr().err.startswith("input error: t_end / step must be finite")
+    assert not any(tmp_path.iterdir())
+
+
 def test_bound_short_circuit_flag(tmp_path, sample_problem_path):
     def shrink(doc):
         doc["system"]["psi_bar"] = [0.07, 0.14, 0.05]

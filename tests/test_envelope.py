@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -142,6 +143,14 @@ def test_finite_time_narrow_margin_fallback():
     assert isinstance(res, ConvergenceResult)
     assert 0.0 < res.per_component_alpha[0] < 1e-3
     assert res.T == pytest.approx(math.log(2.0) / res.per_component_alpha[0])
+
+
+def test_finite_time_refuses_grid_past_float_precision_at_once():
+    # 2.5e300 rates: past 2**53, k * alpha_step no longer tells k from k + 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^decay-rate grid of 2\.5e\+300 rates exceeds 2\*\*53"):
+        finite_time([[-2.5]], [2.0], [1.0], 1e-300)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_finite_time_grid_refinement_consistency(sample_spec):

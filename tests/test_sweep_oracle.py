@@ -1,14 +1,19 @@
 """The members-last decay-rate sweep, the margin search, the Hurwitz test
-and the stacked inverse against the members-first code in ``oracles``, bit
-for bit: equal results, or the same exception type, message and cause."""
+and the stacked inverse against the members-first code in ``oracles``, and
+the pruned sweep against the members-last sweep over the whole grid, bit
+for bit: equal results, or the same exception type, message and cause.
+Also the lemma the pruning rests on: no rate inside a gap of the grid
+enters its box before the gap's floor."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from cdde_bound.envelope import BLOCK_BYTES, _envelope_factors, finite_time
-from cdde_bound.linalg import inverse
+from cdde_bound.certificate import compute_certificate
+from cdde_bound.envelope import (_LOG_SCREEN_RTOL, BLOCK_BYTES, _envelope_factors, _gap_floor,
+                                 _min_ratios, _neg_inverses, finite_time)
+from cdde_bound.linalg import inverse, solve
 from cdde_bound.stability import alpha_max, is_metzler_hurwitz
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -41,19 +46,44 @@ def assert_same(got, want):
         assert bits(got[1]) == bits(want[1])
 
 
+NEGATIVE_FACTOR = "gamma must be nonnegative, got -"
+
+
+def assert_same_sweep(got, want):
+    """``assert_same`` for ``finite_time`` against a sweep over the whole
+    grid.  The pruned sweep checks the sign of the factors only at the
+    rates it evaluates, so where the whole grid has a factor rounded below
+    zero it raises the same error with the minimum of its own block, or
+    returns if it evaluated no such rate.  On 2 400 random systems with
+    zeros in ``theta`` the whole grid raised this error three times, and
+    the pruned sweep raised it each time, with another minimum in two."""
+    if want[0] == "raised" and want[1][1].startswith(NEGATIVE_FACTOR):
+        assert got[0] == "ok" or (got[1][0] is ValueError
+                                  and got[1][1].startswith(NEGATIVE_FACTOR)), got
+    else:
+        assert_same(got, want)
+
+
 @st.composite
 def sweep_case(draw):
     """A Metzler-Hurwitz ``A`` whose grid of ``k_max`` rates ends on a block
     boundary, inside a block or before the first rate (the halving branch),
     with a target box that some components may already contain.  Diagonal
     matrices with repeated entries give exact ties between components and,
-    through ratios equal at every rate, between rates."""
-    n = draw(st.integers(1, 12))
+    through ratios equal at every rate, between rates; their entry times
+    fall with the rate, so the best is at ``k_max``.  A box one ulp inside
+    the factors at one rate of the grid puts the best at ``k = 1`` where
+    the factor grows with the rate.  Diagonal factors are ``theta`` up to
+    an ulp that varies with the rate, so there the best is the first rate
+    whose factor rounds down: a tie at t = 0 inside the grid, which the
+    smallest rate wins.  Grids of up to eight blocks take the pruned sweep
+    through several rounds."""
+    n = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(SEEDS))
     step = draw(st.sampled_from([1e-3, 1e-2, 0.05]))
     per_block = BLOCK_BYTES // (8 * n * n)
     end = draw(st.sampled_from(["boundary", "inside", "halving"]))
-    blocks = draw(st.integers(1, 2))
+    blocks = draw(st.integers(1, 8))
     if end == "boundary":
         k = blocks * per_block
     elif end == "inside":
@@ -71,6 +101,10 @@ def sweep_case(draw):
     abscissa = np.linalg.eigvals(a0).real.max()
     a = a0 - (abscissa + (k + 0.5) * step) * np.eye(n)
     delta = np.maximum(theta, 0.5) * rng.uniform(0.05, 1.2, n)
+    if k and draw(st.booleans()):
+        rate = draw(st.integers(1, k)) * step
+        factors = oracles._envelope_factors(a, np.array([rate]), theta)[0]
+        delta = np.where(factors > 0.0, np.nextafter(factors, 0.0), delta)
     return a, theta, delta, step
 
 
@@ -79,8 +113,8 @@ def sweep_case(draw):
 def test_sweep_equals_members_first_code(case):
     a, theta, delta, step = case
     assert_same(outcome(alpha_max, a, step), outcome(oracles.alpha_max, a, step))
-    assert_same(outcome(finite_time, a, theta, delta, step),
-                outcome(oracles.finite_time, a, theta, delta, step))
+    assert_same_sweep(outcome(finite_time, a, theta, delta, step),
+                      outcome(oracles.finite_time, a, theta, delta, step))
     # the Hurwitz test on both sides of the margin, and the factors on the
     # first block of the grid
     k = max(1, int(round(alpha_max(a, step) / step)))
@@ -89,6 +123,66 @@ def test_sweep_equals_members_first_code(case):
     alphas = np.arange(1, min(k, BLOCK_BYTES // (8 * a.size)) + 1) * step
     assert_same(outcome(_envelope_factors, a, alphas, theta),
                 outcome(oracles._envelope_factors, a, alphas, theta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_case())
+def test_pruned_sweep_equals_blocked_sweep(case):
+    a, theta, delta, step = case
+    assert_same_sweep(outcome(finite_time, a, theta, delta, step),
+                      outcome(oracles.finite_time_blocked, a, theta, delta, step))
+
+
+def test_pruned_sweep_equals_blocked_sweep_on_fine_sample_grid(sample_spec):
+    """The sample certificate's sweep at alpha_step 1e-5: about 174 000
+    rates, 48 blocks of the whole-grid sweep."""
+    cert = compute_certificate(sample_spec)
+    shift = solve(sample_spec.A, sample_spec.B @ cert.q)
+    args = (sample_spec.A, cert.p + shift, (1.0 - cert.mu) * cert.p + shift, 1e-5)
+    assert_same(outcome(finite_time, *args), outcome(oracles.finite_time_blocked, *args))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_case(), st.sampled_from([2, 3, 8, 40]))
+def test_gap_floor_bounds_every_rate_inside_the_gap(case, width):
+    """Gaps of ``width`` grid steps: the entry time at every rate strictly
+    inside one, times one plus the pruning margin, is at least its floor."""
+    a, theta, delta, step = case
+    k_max = int(round(alpha_max(a, step) / step))
+    assume(k_max > 2)
+    alphas = np.arange(1, k_max + 1) * step
+    a_vec, b, mask = _neg_inverses(a, alphas, theta)
+    ratio = _min_ratios(a_vec, b, mask, out=np.empty_like(b)) / delta
+    t = np.log(np.maximum(ratio, 1.0)) / alphas[:, None]
+    ends = np.unique(np.r_[np.arange(0, k_max, width), k_max - 1])
+    lo, hi = ends[:-1], ends[1:]
+    floor = _gap_floor(a_vec[lo], b[:, :, hi], mask[:, :, hi], alphas[hi], delta)
+    inside = np.setdiff1d(np.arange(k_max), ends)
+    gap = np.searchsorted(hi, inside)
+    assert (t[inside] * (1.0 + _LOG_SCREEN_RTOL) >= floor[gap]).all()
+
+
+def test_negative_factor_is_refused_at_an_evaluated_rate():
+    """Component 3 of this reducible system has ``theta = 0``, and its factor
+    rounds below zero at scattered rates of the grid (k = 2, 3, 5, ...).
+    Both sweeps refuse it; the whole-grid sweep names the minimum of its
+    first block, the pruned sweep that of the block where it meets one."""
+    a0 = np.array([[-0.82703602052534, 0.8757445027640773, 0.509970796133141, 0.0],
+                   [0.0, -1.4781097662805465, 0.0, 0.8863188504787867],
+                   [0.0, 0.0, -0.3685683670628046, 0.0],
+                   [0.6064078164849519, 0.6590523743997361, 0.504067246065619,
+                    -1.869019816327096]])
+    step = 1e-4
+    a = a0 - (a0[2, 2] + (7286 + 0.5) * step) * np.eye(4)
+    theta = [0.8497695747555352, 1.2254014086871803, 0.0, 0.3129002844201616]
+    delta = [0.060892925697237435, 0.9292984356046446, 0.47554026449019665,
+             0.28472489786602706]
+    got = outcome(finite_time, a, theta, delta, step)
+    want = outcome(oracles.finite_time_blocked, a, theta, delta, step)
+    assert got[0] == want[0] == "raised"
+    assert got[1][0] is want[1][0] is ValueError
+    assert got[1][1].startswith(NEGATIVE_FACTOR) and want[1][1].startswith(NEGATIVE_FACTOR)
+    assert_same_sweep(got, want)
 
 
 def _near_singular_pair():
