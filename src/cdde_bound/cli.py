@@ -30,6 +30,9 @@ from .stability import check_joint_condition
 
 # alpha_step, simulation step and t_end; each must be finite and positive
 DEFAULTS = {"alpha_step": 1e-3, "step": 1e-3, "t_end": 40.0}
+# the most time steps t_end / step may count: past 2**53, k * step no longer
+# tells neighbouring steps apart in float64
+_STEPS_MAX = 2**53
 VERIFY_GRID = [(0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0), (1.0, 0.0), (1.0, 1.0)]
 
 
@@ -176,9 +179,9 @@ def _options(args, options: dict):
     alpha_step, step, t_end = (options.get(key, default) if getattr(args, key, None) is None
                                else _positive("--" + key.replace("_", "-"), getattr(args, key))
                                for key, default in DEFAULTS.items())
-    # the number of time steps, t_end / step, must be a finite count
-    if not np.isfinite(t_end / step):
-        raise ProblemFormatError(f"t_end / step must be finite, got {t_end!r} / {step!r}")
+    # the number of time steps; NaN and inf fail the test too
+    if not t_end / step <= _STEPS_MAX:
+        raise ProblemFormatError(f"t_end / step must be at most 2**53, got {t_end!r} / {step!r}")
     return alpha_step, step, t_end
 
 

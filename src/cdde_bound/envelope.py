@@ -17,9 +17,11 @@ The sweep inverts only the rates that can still hold a component's earliest
 entry time.  ``N(alpha) = -inv(A + alpha I)`` grows in every entry with
 alpha, so the factors at the two ends of a gap of the grid bound the entry
 times at every rate inside it from below; a gap whose bound exceeds every
-component's best time so far is never inverted.  Wherever the sweep over
-the whole grid returns, the result is the one it gives, bit for bit; the
-check that no factor rounds below zero sees only the rates evaluated.
+component's best time so far is never inverted.  The result is the one the
+sweep over the whole grid gives, bit for bit, or the error it raises: a
+grid on which some entry of ``N`` or ``a = N theta_bar`` vanishes in exact
+arithmetic, so that its sign is rounding noise, is swept whole, and so is
+one on which the pruned sweep meets an error.
 """
 
 from __future__ import annotations
@@ -36,13 +38,15 @@ from .stability import NotStable, _require_metzler, alpha_max, is_metzler_hurwit
 # finite_time evaluates the alpha grid in blocks whose (n, n, G) float64
 # arrays take about this many bytes each; about three are alive at once
 BLOCK_BYTES = 1 << 18
-# each round of finite_time after the first splits every gap of the alpha
-# grid that is still open into this many parts.  In one interleaved run (CPU
-# time, one BLAS thread, 2-vCPU host) 2, 4, 8 and 16 parts took 11.8, 11.1,
-# 10.8 and 10.3 ms on the n = 30 benchmark systems, 7.1, 6.3, 6.2 and 6.2 ms
-# at n = 10, and 46, 46, 51 and 68 ms on the sample at alpha_step 1e-6: 8 is
-# within 5 % of the fastest at both sizes and 11 % behind it on the fine grid
-_GAP_PARTS = 8
+# each round of finite_time after the first splits the gaps of the alpha grid
+# that are still open into this many parts.  Medians of 24 interleaved calls
+# (CPU time, one BLAS thread, 2-vCPU host) with 2, 4, 8 and 16 parts: 9.5,
+# 8.5, 8.7 and 7.5 ms on the seed-1 n = 30 benchmark system and 8.8, 8.0,
+# 8.4 and 8.3 ms on seed 7; 5.2, 4.4, 4.6 and 4.6 ms at n = 10 (seed 1);
+# 40, 40, 42 and 49 ms on the sample at alpha_step 1e-6 and 261, 248, 280
+# and 321 ms on the seed-1 n = 30 system at 1e-5.  4 is the fastest or
+# within 14 % of it everywhere
+_GAP_PARTS = 4
 # finite_time refuses a grid of more rates: beyond 2**53, k * alpha_step no
 # longer tells neighbouring k apart in float64
 _GRID_MAX = 2**53
@@ -51,7 +55,7 @@ _GRID_MAX = 2**53
 # that keeps every row that may attain the exact minimum.  finite_time keeps
 # a gap of the grid open while its floor is within the same margin of a best
 # time; the smallest ratio of an entry time to its gap's floor measured was
-# 1 + 2.6e-4 over 120 random systems and 1 + 6.3e-5 on the sample at
+# 1 + 2.6e-4 over 120 random systems and 1 + 2.6e-5 on the sample at
 # alpha_step 1e-5
 _LOG_SCREEN_RTOL = 1e-9
 
@@ -208,7 +212,7 @@ def finite_time(A, theta_bar, delta, alpha_step: float) -> ConvergenceResult:
         raise ValueError(f"decay-rate grid of {k_max:.3g} rates exceeds 2**53: "
                          f"alpha_step {alpha_step} is too fine")
     if k_max:
-        alphas, gamma = _pruned_sweep(M, theta, dlt, alpha_step, k_max)
+        best_t, best_alpha = _sweep(M, theta, dlt, alpha_step, k_max)
     else:
         # Hurwitz margin smaller than the grid step: halve until admissible.
         eye = np.eye(dim)
@@ -218,15 +222,8 @@ def finite_time(A, theta_bar, delta, alpha_step: float) -> ConvergenceResult:
             raise NotStable("no admissible decay rate found")
         alphas = np.array([rate])
         gamma = _checked_factors(_envelope_factors(M, alphas, theta))
-
-    # time_to_threshold over the rates: np.log screens them, and math.log,
-    # which rounds as it does there, decides near the minimum
-    first, t_first = _block_entry_times(gamma, dlt, alphas)
-    best_t = np.full(dim, np.inf)
-    best_alpha = np.zeros(dim)
-    better = t_first < best_t
-    best_t[better] = t_first[better]
-    best_alpha[better] = alphas[first[better]]
+        first, best_t = _block_entry_times(gamma, dlt, alphas)
+        best_alpha = alphas[first]
     return ConvergenceResult(T=float(best_t.max()),
                              per_component_T=best_t,
                              per_component_alpha=best_alpha)
@@ -239,97 +236,123 @@ def _checked_factors(gamma: np.ndarray) -> np.ndarray:
     return gamma
 
 
+def _sweep(M: np.ndarray, theta: np.ndarray, dlt: np.ndarray, step: float,
+           k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The earliest entry time of each component over the rates ``k *
+    step``, ``k = 1..k_max``, and the smallest rate that attains it.
+
+    A grid of more than one block is pruned where ``_prunable`` holds.  If
+    the pruned sweep meets an error, the whole grid is swept instead, so
+    the error raised is the one of its first block that has one."""
+    per_block = max(1, BLOCK_BYTES // (8 * M.shape[0] ** 2))
+    if k_max > per_block and _prunable(M, theta):
+        try:
+            return _pruned_sweep(M, theta, dlt, step, k_max, per_block)
+        except (ValueError, EmptyIndexSet):
+            pass                        # the whole grid raises its first error
+    best_t, best_k = np.full(M.shape[0], np.inf), np.zeros(M.shape[0], np.int64)
+    for k0 in range(1, k_max + 1, per_block):
+        _evaluate(M, theta, dlt, np.arange(k0, min(k0 + per_block, k_max + 1)), step,
+                  best_t, best_k)
+    return best_t, best_k * step
+
+
+def _prunable(M: np.ndarray, theta: np.ndarray) -> bool:
+    """Whether ``M`` is Metzler without tolerance and every entry of ``N =
+    -inv(M + alpha I)`` and of ``a = N @ theta`` is positive at every rate
+    in exact arithmetic: ``theta`` has a positive entry and the graph of
+    ``M`` is strongly connected.
+
+    The lemma of ``_gap_floor`` needs the first.  Where an entry of ``N``
+    or ``a`` is zero, its computed value is rounding noise of either sign,
+    at any rate, and the checks that no factor is negative and no ``-N``
+    positive need every rate.  Where all are positive, they grow with the
+    rate from their values at ``k = 1``."""
+    off = ~np.eye(M.shape[0], dtype=bool)
+    if (M[off] < 0.0).any() or not (theta > 0.0).any():
+        return False
+    edge = M > 0.0
+    for graph in (edge, edge.T):        # to component 0, and from it
+        reach = np.arange(M.shape[0]) == 0
+        while not reach.all():
+            wider = reach | (graph & reach).any(axis=1)
+            if (wider == reach).all():
+                return False
+            reach = wider
+    return True
+
+
+def _evaluate(M: np.ndarray, theta: np.ndarray, dlt: np.ndarray, ks: np.ndarray, step: float,
+              best_t: np.ndarray, best_k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_neg_inverses`` at the rates ``ks * step``, ``ks`` increasing, by
+    one stacked inversion; their entry times are folded into ``best_t`` and
+    ``best_k``, the earliest time of each component and its smallest k."""
+    alphas = ks * step
+    a, b, mask = _neg_inverses(M, alphas, theta)
+    gamma = _checked_factors(_min_ratios(a, b, mask, out=np.empty_like(b)))
+    first, t = _block_entry_times(gamma, dlt, alphas)
+    better = (t < best_t) | ((t == best_t) & (ks[first] < best_k))
+    best_t[better] = t[better]
+    best_k[better] = ks[first[better]]
+    return a, b, mask
+
+
 def _pruned_sweep(M: np.ndarray, theta: np.ndarray, dlt: np.ndarray, step: float,
-                  k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rates ``k * step`` of the grid ``k = 1..k_max`` that may hold a
-    component's earliest entry time, in k order, and their factors.
+                  k_max: int, per_block: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_sweep`` over the rates that may hold a component's earliest entry
+    time, one stacked inversion per round.
 
-    The first round evaluates as many rates as fit in one block, spread
-    evenly over the grid with both ends, so a grid of one block is
-    evaluated whole.  Between two neighbouring evaluated rates lies a gap;
-    ``_gap_floor`` bounds the entry times inside it.  A gap stays open while
-    some component may have a rate in it that ``_block_entry_times`` would
-    choose over the best evaluated one: a floor below that time (with the
-    relative margin of its log screen), or one equal to it below the rate
-    chosen so far, since ties go to the smallest rate.  Each later round
-    splits every open gap into ``_GAP_PARTS`` parts, until none is open.
-    Only ``N`` at the upper ends of open gaps is kept between rounds."""
+    The first round evaluates ``per_block`` rates spread evenly over the
+    grid with both ends.  Between two neighbouring evaluated rates lies a
+    gap; ``_gap_floor`` bounds the entry times inside it.  A gap stays
+    open while some component may have a rate in it that would be chosen
+    over its best evaluated one: a floor below that time (with the
+    relative margin of the log screen of ``_block_entry_times``), or one
+    equal to it below the rate chosen so far, since ties go to the
+    smallest rate.  Best times only fall, so a closed gap stays closed.
+    Each later round splits open gaps into ``_GAP_PARTS`` parts and
+    evaluates the lowest of the new rates, as many as fit in one block
+    beside the ``N`` kept at the upper ends of the open gaps, which is all
+    that is kept of the inversions.  The gaps not split wait for the next
+    round."""
     dim = M.shape[0]
-    per_block = max(1, BLOCK_BYTES // (8 * dim * dim))
-    if k_max <= per_block:
-        alphas = np.arange(1, k_max + 1) * step
-        return alphas, _checked_factors(_envelope_factors(M, alphas, theta))
-    # the best evaluated entry time of each component and its smallest k
     best_t, best_k = np.full(dim, np.inf), np.zeros(dim, np.int64)
-    done_k, done_gamma = [], []
-
-    def open_gaps(gaps: tuple) -> tuple:
-        lo, hi, a_lo, n_hi, floor = gaps
-        limit = best_t * (1.0 + _LOG_SCREEN_RTOL)
-        may_hold = (floor < limit) | ((floor <= limit) & (hi[:, None] <= best_k))
-        keep = np.flatnonzero((hi - lo > 1) & may_hold.any(axis=1))
-        return tuple(field[keep] for field in gaps)
-
-    def evaluate(ks: np.ndarray, lo: np.ndarray, chained: np.ndarray,
-                 a_lo: np.ndarray) -> tuple[np.ndarray, list]:
-        """Factors at the rates ``ks``, a block at a time, and ``a`` there.
-        Rate i closes the gap from ``lo[i]``, whose ``a`` is that of rate
-        i - 1 where ``chained[i]``, else ``a_lo[i]``.  Also returns the
-        gaps left open, with ``N`` at their upper ends laid out (G, n, n)."""
-        a_all = np.empty((ks.size, dim))
-
-        def block(start: int) -> tuple:
-            cut = slice(start, start + per_block)
-            k, alphas = ks[cut], ks[cut] * step
-            a, b, mask = _neg_inverses(M, alphas, theta)
-            gamma = _checked_factors(_min_ratios(a, b, mask, out=np.empty_like(b)))
-            done_k.append(k)
-            done_gamma.append(gamma)
-            first, t = _block_entry_times(gamma, dlt, alphas)
-            better = (t < best_t) | ((t == best_t) & (k[first] < best_k))
-            best_t[better] = t[better]
-            best_k[better] = k[first[better]]
-            a_all[cut] = a
-            wide = np.flatnonzero(k - lo[cut] > 1)
-            prev = a_all[start + wide - 1]
-            lower = np.where(chained[cut][wide, None], prev, a_lo[cut][wide])
-            b, mask = b[:, :, wide], mask[:, :, wide]
-            floor = _gap_floor(lower, b, mask, alphas[wide], dlt)
-            return open_gaps((lo[cut][wide], k[wide], lower, b.transpose(2, 0, 1), floor))
-
-        gaps = [block(start) for start in range(0, ks.size, per_block)]
-        return a_all, gaps
-
-    # round 1: width rates from 1 to k_max, at integer steps q + r / (width - 1)
+    # the evaluated k in order and a there; k = 0 (a = 0) stands below the
+    # grid, and its gap to k = 1 is never open
+    ks, a_ks = np.zeros(1, np.int64), np.zeros((1, dim))
+    # the open gaps by their upper ends, and N there, laid out (n, n, G)
+    open_hi, open_n = np.zeros(0, np.int64), np.zeros((dim, dim, 0))
     width = max(2, per_block)
     q, r = divmod(k_max - 1, width - 1)
     j = np.arange(width)
-    ks = 1 + j * q + (j * r) // (width - 1)
-    _, gaps = evaluate(ks, np.concatenate(([0], ks[:-1])), j > 0, np.zeros((width, dim)))
-    gaps = open_gaps(tuple(map(np.concatenate, zip(*gaps))))
-    while gaps[0].size:
-        lo, hi, a_lo, n_hi, _ = gaps
-        width = hi - lo
-        parts = np.minimum(width, _GAP_PARTS)
+    new = 1 + j * q + (j * r) // (width - 1)
+    while new.size:
+        a, b, mask = _evaluate(M, theta, dlt, new, step, best_t, best_k)
+        ks = np.concatenate((ks, new))
+        order = np.argsort(ks, kind="stable")
+        ks, a_ks = ks[order], np.concatenate((a_ks, a))[order]
+        # the gaps below the new rates and below the open upper ends
+        hi = np.concatenate((new, open_hi))
+        below = np.searchsorted(ks, hi) - 1
+        floor = np.concatenate((
+            _gap_floor(a_ks[below[:new.size]], b, mask, new * step, dlt),
+            _gap_floor(a_ks[below[new.size:]], open_n, open_n > NONNEG_TOL, open_hi * step, dlt)))
+        limit = best_t * (1.0 + _LOG_SCREEN_RTOL)
+        may_hold = (floor < limit) | ((floor <= limit) & (hi[:, None] <= best_k))
+        keep = np.flatnonzero((hi - ks[below] > 1) & may_hold.any(axis=1))
+        from_new = keep < new.size
+        open_n = np.concatenate((b[:, :, keep[from_new]],
+                                 open_n[:, :, keep[~from_new] - new.size]), axis=2)
+        open_hi, lo = hi[keep], ks[below[keep]]
+        del a, b, mask                  # before the next round's inversion
+        parts = np.minimum(open_hi - lo, _GAP_PARTS)
         j = np.arange(1, _GAP_PARTS)
         inside = j < parts[:, None]
-        gap, _ = np.nonzero(inside)
-        ks = (lo[:, None] + (j * width[:, None]) // parts[:, None])[inside]
-        chained = np.concatenate(([False], gap[1:] == gap[:-1]))
-        a_new, new_gaps = evaluate(ks, np.where(chained, np.roll(ks, 1), lo[gap]),
-                                   chained, a_lo[gap])
-        # the gap from the last new rate of each old gap to its upper end
-        last = np.roll(~chained, -1)
-        k_last, a_last = ks[last], a_new[last]
-        for start in range(0, hi.size, per_block):
-            cut = slice(start, start + per_block)
-            b = n_hi[cut].transpose(1, 2, 0)
-            floor = _gap_floor(a_last[cut], b, b > NONNEG_TOL, hi[cut] * step, dlt)
-            new_gaps.append(open_gaps((k_last[cut], hi[cut], a_last[cut], n_hi[cut], floor)))
-        gaps = open_gaps(tuple(map(np.concatenate, zip(*new_gaps))))
-    ks = np.concatenate(done_k)
-    order = np.argsort(ks)
-    return ks[order] * step, np.concatenate(done_gamma)[order]
+        new = np.sort((lo[:, None] + (j * (open_hi - lo)[:, None]) // parts[:, None])[inside])
+        # a block less one rate per N kept, so that a round's memory peaks
+        # no higher than the first's, but at least half a block
+        new = new[:max(per_block - open_hi.size, per_block // 2)]
+    return best_t, best_k * step
 
 
 def _block_entry_times(gamma: np.ndarray, dlt: np.ndarray,

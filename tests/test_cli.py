@@ -149,13 +149,14 @@ def test_bound_malformed_options_exit_2(tmp_path, capsys, options, flags):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_end, step", [("1e300", "1e-300"), ("1e200", "1e-100")],
+                         ids=["overflowing", "past-2**53"])
 @pytest.mark.parametrize("command", ["bound", "simulate", "verify"])
-def test_step_count_overflow_exits_2(tmp_path, capsys, sample_problem_path, command):
+def test_step_count_overflow_exits_2(tmp_path, capsys, sample_problem_path, command, t_end, step):
     out = {"bound": ["--out", str(tmp_path / "out")],
            "simulate": ["--out", str(tmp_path / "traj.csv")]}.get(command, [])
-    assert main([command, str(sample_problem_path), "--t-end", "1e300",
-                 "--step", "1e-300"] + out) == 2
-    assert capsys.readouterr().err.startswith("input error: t_end / step must be finite")
+    assert main([command, str(sample_problem_path), "--t-end", t_end, "--step", step] + out) == 2
+    assert capsys.readouterr().err.startswith("input error: t_end / step must be at most 2**53")
     assert not any(tmp_path.iterdir())
 
 

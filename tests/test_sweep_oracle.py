@@ -10,9 +10,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from cdde_bound import envelope
 from cdde_bound.certificate import compute_certificate
 from cdde_bound.envelope import (_LOG_SCREEN_RTOL, BLOCK_BYTES, _envelope_factors, _gap_floor,
-                                 _min_ratios, _neg_inverses, finite_time)
+                                 _min_ratios, _neg_inverses, _prunable, finite_time)
 from cdde_bound.linalg import inverse, solve
 from cdde_bound.stability import alpha_max, is_metzler_hurwitz
 
@@ -44,24 +45,6 @@ def assert_same(got, want):
     else:
         assert np.shape(got[1]) == np.shape(want[1])
         assert bits(got[1]) == bits(want[1])
-
-
-NEGATIVE_FACTOR = "gamma must be nonnegative, got -"
-
-
-def assert_same_sweep(got, want):
-    """``assert_same`` for ``finite_time`` against a sweep over the whole
-    grid.  The pruned sweep checks the sign of the factors only at the
-    rates it evaluates, so where the whole grid has a factor rounded below
-    zero it raises the same error with the minimum of its own block, or
-    returns if it evaluated no such rate.  On 2 400 random systems with
-    zeros in ``theta`` the whole grid raised this error three times, and
-    the pruned sweep raised it each time, with another minimum in two."""
-    if want[0] == "raised" and want[1][1].startswith(NEGATIVE_FACTOR):
-        assert got[0] == "ok" or (got[1][0] is ValueError
-                                  and got[1][1].startswith(NEGATIVE_FACTOR)), got
-    else:
-        assert_same(got, want)
 
 
 @st.composite
@@ -113,8 +96,8 @@ def sweep_case(draw):
 def test_sweep_equals_members_first_code(case):
     a, theta, delta, step = case
     assert_same(outcome(alpha_max, a, step), outcome(oracles.alpha_max, a, step))
-    assert_same_sweep(outcome(finite_time, a, theta, delta, step),
-                      outcome(oracles.finite_time, a, theta, delta, step))
+    assert_same(outcome(finite_time, a, theta, delta, step),
+                outcome(oracles.finite_time, a, theta, delta, step))
     # the Hurwitz test on both sides of the margin, and the factors on the
     # first block of the grid
     k = max(1, int(round(alpha_max(a, step) / step)))
@@ -129,8 +112,8 @@ def test_sweep_equals_members_first_code(case):
 @given(sweep_case())
 def test_pruned_sweep_equals_blocked_sweep(case):
     a, theta, delta, step = case
-    assert_same_sweep(outcome(finite_time, a, theta, delta, step),
-                      outcome(oracles.finite_time_blocked, a, theta, delta, step))
+    assert_same(outcome(finite_time, a, theta, delta, step),
+                outcome(oracles.finite_time_blocked, a, theta, delta, step))
 
 
 def test_pruned_sweep_equals_blocked_sweep_on_fine_sample_grid(sample_spec):
@@ -162,11 +145,23 @@ def test_gap_floor_bounds_every_rate_inside_the_gap(case, width):
     assert (t[inside] * (1.0 + _LOG_SCREEN_RTOL) >= floor[gap]).all()
 
 
-def test_negative_factor_is_refused_at_an_evaluated_rate():
-    """Component 3 of this reducible system has ``theta = 0``, and its factor
-    rounds below zero at scattered rates of the grid (k = 2, 3, 5, ...).
-    Both sweeps refuse it; the whole-grid sweep names the minimum of its
-    first block, the pruned sweep that of the block where it meets one."""
+@pytest.mark.parametrize("a, theta, prunable", [
+    ([[-2.0, 1.0], [1.0, -2.0]], [1.0, 0.0], True),
+    ([[-2.0]], [1.0], True),
+    ([[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [1.0, 0.0, -2.0]], [0.0, 0.0, 1.0], True),
+    ([[-2.0, 1.0], [0.0, -2.0]], [1.0, 1.0], False),       # 2 does not reach 1
+    ([[-2.0, 1.0], [1.0, -2.0]], [0.0, 0.0], False),       # a = 0
+    ([[-2.0, 1.0], [-1e-13, -2.0]], [1.0, 1.0], False),    # Metzler only to NONNEG_TOL
+], ids=["coupled", "scalar", "cycle", "reducible", "zero-theta", "negative-entry"])
+def test_prunable_needs_positive_n_and_a(a, theta, prunable):
+    assert _prunable(np.array(a), np.array(theta)) is prunable
+
+
+def test_negative_factor_is_refused_as_on_the_whole_grid():
+    """Component 3 of this reducible system has ``theta = 0`` and reaches no
+    other component, so its ``a`` vanishes, and its factor rounds below
+    zero at scattered rates of the grid (k = 2, 3, 5, ...).  The grid is
+    swept whole, and the error names the minimum of its first block."""
     a0 = np.array([[-0.82703602052534, 0.8757445027640773, 0.509970796133141, 0.0],
                    [0.0, -1.4781097662805465, 0.0, 0.8863188504787867],
                    [0.0, 0.0, -0.3685683670628046, 0.0],
@@ -178,11 +173,26 @@ def test_negative_factor_is_refused_at_an_evaluated_rate():
     delta = [0.060892925697237435, 0.9292984356046446, 0.47554026449019665,
              0.28472489786602706]
     got = outcome(finite_time, a, theta, delta, step)
-    want = outcome(oracles.finite_time_blocked, a, theta, delta, step)
-    assert got[0] == want[0] == "raised"
-    assert got[1][0] is want[1][0] is ValueError
-    assert got[1][1].startswith(NEGATIVE_FACTOR) and want[1][1].startswith(NEGATIVE_FACTOR)
-    assert_same_sweep(got, want)
+    assert got[0] == "raised" and got[1][1].startswith("gamma must be nonnegative, got -")
+    assert_same(got, outcome(oracles.finite_time_blocked, a, theta, delta, step))
+
+
+def test_error_met_by_the_pruned_sweep_is_the_whole_grids(monkeypatch):
+    """Inverses made to fail the Hurwitz test from alpha = 0.5 on: the first
+    round of the pruned sweep meets one, and the error raised is the whole
+    grid's, which names its first block that has one."""
+    a = np.array([[-2.0, 1.0], [1.0, -2.0]])
+    real = envelope.inverse
+
+    def failing(stack):
+        inv = real(stack)
+        inv[stack[:, 0, 0] - a[0, 0] >= 0.5] *= -1.0
+        return inv
+
+    monkeypatch.setattr(envelope, "inverse", failing)
+    got = outcome(finite_time, a, [1.0, 1.0], [0.5, 0.5], 1e-4)
+    assert got[0] == "raised" and got[1][1] == "alpha in [0.0001, 0.8192]: shifted matrix not Hurwitz"
+    assert_same(got, outcome(oracles.finite_time_blocked, a, [1.0, 1.0], [0.5, 0.5], 1e-4))
 
 
 def _near_singular_pair():
