@@ -7,7 +7,8 @@ The pipeline computes, for an admissible system:
 2. strictly positive comparison vectors ``(p, q)`` scaled to dominate the
    shifted initial envelopes,
 3. a contraction factor ``mu`` in (0, 1) making the comparison
-   inequalities strict,
+   inequalities strict, from two of their three ratio families (the third
+   never binds; see ``raw_contraction_factor``),
 4. a dwell time ``T_star`` after which the comparison solution has
    certifiably contracted by ``1 - mu``.
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import envelope, stability
 from .linalg import as_vector, lu_factor, lu_solve, solve
-from .model import NONNEG_TOL, SystemSpec, _clamp_roundoff, validate_structure
+from .model import SystemSpec, _clamp_roundoff, validate_structure
 
 # Shrinking mu by this factor keeps the comparison inequalities strict and
 # the downstream target box strictly positive when the closed-form mu makes
@@ -90,46 +91,32 @@ def ultimate_bound(spec: SystemSpec, coupling_lu=None) -> tuple[np.ndarray, np.n
     return _clamp_roundoff(v[:spec.n]), _clamp_roundoff(v[spec.n:])
 
 
-def comparison_vectors(spec: SystemSpec, xi, init_x_bound, init_y_bound,
-                       direction=None) -> tuple[np.ndarray, np.ndarray]:
-    """Strictly positive comparison pair scaled over the initial envelopes.
-
-    Solves the coupling system for the direction and scales it by the
-    largest ratio of initial envelope to direction entry, so the result
-    dominates the initial data while preserving the strict inequalities.
-    ``direction`` is that solution (the joint-condition witness), if known.
-    """
-    n, m = spec.n, spec.m
-    xi_vec = np.ones(n + m) if xi is None else as_vector(xi, "xi")
-    if xi_vec.min() <= 0.0:
-        raise ValueError("xi must be strictly positive")
-    ix = as_vector(init_x_bound, "init_x_bound")
-    iy = as_vector(init_y_bound, "init_y_bound")
-    if ix.shape[0] != n or iy.shape[0] != m:
-        raise ValueError("initial bounds must match the system dimensions")
-    ix = np.maximum(ix, 0.0)
-    iy = np.maximum(iy, 0.0)
-    if direction is None:
-        v = solve(stability.coupling_matrix(spec), -xi_vec)
-        direction = v[:n], v[n:]
+def comparison_vectors(direction, init_x_bound, init_y_bound) -> tuple[np.ndarray, np.ndarray]:
+    """The joint-condition witness ``direction = (p, q)``, strictly positive,
+    scaled by the largest ratio of initial envelope to witness entry, so
+    that it dominates the nonnegative initial envelopes and keeps the
+    strict inequalities the witness satisfies."""
     p_dir, q_dir = direction
-    if not (p_dir.min() > NONNEG_TOL and q_dir.min() > NONNEG_TOL):
-        raise HypothesisViolated("comparison direction not strictly positive")
-    rho = max(float((ix / p_dir).max()), float((iy / q_dir).max()), RHO_MIN)
+    rho = max(float((init_x_bound / p_dir).max()), float((init_y_bound / q_dir).max()), RHO_MIN)
     return rho * p_dir, rho * q_dir
 
 
 def raw_contraction_factor(spec: SystemSpec, p, q, shift=None) -> float:
-    """Closed-form contraction factor from the three ratio families;
-    ``shift`` is ``solve(A, B q)``, if already known."""
+    """Closed-form contraction factor from two ratio families, ``-inv(A) B q
+    / p`` and ``(C p + D q) / q``; ``shift`` is ``solve(A, B q)``, if
+    already known.
+
+    The paper's third family, ``m2 = inv(I - D) C p`` over ``q``, never
+    sets the factor.  Let ``s = max((C p + D q) / q)``, so ``C p + D q <=
+    s q`` and ``(I - D) m2 = C p <= (I - D) q - (1 - s) q``.  ``D`` is
+    Schur, so ``inv(I - D) = I + D + D^2 + ... >= I`` (Neumann series),
+    and for ``s <= 1`` ``m2 <= q - (1 - s) inv(I - D) q <= s q``.  For
+    ``s > 1`` the pair is refused either way."""
     pv = as_vector(p, "p")
     qv = as_vector(q, "q")
     m1 = -(solve(spec.A, spec.B @ qv) if shift is None else shift)
-    m2 = solve(np.eye(spec.m) - spec.D, spec.C @ pv)
     m3 = spec.C @ pv + spec.D @ qv
-    worst = max(float((m1 / pv).max()), float((m2 / qv).max()),
-                float((m3 / qv).max()))
-    mu = 1.0 - worst
+    mu = 1.0 - max(float((m1 / pv).max()), float((m3 / qv).max()))
     if mu <= 0.0:
         raise HypothesisViolated(
             f"comparison inequalities fail for the supplied (p, q): mu={mu}")
@@ -172,8 +159,8 @@ def compute_certificate(spec: SystemSpec, alpha_step: float = 1e-3,
     psi_hat = np.maximum(spec.psi_bar, eta)
     phi_hat = np.maximum(spec.phi_bar, varsigma)
     try:
-        p, q = comparison_vectors(spec, xi, psi_hat - eta, phi_hat - varsigma,
-                                  (report.witness_p, report.witness_q))
+        p, q = comparison_vectors((report.witness_p, report.witness_q),
+                                  psi_hat - eta, phi_hat - varsigma)
     except Exception as exc:
         raise CertificateError("comparison-vectors", str(exc)) from exc
 

@@ -148,11 +148,11 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 
 def cmd_check(args) -> int:
-    spec, _, _ = load_problem(args.problem)
+    spec, _, options = load_problem(args.problem)
     findings = validate_structure(spec)
     for f in findings:
         print(f"FAIL structure: {f}")
-    report = check_joint_condition(spec, _parse_xi(args, spec))
+    report = check_joint_condition(spec, _xi(args, spec, options))
     checks = [
         ("A is Metzler", report.a_is_metzler),
         ("B, C, D nonnegative", report.bcd_nonnegative),
@@ -169,9 +169,9 @@ def cmd_check(args) -> int:
     return 0 if not findings and all(ok for _, ok in checks) else 1
 
 
-def _parse_xi(args, spec: SystemSpec):
-    raw = getattr(args, "xi", None)
-    return None if raw is None else _weights("--xi", raw.split(","), spec)
+def _xi(args, spec: SystemSpec, options: dict):
+    """Witness weights: a flag overrides the file, the file the default (ones)."""
+    return options.get("xi") if args.xi is None else _weights("--xi", args.xi.split(","), spec)
 
 
 def _options(args, options: dict):
@@ -202,8 +202,7 @@ def _certificate_summary(cert: BoundCertificate) -> str:
 def cmd_bound(args) -> int:
     spec, _, options = load_problem(args.problem)
     alpha_step, step, t_end = _options(args, options)
-    xi = _parse_xi(args, spec) or options.get("xi")
-    cert = compute_certificate(spec, alpha_step=alpha_step, xi=xi)
+    cert = compute_certificate(spec, alpha_step=alpha_step, xi=_xi(args, spec, options))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "certificate.json", cert.to_dict())
@@ -258,8 +257,7 @@ def grid_reports(spec: SystemSpec, scenario_cfg, cert: BoundCertificate, *,
 def cmd_verify(args) -> int:
     spec, scenario_cfg, options = load_problem(args.problem)
     alpha_step, step, t_end = _options(args, options)
-    xi = _parse_xi(args, spec) or options.get("xi")
-    cert = compute_certificate(spec, alpha_step=alpha_step, xi=xi)
+    cert = compute_certificate(spec, alpha_step=alpha_step, xi=_xi(args, spec, options))
     if args.a is not None or args.b is not None:
         a = 1.0 if args.a is None else args.a
         b = 1.0 if args.b is None else args.b
@@ -291,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="validate structure and stability hypotheses")
     p_check.add_argument("problem")
-    p_check.add_argument("--xi", help="comma-separated positive weights for the witness solve")
     p_check.set_defaults(func=cmd_check)
 
     p_bound = sub.add_parser("bound", help="compute the bound certificate")
@@ -318,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-end", dest="t_end", type=float)
     for p in (p_bound, p_ver):
         p.add_argument("--alpha-step", dest="alpha_step", type=float)
+    for p in (p_check, p_bound, p_ver):
         p.add_argument("--xi", help="comma-separated positive weights for the witness solve")
     return parser
 

@@ -73,14 +73,6 @@ class NonpositiveThreshold(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class ExponentialEstimate:
-    """Componentwise bound u_i(t) <= gamma[i] * exp(-alpha * t)."""
-
-    alpha: float
-    gamma: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class ConvergenceResult:
     """Certified entry times into the target box, per component and overall."""
 
@@ -155,14 +147,6 @@ def _gap_floor(a_lo: np.ndarray, b_hi: np.ndarray, mask_hi: np.ndarray,
 
 def gamma_component(A, alpha: float, theta_bar, i: int) -> float:
     """Optimal envelope factor for component ``i`` at decay rate ``alpha``."""
-    gamma = exponential_estimate(A, alpha, theta_bar).gamma
-    if not 0 <= i < gamma.shape[0]:
-        raise IndexError(f"component index {i} out of range for dimension {gamma.shape[0]}")
-    return float(gamma[i])
-
-
-def exponential_estimate(A, alpha: float, theta_bar) -> ExponentialEstimate:
-    """All componentwise factors at rate ``alpha``, sharing one inversion."""
     if alpha <= 0.0:
         raise ValueError(f"decay rate must be positive, got {alpha}")
     M = as_matrix(A, "A")
@@ -170,8 +154,10 @@ def exponential_estimate(A, alpha: float, theta_bar) -> ExponentialEstimate:
     theta = as_vector(theta_bar, "theta_bar")
     if negative(theta).any():
         raise ValueError("theta_bar must be nonnegative")
-    return ExponentialEstimate(alpha=alpha,
-                               gamma=_envelope_factors(M, np.array([alpha]), theta)[0])
+    gamma = _envelope_factors(M, np.array([alpha]), theta)[0]
+    if not 0 <= i < gamma.shape[0]:
+        raise IndexError(f"component index {i} out of range for dimension {gamma.shape[0]}")
+    return float(gamma[i])
 
 
 def time_to_threshold(gamma_i: float, delta_i: float, alpha: float) -> float:
@@ -206,7 +192,6 @@ def finite_time(A, theta_bar, delta, alpha_step: float) -> ConvergenceResult:
     if negative(theta).any():
         raise ValueError("theta_bar must be nonnegative")
 
-    dim = M.shape[0]
     k_max = int(round(alpha_max(M, alpha_step) / alpha_step))
     if k_max > _GRID_MAX:
         raise ValueError(f"decay-rate grid of {k_max:.3g} rates exceeds 2**53: "
@@ -214,26 +199,17 @@ def finite_time(A, theta_bar, delta, alpha_step: float) -> ConvergenceResult:
     if k_max:
         best_t, best_alpha = _sweep(M, theta, dlt, alpha_step, k_max)
     else:
-        # Hurwitz margin smaller than the grid step: halve until admissible.
-        eye = np.eye(dim)
+        # Hurwitz margin smaller than the grid step: sweep the one rate
+        # found by halving the step until admissible
+        eye = np.eye(M.shape[0])
         halved = (alpha_step / 2.0 ** j for j in range(1, 61))
         rate = next((a for a in halved if is_metzler_hurwitz(M + a * eye)), None)
         if rate is None:
             raise NotStable("no admissible decay rate found")
-        alphas = np.array([rate])
-        gamma = _checked_factors(_envelope_factors(M, alphas, theta))
-        first, best_t = _block_entry_times(gamma, dlt, alphas)
-        best_alpha = alphas[first]
+        best_t, best_alpha = _sweep(M, theta, dlt, rate, 1)
     return ConvergenceResult(T=float(best_t.max()),
                              per_component_T=best_t,
                              per_component_alpha=best_alpha)
-
-
-def _checked_factors(gamma: np.ndarray) -> np.ndarray:
-    """``gamma``, which rounding must not have made negative."""
-    if gamma.min() < 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma.min()}")
-    return gamma
 
 
 def _sweep(M: np.ndarray, theta: np.ndarray, dlt: np.ndarray, step: float,
@@ -289,7 +265,9 @@ def _evaluate(M: np.ndarray, theta: np.ndarray, dlt: np.ndarray, ks: np.ndarray,
     ``best_k``, the earliest time of each component and its smallest k."""
     alphas = ks * step
     a, b, mask = _neg_inverses(M, alphas, theta)
-    gamma = _checked_factors(_min_ratios(a, b, mask, out=np.empty_like(b)))
+    gamma = _min_ratios(a, b, mask, out=np.empty_like(b))
+    if gamma.min() < 0.0:               # rounding must not make a factor negative
+        raise ValueError(f"gamma must be nonnegative, got {gamma.min()}")
     first, t = _block_entry_times(gamma, dlt, alphas)
     better = (t < best_t) | ((t == best_t) & (ks[first] < best_k))
     best_t[better] = t[better]

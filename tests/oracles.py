@@ -7,8 +7,9 @@ whole grid, which the pruned sweep must match bit for bit; the entry-time
 choice over a block of rates with an exact log at every rate; the per-step
 simulator, and the windowed one as it was before it was split into stages,
 which the package's must match bit for bit; the comparison check of ordered
-initial data; one signal's values on a grid, one signal at a time; and
-Python's own "%.9g" for CSV rows."""
+initial data; the contraction factor from all three ratio families; one
+signal's values on a grid, one signal at a time; and Python's own "%.9g"
+for CSV rows."""
 
 import math
 from bisect import bisect_left, bisect_right
@@ -16,12 +17,13 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from cdde_bound import envelope, simulator, stability
+from cdde_bound.certificate import HypothesisViolated
 from cdde_bound.envelope import (BLOCK_BYTES, ConvergenceResult, DecayRateTooLarge,
                                  EmptyIndexSet, NonpositiveThreshold, _block_entry_times,
                                  time_to_threshold)
 from cdde_bound.linalg import (PIVOT_RTOL, SingularMatrix, _as_array, _square, as_matrix,
-                               as_vector, lu_factor, lu_solve)
-from cdde_bound.model import NONNEG_TOL, negative
+                               as_vector, lu_factor, lu_solve, solve)
+from cdde_bound.model import NONNEG_TOL, SystemSpec, negative
 from cdde_bound.signals import _SignalBatch
 from cdde_bound.simulator import (BLOCK_STEPS, DIVERGENCE_LIMIT, GRID_TOL, JUMP_TOL,
                                   InvalidScenario, MismatchedScenarios, Trajectory, UnstableStep,
@@ -892,6 +894,27 @@ def comparison_check(scenario_lo, scenario_hi, slack: float = 1e-9) -> bool:
     tr_lo, tr_hi = simulator.simulate_many([lo, hi])
     return bool((tr_lo.x_samples <= tr_hi.x_samples + slack).all()
                 and (tr_lo.y_samples <= tr_hi.y_samples + slack).all())
+
+
+# ``raw_contraction_factor`` with all three ratio families, as it was before
+# the ``m2`` family, which never sets the factor, was dropped; copied
+# verbatim.  The package's must match it bit for bit.
+
+def raw_contraction_factor(spec: SystemSpec, p, q, shift=None) -> float:
+    """Closed-form contraction factor from the three ratio families;
+    ``shift`` is ``solve(A, B q)``, if already known."""
+    pv = as_vector(p, "p")
+    qv = as_vector(q, "q")
+    m1 = -(solve(spec.A, spec.B @ qv) if shift is None else shift)
+    m2 = solve(np.eye(spec.m) - spec.D, spec.C @ pv)
+    m3 = spec.C @ pv + spec.D @ qv
+    worst = max(float((m1 / pv).max()), float((m2 / qv).max()),
+                float((m3 / qv).max()))
+    mu = 1.0 - worst
+    if mu <= 0.0:
+        raise HypothesisViolated(
+            f"comparison inequalities fail for the supplied (p, q): mu={mu}")
+    return mu
 
 
 def csv_rows_fstring(rows) -> bytes:

@@ -10,6 +10,7 @@ from cdde_bound.certificate import (MU_MIN, CertificateError, HypothesisViolated
                                     staircase, ultimate_bound)
 from cdde_bound.linalg import cmp_leq, solve
 from cdde_bound.model import SystemSpec
+from cdde_bound.stability import check_joint_condition
 
 from conftest import make_sample_system
 
@@ -49,11 +50,16 @@ def test_ultimate_bound_scalar_fixed_point():
     assert varsigma == pytest.approx([1.0], abs=1e-12)
 
 
+def witness(spec, xi=None):
+    report = check_joint_condition(spec, xi)
+    return report.witness_p, report.witness_q
+
+
 def test_comparison_vectors_sample(sample_spec):
     eta, varsigma = ultimate_bound(sample_spec)
     psi_hat = np.maximum(sample_spec.psi_bar, eta)
     phi_hat = np.maximum(sample_spec.phi_bar, varsigma)
-    p, q = comparison_vectors(sample_spec, None, psi_hat - eta, phi_hat - varsigma)
+    p, q = comparison_vectors(witness(sample_spec), psi_hat - eta, phi_hat - varsigma)
     assert p == pytest.approx([2.3951, 5.5118, 2.4220], abs=5e-3)
     assert q == pytest.approx([14.1659, 4.9990], abs=5e-3)
     assert (p >= psi_hat - eta - 1e-12).all()
@@ -61,7 +67,7 @@ def test_comparison_vectors_sample(sample_spec):
 
 
 def test_comparison_vectors_zero_bounds_clamped(sample_spec):
-    p, q = comparison_vectors(sample_spec, None, np.zeros(3), np.zeros(2))
+    p, q = comparison_vectors(witness(sample_spec), np.zeros(3), np.zeros(2))
     assert p.min() > 0 and q.min() > 0
     # clamped to the minimal positive multiple of the direction
     direction = solve(np.block([[sample_spec.A, sample_spec.B],
@@ -74,7 +80,7 @@ def test_comparison_vectors_zero_bounds_clamped(sample_spec):
 def test_comparison_vectors_scalar_hand_solve():
     # block system [[-1, 1], [0.5, -1]] v = -[1, 1] has v = (4, 3)
     spec = scalar_coupled_spec()
-    p, q = comparison_vectors(spec, [1.0, 1.0], [2.0], [1.0])
+    p, q = comparison_vectors(witness(spec, [1.0, 1.0]), [2.0], [1.0])
     assert p == pytest.approx([2.0], abs=1e-12)   # rho = max(2/4, 1/3) = 0.5
     assert q == pytest.approx([1.5], abs=1e-12)
     assert p[0] >= 2.0 - 1e-15 and q[0] >= 1.0
@@ -94,7 +100,7 @@ def test_contraction_factor_decoupled_clamps():
 
 
 def test_contraction_factor_detects_bad_pair():
-    # ratios: M1/p = 1/4, M2/q = 2, M3/q = 2 -> mu = -1
+    # ratios: M1/p = 1/4, M3/q = 2 -> mu = -1 (M2/q = 2 too; it never sets mu)
     with pytest.raises(HypothesisViolated):
         raw_contraction_factor(scalar_coupled_spec(), [4.0], [1.0])
 
@@ -112,7 +118,7 @@ def test_contraction_factor_below_mu_min_is_refused(d):
     # inequalities do not allow
     spec = tiny_margin_spec(d)
     direction = solve([[-1.0, 1e-12], [1.0, d - 1.0]], [-1.0, -1.0])
-    p, q = comparison_vectors(spec, None, [1.0], [1.0], (direction[:1], direction[1:]))
+    p, q = comparison_vectors((direction[:1], direction[1:]), [1.0], [1.0])
     assert 0.0 < raw_contraction_factor(spec, p, q) < MU_MIN
     with pytest.raises(HypothesisViolated, match="below MU_MIN"):
         contraction_factor(spec, p, q)

@@ -31,6 +31,21 @@ def test_check_sample_passes(capsys, sample_problem_path):
     assert "FAIL" not in out
 
 
+def test_check_reads_xi_from_options_and_flag_overrides(tmp_path, capsys):
+    # the weights of the witness solve: the file's options.xi, overridden by --xi
+    path = write_problem(tmp_path, lambda d: d["options"].update(xi=[1, 2, 3, 4, 5]))
+    runs = {}
+    for name, argv in [("file", [str(path)]),
+                       ("flag", [str(SAMPLE_PROBLEM), "--xi", "1,2,3,4,5"]),
+                       ("override", [str(path), "--xi", "1,1,1,1,1"]),
+                       ("default", [str(SAMPLE_PROBLEM)])]:
+        assert main(["check"] + argv) == 0
+        runs[name] = capsys.readouterr().out
+    assert "witness p = [7.55363, 19.0146, 8.38317]" in runs["file"]
+    assert runs["file"] == runs["flag"]
+    assert runs["override"] == runs["default"] != runs["file"]
+
+
 def test_check_identity_d_fails(tmp_path, capsys):
     path = write_problem(tmp_path, lambda d: d["system"].update(
         D=[[1.0, 0.0], [0.0, 1.0]]))

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from cdde_bound.certificate import compute_certificate
 from cdde_bound.envelope import (ConvergenceResult, DecayRateTooLarge,
-                                 NonpositiveThreshold, exponential_estimate,
-                                 finite_time, gamma_component, time_to_threshold)
+                                 NonpositiveThreshold, finite_time, gamma_component,
+                                 time_to_threshold)
+from cdde_bound.linalg import solve
 from cdde_bound.stability import NotMetzler, NotStable, alpha_max
 
+import oracles
 from conftest import grid_min_factor, random_metzler_hurwitz
 
 
@@ -64,12 +67,12 @@ def test_empty_index_set_guard():
         gamma_component([[-1e13]], 0.5, [1.0], 0)
 
 
-def test_exponential_estimate_rejects_nonpositive_rate(sample_spec):
+def test_gamma_rejects_nonpositive_rate(sample_spec):
     with pytest.raises(ValueError):
-        exponential_estimate(sample_spec.A, 0.0, np.ones(3))
+        gamma_component(sample_spec.A, 0.0, np.ones(3), 0)
 
 
-def test_exponential_estimate_bounds_the_flow():
+def test_gamma_bounds_the_flow():
     # envelope validity against the exact matrix-exponential flow from the
     # extreme initial state (monotonicity makes it worst-case)
     rng = np.random.default_rng(99)
@@ -77,13 +80,13 @@ def test_exponential_estimate_bounds_the_flow():
         a, margins = random_metzler_hurwitz(rng, coupling=rng.uniform(0.2, 1.5))
         alpha = rng.uniform(0.1, 0.95) * margins.min()
         theta = rng.uniform(0.0, 2.0, 3)
-        est = exponential_estimate(a, alpha, theta)
+        gamma = np.array([gamma_component(a, alpha, theta, i) for i in range(3)])
         dt = 0.1
         step_flow = expm(a * dt)
         u = theta.copy()
         for k in range(101):
             t = k * dt
-            assert (u <= est.gamma * math.exp(-alpha * t) + 1e-8).all()
+            assert (u <= gamma * math.exp(-alpha * t) + 1e-8).all()
             u = step_flow @ u
 
 
@@ -136,13 +139,22 @@ def test_finite_time_near_minimality_diagonal():
         assert (u_slow <= delta[1] + 1e-9) == ok
 
 
-def test_finite_time_narrow_margin_fallback():
+def test_finite_time_narrow_margin_fallback(sample_spec):
     # Hurwitz margin below one grid step: the sweep must still produce a rate
     a = [[-0.0005]]
     res = finite_time(a, [2.0], [1.0], 1e-3)
     assert isinstance(res, ConvergenceResult)
     assert 0.0 < res.per_component_alpha[0] < 1e-3
     assert res.T == pytest.approx(math.log(2.0) / res.per_component_alpha[0])
+    # the sample certificate's sweep at alpha_step 5, above the margin: the
+    # halved rate, bit for bit as the members-first code picks and sweeps it
+    cert = compute_certificate(sample_spec)
+    shift = solve(sample_spec.A, sample_spec.B @ cert.q)
+    args = (sample_spec.A, cert.p + shift, (1.0 - cert.mu) * cert.p + shift, 5.0)
+    assert alpha_max(sample_spec.A, 5.0) == 0.0
+    got, want = finite_time(*args), oracles.finite_time(*args)
+    assert [np.asarray(v).tobytes() for v in (got.T, got.per_component_T, got.per_component_alpha)] \
+        == [np.asarray(v).tobytes() for v in (want.T, want.per_component_T, want.per_component_alpha)]
 
 
 def test_finite_time_refuses_grid_past_float_precision_at_once():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cdde_bound.envelope import exponential_estimate
+from cdde_bound.envelope import gamma_component
 from cdde_bound.linalg import DimensionMismatch
 from cdde_bound.model import NONNEG_TOL, SystemSpec, negative, validate_structure
 from cdde_bound.simulator import InvalidScenario, _check_envelope
@@ -102,10 +102,10 @@ def test_sign_tolerance_boundary_across_modules(scale, accepted):
     assert _passes(is_schur_nonneg, D) is accepted
     theta = [1.0, 1.0, e]
     if accepted:
-        exponential_estimate(make_sample_system().A, 0.1, theta)
+        gamma_component(make_sample_system().A, 0.1, theta, 0)
     else:
         with pytest.raises(ValueError, match="theta_bar must be nonnegative"):
-            exponential_estimate(make_sample_system().A, 0.1, theta)
+            gamma_component(make_sample_system().A, 0.1, theta, 0)
     times = np.zeros(1)
     assert _passes(_check_envelope, "w", times, np.array([[e]]), np.array([1.0])) is accepted
     assert _passes(_check_envelope, "w", times, np.array([[-e]]), np.array([0.0])) is accepted

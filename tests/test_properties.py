@@ -1,7 +1,8 @@
 """Property tests: the stacked inverse, the logarithmic margin search and
 the blocked decay-rate sweep against the one-matrix-at-a-time oracles; the
 screened entry-time choice against an exact log at every rate; emitted
-certificates against numpy.linalg; the batched simulator against single runs
+certificates against numpy.linalg, and their contraction factor against
+all three ratio families; the batched simulator against single runs
 and against superposition; the windowed simulator against the per-step
 one, and bit for bit against itself before its split into stages; the
 shared-wave signal batch against one signal at a time; the CSV
@@ -9,12 +10,15 @@ encoder against Python's "%.9g"."""
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cdde_bound.certificate import MU_SAFETY, compute_certificate
+from cdde_bound import certificate
+from cdde_bound.certificate import (MU_SAFETY, CertificateError, compute_certificate,
+                                    raw_contraction_factor)
 from cdde_bound.csvio import _encode
 from cdde_bound.envelope import _block_entry_times, finite_time
 from cdde_bound.linalg import SingularMatrix, inverse
@@ -171,10 +175,13 @@ def test_stack_with_one_singular_member_raises(n, g, seed, data):
 
 
 @st.composite
-def admissible_system(draw):
+def admissible_system(draw, d_shapes=st.just("sparse"), loads=st.floats(0.05, 0.95)):
     """Random admissible system, n <= 6, m <= 3, built around a positive
     vector v = (p, q) with [[A, B], [C, D - I]] v < 0: the diagonal of A
-    absorbs the x rows, and C, D are scaled so that C p + D q < q."""
+    absorbs the x rows, and C, D are scaled so that C p + D q <= load * q
+    with equality in some row.  ``D`` is sparse, sparse with rows of zeros,
+    or zero, as ``d_shapes`` draws; a load of 1 or more, as ``loads`` may
+    draw, gives a system at or past the edge of the class."""
     n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(SEEDS))
 
@@ -183,11 +190,16 @@ def admissible_system(draw):
 
     p, q = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, m)
     A, B, C, D = sparse(n, n), sparse(n, m), sparse(m, n), sparse(m, m)
+    d_shape = draw(d_shapes)
+    if d_shape == "zero rows":
+        D[rng.uniform(size=m) < 0.5] = 0.0
+    elif d_shape == "zero":
+        D[:] = 0.0
     np.fill_diagonal(A, 0.0)
     np.fill_diagonal(A, -(A @ p + B @ q + rng.uniform(0.05, 1.0, n) * p) / p)
     load = (C @ p + D @ q) / q
     if load.max() > 0.0:
-        shrink = draw(st.floats(0.05, 0.95)) / load.max()
+        shrink = draw(loads) / load.max()
         C, D = C * shrink, D * shrink
     return SystemSpec(A=A, B=B, C=C, D=D, h_max=draw(st.floats(0.0, 2.0)),
                       omega_bar=rng.uniform(0.0, 1.0, n), d_bar=rng.uniform(0.0, 1.0, m),
@@ -213,6 +225,33 @@ def test_certificate_holds_against_numpy(spec):
     want = np.linalg.solve(coupling, -np.concatenate([spec.omega_bar, spec.d_bar]))
     got = np.concatenate([cert.eta, cert.varsigma])
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(admissible_system(st.sampled_from(["sparse", "zero rows", "zero"]),
+                         st.one_of(st.floats(0.05, 0.95), st.floats(0.95, 1.5),
+                                   st.sampled_from([1.0 - 1e-9, 1.0]))))
+def test_dropped_m2_family_never_moves_mu(spec):
+    """The contraction factor from two ratio families is the one from all
+    three, bit for bit: in the certificate, or in the stage that refuses
+    it, and directly on the certificate's pair."""
+
+    def outcome():
+        try:
+            return compute_certificate(spec, alpha_step=1e-2)
+        except CertificateError as exc:
+            return exc.stage
+
+    got = outcome()
+    with mock.patch.object(certificate, "raw_contraction_factor", oracles.raw_contraction_factor):
+        want = outcome()
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    assert np.float64(got.mu).tobytes() == np.float64(want.mu).tobytes()
+    raw = raw_contraction_factor(spec, got.p, got.q)
+    assert np.float64(raw).tobytes() == \
+        np.float64(oracles.raw_contraction_factor(spec, got.p, got.q)).tobytes()
 
 
 def sample_run(a, b, psi_scale=1.0, phi_scale=1.0):
