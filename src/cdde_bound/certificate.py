@@ -149,20 +149,16 @@ def compute_certificate(spec: SystemSpec, alpha_step: float = 1e-3,
         raise CertificateError("stability-hypotheses",
                                report.diagnostic or "joint condition fails")
 
-    try:
-        eta, varsigma = ultimate_bound(spec, report.coupling_lu)
-    except Exception as exc:
-        raise CertificateError("ultimate-bound", str(exc)) from exc
-
+    # Neither of the next two stages can fail: the first solves against the
+    # factors the joint-condition check accepted, the second divides by its
+    # witness, which that check found above NONNEG_TOL.
+    eta, varsigma = ultimate_bound(spec, report.coupling_lu)
     constant = bool((spec.psi_bar <= eta).all() and (spec.phi_bar <= varsigma).all())
 
     psi_hat = np.maximum(spec.psi_bar, eta)
     phi_hat = np.maximum(spec.phi_bar, varsigma)
-    try:
-        p, q = comparison_vectors((report.witness_p, report.witness_q),
-                                  psi_hat - eta, phi_hat - varsigma)
-    except Exception as exc:
-        raise CertificateError("comparison-vectors", str(exc)) from exc
+    p, q = comparison_vectors((report.witness_p, report.witness_q),
+                              psi_hat - eta, phi_hat - varsigma)
 
     try:
         shift = solve(spec.A, spec.B @ q)

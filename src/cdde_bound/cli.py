@@ -6,12 +6,13 @@ The problem file is JSON with a ``system`` section (matrices as arrays of
 row arrays, vectors as arrays), an optional ``scenario`` section using the
 signal presets, and an optional ``options`` section (alpha_step, step,
 t_end, xi).  Exit codes: 0 all checks pass, 1 hypothesis or verification
-failure, 2 unreadable or malformed input.
+failure, 2 unreadable or malformed input or an unwritable output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -131,6 +132,16 @@ def build_scenario(spec: SystemSpec, scenario_cfg, *, a: float, b: float,
         raise ProblemFormatError(f"scenario: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An output that cannot be written is an input error (exit code 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ProblemFormatError(f"cannot write {exc.filename or path}: "
+                                 f"{exc.strerror or exc}") from exc
+
+
 def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -204,9 +215,10 @@ def cmd_bound(args) -> int:
     alpha_step, step, t_end = _options(args, options)
     cert = compute_certificate(spec, alpha_step=alpha_step, xi=_xi(args, spec, options))
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "certificate.json", cert.to_dict())
-    _write_staircase_csv(outdir / "staircase.csv", cert, t_end, step)
+    with _writing(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
+        _write_json(outdir / "certificate.json", cert.to_dict())
+        _write_staircase_csv(outdir / "staircase.csv", cert, t_end, step)
     print(_certificate_summary(cert))
     print(f"wrote {outdir / 'certificate.json'} and {outdir / 'staircase.csv'}")
     return 0
@@ -218,7 +230,8 @@ def cmd_simulate(args) -> int:
     scenario = build_scenario(spec, scenario_cfg, a=args.a, b=args.b,
                               t_end=t_end, step=step)
     traj = simulate(scenario)
-    write_trajectory_csv(traj, args.out)
+    with _writing(args.out):
+        write_trajectory_csv(traj, args.out)
     print(f"wrote {args.out} ({traj.times.shape[0]} rows)")
     return 0
 

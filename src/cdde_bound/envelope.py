@@ -160,19 +160,6 @@ def gamma_component(A, alpha: float, theta_bar, i: int) -> float:
     return float(gamma[i])
 
 
-def time_to_threshold(gamma_i: float, delta_i: float, alpha: float) -> float:
-    """Smallest t >= 0 with gamma_i * exp(-alpha t) <= delta_i."""
-    if delta_i <= 0.0:
-        raise NonpositiveThreshold(f"threshold must be positive, got {delta_i}")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if gamma_i < 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma_i}")
-    if gamma_i <= delta_i:
-        return 0.0
-    return math.log(gamma_i / delta_i) / alpha
-
-
 def finite_time(A, theta_bar, delta, alpha_step: float) -> ConvergenceResult:
     """Certified time after which every solution sits inside the target box.
 
@@ -335,14 +322,14 @@ def _pruned_sweep(M: np.ndarray, theta: np.ndarray, dlt: np.ndarray, step: float
 
 def _block_entry_times(gamma: np.ndarray, dlt: np.ndarray,
                        alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of ``gamma`` (G, n), the row with the earliest entry time
-    ``time_to_threshold(gamma[g, i], dlt[i], alphas[g])`` and that time; ties
-    go to the smallest alpha.
+    """Per column of ``gamma`` (G, n), the row with the earliest entry time,
+    the smallest t >= 0 with ``gamma[g, i] exp(-alphas[g] t) <= dlt[i]``, that
+    is ``math.log(gamma[g, i] / dlt[i]) / alphas[g]`` or 0, and that time;
+    ties go to the smallest alpha.
 
-    ``np.log`` screens the grid and ``math.log``, which rounds as it does in
-    ``time_to_threshold``, decides: only rows within a relative
-    ``_LOG_SCREEN_RTOL`` of a column's screened minimum get an exact time,
-    the others ``inf``.  The two logs differ by at most an ulp, so every row
+    ``np.log`` screens the grid and ``math.log`` decides: only rows within a
+    relative ``_LOG_SCREEN_RTOL`` of a column's screened minimum get an exact
+    time, the others ``inf``.  The two logs differ by at most an ulp, so every row
     that attains the exact minimum, ties included, is kept."""
     ratio = gamma / dlt
     above = ratio > 1.0

@@ -73,10 +73,6 @@ class SignalSpec:
     def constant(values) -> "SignalSpec":
         return SignalSpec(kind="constant", amplitude=tuple(float(v) for v in np.atleast_1d(values)))
 
-    @staticmethod
-    def zero(dim: int) -> "SignalSpec":
-        return SignalSpec(kind="zero", amplitude=(0.0,) * dim)
-
 
 _TRIG = {"abs_sin": np.sin, "const_plus_abs_sin": np.sin,
          "abs_cos": np.cos, "const_plus_abs_cos": np.cos}

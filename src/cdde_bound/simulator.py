@@ -16,7 +16,10 @@ integrator's error far below the certificate slack:
 
 When ``h2(t)`` falls below the step size, the delayed argument can no
 longer be resolved by the history grid; the relation is then closed
-algebraically as ``(I - D) y = C x + d``, its vanishing-delay limit.
+algebraically as ``(I - D) y = C x + d``, its vanishing-delay limit.  The
+inverse of ``I - D`` is formed by the first step that closes, so a run that
+closes none accepts a singular ``I - D``, and one that does fails there as
+an invalid scenario.
 Scenario envelope checks run at grid points only; violations strictly
 between grid points are not detectable at this resolution.
 
@@ -66,12 +69,13 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .certificate import BoundCertificate, sample_staircase
 from .csvio import write_csv
-from .linalg import DimensionMismatch, as_vector, inverse
+from .linalg import DimensionMismatch, SingularMatrix, as_vector, inverse
 from .model import SystemSpec, negative
 from .signals import SignalSpec, _SignalBatch
 
@@ -79,7 +83,7 @@ DIVERGENCE_LIMIT = 1e12
 GRID_TOL = 1e-12
 # minimum jump magnitude worth tracking
 JUMP_TOL = 1e-13
-# grid steps per block of sampled disturbances, and rows per block of CSV
+# grid steps per block of sampled disturbances
 BLOCK_STEPS = 512
 
 
@@ -145,7 +149,6 @@ class DominationReport:
 
     x_margin: np.ndarray
     y_margin: np.ndarray
-    slack: float
     first_violation_time: float | None
 
     @property
@@ -252,7 +255,6 @@ class _Run:
             raise InvalidScenario(f"t_end {first.t_end} shorter than one step {h}")
         self.ts = ts = np.arange(K + 1) * h
         self.AT, self.BT, self.CT, self.DT = (M.T.copy() for M in (spec.A, spec.B, spec.C, spec.D))
-        self.closure = inverse(np.eye(m) - spec.D).T
         # each distinct wave once per call for the whole batch (_SignalBatch)
         self.omega, self.d, self.phi = (_SignalBatch([getattr(sc, name) for sc in scenarios])
                                         for name in ("omega", "d", "phi"))
@@ -496,10 +498,9 @@ class _Run:
         new_events = []
         for tstar, i in self.crossings(self.h2_at, t0, t1):
             xstar = self.advance(x0, t0, tstar, k) if tstar - t0 > 1e-14 else x0
-            cx = xstar @ self.CT
             dv = self.d(np.array([tstar]))[0]
-            left = cx + self.jump_left[i] @ self.DT + dv
-            right = cx + self.jump_right[i] @ self.DT + dv
+            left, right = (self.output(xstar, z[i], dv, False)
+                           for z in (self.jump_left, self.jump_right))
             if np.max(np.abs(right - left)) > JUMP_TOL:
                 new_events.append((tstar, left, right))
         for tstar, left, right in new_events:
@@ -545,6 +546,15 @@ class _Run:
                 v[d:] += v[:-d] @ Pd
             x = v[-S:]
 
+    @cached_property
+    def closure(self) -> np.ndarray:
+        """``inv(I - D)`` transposed, formed by the first closed step."""
+        try:
+            return inverse(np.eye(self.m) - self.spec.D).T
+        except SingularMatrix as exc:
+            raise InvalidScenario(f"h2 falls below the step {self.h}, "
+                                  f"where I - D must be invertible: {exc}") from None
+
     def output(self, x, z, dv, closed: bool):
         """y from x, d and the delayed y ``z``, as 2-D products over the rows
         (step, member); a delay below one step is closed algebraically
@@ -585,7 +595,7 @@ def verify_domination(traj: Trajectory, cert: BoundCertificate,
     viol = (dx > slack).any(axis=1) | (dy > slack).any(axis=1)
     first = float(traj.times[int(np.argmax(viol))]) if viol.any() else None
     return DominationReport(x_margin=dx.max(axis=0), y_margin=dy.max(axis=0),
-                            slack=slack, first_violation_time=first)
+                            first_violation_time=first)
 
 
 def _same_system(a: SystemSpec, b: SystemSpec) -> bool:
@@ -595,11 +605,6 @@ def _same_system(a: SystemSpec, b: SystemSpec) -> bool:
     ) and a.h_max == b.h_max
 
 
-def write_trajectory_csv(traj: Trajectory, path,
-                         cert: BoundCertificate | None = None) -> None:
-    """Write the trajectory as CSV: columns ``t,x_1..x_n,y_1..y_m``, plus
-    ``xb_*,yb_*`` when a certificate is supplied."""
-    columns = {"x": traj.x_samples, "y": traj.y_samples}
-    if cert is not None:
-        columns["xb"], columns["yb"] = sample_staircase(cert, traj.times)
-    write_csv(path, traj.times, columns)
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Write the trajectory as CSV: columns ``t,x_1..x_n,y_1..y_m``."""
+    write_csv(path, traj.times, {"x": traj.x_samples, "y": traj.y_samples})

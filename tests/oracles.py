@@ -6,7 +6,8 @@ members-last sweep must match bit for bit; the members-last sweep over the
 whole grid, which the pruned sweep must match bit for bit; the entry-time
 choice over a block of rates with an exact log at every rate; the per-step
 simulator, and the windowed one as it was before it was split into stages,
-which the package's must match bit for bit; the comparison check of ordered
+which the package's must match bit for bit; the entry time of one component
+at one rate; the comparison check of ordered
 initial data; the contraction factor from all three ratio families; one
 signal's values on a grid, one signal at a time; and Python's own "%.9g"
 for CSV rows."""
@@ -19,8 +20,7 @@ import numpy as np
 from cdde_bound import envelope, simulator, stability
 from cdde_bound.certificate import HypothesisViolated
 from cdde_bound.envelope import (BLOCK_BYTES, ConvergenceResult, DecayRateTooLarge,
-                                 EmptyIndexSet, NonpositiveThreshold, _block_entry_times,
-                                 time_to_threshold)
+                                 EmptyIndexSet, NonpositiveThreshold, _block_entry_times)
 from cdde_bound.linalg import (PIVOT_RTOL, SingularMatrix, _as_array, _square, as_matrix,
                                as_vector, lu_factor, lu_solve, solve)
 from cdde_bound.model import NONNEG_TOL, SystemSpec, negative
@@ -40,6 +40,19 @@ def inverse_by_columns(m: np.ndarray) -> np.ndarray:
     for i in range(n):
         out[:, i] = lu_solve(lu, perm, np.eye(n)[i])
     return out
+
+
+def time_to_threshold(gamma_i: float, delta_i: float, alpha: float) -> float:
+    """Smallest t >= 0 with gamma_i * exp(-alpha t) <= delta_i."""
+    if delta_i <= 0.0:
+        raise NonpositiveThreshold(f"threshold must be positive, got {delta_i}")
+    if alpha <= 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if gamma_i < 0.0:
+        raise ValueError(f"gamma must be nonnegative, got {gamma_i}")
+    if gamma_i <= delta_i:
+        return 0.0
+    return math.log(gamma_i / delta_i) / alpha
 
 
 def alpha_max_scan(a: np.ndarray, step: float) -> float:

@@ -391,3 +391,43 @@ def test_simulate_verify_nonfinite_inputs_exit_2(tmp_path, capsys, command, scen
     out = ["--out", str(tmp_path / "traj.csv")] if command == "simulate" else []
     assert main([command, str(path), "--t-end", "0.5"] + out + flags) == 2
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+def _identity_d(doc):
+    doc["system"]["D"] = [[1.0, 0.0], [0.0, 1.0]]
+
+
+def _identity_d_h2_below_step(doc):
+    _identity_d(doc)
+    doc["scenario"]["h2"] = [0.0005]
+
+
+@pytest.mark.parametrize("command, mutate, flags, code, err", [
+    ("check", _identity_d, [], 1, ""),
+    ("bound", _identity_d, [], 1, "FAIL stability-hypotheses: "),
+    ("verify", _identity_d, [], 1, "FAIL stability-hypotheses: "),
+    # no step closes, so I - D is never inverted
+    ("simulate", _identity_d, [], 0, ""),
+    ("simulate", _identity_d_h2_below_step, [], 1,
+     "FAIL scenario: h2 falls below the step 0.001, where I - D must be invertible: "),
+    ("bound", None, ["--out", "{file}"], 2, "input error: cannot write "),
+    ("bound", None, ["--out", "{file}/out"], 2, "input error: cannot write "),
+    ("simulate", None, ["--out", "{file}/traj.csv"], 2, "input error: cannot write "),
+    ("simulate", None, ["--out", "{missing}/traj.csv"], 2, "input error: cannot write "),
+    ("simulate", None, ["--step", "3"], 1, "FAIL scenario: step 3.0 exceeds the delay bound 2.0"),
+    ("verify", None, ["--step", "3"], 1, "FAIL scenario: step 3.0 exceeds the delay bound 2.0"),
+], ids=["check-identity-d", "bound-identity-d", "verify-identity-d", "simulate-identity-d",
+        "simulate-identity-d-h2-below-step", "bound-out-is-file", "bound-out-under-file",
+        "simulate-out-under-file", "simulate-out-in-missing-dir", "simulate-step-above-h-max",
+        "verify-step-above-h-max"])
+def test_failures_exit_with_a_code_not_a_traceback(tmp_path, capsys, command, mutate, flags,
+                                                  code, err):
+    path = write_problem(tmp_path, mutate)
+    (tmp_path / "file").write_text("a regular file\n")
+    flags = [f.format(file=tmp_path / "file", missing=tmp_path / "missing") for f in flags]
+    if command in ("bound", "simulate") and "--out" not in flags:
+        flags += ["--out", str(tmp_path / "out")]
+    if command in ("simulate", "verify"):
+        flags += ["--t-end", "1"]
+    assert main([command, str(path)] + flags) == code
+    assert capsys.readouterr().err.startswith(err)

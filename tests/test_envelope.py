@@ -7,13 +7,13 @@ from scipy.linalg import expm
 
 from cdde_bound.certificate import compute_certificate
 from cdde_bound.envelope import (ConvergenceResult, DecayRateTooLarge,
-                                 NonpositiveThreshold, finite_time, gamma_component,
-                                 time_to_threshold)
+                                 NonpositiveThreshold, finite_time, gamma_component)
 from cdde_bound.linalg import solve
 from cdde_bound.stability import NotMetzler, NotStable, alpha_max
 
 import oracles
 from conftest import grid_min_factor, random_metzler_hurwitz
+from oracles import time_to_threshold
 
 
 def test_gamma_scalar_is_theta():

@@ -24,15 +24,15 @@ def scalar_scenario(a_val=-1.0, psi=1.0, t_end=1.0, step=1e-3, omega=None, c_val
                       psi_bar=[abs(psi)], phi_bar=[0.0])
     return SimulationScenario(
         spec=spec,
-        omega=omega if omega else SignalSpec.zero(1),
-        d=SignalSpec.zero(1),
+        omega=omega if omega else SignalSpec("zero", (0.0,)),
+        d=SignalSpec("zero", (0.0,)),
         h1=SignalSpec.constant([delay]), h2=SignalSpec.constant([delay]),
         psi=[psi], phi=[0.0], t_end=t_end, step=step)
 
 
 def test_signal_kinds():
     t = 1.3
-    assert SignalSpec.zero(2)(t) == pytest.approx([0.0, 0.0])
+    assert SignalSpec("zero", (0.0, 0.0))(t) == pytest.approx([0.0, 0.0])
     assert SignalSpec.constant([1.5, 2.0])(t) == pytest.approx([1.5, 2.0])
     s = SignalSpec("abs_sin", (0.5, 0.3), (0.2, 0.1))
     assert s(t) == pytest.approx([0.5 * abs(math.sin(0.2 * t)),
@@ -194,6 +194,48 @@ def test_scenario_grid_must_be_finite(sample_spec, field, value):
         make_sample_scenario(sample_spec, 1.0, 1.0, **{field: value})
 
 
+def _identity_d(scenario):
+    """The scenario on its system with D = I, whose I - D is singular."""
+    return replace(scenario, spec=replace(scenario.spec, D=np.eye(scenario.spec.m)))
+
+
+def test_singular_closure_unused_while_h2_stays_above_step(sample_spec):
+    # h2 = 1 + |cos t| >= 1.54 on [0, 1]: no step closes, and every delayed
+    # y is the history's, so y = C x + phi + d
+    scenario = _identity_d(make_sample_scenario(sample_spec, 1.0, 1.0, t_end=1.0, step=1e-3))
+    traj = simulate(scenario)
+    want = traj.x_samples @ sample_spec.C.T + sample_spec.phi_bar + scenario.d.sample(traj.times)
+    np.testing.assert_allclose(traj.y_samples, want, rtol=1e-14, atol=0.0)
+
+
+def test_singular_closure_fails_the_step_that_closes(sample_spec):
+    # h2 = 2 |cos t| falls below the step at one grid time, t = 1.571
+    scenario = replace(_identity_d(make_sample_scenario(sample_spec, 1.0, 1.0, t_end=2.0,
+                                                        step=1e-3)),
+                       h2=SignalSpec("abs_cos", (2.0,), (1.0,)))
+    ts = np.arange(2001) * 1e-3
+    assert (scenario.h2.sample(ts)[:, 0] < 1e-3).sum() == 1
+    with pytest.raises(InvalidScenario, match="^h2 falls below the step 0.001, where I - D "
+                                              "must be invertible: exactly singular$"):
+        simulate(scenario)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("psi", "psi exceeds its bound at t=0: 2.0 > 1.0"),
+    ("omega", "omega exceeds its bound at t=1.806: 1.000244597866036 > 1.0")])
+def test_singular_closure_loses_to_an_envelope_violation(fault, message):
+    # every step closes, so the closure fails at t = 0 (for a psi fault,
+    # after psi's own check); the full scan still reports the violation
+    calm = replace(_identity_d(scalar_scenario(t_end=2.0, omega=SignalSpec.constant([0.5]),
+                                               c_val=1.0)),
+                   h2=SignalSpec.constant([5e-4]))
+    faulty = (replace(calm, psi=[2.0]) if fault == "psi"
+              else replace(calm, omega=SignalSpec("abs_sin", (2.0,), (0.29,))))
+    with pytest.raises(InvalidScenario) as err:
+        simulate_many([calm, faulty])
+    assert str(err.value) == message
+
+
 def test_unstable_step_detected():
     scenario = scalar_scenario(a_val=40.0, psi=1.0, t_end=1.0, step=1e-3)
     with pytest.raises(UnstableStep):
@@ -243,9 +285,10 @@ def test_overflowing_step_map_power_fakes_no_divergence():
     spec = SystemSpec(A=[[-1e4, 0.0], [0.0, -1.0]], B=[[0.0], [0.0]], C=[[0.0, 1.0]],
                       D=[[0.0]], h_max=1.0, omega_bar=[0.0, 0.0], d_bar=[0.0],
                       psi_bar=[0.0, 1.0], phi_bar=[0.0])
-    scenario = SimulationScenario(spec=spec, omega=SignalSpec.zero(2), d=SignalSpec.zero(1),
+    zero = SignalSpec("zero", (0.0,))
+    scenario = SimulationScenario(spec=spec, omega=SignalSpec("zero", (0.0, 0.0)), d=zero,
                                   h1=SignalSpec.constant([1.0]), h2=SignalSpec.constant([1.0]),
-                                  psi=[0.0, 1.0], phi=SignalSpec.zero(1), t_end=2.0, step=1e-3)
+                                  psi=[0.0, 1.0], phi=zero, t_end=2.0, step=1e-3)
     (got,), (want,) = simulate_many([scenario]), simulate_stepwise([scenario])
     assert (got.x_samples[:, 0] == 0.0).all()
     np.testing.assert_allclose(got.x_samples, want.x_samples, rtol=1e-12, atol=0.0)
@@ -282,13 +325,12 @@ def test_verify_domination_detects_violation(sample_spec):
 
 
 def test_trajectory_csv(tmp_path, sample_spec):
-    cert = compute_certificate(sample_spec)
     scenario = make_sample_scenario(sample_spec, 1.0, 1.0, t_end=0.5, step=1e-3)
     traj = simulate(scenario)
     out = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, out, cert)
+    write_trajectory_csv(traj, out)
     lines = out.read_text().splitlines()
-    assert lines[0] == "t,x_1,x_2,x_3,y_1,y_2,xb_1,xb_2,xb_3,yb_1,yb_2"
+    assert lines[0] == "t,x_1,x_2,x_3,y_1,y_2"
     assert len(lines) == 502
     first = [float(tok) for tok in lines[1].split(",")]
     assert first[0] == 0.0
@@ -362,12 +404,13 @@ def _precedence_cases():
     late = SignalSpec("abs_sin", (2.0,), (0.29,))
     calm = scalar_scenario(t_end=2.0, omega=late)
     growing = scalar_scenario(a_val=40.0, t_end=2.0, omega=late)
-    quiet_d = replace(calm, spec=replace(calm.spec, d_bar=[1.0]), omega=SignalSpec.zero(1))
+    quiet_d = replace(calm, spec=replace(calm.spec, d_bar=[1.0]),
+                      omega=SignalSpec("zero", (0.0,)))
     omega_late = "omega exceeds its bound at t=1.806: 1.000244597866036 > 1.0"
     return {
         # the member without omega diverges at t = 0.691, in block 1
         "late-omega-after-divergence": (
-            [replace(growing, omega=SignalSpec.zero(1)), growing], omega_late),
+            [replace(growing, omega=SignalSpec("zero", (0.0,))), growing], omega_late),
         "d-at-block-0-then-late-omega": ([replace(calm, d=SignalSpec.constant([0.5]))],
                                          omega_late),
         "later-psi-after-earlier-omega": ([calm, replace(calm, psi=[2.0])], omega_late),
