@@ -217,8 +217,9 @@ def cmd_bound(args) -> int:
     outdir = Path(args.out)
     with _writing(outdir):
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_json(outdir / "certificate.json", cert.to_dict())
+        # the certificate last, so a failed write leaves none behind
         _write_staircase_csv(outdir / "staircase.csv", cert, t_end, step)
+        _write_json(outdir / "certificate.json", cert.to_dict())
     print(_certificate_summary(cert))
     print(f"wrote {outdir / 'certificate.json'} and {outdir / 'staircase.csv'}")
     return 0

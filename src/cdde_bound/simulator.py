@@ -30,7 +30,9 @@ run in this order:
 
 1. start: check psi, phi, the delays and d at t = 0, set y at 0 from the
    difference relation and store its jump from phi;
-2. then, block by block of ``BLOCK_STEPS`` steps:
+2. then, block by block of ``max(BLOCK_STEPS, BLOCK_VALUES // (S *
+   max(n, m)))`` steps, so a block holds at most ``BLOCK_VALUES`` states
+   of the batch, or ``BLOCK_STEPS`` steps of a wider one:
    - signal sampling and envelope checks: each distinct wave, |sin| or
      |cos| at one frequency, once for the grid times and once for the
      half-step times for the whole batch, each member's values as
@@ -83,8 +85,10 @@ DIVERGENCE_LIMIT = 1e12
 GRID_TOL = 1e-12
 # minimum jump magnitude worth tracking
 JUMP_TOL = 1e-13
-# grid steps per block of sampled disturbances
+# grid steps per block of sampled disturbances: at least BLOCK_STEPS, and as
+# many as hold BLOCK_VALUES states of the batch (S members of max(n, m))
 BLOCK_STEPS = 512
+BLOCK_VALUES = 512 * 30
 
 
 class InvalidScenario(ValueError):
@@ -177,8 +181,9 @@ def _first_violation_wins(scenarios, ts: np.ndarray):
     """On an InvalidScenario or UnstableStep, raise instead the first
     envelope violation of the batch's data, if any: psi, phi, omega and d,
     each at every grid time ``ts``, member by member, then h1 and h2.  This
-    scan runs on the error path only; it makes any violation win over a
-    divergence, whatever block either shows up in."""
+    scan runs on the error path only, in chunks of ``BLOCK_STEPS`` whatever
+    the run's block length; it makes any violation win over a divergence,
+    whatever block either shows up in."""
     try:
         yield
     except (InvalidScenario, UnstableStep):
@@ -227,8 +232,8 @@ def simulate_many(scenarios) -> list[Trajectory]:
     # divergence may overflow until the block's check names the first one.
     with np.errstate(over="ignore", invalid="ignore"), _first_violation_wins(scenarios, run.ts):
         run.start()
-        for k0 in range(0, run.K, BLOCK_STEPS):
-            run.block(k0, min(k0 + BLOCK_STEPS, run.K))
+        for k0 in range(0, run.K, run.block_steps):
+            run.block(k0, min(k0 + run.block_steps, run.K))
     for v in (run.ts, run.xs, run.ys):
         v.setflags(write=False)
     return [Trajectory(times=run.ts, x_samples=run.xs[:, i], y_samples=run.ys[:, i])
@@ -254,6 +259,7 @@ class _Run:
         if K < 1:
             raise InvalidScenario(f"t_end {first.t_end} shorter than one step {h}")
         self.ts = ts = np.arange(K + 1) * h
+        self.block_steps = max(BLOCK_STEPS, BLOCK_VALUES // (S * max(n, m)))
         self.AT, self.BT, self.CT, self.DT = (M.T.copy() for M in (spec.A, spec.B, spec.C, spec.D))
         # each distinct wave once per call for the whole batch (_SignalBatch)
         self.omega, self.d, self.phi = (_SignalBatch([getattr(sc, name) for sc in scenarios])

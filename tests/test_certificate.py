@@ -12,8 +12,6 @@ from cdde_bound.linalg import cmp_leq, solve
 from cdde_bound.model import SystemSpec
 from cdde_bound.stability import check_joint_condition
 
-from conftest import make_sample_system
-
 
 def scalar_coupled_spec(**overrides):
     base = dict(A=[[-1.0]], B=[[1.0]], C=[[0.5]], D=[[0.0]], h_max=1.0,

@@ -431,3 +431,15 @@ def test_failures_exit_with_a_code_not_a_traceback(tmp_path, capsys, command, mu
         flags += ["--t-end", "1"]
     assert main([command, str(path)] + flags) == code
     assert capsys.readouterr().err.startswith(err)
+
+
+def test_bound_failed_staircase_write_leaves_no_certificate(tmp_path, capsys,
+                                                            sample_problem_path):
+    # staircase.csv cannot be written; a caller that looks for
+    # certificate.json must not find one from the failed run
+    out = tmp_path / "out"
+    (out / "staircase.csv").mkdir(parents=True)
+    assert main(["bound", str(sample_problem_path), "--out", str(out),
+                 "--t-end", "4", "--step", "0.01"]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: cannot write {out / 'staircase.csv'}")
+    assert not (out / "certificate.json").exists()

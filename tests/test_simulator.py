@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cdde_bound.certificate import compute_certificate, ultimate_bound
+from cdde_bound.certificate import compute_certificate
+from cdde_bound.cli import build_scenario, load_problem, main
 from cdde_bound.csvio import _CSV_CELLS, _CSV_ROWS, _encode, write_csv
-from cdde_bound.linalg import solve
 from cdde_bound.model import SystemSpec
-from cdde_bound.simulator import (JUMP_TOL, InvalidScenario, MismatchedScenarios, SignalSpec,
-                                  SimulationScenario, UnstableStep, simulate, simulate_many,
+from cdde_bound.simulator import (BLOCK_STEPS, BLOCK_VALUES, JUMP_TOL, InvalidScenario,
+                                  MismatchedScenarios, SignalSpec, SimulationScenario,
+                                  UnstableStep, _Run, simulate, simulate_many,
                                   verify_domination, write_trajectory_csv)
 
-from conftest import make_sample_scenario
+from conftest import SAMPLE_PROBLEM, make_sample_scenario
 from oracles import comparison_check, csv_rows_fstring, simulate_stepwise
 
 
@@ -397,8 +398,8 @@ def test_batch_checks_every_member(sample_spec):
 
 
 def _precedence_cases():
-    """Members with faults in different blocks; the error raised is the
-    first one of psi, phi, omega (every grid time), d (every grid time),
+    """Members with faults in different 512-step blocks; the error raised is
+    the first one of psi, phi, omega (every grid time), d (every grid time),
     member by member, and any envelope violation before a divergence."""
     # 2 |sin(0.29 t)| first exceeds a bound of 1 at t = 1.806, in block 3
     late = SignalSpec("abs_sin", (2.0,), (0.29,))
@@ -421,11 +422,95 @@ def _precedence_cases():
 
 
 @pytest.mark.parametrize("case", list(_precedence_cases()))
-def test_error_precedence_is_member_by_member(case):
+def test_error_precedence_is_member_by_member(monkeypatch, case):
     members, message = _precedence_cases()[case]
-    with pytest.raises(InvalidScenario) as err:
-        simulate_many(members)
-    assert str(err.value) == message
+    # these scalar runs fit in one block of the value budget; in 512-step
+    # blocks the faults sit in different blocks, as the cases describe
+    for block_values in (BLOCK_VALUES, 0):
+        monkeypatch.setattr("cdde_bound.simulator.BLOCK_VALUES", block_values)
+        with pytest.raises(InvalidScenario) as err:
+            simulate_many(members)
+        assert str(err.value) == message
+
+
+def blocks_of(scenarios, block_values=BLOCK_VALUES):
+    """simulate_many on the scenarios with ``block_values`` for
+    BLOCK_VALUES: the trajectories, the length of each block, and the
+    stored jump times at the end."""
+    lengths, runs, block = [], [], _Run.block
+
+    def counted(run, k0, k1):
+        lengths.append(k1 - k0)
+        runs.append(run)
+        block(run, k0, k1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Run, "block", counted)
+        mp.setattr("cdde_bound.simulator.BLOCK_VALUES", block_values)
+        trajs = simulate_many(scenarios)
+    return trajs, lengths, runs[-1].jump_times
+
+
+def assert_close_runs(got, want):
+    for g, w in zip(got, want):
+        assert np.array_equal(g.times, w.times)
+        for name in ("x_samples", "y_samples"):
+            ref = getattr(w, name)
+            assert np.abs(getattr(g, name) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("t_end", [6.0, 40.0])
+def test_verify_corners_match_512_step_blocks(capsys, monkeypatch, t_end):
+    # verify's three corners, S = 3 and n = 3: blocks of 15 360 // 9 = 1 706
+    # steps, whose windows run across the edges of the 512-step blocks
+    spec, scenario_cfg, _ = load_problem(SAMPLE_PROBLEM)
+    corners = [build_scenario(spec, scenario_cfg, a=a, b=b, t_end=t_end, step=1e-3)
+               for a, b in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))]
+    budgeted, lengths, _ = blocks_of(corners)
+    assert lengths[:-1] == [1706] * (len(lengths) - 1)
+    short, lengths, _ = blocks_of(corners, 0)
+    assert lengths[:-1] == [BLOCK_STEPS] * (len(lengths) - 1)
+    assert_close_runs(budgeted, short)
+    stdout = []
+    for block_values in (BLOCK_VALUES, 0):
+        monkeypatch.setattr("cdde_bound.simulator.BLOCK_VALUES", block_values)
+        assert main(["verify", str(SAMPLE_PROBLEM), "--t-end", str(t_end)]) == 0
+        stdout.append(capsys.readouterr().out)
+    assert stdout[0] == stdout[1]
+
+
+@pytest.mark.parametrize("h1, h2", [
+    (SignalSpec.constant([0.256]), SignalSpec.constant([0.256])),
+    (SignalSpec("const_plus_abs_sin", (1.0,), (1.0,), 1.0),
+     SignalSpec("const_plus_abs_cos", (1.0,), (1.0,), 1.0)),
+], ids=["jumps-on-512-step-edges", "time-varying"])
+def test_delay_batch_with_jumps_matches_512_step_blocks(sample_spec, h1, h2):
+    # two members with y jumps from t = 0 on; a delay of 256 steps
+    # reproduces them on every edge of the 512-step blocks
+    scenarios = [replace(make_sample_scenario(sample_spec, a, b, t_end=3.0, step=1e-3),
+                         h1=h1, h2=h2) for a, b in ((1.0, 1.0), (0.5, 0.0))]
+    budgeted, lengths, jumps = blocks_of(scenarios)
+    assert lengths == [2560, 440]
+    short, lengths, short_jumps = blocks_of(scenarios, 0)
+    assert lengths == [BLOCK_STEPS] * 5 + [440]
+    assert len(jumps) > 1
+    np.testing.assert_array_equal(jumps, short_jumps)
+    assert_close_runs(budgeted, short)
+
+
+def test_wide_batch_keeps_512_step_blocks():
+    # the shape of a wide run, S = 1, n = 30, m = 8: 512 steps hold
+    # exactly BLOCK_VALUES states
+    n, m = 30, 8
+    spec = SystemSpec(A=-np.eye(n), B=np.zeros((n, m)), C=np.zeros((m, n)), D=np.zeros((m, m)),
+                      h_max=1.0, omega_bar=np.ones(n), d_bar=np.ones(m),
+                      psi_bar=np.ones(n), phi_bar=np.ones(m))
+    scenario = SimulationScenario(spec=spec, omega=SignalSpec.constant(np.ones(n)),
+                                  d=SignalSpec.constant(np.ones(m)),
+                                  h1=SignalSpec.constant([1.0]), h2=SignalSpec.constant([1.0]),
+                                  psi=np.ones(n), phi=np.ones(m), t_end=1.1, step=1e-3)
+    _, lengths, _ = blocks_of([scenario])
+    assert lengths == [BLOCK_STEPS, BLOCK_STEPS, 76]
 
 
 @pytest.mark.parametrize("field, value", [
