@@ -31,8 +31,8 @@ from .stability import check_joint_condition
 
 # alpha_step, simulation step and t_end; each must be finite and positive
 DEFAULTS = {"alpha_step": 1e-3, "step": 1e-3, "t_end": 40.0}
-# the most time steps t_end / step may count: past 2**53, k * step no longer
-# tells neighbouring steps apart in float64
+# the most time steps t_end / step, or history steps h_max / step, may count:
+# past 2**53, k * step no longer tells neighbouring steps apart in float64
 _STEPS_MAX = 2**53
 VERIFY_GRID = [(0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0), (1.0, 0.0), (1.0, 1.0)]
 
@@ -114,6 +114,8 @@ def build_scenario(spec: SystemSpec, scenario_cfg, *, a: float, b: float,
     disturbances at the envelopes), with omega scaled by a and d by b."""
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ProblemFormatError(f"--a and --b must be finite, got {a!r} and {b!r}")
+    if not spec.h_max / step <= _STEPS_MAX:
+        raise ProblemFormatError(f"h_max / step must be at most 2**53, got {spec.h_max!r} / {step!r}")
     if scenario_cfg is None:
         scenario_cfg = {"omega": spec.omega_bar.tolist(), "d": spec.d_bar.tolist()}
     if not isinstance(scenario_cfg, dict):

@@ -13,15 +13,19 @@ with ``a = -inv(A + alpha I) @ theta_bar`` and ``b`` the i-th column of
 gives, per component, the earliest certified entry time into a target box,
 and the slowest component sets the overall convergence time.
 
+The index set is exact and the same at every rate: ``b_j > 0`` exactly
+where a path of positive off-diagonal entries of ``A`` leads from ``i`` to
+``j`` (or ``j = i``), and ``a_j > 0`` exactly where one leads to ``j`` from
+the support of ``theta_bar``; where none does, ``a_j`` is 0 and is set
+to exactly 0.  The index set is computed once per call, never from the
+signs of computed entries.
+
 The sweep inverts only the rates that can still hold a component's earliest
 entry time.  ``N(alpha) = -inv(A + alpha I)`` grows in every entry with
 alpha, so the factors at the two ends of a gap of the grid bound the entry
 times at every rate inside it from below; a gap whose bound exceeds every
 component's best time so far is never inverted.  The result is the one the
-sweep over the whole grid gives, bit for bit, or the error it raises: a
-grid on which some entry of ``N`` or ``a = N theta_bar`` vanishes in exact
-arithmetic, so that its sign is rounding noise, is swept whole, and so is
-one on which the pruned sweep meets an error.
+sweep over the whole grid gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -64,10 +68,6 @@ class DecayRateTooLarge(ValueError):
     """A + alpha I is not Hurwitz for the requested alpha."""
 
 
-class EmptyIndexSet(RuntimeError):
-    """No positive denominator coefficient; unreachable for valid inputs."""
-
-
 class NonpositiveThreshold(ValueError):
     """Target box has a nonpositive component."""
 
@@ -81,17 +81,36 @@ class ConvergenceResult:
     per_component_alpha: np.ndarray
 
 
-def _neg_inverses(A: np.ndarray, alphas: np.ndarray,
-                  theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(a, b, mask)`` at each rate ``alphas[g]``, by one inversion of the
-    stack ``A + alphas[g] I``, which must be Hurwitz: ``b[j, i, g]`` is
-    ``-inv(A + alphas[g] I)[j, i]``, ``a[g] = b[:, :, g] @ theta`` and
-    ``mask = b > NONNEG_TOL`` has an entry in every column.
+def _index_sets(M: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(reach, unreached)``: ``reach[j, i, 0]`` holds where ``j == i`` or a
+    path of positive off-diagonal entries of ``M`` leads from ``i`` to ``j``
+    (an edge ``k -> l`` for each ``M[l, k] > 0``), and ``unreached[j]`` where
+    no such path leads to ``j`` from an ``i`` with ``theta[i] > 0``.
+
+    For a Metzler ``M`` and a rate below its margin, ``M + alpha I = P - s I``
+    with ``P >= 0`` and ``s`` above the spectral radius of ``P``, so ``N =
+    -inv(M + alpha I)`` is the series ``sum_k P^k / s^(k+1)``: ``N_ji > 0``
+    exactly where ``reach`` holds and 0 elsewhere, at every such rate
+    (Berman and Plemmons, *Nonnegative Matrices in the Mathematical
+    Sciences*, 1994), and ``a = N theta`` is 0 exactly where ``unreached``
+    holds.  Computed, those zeros are rounding noise of either sign."""
+    reach = (M > 0.0) | np.eye(M.shape[0], dtype=bool)
+    while not ((wider := reach @ reach) == reach).all():
+        reach = wider
+    return reach[:, :, None], ~reach[:, theta > 0.0].any(axis=1)
+
+
+def _neg_inverses(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray,
+                  unreached: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, b)`` at each rate ``alphas[g]``, by one inversion of the stack
+    ``A + alphas[g] I``, which must be Hurwitz: ``b[j, i, g]`` is
+    ``-inv(A + alphas[g] I)[j, i]`` and ``a[g] = b[:, :, g] @ theta``, 0
+    where ``unreached`` (``_index_sets``).
 
     The stack is built with the members on the last axis, ``(n, n, G)``, and
     every per-member test runs along it, G entries at a time: the condition
-    test in ``inverse``, the index mask, the ratios and their minimum.  Only
-    LAPACK and the product ``a`` see the members first."""
+    test in ``inverse``, the ratios and their minimum.  Only LAPACK and the
+    product ``a`` see the members first."""
     span = f"alpha={alphas[0]}" if alphas.size == 1 else f"alpha in [{alphas[0]}, {alphas[-1]}]"
     shifted = np.eye(A.shape[0])[:, :, None] * alphas
     shifted += A[:, :, None]
@@ -104,44 +123,43 @@ def _neg_inverses(A: np.ndarray, alphas: np.ndarray,
         raise DecayRateTooLarge(f"{span}: shifted matrix not Hurwitz")
     np.negative(neg_inv, out=neg_inv)
     a = neg_inv @ theta                                 # (G, n)
+    a[:, unreached] = 0.0
     # b[j, i, g] = neg_inv[g, j, i], written over the spent stack
     b = shifted
     np.copyto(b, neg_inv.transpose(1, 2, 0))
-    mask = b > NONNEG_TOL
-    if not mask.any(axis=0).all():
-        raise EmptyIndexSet("a column of the shifted inverse has no positive entry")
-    return a, b, mask
+    return a, b
 
 
-def _min_ratios(a: np.ndarray, b: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``min a[g, j] / b[j, i, g]`` over the j with ``mask[j, i, g]``, as
+def _min_ratios(a: np.ndarray, b: np.ndarray, reach: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``min a[g, j] / b[j, i, g]`` over the j with ``reach[j, i, 0]``, as
     ``(G, n)``; the ratios are written into ``out``, which may be ``b``."""
-    np.divide(a.T[:, None, :], b, out=out, where=mask)
-    np.copyto(out, np.inf, where=~mask)
+    np.divide(a.T[:, None, :], b, out=out, where=reach)
+    np.copyto(out, np.inf, where=~reach)
     return out.min(axis=0).T
 
 
 def _envelope_factors(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Optimal factors ``gamma[g, i]`` at each rate ``alphas[g]``, by one
     inversion of the stack ``A + alphas[g] I``, which must be Hurwitz."""
-    a, b, mask = _neg_inverses(A, alphas, theta)
-    return _min_ratios(a, b, mask, out=b)
+    reach, unreached = _index_sets(A, theta)
+    a, b = _neg_inverses(A, alphas, theta, unreached)
+    return _min_ratios(a, b, reach, out=b)
 
 
-def _gap_floor(a_lo: np.ndarray, b_hi: np.ndarray, mask_hi: np.ndarray,
+def _gap_floor(a_lo: np.ndarray, b_hi: np.ndarray, reach: np.ndarray,
                alphas_hi: np.ndarray, dlt: np.ndarray) -> np.ndarray:
     """Lower bound ``(G, n)`` on the entry time of each component at every
     rate strictly between the ends ``lo < hi`` of a gap of the grid, from
-    ``a`` at ``lo`` and ``b``, ``mask`` at ``hi`` (``_neg_inverses``).
+    ``a`` at ``lo`` and ``b`` at ``hi`` (``_neg_inverses``).
 
     For a Metzler ``A`` and a rate below its margin, ``N(alpha) = -inv(A +
     alpha I)`` has the derivative ``N(alpha)^2 >= 0``, so it grows in every
-    entry with ``alpha``.  Between ``lo`` and ``hi`` the index set of column
-    i is within that at ``hi``, and each ratio ``a_j / N_ji`` is at least
-    ``a_j(lo) / N_ji(hi)``.  So the factor is at least the smallest such
-    ratio, and the entry time at least its log over ``delta_i`` divided by
-    ``alpha_hi``, the largest rate of the gap."""
-    floor = _min_ratios(a_lo, b_hi, mask_hi, out=np.empty_like(b_hi))
+    entry with ``alpha``, on the index set ``reach`` that is the same at
+    every rate.  Each ratio ``a_j / N_ji`` is at least ``a_j(lo) /
+    N_ji(hi)``, so the factor is at least the smallest such ratio, and the
+    entry time at least its log over ``delta_i`` divided by ``alpha_hi``,
+    the largest rate of the gap."""
+    floor = _min_ratios(a_lo, b_hi, reach, out=np.empty_like(b_hi))
     return np.log(np.maximum(floor / dlt, 1.0)) / alphas_hi[:, None]
 
 
@@ -179,21 +197,21 @@ def finite_time(A, theta_bar, delta, alpha_step: float) -> ConvergenceResult:
     if negative(theta).any():
         raise ValueError("theta_bar must be nonnegative")
 
-    k_max = int(round(alpha_max(M, alpha_step) / alpha_step))
+    step = alpha_step
+    k_max = int(round(alpha_max(M, step) / step))
     if k_max > _GRID_MAX:
         raise ValueError(f"decay-rate grid of {k_max:.3g} rates exceeds 2**53: "
                          f"alpha_step {alpha_step} is too fine")
-    if k_max:
-        best_t, best_alpha = _sweep(M, theta, dlt, alpha_step, k_max)
-    else:
+    if not k_max:
         # Hurwitz margin smaller than the grid step: sweep the one rate
         # found by halving the step until admissible
         eye = np.eye(M.shape[0])
         halved = (alpha_step / 2.0 ** j for j in range(1, 61))
-        rate = next((a for a in halved if is_metzler_hurwitz(M + a * eye)), None)
-        if rate is None:
+        step = next((a for a in halved if is_metzler_hurwitz(M + a * eye)), None)
+        if step is None:
             raise NotStable("no admissible decay rate found")
-        best_t, best_alpha = _sweep(M, theta, dlt, rate, 1)
+        k_max = 1
+    best_t, best_alpha = _sweep(M, theta, dlt, step, k_max)
     return ConvergenceResult(T=float(best_t.max()),
                              per_component_T=best_t,
                              per_component_alpha=best_alpha)
@@ -202,97 +220,48 @@ def finite_time(A, theta_bar, delta, alpha_step: float) -> ConvergenceResult:
 def _sweep(M: np.ndarray, theta: np.ndarray, dlt: np.ndarray, step: float,
            k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The earliest entry time of each component over the rates ``k *
-    step``, ``k = 1..k_max``, and the smallest rate that attains it.
+    step``, ``k = 1..k_max``, and the smallest rate that attains it, from
+    the rates that may hold it, one stacked inversion per round.
 
-    A grid of more than one block is pruned where ``_prunable`` holds.  If
-    the pruned sweep meets an error, the whole grid is swept instead, so
-    the error raised is the one of its first block that has one."""
-    per_block = max(1, BLOCK_BYTES // (8 * M.shape[0] ** 2))
-    if k_max > per_block and _prunable(M, theta):
-        try:
-            return _pruned_sweep(M, theta, dlt, step, k_max, per_block)
-        except (ValueError, EmptyIndexSet):
-            pass                        # the whole grid raises its first error
-    best_t, best_k = np.full(M.shape[0], np.inf), np.zeros(M.shape[0], np.int64)
-    for k0 in range(1, k_max + 1, per_block):
-        _evaluate(M, theta, dlt, np.arange(k0, min(k0 + per_block, k_max + 1)), step,
-                  best_t, best_k)
-    return best_t, best_k * step
-
-
-def _prunable(M: np.ndarray, theta: np.ndarray) -> bool:
-    """Whether ``M`` is Metzler without tolerance and every entry of ``N =
-    -inv(M + alpha I)`` and of ``a = N @ theta`` is positive at every rate
-    in exact arithmetic: ``theta`` has a positive entry and the graph of
-    ``M`` is strongly connected.
-
-    The lemma of ``_gap_floor`` needs the first.  Where an entry of ``N``
-    or ``a`` is zero, its computed value is rounding noise of either sign,
-    at any rate, and the checks that no factor is negative and no ``-N``
-    positive need every rate.  Where all are positive, they grow with the
-    rate from their values at ``k = 1``."""
-    off = ~np.eye(M.shape[0], dtype=bool)
-    if (M[off] < 0.0).any() or not (theta > 0.0).any():
-        return False
-    edge = M > 0.0
-    for graph in (edge, edge.T):        # to component 0, and from it
-        reach = np.arange(M.shape[0]) == 0
-        while not reach.all():
-            wider = reach | (graph & reach).any(axis=1)
-            if (wider == reach).all():
-                return False
-            reach = wider
-    return True
-
-
-def _evaluate(M: np.ndarray, theta: np.ndarray, dlt: np.ndarray, ks: np.ndarray, step: float,
-              best_t: np.ndarray, best_k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_neg_inverses`` at the rates ``ks * step``, ``ks`` increasing, by
-    one stacked inversion; their entry times are folded into ``best_t`` and
-    ``best_k``, the earliest time of each component and its smallest k."""
-    alphas = ks * step
-    a, b, mask = _neg_inverses(M, alphas, theta)
-    gamma = _min_ratios(a, b, mask, out=np.empty_like(b))
-    if gamma.min() < 0.0:               # rounding must not make a factor negative
-        raise ValueError(f"gamma must be nonnegative, got {gamma.min()}")
-    first, t = _block_entry_times(gamma, dlt, alphas)
-    better = (t < best_t) | ((t == best_t) & (ks[first] < best_k))
-    best_t[better] = t[better]
-    best_k[better] = ks[first[better]]
-    return a, b, mask
-
-
-def _pruned_sweep(M: np.ndarray, theta: np.ndarray, dlt: np.ndarray, step: float,
-                  k_max: int, per_block: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_sweep`` over the rates that may hold a component's earliest entry
-    time, one stacked inversion per round.
-
-    The first round evaluates ``per_block`` rates spread evenly over the
-    grid with both ends.  Between two neighbouring evaluated rates lies a
-    gap; ``_gap_floor`` bounds the entry times inside it.  A gap stays
-    open while some component may have a rate in it that would be chosen
-    over its best evaluated one: a floor below that time (with the
-    relative margin of the log screen of ``_block_entry_times``), or one
-    equal to it below the rate chosen so far, since ties go to the
-    smallest rate.  Best times only fall, so a closed gap stays closed.
-    Each later round splits open gaps into ``_GAP_PARTS`` parts and
-    evaluates the lowest of the new rates, as many as fit in one block
-    beside the ``N`` kept at the upper ends of the open gaps, which is all
-    that is kept of the inversions.  The gaps not split wait for the next
-    round."""
+    The first round evaluates as many rates as fit in one block, spread
+    evenly over the grid with both ends: the whole grid if it fits.
+    Between two neighbouring evaluated rates lies a gap; ``_gap_floor``
+    bounds the entry times inside it.  A gap stays open while some
+    component may have a rate in it that would be chosen over its best
+    evaluated one: a floor below that time (with the relative margin of
+    the log screen of ``_block_entry_times``), or one equal to it below the
+    rate chosen so far, since ties go to the smallest rate.  Best times
+    only fall, so a closed gap stays closed.  Each later round splits open
+    gaps into ``_GAP_PARTS`` parts and evaluates the lowest of the new
+    rates, as many as fit in one block beside the ``N`` kept at the upper
+    ends of the open gaps, which is all that is kept of the inversions.
+    The gaps not split wait for the next round."""
     dim = M.shape[0]
+    reach, unreached = _index_sets(M, theta)
+    per_block = max(1, BLOCK_BYTES // (8 * dim * dim))
     best_t, best_k = np.full(dim, np.inf), np.zeros(dim, np.int64)
     # the evaluated k in order and a there; k = 0 (a = 0) stands below the
     # grid, and its gap to k = 1 is never open
     ks, a_ks = np.zeros(1, np.int64), np.zeros((1, dim))
     # the open gaps by their upper ends, and N there, laid out (n, n, G)
     open_hi, open_n = np.zeros(0, np.int64), np.zeros((dim, dim, 0))
-    width = max(2, per_block)
-    q, r = divmod(k_max - 1, width - 1)
+    width = min(k_max, max(2, per_block))
+    span = max(1, width - 1)
+    q, r = divmod(k_max - 1, span)
     j = np.arange(width)
-    new = 1 + j * q + (j * r) // (width - 1)
+    new = 1 + j * q + (j * r) // span
     while new.size:
-        a, b, mask = _evaluate(M, theta, dlt, new, step, best_t, best_k)
+        alphas = new * step
+        a, b = _neg_inverses(M, alphas, theta, unreached)
+        gamma = _min_ratios(a, b, reach, out=np.empty_like(b))
+        if gamma.min() < 0.0:           # rounding must not make a factor negative
+            raise ValueError(f"gamma must be nonnegative, got {gamma.min()}")
+        first, t = _block_entry_times(gamma, dlt, alphas)
+        better = (t < best_t) | ((t == best_t) & (new[first] < best_k))
+        best_t[better] = t[better]
+        best_k[better] = new[first[better]]
+        if new.size == k_max:           # the grid evaluated whole: no gap left
+            break
         ks = np.concatenate((ks, new))
         order = np.argsort(ks, kind="stable")
         ks, a_ks = ks[order], np.concatenate((a_ks, a))[order]
@@ -300,8 +269,8 @@ def _pruned_sweep(M: np.ndarray, theta: np.ndarray, dlt: np.ndarray, step: float
         hi = np.concatenate((new, open_hi))
         below = np.searchsorted(ks, hi) - 1
         floor = np.concatenate((
-            _gap_floor(a_ks[below[:new.size]], b, mask, new * step, dlt),
-            _gap_floor(a_ks[below[new.size:]], open_n, open_n > NONNEG_TOL, open_hi * step, dlt)))
+            _gap_floor(a_ks[below[:new.size]], b, reach, alphas, dlt),
+            _gap_floor(a_ks[below[new.size:]], open_n, reach, open_hi * step, dlt)))
         limit = best_t * (1.0 + _LOG_SCREEN_RTOL)
         may_hold = (floor < limit) | ((floor <= limit) & (hi[:, None] <= best_k))
         keep = np.flatnonzero((hi - ks[below] > 1) & may_hold.any(axis=1))
@@ -309,7 +278,7 @@ def _pruned_sweep(M: np.ndarray, theta: np.ndarray, dlt: np.ndarray, step: float
         open_n = np.concatenate((b[:, :, keep[from_new]],
                                  open_n[:, :, keep[~from_new] - new.size]), axis=2)
         open_hi, lo = hi[keep], ks[below[keep]]
-        del a, b, mask                  # before the next round's inversion
+        del a, b                        # before the next round's inversion
         parts = np.minimum(open_hi - lo, _GAP_PARTS)
         j = np.arange(1, _GAP_PARTS)
         inside = j < parts[:, None]

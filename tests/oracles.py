@@ -20,7 +20,7 @@ import numpy as np
 from cdde_bound import envelope, simulator, stability
 from cdde_bound.certificate import HypothesisViolated
 from cdde_bound.envelope import (BLOCK_BYTES, ConvergenceResult, DecayRateTooLarge,
-                                 EmptyIndexSet, NonpositiveThreshold, _block_entry_times)
+                                 NonpositiveThreshold, _block_entry_times)
 from cdde_bound.linalg import (PIVOT_RTOL, SingularMatrix, _as_array, _square, as_matrix,
                                as_vector, lu_factor, lu_solve, solve)
 from cdde_bound.model import NONNEG_TOL, SystemSpec, negative
@@ -97,8 +97,28 @@ def finite_time_loop(a: np.ndarray, theta: np.ndarray, delta: np.ndarray,
 # Hurwitz test per index: ``inverse``, ``_neg_inverse_if_hurwitz``,
 # ``is_metzler_hurwitz``, ``alpha_max``, ``_envelope_factors`` and
 # ``finite_time`` as they were before the sweep put the members on the last
-# axis, copied verbatim.  They call one another, never the package's
-# versions, so the members-last code is checked against them bit for bit.
+# axis, copied verbatim but for the index sets of ``_envelope_factors``,
+# which come from ``index_sets`` here as they come from the graph of ``A``
+# in the package.  They call one another, never the package's versions, so
+# the members-last code is checked against them bit for bit.
+
+def index_sets(M: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(reach, unreached)`` by a depth-first search from each index:
+    ``reach[j, i]`` where ``j == i`` or a path of edges ``k -> l`` with
+    ``M[l, k] > 0`` leads from ``i`` to ``j``, and ``unreached[j]`` where
+    none leads to ``j`` from an ``i`` with ``theta[i] > 0``."""
+    n = M.shape[0]
+    reach = np.eye(n, dtype=bool)
+    for i in range(n):
+        stack = [i]
+        while stack:
+            k = stack.pop()
+            for l in range(n):
+                if M[l, k] > 0.0 and not reach[l, i]:
+                    reach[l, i] = True
+                    stack.append(l)
+    return reach, ~reach[:, theta > 0.0].any(axis=1)
+
 
 def inverse(matrix) -> np.ndarray:
     """Inverse of a matrix or of each member of a stack ``(G, n, n)``, by
@@ -187,10 +207,10 @@ def _envelope_factors(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray) -> n
     if neg_inv is None:
         raise DecayRateTooLarge(f"{span}: shifted matrix not Hurwitz")
     a = neg_inv @ theta                                 # (G, n)
+    reach, unreached = index_sets(A, theta)
+    a[:, unreached] = 0.0
     # b = neg_inv[g, :, i]; the ratio a_j / b_j is overwritten into neg_inv
-    mask = neg_inv > NONNEG_TOL
-    if not mask.any(axis=1).all():
-        raise EmptyIndexSet("a column of the shifted inverse has no positive entry")
+    mask = np.broadcast_to(reach, neg_inv.shape)
     np.divide(a[:, :, None], neg_inv, out=neg_inv, where=mask)
     np.copyto(neg_inv, np.inf, where=~mask)
     return neg_inv.min(axis=1)

@@ -402,6 +402,11 @@ def _identity_d_h2_below_step(doc):
     doc["scenario"]["h2"] = [0.0005]
 
 
+def _h_max(value):
+    # the initial history on [-h_max, 0) is checked on the time grid
+    return lambda doc: doc["system"].update(h_max=value)
+
+
 @pytest.mark.parametrize("command, mutate, flags, code, err", [
     ("check", _identity_d, [], 1, ""),
     ("bound", _identity_d, [], 1, "FAIL stability-hypotheses: "),
@@ -416,10 +421,13 @@ def _identity_d_h2_below_step(doc):
     ("simulate", None, ["--out", "{missing}/traj.csv"], 2, "input error: cannot write "),
     ("simulate", None, ["--step", "3"], 1, "FAIL scenario: step 3.0 exceeds the delay bound 2.0"),
     ("verify", None, ["--step", "3"], 1, "FAIL scenario: step 3.0 exceeds the delay bound 2.0"),
+    ("simulate", _h_max(1e308), [], 2, "input error: h_max / step must be at most 2**53"),
+    ("verify", _h_max(1e13), [], 2, "input error: h_max / step must be at most 2**53"),
 ], ids=["check-identity-d", "bound-identity-d", "verify-identity-d", "simulate-identity-d",
         "simulate-identity-d-h2-below-step", "bound-out-is-file", "bound-out-under-file",
         "simulate-out-under-file", "simulate-out-in-missing-dir", "simulate-step-above-h-max",
-        "verify-step-above-h-max"])
+        "verify-step-above-h-max", "simulate-history-steps-overflowing",
+        "verify-history-steps-past-2**53"])
 def test_failures_exit_with_a_code_not_a_traceback(tmp_path, capsys, command, mutate, flags,
                                                   code, err):
     path = write_problem(tmp_path, mutate)

@@ -59,12 +59,19 @@ def test_gamma_errors():
         gamma_component([[-1.0]], 0.5, [-1.0], 0)
 
 
-def test_empty_index_set_guard():
-    # -inv(A + alpha I) = 1e-13 passes the sign test but is not above NONNEG_TOL,
-    # so the column has no entry in the ratio minimum
-    from cdde_bound.envelope import EmptyIndexSet
-    with pytest.raises(EmptyIndexSet):
-        gamma_component([[-1e13]], 0.5, [1.0], 0)
+def test_gamma_component_is_free_of_time_units(sample_spec):
+    """The index set is exact, not a threshold on the entries of -inv(A +
+    alpha I): in time units c times faster, A and alpha grow by c, those
+    entries shrink by c, and the factors do not move.  A scalar system
+    whose -inv(A + alpha I) is about 1e-13 has the factor theta."""
+    assert gamma_component([[-1e13]], 0.5, [1.0], 0) == 1.0
+    assert gamma_component([[-1e13]], 1e12, [1.0], 0) == 1.0
+    a = np.asarray(sample_spec.A)
+    theta = np.asarray(sample_spec.psi_bar)
+    for i in range(3):
+        ref = gamma_component(a, 0.5, theta, i)
+        for c in 10.0 ** np.arange(-12, 14):
+            assert gamma_component(c * a, c * 0.5, theta, i) == pytest.approx(ref, rel=1e-12)
 
 
 def test_gamma_rejects_nonpositive_rate(sample_spec):

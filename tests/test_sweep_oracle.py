@@ -2,18 +2,23 @@
 and the stacked inverse against the members-first code in ``oracles``, and
 the pruned sweep against the members-last sweep over the whole grid, bit
 for bit: equal results, or the same exception type, message and cause.
-Also the lemma the pruning rests on: no rate inside a gap of the grid
-enters its box before the gap's floor."""
+Also what the pruning rests on: the index sets against an exact inverse,
+and no rate inside a gap of the grid entering its box before the gap's
+floor."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import expm
 
 import oracles
 from cdde_bound import envelope
 from cdde_bound.certificate import compute_certificate
-from cdde_bound.envelope import (_LOG_SCREEN_RTOL, BLOCK_BYTES, _envelope_factors, _gap_floor,
-                                 _min_ratios, _neg_inverses, _prunable, finite_time)
+from cdde_bound.envelope import (_LOG_SCREEN_RTOL, BLOCK_BYTES, DecayRateTooLarge,
+                                 _envelope_factors, _gap_floor, _index_sets, _min_ratios,
+                                 _neg_inverses, finite_time, gamma_component)
 from cdde_bound.linalg import inverse, solve
 from cdde_bound.stability import alpha_max, is_metzler_hurwitz
 
@@ -134,34 +139,65 @@ def test_gap_floor_bounds_every_rate_inside_the_gap(case, width):
     k_max = int(round(alpha_max(a, step) / step))
     assume(k_max > 2)
     alphas = np.arange(1, k_max + 1) * step
-    a_vec, b, mask = _neg_inverses(a, alphas, theta)
-    ratio = _min_ratios(a_vec, b, mask, out=np.empty_like(b)) / delta
+    reach, unreached = _index_sets(a, theta)
+    a_vec, b = _neg_inverses(a, alphas, theta, unreached)
+    ratio = _min_ratios(a_vec, b, reach, out=np.empty_like(b)) / delta
     t = np.log(np.maximum(ratio, 1.0)) / alphas[:, None]
     ends = np.unique(np.r_[np.arange(0, k_max, width), k_max - 1])
     lo, hi = ends[:-1], ends[1:]
-    floor = _gap_floor(a_vec[lo], b[:, :, hi], mask[:, :, hi], alphas[hi], delta)
+    floor = _gap_floor(a_vec[lo], b[:, :, hi], reach, alphas[hi], delta)
     inside = np.setdiff1d(np.arange(k_max), ends)
     gap = np.searchsorted(hi, inside)
     assert (t[inside] * (1.0 + _LOG_SCREEN_RTOL) >= floor[gap]).all()
 
 
-@pytest.mark.parametrize("a, theta, prunable", [
-    ([[-2.0, 1.0], [1.0, -2.0]], [1.0, 0.0], True),
-    ([[-2.0]], [1.0], True),
-    ([[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [1.0, 0.0, -2.0]], [0.0, 0.0, 1.0], True),
-    ([[-2.0, 1.0], [0.0, -2.0]], [1.0, 1.0], False),       # 2 does not reach 1
-    ([[-2.0, 1.0], [1.0, -2.0]], [0.0, 0.0], False),       # a = 0
-    ([[-2.0, 1.0], [-1e-13, -2.0]], [1.0, 1.0], False),    # Metzler only to NONNEG_TOL
+def fraction_neg_inverse(m) -> list[list[Fraction]]:
+    """``-inv(m)`` in exact arithmetic, by Gauss-Jordan elimination on the
+    float entries read as fractions."""
+    n = len(m)
+    rows = [[Fraction(float(v)) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                rows[r] = [v - rows[r][col] * w for v, w in zip(rows[r], rows[col])]
+    return [[-v for v in row[n:]] for row in rows]
+
+
+@pytest.mark.parametrize("a, theta", [
+    ([[-2.0, 1.0], [1.0, -2.0]], [1.0, 0.0]),
+    ([[-2.0]], [1.0]),
+    ([[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [1.0, 0.0, -2.0]], [0.0, 0.0, 1.0]),
+    ([[-2.0, 1.0], [0.0, -2.0]], [1.0, 1.0]),           # 2 does not reach 1
+    ([[-2.0, 1.0], [1.0, -2.0]], [0.0, 0.0]),           # a = 0
+    ([[-2.0, 1.0], [-1e-13, -2.0]], [1.0, 1.0]),        # Metzler only to NONNEG_TOL
 ], ids=["coupled", "scalar", "cycle", "reducible", "zero-theta", "negative-entry"])
-def test_prunable_needs_positive_n_and_a(a, theta, prunable):
-    assert _prunable(np.array(a), np.array(theta)) is prunable
+def test_prunable_needs_positive_n_and_a(a, theta):
+    """Every grid is pruned; the floors need the index sets of ``N = -inv(A
+    + alpha I)`` and ``a = N theta``, which ``_index_sets`` takes from the
+    graph of ``A``.  At every admissible rate, ``N`` is positive exactly
+    where the mask holds and ``a`` exactly where the support of ``theta``
+    reaches; a Metzler-to-tolerance entry is no edge."""
+    reach, unreached = _index_sets(np.array(a), np.array(theta))
+    for alpha in (0.25, 0.5, 0.75):
+        shifted = np.array(a) + alpha * np.eye(len(a))
+        n_exact = fraction_neg_inverse(shifted)
+        a_exact = [sum(v * Fraction(t) for v, t in zip(row, theta)) for row in n_exact]
+        assert reach[:, :, 0].tolist() == [[v > 0 for v in row] for row in n_exact]
+        assert (~unreached).tolist() == [v > 0 for v in a_exact]
 
 
-def test_negative_factor_is_refused_as_on_the_whole_grid():
-    """Component 3 of this reducible system has ``theta = 0`` and reaches no
-    other component, so its ``a`` vanishes, and its factor rounds below
-    zero at scattered rates of the grid (k = 2, 3, 5, ...).  The grid is
-    swept whole, and the error names the minimum of its first block."""
+def test_reducible_system_with_a_vanishing_factor_certifies():
+    """Component 3 of this reducible system has ``theta = 0`` and is reached
+    from no other component, so its ``a`` vanishes and so does its factor:
+    it is inside its box from t = 0.  Computed, that ``a`` rounds below
+    zero at scattered rates of the grid (k = 2, 3, 5, ...) and would make
+    the factor negative, so the sweep sets it to 0.  Each
+    component's envelope at its chosen rate bounds the exact flow from
+    ``theta``, and the flow is in the box after the component's time."""
     a0 = np.array([[-0.82703602052534, 0.8757445027640773, 0.509970796133141, 0.0],
                    [0.0, -1.4781097662805465, 0.0, 0.8863188504787867],
                    [0.0, 0.0, -0.3685683670628046, 0.0],
@@ -169,18 +205,26 @@ def test_negative_factor_is_refused_as_on_the_whole_grid():
                     -1.869019816327096]])
     step = 1e-4
     a = a0 - (a0[2, 2] + (7286 + 0.5) * step) * np.eye(4)
-    theta = [0.8497695747555352, 1.2254014086871803, 0.0, 0.3129002844201616]
-    delta = [0.060892925697237435, 0.9292984356046446, 0.47554026449019665,
-             0.28472489786602706]
-    got = outcome(finite_time, a, theta, delta, step)
-    assert got[0] == "raised" and got[1][1].startswith("gamma must be nonnegative, got -")
-    assert_same(got, outcome(oracles.finite_time_blocked, a, theta, delta, step))
+    theta = np.array([0.8497695747555352, 1.2254014086871803, 0.0, 0.3129002844201616])
+    delta = np.array([0.060892925697237435, 0.9292984356046446, 0.47554026449019665,
+                      0.28472489786602706])
+    res = finite_time(a, theta, delta, step)
+    assert res.per_component_T[2] == 0.0
+    for reference in (oracles.finite_time, oracles.finite_time_blocked):
+        assert_same(("ok", res), outcome(reference, a, theta, delta, step))
+    gamma = np.array([gamma_component(a, alpha, theta, i)
+                      for i, alpha in enumerate(res.per_component_alpha)])
+    for t in np.linspace(0.0, 3.0 * res.T, 61):
+        u = expm(a * t) @ theta
+        assert (u <= gamma * np.exp(-res.per_component_alpha * t) * (1.0 + 1e-9) + 1e-12).all()
+        inside = t >= res.per_component_T
+        assert (u[inside] <= delta[inside] * (1.0 + 1e-9)).all()
 
 
-def test_error_met_by_the_pruned_sweep_is_the_whole_grids(monkeypatch):
+def test_error_met_by_the_pruned_sweep_is_raised_by_it(monkeypatch):
     """Inverses made to fail the Hurwitz test from alpha = 0.5 on: the first
-    round of the pruned sweep meets one, and the error raised is the whole
-    grid's, which names its first block that has one."""
+    round of the pruned sweep, which spans the grid, meets one and raises
+    it, naming the round's rates."""
     a = np.array([[-2.0, 1.0], [1.0, -2.0]])
     real = envelope.inverse
 
@@ -190,9 +234,9 @@ def test_error_met_by_the_pruned_sweep_is_the_whole_grids(monkeypatch):
         return inv
 
     monkeypatch.setattr(envelope, "inverse", failing)
-    got = outcome(finite_time, a, [1.0, 1.0], [0.5, 0.5], 1e-4)
-    assert got[0] == "raised" and got[1][1] == "alpha in [0.0001, 0.8192]: shifted matrix not Hurwitz"
-    assert_same(got, outcome(oracles.finite_time_blocked, a, [1.0, 1.0], [0.5, 0.5], 1e-4))
+    with pytest.raises(DecayRateTooLarge,
+                       match=r"^alpha in \[0\.0001, 0\.9999\]: shifted matrix not Hurwitz$"):
+        finite_time(a, [1.0, 1.0], [0.5, 0.5], 1e-4)
 
 
 def _near_singular_pair():
@@ -208,8 +252,6 @@ ERROR_CASES = {
                                   (_near_singular_pair(), np.array([5e-4, 1e-3]), np.ones(2))),
     "member-not-hurwitz": (_envelope_factors, oracles._envelope_factors,
                            (np.array([[-1.0]]), np.array([0.5, 2.0]), np.ones(1))),
-    "no-positive-entry": (_envelope_factors, oracles._envelope_factors,
-                          (np.array([[-1e13]]), np.array([1e12]), np.ones(1))),
     "no-positive-entry-sweep": (finite_time, oracles.finite_time,
                                 (np.diag([-1e13, -1.0]), [1.0, 1.0], [0.5, 0.5], 1e-3)),
     "non-finite-member": (_envelope_factors, oracles._envelope_factors,
