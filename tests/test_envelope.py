@@ -6,8 +6,8 @@ import pytest
 from scipy.linalg import expm
 
 from cdde_bound.certificate import compute_certificate
-from cdde_bound.envelope import (ConvergenceResult, DecayRateTooLarge,
-                                 NonpositiveThreshold, finite_time, gamma_component)
+from cdde_bound.envelope import (ConvergenceResult, DecayRateTooLarge, NonpositiveThreshold,
+                                 _envelope_factors, _index_sets, finite_time, gamma_component)
 from cdde_bound.linalg import solve
 from cdde_bound.stability import NotMetzler, NotStable, alpha_max
 
@@ -59,13 +59,25 @@ def test_gamma_errors():
         gamma_component([[-1.0]], 0.5, [-1.0], 0)
 
 
+def test_empty_index_set_guard():
+    """No index set is empty: each holds its own diagonal entry, however
+    small -inv(A + alpha I) is.  A scalar system whose -inv(A + alpha I) is
+    about 1e-13, below NONNEG_TOL, has the factor theta, equal to the
+    members-first code's."""
+    assert gamma_component([[-1e13]], 0.5, [1.0], 0) == 1.0
+    assert gamma_component([[-1e13]], 1e12, [1.0], 0) == 1.0
+    args = (np.array([[-1e13]]), np.array([1e12]), np.ones(1))
+    got = _envelope_factors(*args)
+    assert got.tolist() == [[1.0]]
+    assert got.tolist() == oracles._envelope_factors(*args).tolist()
+    reach, _ = _index_sets(np.diag([-1e13, -1.0, -2.0]), np.zeros(3))
+    assert reach[:, :, 0].tolist() == np.eye(3, dtype=bool).tolist()
+
+
 def test_gamma_component_is_free_of_time_units(sample_spec):
     """The index set is exact, not a threshold on the entries of -inv(A +
     alpha I): in time units c times faster, A and alpha grow by c, those
-    entries shrink by c, and the factors do not move.  A scalar system
-    whose -inv(A + alpha I) is about 1e-13 has the factor theta."""
-    assert gamma_component([[-1e13]], 0.5, [1.0], 0) == 1.0
-    assert gamma_component([[-1e13]], 1e12, [1.0], 0) == 1.0
+    entries shrink by c, and the factors do not move."""
     a = np.asarray(sample_spec.A)
     theta = np.asarray(sample_spec.psi_bar)
     for i in range(3):
