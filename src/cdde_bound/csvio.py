@@ -19,9 +19,9 @@ def write_csv(path, times: np.ndarray, columns: dict[str, np.ndarray]) -> None:
     formatted a block at a time, so memory does not grow with the rows.
     Within a block, a run of rows whose values after ``t`` repeat bit for
     bit (a staircase's dwell interval) formats that tail once and writes
-    the run as its rows' ``t`` values joined by the tail, plus the tail; a
-    block without a repeated row goes through the numpy encoder ``_encode``,
-    ``_CSV_CELLS`` cells at a time."""
+    the run as its rows' ``t`` values (one ``%`` for the block) joined by
+    the tail, plus the tail; a block without a repeated row goes through
+    the numpy encoder ``_encode``, ``_CSV_CELLS`` cells at a time."""
     header = ["t"] + [f"{prefix}_{i + 1}" for prefix, block in columns.items()
                       for i in range(block.shape[1])]
     tail_fmt = b",%.9g" * (len(header) - 1) + b"\n"
@@ -40,7 +40,7 @@ def write_csv(path, times: np.ndarray, columns: dict[str, np.ndarray]) -> None:
             starts = np.append(0, np.flatnonzero(~repeat) + 1)
             tails = [tail_fmt % tuple(row) for row in data[starts, 1:].tolist()]
             bounds = [*starts.tolist(), len(data)]
-            ts = [b"%.9g" % t for t in data[:, 0].tolist()]
+            ts = ((b"%.9g\n" * len(data)) % tuple(data[:, 0].tolist())).split(b"\n")
             fh.writelines(tail.join(ts[r:r1]) + tail
                           for tail, r, r1 in zip(tails, bounds, bounds[1:]))
 

@@ -74,8 +74,9 @@ def lu_factor(matrix) -> tuple[np.ndarray, np.ndarray]:
         p = k + int(np.argmax(np.abs(lu[k:, k])))
         if abs(lu[p, k]) < tol:
             raise SingularMatrix(f"pivot {lu[p, k]:.3e} below threshold {tol:.3e} at column {k}")
-        lu[[k, p]] = lu[[p, k]]
-        perm[[k, p]] = perm[[p, k]]
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
         lu[k + 1:, k] /= lu[k, k]
         lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
     return lu, perm

@@ -1,6 +1,7 @@
 """Reference implementations the vectorized code is checked against: the
-per-column inverse, the linear Hurwitz-margin scan and the per-rate sweep of
-the decay-rate grid, one matrix at a time; the members-first decay-rate
+per-column inverse, the LU factorization that exchanges rows at every
+column, the linear Hurwitz-margin scan and the per-rate sweep of the
+decay-rate grid, one matrix at a time; the members-first decay-rate
 sweep and the margin search with a full Hurwitz test per index, which the
 members-last sweep must match bit for bit; the members-last sweep over the
 whole grid, which the pruned sweep must match bit for bit; the entry-time
@@ -40,6 +41,27 @@ def inverse_by_columns(m: np.ndarray) -> np.ndarray:
     for i in range(n):
         out[:, i] = lu_solve(lu, perm, np.eye(n)[i])
     return out
+
+
+def lu_factor_always_swapping(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """``linalg.lu_factor`` as it was before it skipped the exchange of a
+    pivot row already in place: the rows are swapped at every column."""
+    lu = as_matrix(matrix)
+    n = _square(lu)
+    scale = np.abs(lu).max(initial=0.0)
+    if scale == 0.0:
+        raise SingularMatrix("zero matrix")
+    tol = PIVOT_RTOL * scale
+    perm = np.arange(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if abs(lu[p, k]) < tol:
+            raise SingularMatrix(f"pivot {lu[p, k]:.3e} below threshold {tol:.3e} at column {k}")
+        lu[[k, p]] = lu[[p, k]]
+        perm[[k, p]] = perm[[p, k]]
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return lu, perm
 
 
 def time_to_threshold(gamma_i: float, delta_i: float, alpha: float) -> float:

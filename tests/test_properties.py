@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cdde_bound import certificate
+from cdde_bound import certificate, stability
 from cdde_bound.certificate import (MU_SAFETY, CertificateError, compute_certificate,
                                     raw_contraction_factor)
 from cdde_bound.csvio import _encode
@@ -68,6 +68,34 @@ def test_alpha_max_equals_linear_scan(case):
     assert got == alpha_max_scan(a, step)
     if offset:
         assert got == k * step
+
+
+def _failing_eigvals(_):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _scaled_eigvals(factor):
+    real = np.linalg.eigvals
+    return lambda m: factor * real(m)
+
+
+# the margin search started from a failed, a NaN, a far and a near estimate
+EIGVALS = {
+    "linalg-error": _failing_eigvals,
+    "nan": lambda m: np.full(len(m), np.nan),
+    "ten-times": _scaled_eigvals(10.0),
+    "tenth": _scaled_eigvals(0.1),
+}
+
+
+@pytest.mark.parametrize("start", list(EIGVALS))
+@settings(max_examples=40, deadline=None)
+@given(case=placed_margin())
+def test_alpha_max_from_any_start_equals_members_first_code(start, case):
+    a, step, _, _, _ = case
+    with mock.patch.object(stability.np.linalg, "eigvals", EIGVALS[start]):
+        got = alpha_max(a, step)
+    assert got == oracles.alpha_max(a, step)
 
 
 @settings(max_examples=60, deadline=None)

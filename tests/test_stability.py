@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cdde_bound import stability
 from cdde_bound.linalg import SingularMatrix, inverse, solve
 from cdde_bound.model import SystemSpec
 from cdde_bound.stability import (NotMetzler, NotNonnegative, NotStable,
@@ -100,6 +101,28 @@ def test_alpha_max_sample_matches_charpoly_oracle(sample_spec):
     expected = math.floor(-s / 1e-3) * 1e-3
     assert alpha_max(a, 1e-3) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(1.741, abs=1e-12)
+
+
+def test_alpha_max_starts_at_the_margin(sample_spec, monkeypatch):
+    # the computed spectral abscissa puts the start on alpha_max: one test
+    # of A, one at the start and one just past it
+    calls = []
+    real = stability._is_hurwitz
+    monkeypatch.setattr(stability, "_is_hurwitz", lambda m: calls.append(m) or real(m))
+    assert alpha_max(sample_spec.A, 1e-3) == pytest.approx(1.741, abs=1e-12)
+    assert len(calls) == 3
+
+
+def test_positive_diagonal_is_not_hurwitz():
+    # inverses of 1e-12 and below pass the absolute sign tolerance; a
+    # positive diagonal entry fails the test before the inverse is formed
+    assert not is_metzler_hurwitz([[1e12]])
+    assert not is_schur_nonneg([[1e12 + 1.0]])
+
+
+def test_alpha_max_in_fast_time_units():
+    assert alpha_max([[-1e13]], 1e12) == 9e12
+    assert alpha_max([[-1e13]], 3e12) == 9e12
 
 
 def test_alpha_max_requires_stability():
