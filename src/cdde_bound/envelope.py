@@ -37,7 +37,7 @@ import numpy as np
 
 from .linalg import SingularMatrix, as_matrix, as_vector, inverse
 from .model import NONNEG_TOL, negative
-from .stability import NotStable, _require_metzler, alpha_max, is_metzler_hurwitz
+from .stability import NotStable, _reach, _require_metzler, alpha_max, is_metzler_hurwitz
 
 # finite_time evaluates the alpha grid in blocks whose (n, n, G) float64
 # arrays take about this many bytes each; about three are alive at once
@@ -87,25 +87,21 @@ def _index_sets(M: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
     (an edge ``k -> l`` for each ``M[l, k] > 0``), and ``unreached[j]`` where
     no such path leads to ``j`` from an ``i`` with ``theta[i] > 0``.
 
-    For a Metzler ``M`` and a rate below its margin, ``M + alpha I = P - s I``
-    with ``P >= 0`` and ``s`` above the spectral radius of ``P``, so ``N =
-    -inv(M + alpha I)`` is the series ``sum_k P^k / s^(k+1)``: ``N_ji > 0``
-    exactly where ``reach`` holds and 0 elsewhere, at every such rate
-    (Berman and Plemmons, *Nonnegative Matrices in the Mathematical
-    Sciences*, 1994), and ``a = N theta`` is 0 exactly where ``unreached``
-    holds.  Computed, those zeros are rounding noise of either sign."""
-    reach = (M > 0.0) | np.eye(M.shape[0], dtype=bool)
-    while not ((wider := reach @ reach) == reach).all():
-        reach = wider
+    ``N = -inv(M + alpha I)`` is positive exactly where ``reach`` holds
+    and 0 elsewhere, at every rate below the margin (``stability._reach``),
+    so ``a = N theta`` is 0 exactly where ``unreached`` holds.  Computed,
+    those zeros are rounding noise of either sign."""
+    reach = _reach(M)
     return reach[:, :, None], ~reach[:, theta > 0.0].any(axis=1)
 
 
-def _neg_inverses(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray,
+def _neg_inverses(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray, reach: np.ndarray,
                   unreached: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(a, b)`` at each rate ``alphas[g]``, by one inversion of the stack
     ``A + alphas[g] I``, which must be Hurwitz: ``b[j, i, g]`` is
     ``-inv(A + alphas[g] I)[j, i]`` and ``a[g] = b[:, :, g] @ theta``, 0
-    where ``unreached`` (``_index_sets``).
+    where ``unreached`` (``_index_sets``).  As in ``stability._is_hurwitz``,
+    the sign is tested only where ``reach`` holds.
 
     The stack is built with the members on the last axis, ``(n, n, G)``, and
     every per-member test runs along it, G entries at a time: the condition
@@ -119,7 +115,7 @@ def _neg_inverses(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray,
     except SingularMatrix as exc:
         raise DecayRateTooLarge(f"{span}: shifted matrix singular") from exc
     # a Metzler matrix is Hurwitz iff it is nonsingular with inv <= 0
-    if not (neg_inv <= NONNEG_TOL).all():
+    if not ((neg_inv <= NONNEG_TOL) | ~reach[:, :, 0]).all():
         raise DecayRateTooLarge(f"{span}: shifted matrix not Hurwitz")
     np.negative(neg_inv, out=neg_inv)
     a = neg_inv @ theta                                 # (G, n)
@@ -142,7 +138,7 @@ def _envelope_factors(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray) -> n
     """Optimal factors ``gamma[g, i]`` at each rate ``alphas[g]``, by one
     inversion of the stack ``A + alphas[g] I``, which must be Hurwitz."""
     reach, unreached = _index_sets(A, theta)
-    a, b = _neg_inverses(A, alphas, theta, unreached)
+    a, b = _neg_inverses(A, alphas, theta, reach, unreached)
     return _min_ratios(a, b, reach, out=b)
 
 
@@ -252,7 +248,7 @@ def _sweep(M: np.ndarray, theta: np.ndarray, dlt: np.ndarray, step: float,
     new = 1 + j * q + (j * r) // span
     while new.size:
         alphas = new * step
-        a, b = _neg_inverses(M, alphas, theta, unreached)
+        a, b = _neg_inverses(M, alphas, theta, reach, unreached)
         gamma = _min_ratios(a, b, reach, out=np.empty_like(b))
         if gamma.min() < 0.0:           # rounding must not make a factor negative
             raise ValueError(f"gamma must be nonnegative, got {gamma.min()}")

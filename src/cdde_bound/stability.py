@@ -7,6 +7,10 @@ for Metzler/nonnegative matrices:
 * a nonnegative matrix is Schur iff ``I - M`` is nonsingular with
   ``inv(I - M) >= 0``.
 
+The sign is tested only where the graph of ``M`` says the inverse of a
+Hurwitz ``M`` is nonzero (``_reach``); elsewhere its entries are exact zeros
+that come out of the computation as rounding noise of either sign.
+
 The one eigenvalue computation, in ``alpha_max``, only picks where the
 margin search starts; the sign test makes every decision.
 """
@@ -52,20 +56,45 @@ def _require_metzler(A: np.ndarray) -> None:
         raise NotMetzler(f"off-diagonal entry {off.min()} below -{NONNEG_TOL}")
 
 
-def _is_hurwitz(M: np.ndarray) -> bool:
+def _reach(M: np.ndarray) -> np.ndarray:
+    """``reach[j, i]`` where ``j == i`` or a path of positive off-diagonal
+    entries of ``M`` leads from ``i`` to ``j`` (an edge ``k -> l`` for each
+    ``M[l, k] > 0``).
+
+    For a Metzler ``M`` and a rate below its margin, ``M + alpha I = P - s I``
+    with ``P >= 0`` and ``s`` above the spectral radius of ``P``, so
+    ``-inv(M + alpha I)`` is the series ``sum_k P^k / s^(k+1)``: positive
+    exactly where ``reach`` holds and 0 elsewhere, at every such rate
+    (Berman and Plemmons, *Nonnegative Matrices in the Mathematical
+    Sciences*, 1994)."""
+    reach = (M > 0.0) | np.eye(M.shape[0], dtype=bool)
+    while not ((wider := reach @ reach) == reach).all():
+        reach = wider
+    return reach
+
+
+def _is_hurwitz(M: np.ndarray, reach: np.ndarray) -> bool:
     """Sign-of-inverse test of one finite Metzler matrix: ``inverse``'s
-    singularity test, then ``inv(M) <= 0``, without its checks of the input.
+    singularity test, then ``inv(M) <= 0`` where ``reach`` (``_reach(M)``)
+    holds, without its checks of the input.  Runs under the caller's
+    ``errstate``.
+
     A diagonal entry ``>= 0`` fails first, exactly: a Metzler Hurwitz matrix
     has a negative diagonal, and the absolute sign tolerance would pass the
-    tiny inverse of a large positive one.  Runs under the caller's
-    ``errstate``."""
+    tiny inverse of a large positive one.  Leaving out the entries off
+    ``reach`` is exact too.  If ``M`` is not Hurwitz, some diagonal block of
+    it on a strongly connected set of indices is not, and the inverse of
+    that block, the same block of ``inv(M)``, has a positive entry; every
+    entry of the block is on ``reach``.  Computed, the zeros off ``reach``
+    are rounding noise, which near the margin of a reducible matrix can
+    exceed the tolerance at one diagonal shift and not at a larger one."""
     if not (M.diagonal() < 0.0).all():
         return False
     try:
         inv = np.linalg.inv(M)
     except np.linalg.LinAlgError:
         return False
-    return not _ill_conditioned(M, inv)[0] and bool((inv <= NONNEG_TOL).all())
+    return not _ill_conditioned(M, inv)[0] and bool(((inv <= NONNEG_TOL) | ~reach).all())
 
 
 def is_metzler_hurwitz(A) -> bool:
@@ -75,7 +104,7 @@ def is_metzler_hurwitz(A) -> bool:
         raise NotMetzler(f"matrix must be square, got {M.shape}")
     _require_metzler(M)
     with np.errstate(all="ignore"):
-        return _is_hurwitz(M)
+        return _is_hurwitz(M, _reach(M))
 
 
 def is_schur_nonneg(D) -> bool:
@@ -146,7 +175,7 @@ def alpha_max(A, step: float) -> float:
     M = as_matrix(A, "A")
     if not is_metzler_hurwitz(M):
         raise NotStable("matrix is not Hurwitz, no positive decay rate exists")
-    eye = np.eye(M.shape[0])
+    eye, reach = np.eye(M.shape[0]), _reach(M)
 
     def hurwitz(k: int) -> bool:
         # is_metzler_hurwitz without its check of the structure, which the
@@ -154,7 +183,7 @@ def alpha_max(A, step: float) -> float:
         shifted = M + (k * step) * eye
         if not np.isfinite(shifted).all():
             raise ValueError("A contains non-finite entries")
-        return _is_hurwitz(shifted)
+        return _is_hurwitz(shifted, reach)
 
     with np.errstate(all="ignore"):     # for eigvals and _is_hurwitz
         try:

@@ -119,10 +119,11 @@ def finite_time_loop(a: np.ndarray, theta: np.ndarray, delta: np.ndarray,
 # Hurwitz test per index: ``inverse``, ``_neg_inverse_if_hurwitz``,
 # ``is_metzler_hurwitz``, ``alpha_max``, ``_envelope_factors`` and
 # ``finite_time`` as they were before the sweep put the members on the last
-# axis, copied verbatim but for the index sets of ``_envelope_factors``,
-# which come from ``index_sets`` here as they come from the graph of ``A``
-# in the package.  They call one another, never the package's versions, so
-# the members-last code is checked against them bit for bit.
+# axis, copied verbatim but for the index sets of ``_envelope_factors``
+# and the entries the sign test reads, which come from ``index_sets`` here
+# as they come from the graph of ``A`` in the package.  They call one
+# another, never the package's versions, so the members-last code is
+# checked against them bit for bit.
 
 def index_sets(M: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(reach, unreached)`` by a depth-first search from each index:
@@ -169,10 +170,12 @@ def inverse(matrix) -> np.ndarray:
 
 def _neg_inverse_if_hurwitz(M: np.ndarray) -> np.ndarray | None:
     """``-inv(M)`` if the Metzler matrix, or every member of the stack, ``M``
-    is Hurwitz (nonsingular with ``inv(M) <= 0``), else None; raises
-    SingularMatrix for a singular member."""
+    is Hurwitz (nonsingular with ``inv(M) <= 0`` on the index set
+    ``index_sets`` takes from its graph), else None; raises SingularMatrix
+    for a singular member."""
     neg_inv = inverse(M)
-    if not (neg_inv <= NONNEG_TOL).all():
+    reach, _ = index_sets(M if M.ndim == 2 else M[0], np.zeros(M.shape[-1]))
+    if not (neg_inv <= NONNEG_TOL)[..., reach].all():
         return None
     return np.negative(neg_inv, out=neg_inv)
 

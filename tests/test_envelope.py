@@ -9,7 +9,7 @@ from cdde_bound.certificate import compute_certificate
 from cdde_bound.envelope import (ConvergenceResult, DecayRateTooLarge, NonpositiveThreshold,
                                  _envelope_factors, _index_sets, finite_time, gamma_component)
 from cdde_bound.linalg import solve
-from cdde_bound.stability import NotMetzler, NotStable, alpha_max
+from cdde_bound.stability import NotMetzler, NotStable, alpha_max, is_metzler_hurwitz
 
 import oracles
 from conftest import grid_min_factor, random_metzler_hurwitz
@@ -174,6 +174,40 @@ def test_finite_time_narrow_margin_fallback(sample_spec):
     got, want = finite_time(*args), oracles.finite_time(*args)
     assert [np.asarray(v).tobytes() for v in (got.T, got.per_component_T, got.per_component_alpha)] \
         == [np.asarray(v).tobytes() for v in (want.T, want.per_component_T, want.per_component_alpha)]
+
+
+# a random sparse Metzler matrix (20 % of the off-diagonal entries), margin
+# 0.5407778: no path leads to index 2 from another index, nor from index 4 or
+# 6 to any other, so its Hurwitz shifts have inverses with exact zeros
+REDUCIBLE = np.array([
+    [-1.95457478880388, 0.0, 0.0, 0.0, 0.0, 0.70661930597437, 0.0],
+    [0.1673209193266051, -0.6682805886424219, 0.9429801416464726, 0.28622572480963504, 0.0, 0.0, 0.0],
+    [0.0, 0.0, -0.5461949930085086, 0.0, 0.0, 0.0, 0.0],
+    [0.7761948424810876, 0.0, 0.0, -0.7806443417546042, 0.0, 0.0, 0.0],
+    [0.11943794454053969, 0.0, 0.0, 0.0, -1.2224087469105933, 0.0, 0.0],
+    [0.0, 0.03508293908761306, 0.0, 0.4317652197750126, 0.0, -1.3894716626775374, 0.0],
+    [0.3631753944652705, 0.0, 0.0, 0.5370491414816025, 0.0, 0.0, -1.7281090922244253],
+])
+
+
+def test_reducible_margin_is_searched_on_the_reachable_pattern():
+    """Computed, the exact zeros of ``inv(A + 0.5406 I)`` read above the
+    sign tolerance, but those at 0.5405 and 0.5407 do not: a test of every
+    entry made the search starting at the margin return 0.5407 and the sweep
+    then fail at 0.5406, and the doubling search stop at 0.5405.  Tested
+    only on the reachable pattern, every grid rate below the margin passes;
+    T is the one the doubling search's grid gave."""
+    step, eye = 1e-4, np.eye(7)
+    for k in range(5400, 5408):
+        assert is_metzler_hurwitz(REDUCIBLE + (k * step) * eye)
+    assert not is_metzler_hurwitz(REDUCIBLE + (5408 * step) * eye)
+    assert alpha_max(REDUCIBLE, step) == 5407 * step
+    assert alpha_max(REDUCIBLE, step) == oracles.alpha_max(REDUCIBLE, step)
+    result = finite_time(REDUCIBLE, np.ones(7), np.full(7, 0.5), step)
+    assert result.T == 7.487875340535612
+    want = oracles.finite_time(REDUCIBLE, np.ones(7), np.full(7, 0.5), step)
+    assert np.array_equal(result.per_component_T, want.per_component_T)
+    assert np.array_equal(result.per_component_alpha, want.per_component_alpha)
 
 
 def test_finite_time_refuses_grid_past_float_precision_at_once():

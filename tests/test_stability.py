@@ -108,7 +108,7 @@ def test_alpha_max_starts_at_the_margin(sample_spec, monkeypatch):
     # of A, one at the start and one just past it
     calls = []
     real = stability._is_hurwitz
-    monkeypatch.setattr(stability, "_is_hurwitz", lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(stability, "_is_hurwitz", lambda *args: calls.append(args) or real(*args))
     assert alpha_max(sample_spec.A, 1e-3) == pytest.approx(1.741, abs=1e-12)
     assert len(calls) == 3
 

@@ -140,7 +140,7 @@ def test_gap_floor_bounds_every_rate_inside_the_gap(case, width):
     assume(k_max > 2)
     alphas = np.arange(1, k_max + 1) * step
     reach, unreached = _index_sets(a, theta)
-    a_vec, b = _neg_inverses(a, alphas, theta, unreached)
+    a_vec, b = _neg_inverses(a, alphas, theta, reach, unreached)
     ratio = _min_ratios(a_vec, b, reach, out=np.empty_like(b)) / delta
     t = np.log(np.maximum(ratio, 1.0)) / alphas[:, None]
     ends = np.unique(np.r_[np.arange(0, k_max, width), k_max - 1])
