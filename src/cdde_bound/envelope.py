@@ -20,6 +20,9 @@ the support of ``theta_bar``; where none does, ``a_j`` is 0 and is set
 to exactly 0.  The index set is computed once per call, never from the
 signs of computed entries.
 
+Each stack ``A + alpha I`` is inverted and tested by ``stability._hurwitz``,
+the one Hurwitz predicate; a singular member is reported first.
+
 The sweep inverts only the rates that can still hold a component's earliest
 entry time.  ``N(alpha) = -inv(A + alpha I)`` grows in every entry with
 alpha, so the factors at the two ends of a gap of the grid bound the entry
@@ -35,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrix, as_matrix, as_vector, inverse
-from .model import NONNEG_TOL, negative
-from .stability import NotStable, _reach, _require_metzler, alpha_max, is_metzler_hurwitz
+from .linalg import SingularMatrix, as_matrix, as_vector
+from .model import negative
+from .stability import NotStable, _hurwitz, _reach, _require_metzler, alpha_max, is_metzler_hurwitz
 
 # finite_time evaluates the alpha grid in blocks whose (n, n, G) float64
 # arrays take about this many bytes each; about three are alive at once
@@ -98,10 +101,10 @@ def _index_sets(M: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _neg_inverses(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray, reach: np.ndarray,
                   unreached: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(a, b)`` at each rate ``alphas[g]``, by one inversion of the stack
-    ``A + alphas[g] I``, which must be Hurwitz: ``b[j, i, g]`` is
-    ``-inv(A + alphas[g] I)[j, i]`` and ``a[g] = b[:, :, g] @ theta``, 0
-    where ``unreached`` (``_index_sets``).  As in ``stability._is_hurwitz``,
-    the sign is tested only where ``reach`` holds.
+    ``A + alphas[g] I``, which must be Hurwitz (``stability._hurwitz``):
+    ``b[j, i, g]`` is ``-inv(A + alphas[g] I)[j, i]`` and ``a[g] =
+    b[:, :, g] @ theta``, 0 where ``unreached`` (``_index_sets``).  A
+    singular member is reported before a member that is not Hurwitz.
 
     The stack is built with the members on the last axis, ``(n, n, G)``, and
     every per-member test runs along it, G entries at a time: the condition
@@ -111,11 +114,10 @@ def _neg_inverses(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray, reach: n
     shifted = np.eye(A.shape[0])[:, :, None] * alphas
     shifted += A[:, :, None]
     try:
-        neg_inv = inverse(shifted.transpose(2, 0, 1))
+        neg_inv, hurwitz = _hurwitz(shifted.transpose(2, 0, 1), reach[:, :, 0])
     except SingularMatrix as exc:
         raise DecayRateTooLarge(f"{span}: shifted matrix singular") from exc
-    # a Metzler matrix is Hurwitz iff it is nonsingular with inv <= 0
-    if not ((neg_inv <= NONNEG_TOL) | ~reach[:, :, 0]).all():
+    if not hurwitz:
         raise DecayRateTooLarge(f"{span}: shifted matrix not Hurwitz")
     np.negative(neg_inv, out=neg_inv)
     a = neg_inv @ theta                                 # (G, n)

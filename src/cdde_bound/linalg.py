@@ -2,13 +2,13 @@
 
 Everything here operates on plain numpy float64 arrays.  ``inverse`` hands a
 single matrix or a whole ``(G, n, n)`` stack to LAPACK through one
-``np.linalg.inv`` call; it drives every sign-of-inverse test and the
-decay-rate sweep.  The coupling matrix and ``solve`` go through a partially
-pivoted LU written out here, whose rounding the pinned certificate bytes
-depend on.  The matrices handled by this package are provably nonsingular
-when the modelling hypotheses hold, so a near-singular one signals a
-modelling error and must surface as :class:`SingularMatrix` rather than as
-solver-dependent noise.
+``np.linalg.inv`` call, the package's only one, for the one Hurwitz
+predicate and the simulator.  The coupling matrix and ``solve`` go through
+a partially pivoted LU written out here, whose rounding the pinned
+certificate bytes depend on.  The matrices handled by this package are
+provably nonsingular when the modelling hypotheses hold, so a near-singular
+one signals a modelling error and must surface as :class:`SingularMatrix`
+rather than as solver-dependent noise.
 """
 
 from __future__ import annotations
@@ -102,20 +102,6 @@ def solve(matrix, rhs) -> np.ndarray:
     return lu_solve(lu, perm, b)
 
 
-def _ill_conditioned(a: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether the reciprocal 1-norm condition of ``a``, from its inverse
-    ``inv``, is below ``PIVOT_RTOL`` (or NaN), and the condition number.
-
-    Both are one matrix or ``(n, n, G)`` stacks with the members on the last
-    axis.  ``inv`` comes members first from ``np.linalg.inv`` and is copied
-    contiguous along the stack, so each reduction runs over G entries at a
-    time; the column sums add the rows in order, as on the members-first
-    array.  Runs under the caller's ``errstate``: an overflowing norm counts
-    as ill-conditioned."""
-    cond = np.abs(a).sum(axis=0).max(axis=0) * np.abs(inv, order="C").sum(axis=0).max(axis=0)
-    return ~(cond * PIVOT_RTOL < 1.0), cond
-
-
 def inverse(matrix) -> np.ndarray:
     """Inverse of a matrix or of each member of a stack ``(G, n, n)``, by
     one LAPACK call.  Raises :class:`SingularMatrix`, naming the stack
@@ -132,9 +118,13 @@ def inverse(matrix) -> np.ndarray:
         # LAPACK met an exact zero pivot; slogdet factors the same way
         j = int(np.argmin(np.abs(np.linalg.slogdet(a).sign)))
         raise SingularMatrix("exactly singular" + member.format(j)) from None
-    last = (a, inv) if a.ndim == 2 else (a.transpose(1, 2, 0), inv.transpose(1, 2, 0))
+    # the 1-norm condition along the members: inv is copied contiguous along
+    # the stack, and the column sums add the rows in order, as members first
+    a_last, inv_last = (a, inv) if a.ndim == 2 else (a.transpose(1, 2, 0), inv.transpose(1, 2, 0))
     with np.errstate(all="ignore"):         # an overflowing norm is singular too
-        bad, cond = _ill_conditioned(*last)
+        cond = (np.abs(a_last).sum(axis=0).max(axis=0)
+                * np.abs(inv_last, order="C").sum(axis=0).max(axis=0))
+    bad = ~(cond * PIVOT_RTOL < 1.0)        # NaN is singular too
     if bad.any():
         j = int(np.argmax(bad))
         raise SingularMatrix(f"reciprocal condition {1.0 / cond.flat[j]:.3e} below threshold "

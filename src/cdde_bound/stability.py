@@ -7,9 +7,10 @@ for Metzler/nonnegative matrices:
 * a nonnegative matrix is Schur iff ``I - M`` is nonsingular with
   ``inv(I - M) >= 0``.
 
-The sign is tested only where the graph of ``M`` says the inverse of a
-Hurwitz ``M`` is nonzero (``_reach``); elsewhere its entries are exact zeros
-that come out of the computation as rounding noise of either sign.
+One predicate, ``_hurwitz``, makes every Hurwitz decision of the package:
+the Hurwitz and Schur tests, the margin search of ``alpha_max`` and the
+decay-rate sweep of ``envelope``.  It tests the sign only where the graph
+of ``M`` says the inverse of a Hurwitz ``M`` is nonzero (``_reach``).
 
 The one eigenvalue computation, in ``alpha_max``, only picks where the
 margin search starts; the sign test makes every decision.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrix, _ill_conditioned, as_matrix, as_vector, lu_factor, lu_solve
+from .linalg import SingularMatrix, as_matrix, as_vector, inverse, lu_factor, lu_solve
 from .model import NONNEG_TOL, SystemSpec, negative
 
 
@@ -73,28 +74,35 @@ def _reach(M: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _is_hurwitz(M: np.ndarray, reach: np.ndarray) -> bool:
-    """Sign-of-inverse test of one finite Metzler matrix: ``inverse``'s
-    singularity test, then ``inv(M) <= 0`` where ``reach`` (``_reach(M)``)
-    holds, without its checks of the input.  Runs under the caller's
-    ``errstate``.
+def _hurwitz(stack: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``(inv, hurwitz)`` for a ``(G, n, n)`` stack of finite Metzler
+    matrices on the pattern ``reach`` (``_reach``): each member's inverse,
+    by one ``inverse`` call, which raises ``SingularMatrix`` for a singular
+    member, and whether every member has a negative diagonal and ``inv <=
+    NONNEG_TOL`` where ``reach`` holds.
 
-    A diagonal entry ``>= 0`` fails first, exactly: a Metzler Hurwitz matrix
-    has a negative diagonal, and the absolute sign tolerance would pass the
-    tiny inverse of a large positive one.  Leaving out the entries off
-    ``reach`` is exact too.  If ``M`` is not Hurwitz, some diagonal block of
-    it on a strongly connected set of indices is not, and the inverse of
-    that block, the same block of ``inv(M)``, has a positive entry; every
-    entry of the block is on ``reach``.  Computed, the zeros off ``reach``
-    are rounding noise, which near the margin of a reducible matrix can
-    exceed the tolerance at one diagonal shift and not at a larger one."""
-    if not (M.diagonal() < 0.0).all():
-        return False
+    Both tests are exact.  A Metzler Hurwitz matrix has a negative
+    diagonal; testing it keeps the absolute sign tolerance from passing the
+    tiny inverse of a large positive one.  A member that is not Hurwitz has
+    a diagonal block on a strongly connected set of indices that is not,
+    whose inverse, the same block of ``inv``, has a positive entry on
+    ``reach``.  Off ``reach`` the exact inverse is 0, and the computed one
+    rounding noise of either sign, which near the margin of a reducible
+    matrix can exceed the tolerance at one shift and not at a larger one."""
+    inv = inverse(stack)
+    diagonal = stack.diagonal(axis1=1, axis2=2)
+    return inv, bool((diagonal < 0.0).all() and ((inv <= NONNEG_TOL) | ~reach).all())
+
+
+def _is_hurwitz(M: np.ndarray, reach: np.ndarray) -> bool:
+    """``_hurwitz`` of one Metzler matrix, a singular one failing, without
+    the checks of the input.  The diagonal is tested before the inversion,
+    so a diagonal entry ``>= 0``, or the ``+inf`` of an overflowing shift,
+    fails without one.  Runs under the caller's ``errstate``."""
     try:
-        inv = np.linalg.inv(M)
-    except np.linalg.LinAlgError:
+        return bool((M.diagonal() < 0.0).all()) and _hurwitz(M[None], reach)[1]
+    except SingularMatrix:
         return False
-    return not _ill_conditioned(M, inv)[0] and bool(((inv <= NONNEG_TOL) | ~reach).all())
 
 
 def is_metzler_hurwitz(A) -> bool:
@@ -179,11 +187,8 @@ def alpha_max(A, step: float) -> float:
 
     def hurwitz(k: int) -> bool:
         # is_metzler_hurwitz without its check of the structure, which the
-        # shift cannot change: the off-diagonal entries are those of M
-        shifted = M + (k * step) * eye
-        if not np.isfinite(shifted).all():
-            raise ValueError("A contains non-finite entries")
-        return _is_hurwitz(shifted, reach)
+        # shift cannot change; an overflowing shift has a +inf diagonal
+        return _is_hurwitz(M + (k * step) * eye, reach)
 
     with np.errstate(all="ignore"):     # for eigvals and _is_hurwitz
         try:

@@ -74,6 +74,16 @@ def test_empty_index_set_guard():
     assert reach[:, :, 0].tolist() == np.eye(3, dtype=bool).tolist()
 
 
+@pytest.mark.parametrize("a", [[[1e13]], [[1e13, 0.0], [1.0, -1e13]]],
+                         ids=["scalar", "reducible-2x2"])
+def test_gamma_component_refuses_a_positive_diagonal(a):
+    """The inverse of A + 0.5 I is at most about 1e-13 in every entry,
+    within NONNEG_TOL of nonpositive, and the matrix is well conditioned;
+    its positive diagonal entry fails the Hurwitz test all the same."""
+    with pytest.raises(DecayRateTooLarge, match=r"^alpha=0\.5: shifted matrix not Hurwitz$"):
+        gamma_component(a, 0.5, np.ones(len(a)), 0)
+
+
 def test_gamma_component_is_free_of_time_units(sample_spec):
     """The index set is exact, not a threshold on the entries of -inv(A +
     alpha I): in time units c times faster, A and alpha grow by c, those

@@ -203,6 +203,46 @@ def test_stack_with_one_singular_member_raises(n, g, seed, data):
 
 
 @st.composite
+def metzler_stack(draw):
+    """A stack (G, n, n) of Metzler matrices on one off-diagonal pattern,
+    dense, or sparse and reducible (edges only within a block or from a
+    lower block to a higher one), each member's diagonal scaled by a factor
+    in 1e-13...1e13 and spread over two decades, mostly negative."""
+    n, g = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(SEEDS))
+    pattern = ~np.eye(n, dtype=bool)
+    if draw(st.sampled_from(["dense", "sparse reducible"])) == "sparse reducible":
+        block = rng.integers(0, 3, n)
+        pattern &= (block[:, None] >= block[None, :]) & (rng.uniform(size=(n, n)) < 0.6)
+    stack = rng.uniform(0.0, 1.0, (g, n, n)) * pattern
+    scale = 10.0 ** (rng.uniform(-13.0, 13.0, (g, 1)) + rng.uniform(-1.0, 1.0, (g, n)))
+    sign = np.where(rng.uniform(size=(g, n)) < 0.85, -1.0, 1.0)
+    stack[:, np.arange(n), np.arange(n)] = sign * scale
+    return stack, pattern
+
+
+@settings(max_examples=300, deadline=None)
+@given(metzler_stack())
+def test_hurwitz_predicate_agrees_with_eigenvalues(case):
+    """The one Hurwitz predicate against ``max Re eig < 0`` on the members
+    whose spectral abscissa is away from 0 by more than 1e-6 of the largest
+    entry and whose 1-norm condition is below 1e6, where rounding cannot
+    move either answer: on each member alone, and on their stack, which
+    passes when every member does."""
+    stack, pattern = case
+    abscissa = np.array([np.linalg.eigvals(m).real.max() for m in stack])
+    scale = np.abs(stack).max(axis=(1, 2))
+    clear = np.abs(abscissa) > 1e-6 * scale
+    clear &= np.array([np.linalg.cond(m, 1) for m in stack]) < 1e6
+    if not clear.any():
+        return
+    reach = stability._reach(pattern * 1.0)
+    hurwitz = [stability._hurwitz(m[None], reach)[1] for m in stack[clear]]
+    assert hurwitz == (abscissa[clear] < 0.0).tolist()
+    assert stability._hurwitz(stack[clear], reach)[1] == all(hurwitz)
+
+
+@st.composite
 def admissible_system(draw, d_shapes=st.just("sparse"), loads=st.floats(0.05, 0.95)):
     """Random admissible system, n <= 6, m <= 3, built around a positive
     vector v = (p, q) with [[A, B], [C, D - I]] v < 0: the diagonal of A

@@ -6,6 +6,7 @@ Also what the pruning rests on: the index sets against an exact inverse,
 and no rate inside a gap of the grid entering its box before the gap's
 floor."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -222,18 +223,17 @@ def test_reducible_system_with_a_vanishing_factor_certifies():
 
 
 def test_error_met_by_the_pruned_sweep_is_raised_by_it(monkeypatch):
-    """Inverses made to fail the Hurwitz test from alpha = 0.5 on: the first
-    round of the pruned sweep, which spans the grid, meets one and raises
-    it, naming the round's rates."""
+    """Members made to fail the sweep's Hurwitz test from alpha = 0.5 on:
+    the first round of the pruned sweep, which spans the grid, meets one
+    and raises it, naming the round's rates."""
     a = np.array([[-2.0, 1.0], [1.0, -2.0]])
-    real = envelope.inverse
+    real = envelope._hurwitz
 
-    def failing(stack):
-        inv = real(stack)
-        inv[stack[:, 0, 0] - a[0, 0] >= 0.5] *= -1.0
-        return inv
+    def failing(stack, reach):
+        inv, hurwitz = real(stack, reach)
+        return inv, hurwitz and (stack[:, 0, 0] - a[0, 0] < 0.5).all()
 
-    monkeypatch.setattr(envelope, "inverse", failing)
+    monkeypatch.setattr(envelope, "_hurwitz", failing)
     with pytest.raises(DecayRateTooLarge,
                        match=r"^alpha in \[0\.0001, 0\.9999\]: shifted matrix not Hurwitz$"):
         finite_time(a, [1.0, 1.0], [0.5, 0.5], 1e-4)
@@ -252,14 +252,12 @@ ERROR_CASES = {
                                   (_near_singular_pair(), np.array([5e-4, 1e-3]), np.ones(2))),
     "member-not-hurwitz": (_envelope_factors, oracles._envelope_factors,
                            (np.array([[-1.0]]), np.array([0.5, 2.0]), np.ones(1))),
-    "no-positive-entry-sweep": (finite_time, oracles.finite_time,
-                                (np.diag([-1e13, -1.0]), [1.0, 1.0], [0.5, 0.5], 1e-3)),
+    # the condition number 1e13 of this stiff Hurwitz diagonal exceeds
+    # 1 / PIVOT_RTOL, so the sweep finds no admissible rate
+    "ill-conditioned-stiff-diagonal": (finite_time, oracles.finite_time,
+                                       (np.diag([-1e13, -1.0]), [1.0, 1.0], [0.5, 0.5], 1e-3)),
     "non-finite-member": (_envelope_factors, oracles._envelope_factors,
                           (np.array([[1e308]]), np.array([1e308]), np.ones(1))),
-    "non-finite-shift": (alpha_max, oracles.alpha_max, ([[-1.7e308]], 1e308)),
-    "non-finite-shift-2x2": (alpha_max, oracles.alpha_max, (-1.7e308 * np.eye(2), 1e308)),
-    "non-finite-shift-sweep": (finite_time, oracles.finite_time,
-                               ([[-1.7e308]], [1.0], [0.5], 1e308)),
     "not-hurwitz": (alpha_max, oracles.alpha_max, ([[1.0]], 1e-3)),
     "not-metzler": (alpha_max, oracles.alpha_max, ([[-1.0, -0.5], [0.0, -1.0]], 1e-3)),
     "not-square": (alpha_max, oracles.alpha_max, ([[-1.0, 0.0]], 1e-3)),
@@ -275,6 +273,19 @@ def test_errors_equal_members_first_code(case):
         got, want = outcome(new, *args), outcome(old, *args)
     assert got[0] == "raised"
     assert_same(got, want)
+
+
+@pytest.mark.parametrize("a", [[[-1.7e308]], -1.7e308 * np.eye(2)], ids=["1x1", "2x2"])
+def test_overflowing_shift_ends_the_margin_search(a):
+    # the shift by 2e308 overflows to a +inf diagonal, which fails the
+    # diagonal test; the members-first code raised on it instead
+    assert alpha_max(a, 1e308) == 1e308
+
+
+def test_overflowing_shift_ends_the_sweep_grid():
+    res = finite_time([[-1.7e308]], [1.0], [0.5], 1e308)
+    assert res.per_component_alpha.tolist() == [1e308]
+    assert res.T == math.log(2.0) / 1e308 == 6.931471805599453e-309
 
 
 HURWITZ_CASES = {
