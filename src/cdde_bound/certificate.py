@@ -151,7 +151,7 @@ def compute_certificate(spec: SystemSpec, alpha_step: float = 1e-3,
 
     # Neither of the next two stages can fail: the first solves against the
     # factors the joint-condition check accepted, the second divides by its
-    # witness, which that check found above NONNEG_TOL.
+    # witness, which that check proved positive.
     eta, varsigma = ultimate_bound(spec, report.coupling_lu)
     constant = bool((spec.psi_bar <= eta).all() and (spec.phi_bar <= varsigma).all())
 

@@ -20,8 +20,9 @@ the support of ``theta_bar``; where none does, ``a_j`` is 0 and is set
 to exactly 0.  The index set is computed once per call, never from the
 signs of computed entries.
 
-Each stack ``A + alpha I`` is inverted and tested by ``stability._hurwitz``,
-the one Hurwitz predicate; a singular member is reported first.
+Each stack ``A + alpha I`` is inverted with no Hurwitz test of its own:
+the witness of ``stability.alpha_max`` proves every rate of the sweep
+Hurwitz, and ``gamma_component`` tests its one rate.
 
 The sweep inverts only the rates that can still hold a component's earliest
 entry time.  ``N(alpha) = -inv(A + alpha I)`` grows in every entry with
@@ -38,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrix, as_matrix, as_vector
+from .linalg import SingularMatrix, as_matrix, as_vector, inverse
 from .model import negative
-from .stability import NotStable, _hurwitz, _reach, _require_metzler, alpha_max, is_metzler_hurwitz
+from .stability import NotStable, _require_metzler, alpha_max, is_metzler_hurwitz
 
 # finite_time evaluates the alpha grid in blocks whose (n, n, G) float64
 # arrays take about this many bytes each; about three are alive at once
@@ -90,21 +91,24 @@ def _index_sets(M: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarra
     (an edge ``k -> l`` for each ``M[l, k] > 0``), and ``unreached[j]`` where
     no such path leads to ``j`` from an ``i`` with ``theta[i] > 0``.
 
-    ``N = -inv(M + alpha I)`` is positive exactly where ``reach`` holds
-    and 0 elsewhere, at every rate below the margin (``stability._reach``),
-    so ``a = N theta`` is 0 exactly where ``unreached`` holds.  Computed,
-    those zeros are rounding noise of either sign."""
-    reach = _reach(M)
+    Below the margin, ``M + alpha I = P - s I`` with ``P >= 0`` and ``s``
+    above the spectral radius of ``P``, so ``N = -inv(M + alpha I) = sum_k
+    P^k / s^(k+1)`` is positive exactly where ``reach`` holds and 0
+    elsewhere, and ``a = N theta`` is 0 exactly where ``unreached`` holds
+    (Berman and Plemmons, 1994).  Computed, those zeros are rounding noise."""
+    reach = (M > 0.0) | np.eye(M.shape[0], dtype=bool)
+    while not ((wider := reach @ reach) == reach).all():
+        reach = wider
     return reach[:, :, None], ~reach[:, theta > 0.0].any(axis=1)
 
 
-def _neg_inverses(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray, reach: np.ndarray,
+def _neg_inverses(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray,
                   unreached: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(a, b)`` at each rate ``alphas[g]``, by one inversion of the stack
-    ``A + alphas[g] I``, which must be Hurwitz (``stability._hurwitz``):
-    ``b[j, i, g]`` is ``-inv(A + alphas[g] I)[j, i]`` and ``a[g] =
-    b[:, :, g] @ theta``, 0 where ``unreached`` (``_index_sets``).  A
-    singular member is reported before a member that is not Hurwitz.
+    ``A + alphas[g] I``, which must be Hurwitz: ``b[j, i, g]`` is ``-inv(A
+    + alphas[g] I)[j, i]`` and ``a[g] = b[:, :, g] @ theta``, 0 where
+    ``unreached`` (``_index_sets``).  Its diagonal is ``fl(a_ii +
+    alphas[g])``, as in ``stability.alpha_max``.
 
     The stack is built with the members on the last axis, ``(n, n, G)``, and
     every per-member test runs along it, G entries at a time: the condition
@@ -114,11 +118,9 @@ def _neg_inverses(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray, reach: n
     shifted = np.eye(A.shape[0])[:, :, None] * alphas
     shifted += A[:, :, None]
     try:
-        neg_inv, hurwitz = _hurwitz(shifted.transpose(2, 0, 1), reach[:, :, 0])
+        neg_inv = inverse(shifted.transpose(2, 0, 1))
     except SingularMatrix as exc:
         raise DecayRateTooLarge(f"{span}: shifted matrix singular") from exc
-    if not hurwitz:
-        raise DecayRateTooLarge(f"{span}: shifted matrix not Hurwitz")
     np.negative(neg_inv, out=neg_inv)
     a = neg_inv @ theta                                 # (G, n)
     a[:, unreached] = 0.0
@@ -140,7 +142,7 @@ def _envelope_factors(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray) -> n
     """Optimal factors ``gamma[g, i]`` at each rate ``alphas[g]``, by one
     inversion of the stack ``A + alphas[g] I``, which must be Hurwitz."""
     reach, unreached = _index_sets(A, theta)
-    a, b = _neg_inverses(A, alphas, theta, reach, unreached)
+    a, b = _neg_inverses(A, alphas, theta, unreached)
     return _min_ratios(a, b, reach, out=b)
 
 
@@ -170,6 +172,8 @@ def gamma_component(A, alpha: float, theta_bar, i: int) -> float:
     theta = as_vector(theta_bar, "theta_bar")
     if negative(theta).any():
         raise ValueError("theta_bar must be nonnegative")
+    if not is_metzler_hurwitz(M + alpha * np.eye(M.shape[0])):
+        raise DecayRateTooLarge(f"alpha={alpha}: shifted matrix not Hurwitz")
     gamma = _envelope_factors(M, np.array([alpha]), theta)[0]
     if not 0 <= i < gamma.shape[0]:
         raise IndexError(f"component index {i} out of range for dimension {gamma.shape[0]}")
@@ -195,8 +199,10 @@ def finite_time(A, theta_bar, delta, alpha_step: float) -> ConvergenceResult:
     if negative(theta).any():
         raise ValueError("theta_bar must be nonnegative")
 
-    step = alpha_step
-    k_max = int(round(alpha_max(M, step) / step))
+    step, top = alpha_step, alpha_max(M, alpha_step)
+    k_max = int(round(top / step))
+    while k_max * step > top:           # no rate past the witnessed one, on grids past 2**51
+        k_max -= 1
     if k_max > _GRID_MAX:
         raise ValueError(f"decay-rate grid of {k_max:.3g} rates exceeds 2**53: "
                          f"alpha_step {alpha_step} is too fine")
@@ -250,7 +256,7 @@ def _sweep(M: np.ndarray, theta: np.ndarray, dlt: np.ndarray, step: float,
     new = 1 + j * q + (j * r) // span
     while new.size:
         alphas = new * step
-        a, b = _neg_inverses(M, alphas, theta, reach, unreached)
+        a, b = _neg_inverses(M, alphas, theta, unreached)
         gamma = _min_ratios(a, b, reach, out=np.empty_like(b))
         if gamma.min() < 0.0:           # rounding must not make a factor negative
             raise ValueError(f"gamma must be nonnegative, got {gamma.min()}")

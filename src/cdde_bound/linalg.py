@@ -2,9 +2,10 @@
 
 Everything here operates on plain numpy float64 arrays.  ``inverse`` hands a
 single matrix or a whole ``(G, n, n)`` stack to LAPACK through one
-``np.linalg.inv`` call, the package's only one, for the one Hurwitz
-predicate and the simulator.  The coupling matrix and ``solve`` go through
-a partially pivoted LU written out here, whose rounding the pinned
+``np.linalg.inv`` call, the package's only one, for the Hurwitz predicate,
+whose only tolerance is its condition threshold, the decay-rate sweep and
+the simulator.  The coupling matrix and ``solve`` go through a partially
+pivoted LU written out here, whose rounding the pinned
 certificate bytes depend on.  The matrices handled by this package are
 provably nonsingular when the modelling hypotheses hold, so a near-singular
 one signals a modelling error and must surface as :class:`SingularMatrix`

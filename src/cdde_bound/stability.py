@@ -1,19 +1,23 @@
 """Stability tests for the positive-system class.
 
-All decisions go through sign-of-inverse characterizations, which are exact
-for Metzler/nonnegative matrices:
+Every decision rests on the positive-witness characterizations, exact for
+Metzler and nonnegative matrices (Berman and Plemmons, *Nonnegative
+Matrices in the Mathematical Sciences*, 1994):
 
-* a Metzler matrix is Hurwitz iff it is nonsingular with ``inv(M) <= 0``,
-* a nonnegative matrix is Schur iff ``I - M`` is nonsingular with
-  ``inv(I - M) >= 0``.
+* a Metzler matrix ``M`` is Hurwitz iff some ``v > 0`` has ``M v < 0``,
+* a nonnegative matrix ``D`` is Schur iff the Metzler ``D - I`` is Hurwitz.
 
-One predicate, ``_hurwitz``, makes every Hurwitz decision of the package:
-the Hurwitz and Schur tests, the margin search of ``alpha_max`` and the
-decay-rate sweep of ``envelope``.  It tests the sign only where the graph
-of ``M`` says the inverse of a Hurwitz ``M`` is nonzero (``_reach``).
+``_is_witness`` decides ``v > 0`` and ``M v < 0`` for the float ``M`` and
+``v`` exactly, with a bound on the rounding of the product and no
+tolerance, so its verdicts do not depend on units.  One predicate,
+``_hurwitz``, takes ``v`` from the inverse and makes every Hurwitz
+decision of the package: the Hurwitz and Schur tests, the margin search of
+``alpha_max``, whose last witness covers every rate of the decay-rate sweep
+of ``envelope``, and that sweep's halving branch.  ``check_joint_condition``
+accepts on ``_is_witness`` with the ``v`` it solves for.
 
 The one eigenvalue computation, in ``alpha_max``, only picks where the
-margin search starts; the sign test makes every decision.
+margin search starts; the witness test makes every decision.
 """
 
 from __future__ import annotations
@@ -57,67 +61,49 @@ def _require_metzler(A: np.ndarray) -> None:
         raise NotMetzler(f"off-diagonal entry {off.min()} below -{NONNEG_TOL}")
 
 
-def _reach(M: np.ndarray) -> np.ndarray:
-    """``reach[j, i]`` where ``j == i`` or a path of positive off-diagonal
-    entries of ``M`` leads from ``i`` to ``j`` (an edge ``k -> l`` for each
-    ``M[l, k] > 0``).
+def _is_witness(M: np.ndarray, v: np.ndarray) -> bool:
+    """Whether ``v > 0`` and ``M v < 0`` hold exactly for the float ``M``
+    and ``v``, which proves a Metzler ``M`` Hurwitz.
 
-    For a Metzler ``M`` and a rate below its margin, ``M + alpha I = P - s I``
-    with ``P >= 0`` and ``s`` above the spectral radius of ``P``, so
-    ``-inv(M + alpha I)`` is the series ``sum_k P^k / s^(k+1)``: positive
-    exactly where ``reach`` holds and 0 elsewhere, at every such rate
-    (Berman and Plemmons, *Nonnegative Matrices in the Mathematical
-    Sciences*, 1994)."""
-    reach = (M > 0.0) | np.eye(M.shape[0], dtype=bool)
-    while not ((wider := reach @ reach) == reach).all():
-        reach = wider
-    return reach
-
-
-def _hurwitz(stack: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``(inv, hurwitz)`` for a ``(G, n, n)`` stack of finite Metzler
-    matrices on the pattern ``reach`` (``_reach``): each member's inverse,
-    by one ``inverse`` call, which raises ``SingularMatrix`` for a singular
-    member, and whether every member has a negative diagonal and ``inv <=
-    NONNEG_TOL`` where ``reach`` holds.
-
-    Both tests are exact.  A Metzler Hurwitz matrix has a negative
-    diagonal; testing it keeps the absolute sign tolerance from passing the
-    tiny inverse of a large positive one.  A member that is not Hurwitz has
-    a diagonal block on a strongly connected set of indices that is not,
-    whose inverse, the same block of ``inv``, has a positive entry on
-    ``reach``.  Off ``reach`` the exact inverse is 0, and the computed one
-    rounding noise of either sign, which near the margin of a reducible
-    matrix can exceed the tolerance at one shift and not at a larger one."""
-    inv = inverse(stack)
-    diagonal = stack.diagonal(axis1=1, axis2=2)
-    return inv, bool((diagonal < 0.0).all() and ((inv <= NONNEG_TOL) | ~reach).all())
+    A float product of length ``n`` is within ``gamma_n |M| v`` of the exact
+    one in any summation order, ``gamma_k = k u / (1 - k u)`` with ``u =
+    2^-53``, plus ``2^-1074`` per term for underflow (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, section 3.5).  So a pass of
+    ``fl(M v) + 2 gamma_(n+2) fl(|M| v) + n 2^-1074 < 0``, whose doubled
+    ``gamma`` covers the rounding of the bound itself, is exact, and both
+    sides scale with ``M`` and ``v``.  A non-finite product fails."""
+    n = M.shape[0]
+    nu = (n + 2) * 2.0**-53
+    return bool((v > 0.0).all() and
+                (M @ v + (2.0 * nu / (1.0 - nu)) * (np.abs(M) @ v) + n * 2.0**-1074 < 0.0).all())
 
 
-def _is_hurwitz(M: np.ndarray, reach: np.ndarray) -> bool:
-    """``_hurwitz`` of one Metzler matrix, a singular one failing, without
-    the checks of the input.  The diagonal is tested before the inversion,
-    so a diagonal entry ``>= 0``, or the ``+inf`` of an overflowing shift,
-    fails without one.  Runs under the caller's ``errstate``."""
+def _hurwitz(M: np.ndarray) -> bool:
+    """Whether the Metzler matrix ``M`` is Hurwitz: ``_is_witness`` of ``v``,
+    the row sums of ``-inv(M)``, which for a Hurwitz ``M`` are positive and
+    solve ``M v = -1``.  A matrix that ``inverse`` calls singular fails, and
+    so does one with a non-finite entry, as the shift of ``alpha_max`` gives
+    when it overflows.  Runs under the caller's ``errstate``."""
     try:
-        return bool((M.diagonal() < 0.0).all()) and _hurwitz(M[None], reach)[1]
-    except SingularMatrix:
+        v = -inverse(M).sum(axis=1)
+    except ValueError:                  # SingularMatrix, or a non-finite entry
         return False
+    return _is_witness(M, v)
 
 
 def is_metzler_hurwitz(A) -> bool:
-    """Hurwitz test for a Metzler matrix via the sign of its inverse."""
+    """Hurwitz test for a Metzler matrix by a positive witness (``_hurwitz``)."""
     M = as_matrix(A, "A")
     if M.shape[0] != M.shape[1]:
         raise NotMetzler(f"matrix must be square, got {M.shape}")
     _require_metzler(M)
     with np.errstate(all="ignore"):
-        return _is_hurwitz(M, _reach(M))
+        return _hurwitz(M)
 
 
 def is_schur_nonneg(D) -> bool:
     """Schur test for a nonnegative matrix: ``D`` is Schur iff the Metzler
-    matrix ``D - I`` is Hurwitz, i.e. ``inv(I - D) >= 0``."""
+    matrix ``D - I`` is Hurwitz."""
     M = as_matrix(D, "D")
     if M.shape[0] != M.shape[1]:
         raise NotNonnegative(f"matrix must be square, got {M.shape}")
@@ -135,9 +121,10 @@ def coupling_matrix(spec: SystemSpec) -> np.ndarray:
 def check_joint_condition(spec: SystemSpec, xi=None) -> StabilityReport:
     """Joint positivity-stability check with an explicit witness pair.
 
-    Solves ``[[A, B], [C, D - I]] v = -xi`` and accepts iff the solution is
-    strictly positive; the two halves of ``v`` then witness the strict
-    inequalities ``A p + B q < 0`` and ``C p + (D - I) q < 0``.
+    Solves ``[[A, B], [C, D - I]] v = -xi`` and accepts iff ``v`` is a
+    witness (``_is_witness``): the two halves of ``v`` then satisfy the
+    strict inequalities ``A p + B q < 0`` and ``C p + (D - I) q < 0``
+    exactly, whatever the scale of ``xi``.
     """
     n, m = spec.n, spec.m
     a_is_metzler = not negative(spec.A[~np.eye(n, dtype=bool)]).any()
@@ -151,18 +138,19 @@ def check_joint_condition(spec: SystemSpec, xi=None) -> StabilityReport:
         raise ValueError(f"xi must have length {n + m}, got {xi_vec.shape[0]}")
     if xi_vec.min() <= 0.0:
         raise ValueError("xi must be strictly positive")
+    coupling = coupling_matrix(spec)
     try:
-        factors = lu_factor(coupling_matrix(spec))
+        factors = lu_factor(coupling)
     except SingularMatrix as exc:
         return StabilityReport(a_is_metzler, bcd_nonnegative, d_is_schur, False,
                                diagnostic=f"coupling matrix singular: {exc}")
     v = lu_solve(*factors, -xi_vec)
     p, q = v[:n], v[n:]
-    if v.min() > NONNEG_TOL:
+    if _is_witness(coupling, v):
         return StabilityReport(a_is_metzler, bcd_nonnegative, d_is_schur, True,
                                witness_p=p, witness_q=q, coupling_lu=factors)
     return StabilityReport(a_is_metzler, bcd_nonnegative, d_is_schur, False,
-                           diagnostic="witness vector not strictly positive")
+                           diagnostic="no witness: v > 0 with M v < 0 not proven")
 
 
 def alpha_max(A, step: float) -> float:
@@ -175,22 +163,25 @@ def alpha_max(A, step: float) -> float:
     ``-max Re eig(A)``, or at 1 when that is not finite.  From there it
     gallops, doubling its stride, up to the first failing index or down to
     the first passing one (``k = 0`` passes), and a bisection closes the
-    bracket.  The sign test decides every index; where the start is exact,
+    bracket.  The witness test decides every index; where the start is exact,
     as on the sample, the search takes 3 tests, the one of ``A`` included.
+    The witness of the last passing index is one for every index below it:
+    ``fl(a_ii + k step)`` grows with ``k``, and ``M v <= M' v < 0`` for
+    ``M <= M'``.
     """
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step}")
     M = as_matrix(A, "A")
     if not is_metzler_hurwitz(M):
         raise NotStable("matrix is not Hurwitz, no positive decay rate exists")
-    eye, reach = np.eye(M.shape[0]), _reach(M)
+    eye = np.eye(M.shape[0])
 
     def hurwitz(k: int) -> bool:
         # is_metzler_hurwitz without its check of the structure, which the
-        # shift cannot change; an overflowing shift has a +inf diagonal
-        return _is_hurwitz(M + (k * step) * eye, reach)
+        # shift cannot change
+        return _hurwitz(M + (k * step) * eye)
 
-    with np.errstate(all="ignore"):     # for eigvals and _is_hurwitz
+    with np.errstate(all="ignore"):     # for eigvals and _hurwitz
         try:
             margin = -np.linalg.eigvals(M).real.max()
         except np.linalg.LinAlgError:

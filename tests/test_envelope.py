@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from cdde_bound import envelope
 from cdde_bound.certificate import compute_certificate
 from cdde_bound.envelope import (ConvergenceResult, DecayRateTooLarge, NonpositiveThreshold,
                                  _envelope_factors, _index_sets, finite_time, gamma_component)
@@ -79,7 +80,8 @@ def test_empty_index_set_guard():
 def test_gamma_component_refuses_a_positive_diagonal(a):
     """The inverse of A + 0.5 I is at most about 1e-13 in every entry,
     within NONNEG_TOL of nonpositive, and the matrix is well conditioned;
-    its positive diagonal entry fails the Hurwitz test all the same."""
+    its row sums are no positive witness all the same, and the rate is
+    checked before any factor is formed."""
     with pytest.raises(DecayRateTooLarge, match=r"^alpha=0\.5: shifted matrix not Hurwitz$"):
         gamma_component(a, 0.5, np.ones(len(a)), 0)
 
@@ -202,11 +204,11 @@ REDUCIBLE = np.array([
 
 def test_reducible_margin_is_searched_on_the_reachable_pattern():
     """Computed, the exact zeros of ``inv(A + 0.5406 I)`` read above the
-    sign tolerance, but those at 0.5405 and 0.5407 do not: a test of every
-    entry made the search starting at the margin return 0.5407 and the sweep
-    then fail at 0.5406, and the doubling search stop at 0.5405.  Tested
-    only on the reachable pattern, every grid rate below the margin passes;
-    T is the one the doubling search's grid gave."""
+    sign tolerance, but those at 0.5405 and 0.5407 do not: a sign test of
+    every entry made the search starting at the margin return 0.5407 and
+    the sweep then fail at 0.5406, and the doubling search stop at 0.5405.
+    The witness test reads no entry's sign: every grid rate below the
+    margin passes, and T is the one the doubling search's grid gave."""
     step, eye = 1e-4, np.eye(7)
     for k in range(5400, 5408):
         assert is_metzler_hurwitz(REDUCIBLE + (k * step) * eye)
@@ -218,6 +220,23 @@ def test_reducible_margin_is_searched_on_the_reachable_pattern():
     want = oracles.finite_time(REDUCIBLE, np.ones(7), np.full(7, 0.5), step)
     assert np.array_equal(result.per_component_T, want.per_component_T)
     assert np.array_equal(result.per_component_alpha, want.per_component_alpha)
+
+
+def test_grid_ends_at_the_witnessed_rate(monkeypatch):
+    """A grid of 4.4e15 rates, past 2**51, where ``round(alpha_max /
+    step)`` is one index past the margin search's last pass, whose shifted
+    matrix is exactly 0: the sweep's grid ends at that last pass, whose
+    witness proves every rate of the grid Hurwitz."""
+    a, step = [[-1.3572947460946414]], 3.0665315678708617e-16
+    top = alpha_max(a, step)
+    assert round(top / step) * step > top
+    grids = []
+    monkeypatch.setattr(envelope, "_sweep",
+                        lambda m, theta, dlt, step, k_max: grids.append(k_max) or (theta, theta))
+    finite_time(a, [1.0], [0.5], step)
+    assert grids == [round(top / step) - 1]
+    assert grids[0] * step == top
+    assert is_metzler_hurwitz(np.array(a) + grids[0] * step)
 
 
 def test_finite_time_refuses_grid_past_float_precision_at_once():

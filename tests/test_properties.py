@@ -1,5 +1,6 @@
 """Property tests: the stacked inverse, the logarithmic margin search and
 the blocked decay-rate sweep against the one-matrix-at-a-time oracles; the
+Hurwitz witness test against eigenvalues and exact arithmetic; the
 screened entry-time choice against an exact log at every rate; emitted
 certificates against numpy.linalg, and their contraction factor against
 all three ratio families; the batched simulator against single runs
@@ -10,6 +11,7 @@ encoder against Python's "%.9g"."""
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -218,28 +220,113 @@ def metzler_stack(draw):
     scale = 10.0 ** (rng.uniform(-13.0, 13.0, (g, 1)) + rng.uniform(-1.0, 1.0, (g, n)))
     sign = np.where(rng.uniform(size=(g, n)) < 0.85, -1.0, 1.0)
     stack[:, np.arange(n), np.arange(n)] = sign * scale
-    return stack, pattern
+    return stack
 
 
 @settings(max_examples=300, deadline=None)
 @given(metzler_stack())
-def test_hurwitz_predicate_agrees_with_eigenvalues(case):
-    """The one Hurwitz predicate against ``max Re eig < 0`` on the members
+def test_hurwitz_predicate_agrees_with_eigenvalues(stack):
+    """The one Hurwitz predicate against ``max Re eig < 0`` on each member
     whose spectral abscissa is away from 0 by more than 1e-6 of the largest
     entry and whose 1-norm condition is below 1e6, where rounding cannot
-    move either answer: on each member alone, and on their stack, which
-    passes when every member does."""
-    stack, pattern = case
+    move either answer."""
     abscissa = np.array([np.linalg.eigvals(m).real.max() for m in stack])
     scale = np.abs(stack).max(axis=(1, 2))
     clear = np.abs(abscissa) > 1e-6 * scale
     clear &= np.array([np.linalg.cond(m, 1) for m in stack]) < 1e6
     if not clear.any():
         return
-    reach = stability._reach(pattern * 1.0)
-    hurwitz = [stability._hurwitz(m[None], reach)[1] for m in stack[clear]]
+    hurwitz = [stability._hurwitz(m) for m in stack[clear]]
     assert hurwitz == (abscissa[clear] < 0.0).tolist()
-    assert stability._hurwitz(stack[clear], reach)[1] == all(hurwitz)
+
+
+def exact_product(M, v) -> list[Fraction]:
+    """``M v`` in exact arithmetic on the float entries of ``M`` and ``v``."""
+    return [sum(Fraction(float(m)) * Fraction(float(x)) for m, x in zip(row, v)) for row in M]
+
+
+def random_metzler(rng: np.random.Generator, n: int, density: float) -> np.ndarray:
+    """Off-diagonal entries in [0, 1) with the given density, diagonal in (-2, 0]."""
+    a = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < density)
+    np.fill_diagonal(a, -rng.uniform(0.0, 2.0, n))
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, st.integers(1, 6), st.sampled_from([0.3, 1.0]), st.floats(-13.0, 13.0),
+       st.sampled_from([-0.1, -1e-6, -1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9]))
+def test_hurwitz_passes_are_exact(seed, n, density, exponent, offset):
+    """Random Metzler matrices scaled by 10^-13...10^13 and shifted so that
+    their computed spectral abscissa is ``offset`` times their largest
+    entry: every pass of the one Hurwitz predicate has a float witness
+    ``v`` with ``v > 0`` and ``M v < 0`` in exact arithmetic.  Well inside
+    the margin, the predicate passes."""
+    rng = np.random.default_rng(seed)
+    a = random_metzler(rng, n, density) * 10.0 ** exponent
+    scale = np.abs(a).max()
+    m = a + (offset * scale - np.linalg.eigvals(a).real.max()) * np.eye(n)
+    seen, real = [], stability._is_witness
+
+    def spy(M, v):
+        seen.append((M, v, real(M, v)))
+        return seen[-1][2]
+
+    with mock.patch.object(stability, "_is_witness", spy):
+        passed = stability.is_metzler_hurwitz(m)
+    assert passed == any(verdict for _, _, verdict in seen)
+    for M, v, verdict in seen:
+        if verdict:
+            assert np.array_equal(M, m) and (v > 0.0).all()
+            assert all(r < 0 for r in exact_product(M, v))
+    if offset <= -1e-6:
+        assert passed
+
+
+@settings(max_examples=400, deadline=None)
+@given(SEEDS, st.integers(1, 6), st.one_of(st.floats(-15.0, 15.0), st.floats(-322.0, -300.0)),
+       st.floats(-100.0, 100.0), st.sampled_from([-1e-6, -1e-13, -1e-15, -1e-16, 0.0, 1e-16]))
+def test_witness_test_is_exact_within_rounding_of_zero(seed, n, mv_exp, tilt, offset):
+    """Pairs ``(M, v)`` whose float product is 0 up to rounding, with each
+    diagonal entry then moved by ``offset`` times itself: the exact sign of
+    ``M v`` is what rounding makes of it, and the witness test passes only
+    where it is negative.  ``M`` is scaled by ``10^(mv_exp / 2 + tilt)``
+    and ``v`` by ``10^(mv_exp / 2 - tilt)``, so their products reach down
+    into the subnormals."""
+    rng = np.random.default_rng(seed)
+    m = random_metzler(rng, n, 1.0) * 10.0 ** (mv_exp / 2.0 + tilt)
+    v = rng.uniform(0.5, 2.0, n) * 10.0 ** (mv_exp / 2.0 - tilt)
+    m[np.diag_indices(n)] -= (m @ v) / v
+    m[np.diag_indices(n)] *= 1.0 - offset
+    if stability._is_witness(m, v):
+        assert all(r < 0 for r in exact_product(m, v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(1, 6), st.sampled_from([0.3, 1.0]), st.floats(-13.0, 13.0),
+       st.one_of(st.integers(1, 40).map(float), st.floats(1.5, 40.0)))
+def test_margin_witness_covers_every_grid_rate(seed, n, density, exponent, steps):
+    """The witness of ``alpha_max``'s last passing index ``k_max``, the row
+    sums of ``-inv(A + k_max step I)``, proves every rate of the sweep's
+    grid Hurwitz: ``fl(A + k step I) v < 0`` in exact arithmetic for each
+    ``k <= k_max``, with the stack built as ``envelope._neg_inverses``
+    builds it.  Margins fall on the grid and off it."""
+    rng = np.random.default_rng(seed)
+    a = random_metzler(rng, n, density)
+    a -= (np.linalg.eigvals(a).real.max() + rng.uniform(0.05, 1.0)) * np.eye(n)
+    a *= 10.0 ** exponent
+    step = -np.linalg.eigvals(a).real.max() / steps
+    k_max = int(round(alpha_max(a, step) / step))
+    eye = np.eye(n)
+    top = a + (k_max * step) * eye
+    with np.errstate(all="ignore"):
+        assert stability._hurwitz(top)
+    v = -inverse(top).sum(axis=1)
+    alphas = np.arange(k_max + 1) * step
+    shifted = eye[:, :, None] * alphas
+    shifted += a[:, :, None]
+    for k in range(k_max + 1):
+        assert np.array_equal(shifted[:, :, k], a + (k * step) * eye)
+        assert all(r < 0 for r in exact_product(shifted[:, :, k], v))
 
 
 @st.composite

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cdde_bound import stability
+from cdde_bound.cli import main
 from cdde_bound.linalg import SingularMatrix, inverse, solve
 from cdde_bound.model import SystemSpec
 from cdde_bound.stability import (NotMetzler, NotNonnegative, NotStable,
@@ -11,7 +13,7 @@ from cdde_bound.stability import (NotMetzler, NotNonnegative, NotStable,
                                   coupling_matrix, is_metzler_hurwitz,
                                   is_schur_nonneg)
 
-from conftest import random_metzler_hurwitz
+from conftest import SAMPLE_PROBLEM, random_metzler_hurwitz
 
 
 def test_metzler_hurwitz_trivial():
@@ -107,15 +109,15 @@ def test_alpha_max_starts_at_the_margin(sample_spec, monkeypatch):
     # the computed spectral abscissa puts the start on alpha_max: one test
     # of A, one at the start and one just past it
     calls = []
-    real = stability._is_hurwitz
-    monkeypatch.setattr(stability, "_is_hurwitz", lambda *args: calls.append(args) or real(*args))
+    real = stability._hurwitz
+    monkeypatch.setattr(stability, "_hurwitz", lambda *args: calls.append(args) or real(*args))
     assert alpha_max(sample_spec.A, 1e-3) == pytest.approx(1.741, abs=1e-12)
     assert len(calls) == 3
 
 
 def test_positive_diagonal_is_not_hurwitz():
-    # inverses of 1e-12 and below pass the absolute sign tolerance; a
-    # positive diagonal entry fails the test before the inverse is formed
+    # the row sums of -inv(M), -1e-12 here, are no positive witness,
+    # however small they are
     assert not is_metzler_hurwitz([[1e12]])
     assert not is_schur_nonneg([[1e12 + 1.0]])
 
@@ -191,6 +193,34 @@ def test_joint_condition_equivalent_characterizations():
         agree_true += via_witness
         agree_false += not via_witness
     assert agree_true > 20 and agree_false > 20
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e-200])
+def test_joint_condition_is_free_of_the_scale_of_xi(sample_spec, scale, capsys):
+    """The witness is accepted on its residual, not on a threshold: at any
+    scale of ``xi`` the sample's ``v`` is positive with ``M v < 0`` exactly,
+    and ``check`` passes."""
+    report = check_joint_condition(sample_spec, xi=scale * np.ones(5))
+    assert report.joint_condition_holds
+    v = np.concatenate((report.witness_p, report.witness_q))
+    exact = [sum(Fraction(float(a)) * Fraction(float(b)) for a, b in zip(row, v))
+             for row in coupling_matrix(sample_spec)]
+    assert (v > 0.0).all() and all(r < 0 for r in exact)
+    assert main(["check", str(SAMPLE_PROBLEM), "--xi", ",".join([repr(scale)] * 5)]) == 0
+    assert "PASS joint stability condition" in capsys.readouterr().out
+
+
+def test_witness_test_counts_underflow():
+    """Row 0 of ``M v`` is exactly 0, its products 3, 1 and 2 halves of
+    the smallest subnormal; rounded one at a time they sum to -2^-1074, and
+    the rounding bound, 3e-15 of that, underflows to 0.  The underflow term
+    ``n 2^-1074`` refuses the pair, and passes it once ``M[0, 0]`` is 4
+    times larger, which makes row 0 exactly -9 halves."""
+    m = np.array([[-3 * 2.0**-60, 2.0**-60, 2.0**-59], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+    v = np.full(3, 2.0**-1015)
+    assert not stability._is_witness(m, v)
+    m[0, 0] *= 4.0
+    assert stability._is_witness(m, v)
 
 
 def test_coupling_matrix_layout(sample_spec):

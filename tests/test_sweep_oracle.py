@@ -15,11 +15,10 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
 import oracles
-from cdde_bound import envelope
 from cdde_bound.certificate import compute_certificate
-from cdde_bound.envelope import (_LOG_SCREEN_RTOL, BLOCK_BYTES, DecayRateTooLarge,
-                                 _envelope_factors, _gap_floor, _index_sets, _min_ratios,
-                                 _neg_inverses, finite_time, gamma_component)
+from cdde_bound.envelope import (_LOG_SCREEN_RTOL, BLOCK_BYTES, _envelope_factors, _gap_floor,
+                                 _index_sets, _min_ratios, _neg_inverses, finite_time,
+                                 gamma_component)
 from cdde_bound.linalg import inverse, solve
 from cdde_bound.stability import alpha_max, is_metzler_hurwitz
 
@@ -105,13 +104,15 @@ def test_sweep_equals_members_first_code(case):
     assert_same(outcome(finite_time, a, theta, delta, step),
                 outcome(oracles.finite_time, a, theta, delta, step))
     # the Hurwitz test on both sides of the margin, and the factors on the
-    # first block of the grid
-    k = max(1, int(round(alpha_max(a, step) / step)))
+    # first block of the grid, if the grid has a rate
+    k_max = int(round(alpha_max(a, step) / step))
+    k = max(1, k_max)
     for shifted in (a + (k - 1) * step * np.eye(len(a)), a + (k + 1) * step * np.eye(len(a))):
         assert is_metzler_hurwitz(shifted) == oracles.is_metzler_hurwitz(shifted)
-    alphas = np.arange(1, min(k, BLOCK_BYTES // (8 * a.size)) + 1) * step
-    assert_same(outcome(_envelope_factors, a, alphas, theta),
-                outcome(oracles._envelope_factors, a, alphas, theta))
+    alphas = np.arange(1, min(k_max, BLOCK_BYTES // (8 * a.size)) + 1) * step
+    if alphas.size:
+        assert_same(outcome(_envelope_factors, a, alphas, theta),
+                    outcome(oracles._envelope_factors, a, alphas, theta))
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,7 +142,7 @@ def test_gap_floor_bounds_every_rate_inside_the_gap(case, width):
     assume(k_max > 2)
     alphas = np.arange(1, k_max + 1) * step
     reach, unreached = _index_sets(a, theta)
-    a_vec, b = _neg_inverses(a, alphas, theta, reach, unreached)
+    a_vec, b = _neg_inverses(a, alphas, theta, unreached)
     ratio = _min_ratios(a_vec, b, reach, out=np.empty_like(b)) / delta
     t = np.log(np.maximum(ratio, 1.0)) / alphas[:, None]
     ends = np.unique(np.r_[np.arange(0, k_max, width), k_max - 1])
@@ -222,23 +223,6 @@ def test_reducible_system_with_a_vanishing_factor_certifies():
         assert (u[inside] <= delta[inside] * (1.0 + 1e-9)).all()
 
 
-def test_error_met_by_the_pruned_sweep_is_raised_by_it(monkeypatch):
-    """Members made to fail the sweep's Hurwitz test from alpha = 0.5 on:
-    the first round of the pruned sweep, which spans the grid, meets one
-    and raises it, naming the round's rates."""
-    a = np.array([[-2.0, 1.0], [1.0, -2.0]])
-    real = envelope._hurwitz
-
-    def failing(stack, reach):
-        inv, hurwitz = real(stack, reach)
-        return inv, hurwitz and (stack[:, 0, 0] - a[0, 0] < 0.5).all()
-
-    monkeypatch.setattr(envelope, "_hurwitz", failing)
-    with pytest.raises(DecayRateTooLarge,
-                       match=r"^alpha in \[0\.0001, 0\.9999\]: shifted matrix not Hurwitz$"):
-        finite_time(a, [1.0, 1.0], [0.5, 0.5], 1e-4)
-
-
 def _near_singular_pair():
     """The singular [[-1, 1], [1, -1]] shifted by -1e-3: the shift back by
     1e-3 leaves a member whose reciprocal condition is about 6e-17."""
@@ -250,8 +234,12 @@ ERROR_CASES = {
                               (np.array([[-1.0]]), np.array([0.5, 1.0, 1.5]), np.ones(1))),
     "singular-member-condition": (_envelope_factors, oracles._envelope_factors,
                                   (_near_singular_pair(), np.array([5e-4, 1e-3]), np.ones(2))),
-    "member-not-hurwitz": (_envelope_factors, oracles._envelope_factors,
-                           (np.array([[-1.0]]), np.array([0.5, 2.0]), np.ones(1))),
+    # the one rate of gamma_component past the margin, against the same
+    # rate's stack of one in the members-first code
+    "member-not-hurwitz": (gamma_component,
+                           lambda a, alpha, theta, i: oracles._envelope_factors(
+                               np.array(a), np.array([alpha]), np.array(theta))[0, i],
+                           ([[-1.0]], 2.0, [1.0], 0)),
     # the condition number 1e13 of this stiff Hurwitz diagonal exceeds
     # 1 / PIVOT_RTOL, so the sweep finds no admissible rate
     "ill-conditioned-stiff-diagonal": (finite_time, oracles.finite_time,
