@@ -149,9 +149,9 @@ def compute_certificate(spec: SystemSpec, alpha_step: float = 1e-3,
         raise CertificateError("stability-hypotheses",
                                report.diagnostic or "joint condition fails")
 
-    # Neither of the next two stages can fail: the first solves against the
-    # factors the joint-condition check accepted, the second divides by its
-    # witness, which that check proved positive.
+    # The next stage solves against the factors the check accepted; the one
+    # after divides by its positive witness, which for xi near underflow
+    # (1e-300 and below) overflows, and the contraction-factor stage refuses.
     eta, varsigma = ultimate_bound(spec, report.coupling_lu)
     constant = bool((spec.psi_bar <= eta).all() and (spec.phi_bar <= varsigma).all())
 

@@ -7,14 +7,13 @@ Matrices in the Mathematical Sciences*, 1994):
 * a Metzler matrix ``M`` is Hurwitz iff some ``v > 0`` has ``M v < 0``,
 * a nonnegative matrix ``D`` is Schur iff the Metzler ``D - I`` is Hurwitz.
 
-``_is_witness`` decides ``v > 0`` and ``M v < 0`` for the float ``M`` and
-``v`` exactly, with a bound on the rounding of the product and no
-tolerance, so its verdicts do not depend on units.  One predicate,
-``_hurwitz``, takes ``v`` from the inverse and makes every Hurwitz
-decision of the package: the Hurwitz and Schur tests, the margin search of
-``alpha_max``, whose last witness covers every rate of the decay-rate sweep
-of ``envelope``, and that sweep's halving branch.  ``check_joint_condition``
-accepts on ``_is_witness`` with the ``v`` it solves for.
+``_is_witness`` decides ``v > 0`` and ``M v < 0`` exactly for the float
+``M``, read through its Metzler majorant, and ``v``: it bounds the rounding
+of the product and reads no tolerance, so no verdict depends on units.
+``_hurwitz`` takes ``v`` from the inverse and makes every Hurwitz decision:
+the Hurwitz and Schur tests, each step of ``alpha_max``, whose last witness
+covers every rate of the sweep of ``envelope``, and the sweep's halving
+branch.  ``check_joint_condition`` accepts on ``_is_witness`` with its ``v``.
 
 The one eigenvalue computation, in ``alpha_max``, only picks where the
 margin search starts; the witness test makes every decision.
@@ -62,20 +61,22 @@ def _require_metzler(A: np.ndarray) -> None:
 
 
 def _is_witness(M: np.ndarray, v: np.ndarray) -> bool:
-    """Whether ``v > 0`` and ``M v < 0`` hold exactly for the float ``M``
-    and ``v``, which proves a Metzler ``M`` Hurwitz.
+    """Whether ``v > 0`` and ``M+ v < 0`` hold exactly for the float ``M``
+    and ``v``, which proves ``M`` Hurwitz: ``M+``, ``M``'s diagonal and
+    ``|M|`` off it, is ``M`` if Metzler and bounds its spectral abscissa.
 
     A float product of length ``n`` is within ``gamma_n |M| v`` of the exact
     one in any summation order, ``gamma_k = k u / (1 - k u)`` with ``u =
     2^-53``, plus ``2^-1074`` per term for underflow (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, section 3.5).  So a pass of
-    ``fl(M v) + 2 gamma_(n+2) fl(|M| v) + n 2^-1074 < 0``, whose doubled
+    ``fl(M+ v) + 2 gamma_(n+2) fl(|M| v) + n 2^-1074 < 0``, whose doubled
     ``gamma`` covers the rounding of the bound itself, is exact, and both
     sides scale with ``M`` and ``v``.  A non-finite product fails."""
     n = M.shape[0]
     nu = (n + 2) * 2.0**-53
-    return bool((v > 0.0).all() and
-                (M @ v + (2.0 * nu / (1.0 - nu)) * (np.abs(M) @ v) + n * 2.0**-1074 < 0.0).all())
+    major = np.where(np.eye(n, dtype=bool), M, np.abs(M))
+    slack = (2.0 * nu / (1.0 - nu)) * (np.abs(M) @ v) + n * 2.0**-1074
+    return bool((v > 0.0).all() and (major @ v + slack < 0.0).all())
 
 
 def _hurwitz(M: np.ndarray) -> bool:
@@ -124,7 +125,7 @@ def check_joint_condition(spec: SystemSpec, xi=None) -> StabilityReport:
     Solves ``[[A, B], [C, D - I]] v = -xi`` and accepts iff ``v`` is a
     witness (``_is_witness``): the two halves of ``v`` then satisfy the
     strict inequalities ``A p + B q < 0`` and ``C p + (D - I) q < 0``
-    exactly, whatever the scale of ``xi``.
+    exactly; the verdict does not depend on the scale of ``xi``.
     """
     n, m = spec.n, spec.m
     a_is_metzler = not negative(spec.A[~np.eye(n, dtype=bool)]).any()

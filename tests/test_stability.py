@@ -122,6 +122,19 @@ def test_positive_diagonal_is_not_hurwitz():
     assert not is_schur_nonneg([[1e12 + 1.0]])
 
 
+def test_negative_off_diagonal_inside_the_tolerance_is_not_hurwitz():
+    """Off-diagonal entries of -5e-13 pass the Metzler and nonnegativity
+    checks, which allow -NONNEG_TOL.  These matrices have the eigenvalue
+    4e-13 and the spectral radius 1 + 4e-13, yet the row sums of -inv(M)
+    are positive and ``M v`` is about -1: only the Metzler majorant, with
+    +5e-13 off the diagonal, refuses them."""
+    a = np.array([[-1e-13, -5e-13], [-5e-13, -1e-13]])
+    assert not is_metzler_hurwitz(a)
+    assert not is_schur_nonneg(a + np.eye(2))
+    with pytest.raises(NotStable):
+        alpha_max(a, 1e-15)
+
+
 def test_alpha_max_in_fast_time_units():
     assert alpha_max([[-1e13]], 1e12) == 9e12
     assert alpha_max([[-1e13]], 3e12) == 9e12

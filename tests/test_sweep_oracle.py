@@ -15,11 +15,12 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
 import oracles
+from cdde_bound import envelope
 from cdde_bound.certificate import compute_certificate
-from cdde_bound.envelope import (_LOG_SCREEN_RTOL, BLOCK_BYTES, _envelope_factors, _gap_floor,
-                                 _index_sets, _min_ratios, _neg_inverses, finite_time,
-                                 gamma_component)
-from cdde_bound.linalg import inverse, solve
+from cdde_bound.envelope import (_LOG_SCREEN_RTOL, BLOCK_BYTES, DecayRateTooLarge,
+                                 _envelope_factors, _gap_floor, _index_sets, _min_ratios,
+                                 _neg_inverses, finite_time, gamma_component)
+from cdde_bound.linalg import SingularMatrix, inverse, solve
 from cdde_bound.stability import alpha_max, is_metzler_hurwitz
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -221,6 +222,24 @@ def test_reducible_system_with_a_vanishing_factor_certifies():
         assert (u <= gamma * np.exp(-res.per_component_alpha * t) * (1.0 + 1e-9) + 1e-12).all()
         inside = t >= res.per_component_T
         assert (u[inside] <= delta[inside] * (1.0 + 1e-9)).all()
+
+
+def test_error_met_by_the_pruned_sweep_is_raised_by_it(monkeypatch):
+    """Members made singular from alpha = 0.5 on: the first round of the
+    pruned sweep, which spans the grid, meets one and raises it, naming the
+    round's rates."""
+    a = np.array([[-2.0, 1.0], [1.0, -2.0]])
+    real = envelope.inverse
+
+    def failing(stack):
+        if (stack[:, 0, 0] - a[0, 0] >= 0.5).any():
+            raise SingularMatrix("made singular")
+        return real(stack)
+
+    monkeypatch.setattr(envelope, "inverse", failing)
+    with pytest.raises(DecayRateTooLarge,
+                       match=r"^alpha in \[0\.0001, 0\.9999\]: shifted matrix singular$"):
+        finite_time(a, [1.0, 1.0], [0.5, 0.5], 1e-4)
 
 
 def _near_singular_pair():
