@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import envelope, stability
-from .linalg import as_vector, lu_factor, lu_solve, solve
+from .linalg import as_vector, solve
 from .model import SystemSpec, _clamp_roundoff, validate_structure
 
 # Shrinking mu by this factor keeps the comparison inequalities strict and
@@ -82,13 +82,13 @@ class BoundCertificate:
         }
 
 
-def ultimate_bound(spec: SystemSpec, coupling_lu=None) -> tuple[np.ndarray, np.ndarray]:
+def ultimate_bound(spec: SystemSpec, equilibrium=None) -> tuple[np.ndarray, np.ndarray]:
     """Equilibrium under maximal constant disturbances; the limsup bound.
-    ``coupling_lu`` is the coupling matrix's factorization, if already known."""
-    if coupling_lu is None:
-        coupling_lu = lu_factor(stability.coupling_matrix(spec))
-    v = lu_solve(*coupling_lu, -np.concatenate([spec.omega_bar, spec.d_bar]))
-    return _clamp_roundoff(v[:spec.n]), _clamp_roundoff(v[spec.n:])
+    ``equilibrium`` is the one ``check_joint_condition`` solved, if known."""
+    if equilibrium is None:
+        equilibrium = solve(stability.coupling_matrix(spec),
+                            -np.concatenate([spec.omega_bar, spec.d_bar]))
+    return _clamp_roundoff(equilibrium[:spec.n]), _clamp_roundoff(equilibrium[spec.n:])
 
 
 def comparison_vectors(direction, init_x_bound, init_y_bound) -> tuple[np.ndarray, np.ndarray]:
@@ -97,8 +97,14 @@ def comparison_vectors(direction, init_x_bound, init_y_bound) -> tuple[np.ndarra
     that it dominates the nonnegative initial envelopes and keeps the
     strict inequalities the witness satisfies."""
     p_dir, q_dir = direction
-    rho = max(float((init_x_bound / p_dir).max()), float((init_y_bound / q_dir).max()), RHO_MIN)
-    return rho * p_dir, rho * q_dir
+    with np.errstate(over="ignore"):
+        rho = max(float((init_x_bound / p_dir).max()), float((init_y_bound / q_dir).max()),
+                  RHO_MIN)
+        p, q = rho * p_dir, rho * q_dir
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError(f"the witness scaled by rho = {rho:.3g} is not finite: "
+                         "the scale of xi is too far from that of the initial envelopes")
+    return p, q
 
 
 def raw_contraction_factor(spec: SystemSpec, p, q, shift=None) -> float:
@@ -117,7 +123,7 @@ def raw_contraction_factor(spec: SystemSpec, p, q, shift=None) -> float:
     m1 = -(solve(spec.A, spec.B @ qv) if shift is None else shift)
     m3 = spec.C @ pv + spec.D @ qv
     mu = 1.0 - max(float((m1 / pv).max()), float((m3 / qv).max()))
-    if mu <= 0.0:
+    if not mu > 0.0:                    # NaN fails too
         raise HypothesisViolated(
             f"comparison inequalities fail for the supplied (p, q): mu={mu}")
     return mu
@@ -149,18 +155,19 @@ def compute_certificate(spec: SystemSpec, alpha_step: float = 1e-3,
         raise CertificateError("stability-hypotheses",
                                report.diagnostic or "joint condition fails")
 
-    # The next stage solves against the factors the check accepted; the one
-    # after divides by its positive witness, which for xi near underflow
-    # (1e-300 and below) overflows, and the contraction-factor stage refuses.
-    eta, varsigma = ultimate_bound(spec, report.coupling_lu)
+    eta, varsigma = ultimate_bound(spec, report.equilibrium)
     constant = bool((spec.psi_bar <= eta).all() and (spec.phi_bar <= varsigma).all())
 
     psi_hat = np.maximum(spec.psi_bar, eta)
     phi_hat = np.maximum(spec.phi_bar, varsigma)
-    p, q = comparison_vectors((report.witness_p, report.witness_q),
-                              psi_hat - eta, phi_hat - varsigma)
+    try:
+        p, q = comparison_vectors((report.witness_p, report.witness_q),
+                                  psi_hat - eta, phi_hat - varsigma)
+    except ValueError as exc:
+        raise CertificateError("comparison-vectors", str(exc)) from exc
 
     try:
+        # no threshold needed: the witness proves A Hurwitz, A p < -B q <= 0, p > 0
         shift = solve(spec.A, spec.B @ q)
         mu = contraction_factor(spec, p, q, shift)
     except Exception as exc:

@@ -288,8 +288,8 @@ def _sweep(M: np.ndarray, theta: np.ndarray, dlt: np.ndarray, step: float,
         inside = j < parts[:, None]
         new = np.sort((lo[:, None] + (j * (open_hi - lo)[:, None]) // parts[:, None])[inside])
         # a block less one rate per N kept, so that a round's memory peaks
-        # no higher than the first's, but at least half a block
-        new = new[:max(per_block - open_hi.size, per_block // 2)]
+        # no higher than the first's, but at least half a block and one rate
+        new = new[:max(per_block - open_hi.size, per_block // 2, 1)]
     return best_t, best_k * step
 
 

@@ -1,24 +1,22 @@
 """Dense real linear algebra for small systems.
 
-Everything here operates on plain numpy float64 arrays.  ``inverse`` hands a
-single matrix or a whole ``(G, n, n)`` stack to LAPACK through one
-``np.linalg.inv`` call, the package's only one, for the Hurwitz predicate,
-whose only tolerance is its condition threshold, the decay-rate sweep and
-the simulator.  The coupling matrix and ``solve`` go through a partially
-pivoted LU written out here, whose rounding the pinned
-certificate bytes depend on.  The matrices handled by this package are
-provably nonsingular when the modelling hypotheses hold, so a near-singular
-one signals a modelling error and must surface as :class:`SingularMatrix`
-rather than as solver-dependent noise.
+Everything here operates on plain numpy float64 arrays and hands the work to
+LAPACK.  ``solve`` is one ``np.linalg.solve`` call (LU with partial pivoting,
+backward stable), for the coupling matrix's witness and equilibrium and the
+shift of the contraction factor; the witness test of ``stability`` judges
+its result, so it refuses only an exactly singular matrix.  ``inverse`` is
+the package's only ``np.linalg.inv`` call, for a single matrix or a whole
+``(G, n, n)`` stack, for the Hurwitz predicate, whose only tolerance is its
+condition threshold, the decay-rate sweep and the simulator.  A singular
+matrix surfaces as :class:`SingularMatrix` rather than as solver-dependent
+noise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# The one singularity threshold: ``inverse`` rejects a matrix whose
-# reciprocal 1-norm condition is below it, ``lu_factor`` one with a pivot
-# below it times the largest entry of the input.
+# ``inverse`` rejects a matrix whose reciprocal 1-norm condition is below it
 PIVOT_RTOL = 1e-12
 
 
@@ -56,51 +54,20 @@ def _square(a: np.ndarray) -> int:
     return nrows
 
 
-def lu_factor(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Partially pivoted LU factorization.
-
-    Returns ``(lu, perm)`` where ``lu`` packs the unit-lower and upper
-    triangular factors and ``perm`` maps factored rows to input rows.
-    Raises :class:`SingularMatrix` when a pivot falls below the relative
-    threshold.
-    """
-    lu = as_matrix(matrix)                      # a fresh copy, factored in place
-    n = _square(lu)
-    scale = np.abs(lu).max(initial=0.0)
-    if scale == 0.0:
-        raise SingularMatrix("zero matrix")
-    tol = PIVOT_RTOL * scale
-    perm = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < tol:
-            raise SingularMatrix(f"pivot {lu[p, k]:.3e} below threshold {tol:.3e} at column {k}")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm
-
-
-def lu_solve(lu: np.ndarray, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve for a vector ``rhs`` against the factors from :func:`lu_factor`."""
-    x = np.asarray(rhs, dtype=float)[perm]
-    for i in range(1, lu.shape[0]):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(lu.shape[0] - 1, -1, -1):
-        x[i] -= lu[i, i + 1:] @ x[i + 1:]
-        x[i] /= lu[i, i]
-    return x
-
-
 def solve(matrix, rhs) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` by LU with partial pivoting."""
-    b = as_vector(rhs, "rhs")
-    lu, perm = lu_factor(matrix)
-    if lu.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"rhs length {b.shape[0]} does not match matrix order {lu.shape[0]}")
-    return lu_solve(lu, perm, b)
+    """Solve ``matrix @ x = rhs`` for a vector ``rhs``, or for each column of
+    an ``(n, k)`` one, by one LAPACK call.  Raises :class:`SingularMatrix`
+    when LAPACK meets an exact zero pivot."""
+    # validated in place: np.linalg.solve makes its own copies
+    a = _as_array(matrix, "matrix", 2, copy=False)
+    b = _as_array(rhs, "rhs", 2 if np.ndim(rhs) == 2 else 1, copy=False)
+    n = _square(a)
+    if b.shape[0] != n:
+        raise DimensionMismatch(f"rhs length {b.shape[0]} does not match matrix order {n}")
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("exact zero pivot") from None
 
 
 def inverse(matrix) -> np.ndarray:

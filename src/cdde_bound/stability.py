@@ -13,7 +13,9 @@ of the product and reads no tolerance, so no verdict depends on units.
 ``_hurwitz`` takes ``v`` from the inverse and makes every Hurwitz decision:
 the Hurwitz and Schur tests, each step of ``alpha_max``, whose last witness
 covers every rate of the sweep of ``envelope``, and the sweep's halving
-branch.  ``check_joint_condition`` accepts on ``_is_witness`` with its ``v``.
+branch.  ``check_joint_condition`` accepts on ``_is_witness`` with its ``v``,
+which one LAPACK solve against the coupling matrix gives together with the
+equilibrium of the ultimate bound: the one factorization of that matrix.
 
 The one eigenvalue computation, in ``alpha_max``, only picks where the
 margin search starts; the witness test makes every decision.
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrix, as_matrix, as_vector, inverse, lu_factor, lu_solve
+from .linalg import SingularMatrix, as_matrix, as_vector, inverse, solve
 from .model import NONNEG_TOL, SystemSpec, negative
 
 
@@ -50,8 +52,8 @@ class StabilityReport:
     witness_p: np.ndarray | None = None
     witness_q: np.ndarray | None = None
     diagnostic: str | None = None
-    # lu_factor of the coupling matrix, for further solves against it
-    coupling_lu: tuple[np.ndarray, np.ndarray] | None = None
+    # the coupling matrix's equilibrium under (omega_bar, d_bar), unclamped
+    equilibrium: np.ndarray | None = None
 
 
 def _require_metzler(A: np.ndarray) -> None:
@@ -125,7 +127,8 @@ def check_joint_condition(spec: SystemSpec, xi=None) -> StabilityReport:
     Solves ``[[A, B], [C, D - I]] v = -xi`` and accepts iff ``v`` is a
     witness (``_is_witness``): the two halves of ``v`` then satisfy the
     strict inequalities ``A p + B q < 0`` and ``C p + (D - I) q < 0``
-    exactly; the verdict does not depend on the scale of ``xi``.
+    exactly; the verdict does not depend on the scale of ``xi``.  The same
+    solve gives the equilibrium under ``-(omega_bar, d_bar)``.
     """
     n, m = spec.n, spec.m
     a_is_metzler = not negative(spec.A[~np.eye(n, dtype=bool)]).any()
@@ -140,16 +143,15 @@ def check_joint_condition(spec: SystemSpec, xi=None) -> StabilityReport:
     if xi_vec.min() <= 0.0:
         raise ValueError("xi must be strictly positive")
     coupling = coupling_matrix(spec)
+    rhs = -np.column_stack((xi_vec, np.concatenate((spec.omega_bar, spec.d_bar))))
     try:
-        factors = lu_factor(coupling)
+        v, equilibrium = solve(coupling, rhs).T
     except SingularMatrix as exc:
         return StabilityReport(a_is_metzler, bcd_nonnegative, d_is_schur, False,
                                diagnostic=f"coupling matrix singular: {exc}")
-    v = lu_solve(*factors, -xi_vec)
-    p, q = v[:n], v[n:]
     if _is_witness(coupling, v):
         return StabilityReport(a_is_metzler, bcd_nonnegative, d_is_schur, True,
-                               witness_p=p, witness_q=q, coupling_lu=factors)
+                               witness_p=v[:n], witness_q=v[n:], equilibrium=equilibrium)
     return StabilityReport(a_is_metzler, bcd_nonnegative, d_is_schur, False,
                            diagnostic="no witness: v > 0 with M v < 0 not proven")
 

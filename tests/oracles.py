@@ -1,7 +1,6 @@
 """Reference implementations the vectorized code is checked against: the
-per-column inverse, the LU factorization that exchanges rows at every
-column, the linear Hurwitz-margin scan and the per-rate sweep of the
-decay-rate grid, one matrix at a time; the members-first decay-rate
+per-column inverse, the linear Hurwitz-margin scan and the per-rate sweep
+of the decay-rate grid, one matrix at a time; the members-first decay-rate
 sweep and the margin search with a full Hurwitz test per index, which the
 members-last sweep must match bit for bit; the members-last sweep over the
 whole grid, which the pruned sweep must match bit for bit; the entry-time
@@ -23,7 +22,7 @@ from cdde_bound.certificate import HypothesisViolated
 from cdde_bound.envelope import (BLOCK_BYTES, ConvergenceResult, DecayRateTooLarge,
                                  NonpositiveThreshold, _block_entry_times)
 from cdde_bound.linalg import (PIVOT_RTOL, SingularMatrix, _as_array, _square, as_matrix,
-                               as_vector, lu_factor, lu_solve, solve)
+                               as_vector, solve)
 from cdde_bound.model import NONNEG_TOL, SystemSpec, negative
 from cdde_bound.signals import _SignalBatch
 from cdde_bound.simulator import (BLOCK_STEPS, DIVERGENCE_LIMIT, GRID_TOL, JUMP_TOL,
@@ -34,34 +33,12 @@ from cdde_bound.stability import NotMetzler, NotStable, _require_metzler
 
 
 def inverse_by_columns(m: np.ndarray) -> np.ndarray:
-    """One factorization and n unit-vector solves."""
-    lu, perm = lu_factor(m)
-    n = lu.shape[0]
+    """n unit-vector solves, one LAPACK call each."""
+    n = m.shape[0]
     out = np.empty((n, n))
     for i in range(n):
-        out[:, i] = lu_solve(lu, perm, np.eye(n)[i])
+        out[:, i] = np.linalg.solve(m, np.eye(n)[i])
     return out
-
-
-def lu_factor_always_swapping(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """``linalg.lu_factor`` as it was before it skipped the exchange of a
-    pivot row already in place: the rows are swapped at every column."""
-    lu = as_matrix(matrix)
-    n = _square(lu)
-    scale = np.abs(lu).max(initial=0.0)
-    if scale == 0.0:
-        raise SingularMatrix("zero matrix")
-    tol = PIVOT_RTOL * scale
-    perm = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < tol:
-            raise SingularMatrix(f"pivot {lu[p, k]:.3e} below threshold {tol:.3e} at column {k}")
-        lu[[k, p]] = lu[[p, k]]
-        perm[[k, p]] = perm[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm
 
 
 def time_to_threshold(gamma_i: float, delta_i: float, alpha: float) -> float:
@@ -98,7 +75,7 @@ def finite_time_loop(a: np.ndarray, theta: np.ndarray, delta: np.ndarray,
     for alpha in [k * step for k in range(1, k_max + 1)]:
         try:
             minv = inverse_by_columns(a + alpha * np.eye(n))
-        except SingularMatrix:
+        except np.linalg.LinAlgError:
             raise AssertionError(f"grid rate {alpha} singular") from None
         assert (minv <= NONNEG_TOL).all()
         neg_inv = -minv

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,25 @@ def test_comparison_vectors_scalar_hand_solve():
     assert p == pytest.approx([2.0], abs=1e-12)   # rho = max(2/4, 1/3) = 0.5
     assert q == pytest.approx([1.5], abs=1e-12)
     assert p[0] >= 2.0 - 1e-15 and q[0] >= 1.0
+
+
+def test_comparison_vectors_refuse_an_overflowing_scale(sample_spec):
+    # a witness of xi = 1e-310: rho = envelope / witness overflows
+    p_dir, q_dir = witness(sample_spec, np.full(5, 1e-310))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"rho = inf is not finite: the scale of xi"):
+            comparison_vectors((p_dir, q_dir), np.ones(3), np.ones(2))
+        with pytest.raises(CertificateError, match="scale of xi") as info:
+            compute_certificate(sample_spec, xi=np.full(5, 1e-310))
+    assert info.value.stage == "comparison-vectors"
+
+
+def test_contraction_factor_refuses_a_nan_shift(sample_spec, sample_cert):
+    nan = np.full(3, np.nan)
+    for factor in (raw_contraction_factor, contraction_factor):
+        with pytest.raises(HypothesisViolated, match="mu=nan"):
+            factor(sample_spec, sample_cert.p, sample_cert.q, nan)
 
 
 def test_contraction_factor_sample(sample_spec, sample_cert):

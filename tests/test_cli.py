@@ -1,12 +1,17 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cdde_bound
 from cdde_bound.certificate import compute_certificate
 from cdde_bound.cli import VERIFY_GRID, build_scenario, grid_reports, load_problem, main
 from cdde_bound.simulator import simulate, verify_domination
@@ -101,20 +106,35 @@ def test_bound_deterministic_bytes(tmp_path, sample_problem_path):
 
 
 def test_bound_golden_bytes(tmp_path, sample_problem_path):
-    # SHA-256 of the sample outputs as written by the per-column inverse and
-    # the linear alpha_max scan, before the certificate code was vectorized.
-    # The digest depends on the BLAS kernels: OpenBLAS on an FMA core type
-    # writes these bytes, OPENBLAS_CORETYPE=Prescott, Nehalem or Sandybridge
-    # writes a certificate.json with digest a14e8dd2...; CI pins numpy.
+    # SHA-256 of the sample outputs, written in a child process under
+    # OpenBLAS's Prescott kernels (SSE3, no FMA), which run on every x86-64
+    # host: the certificate's LAPACK solves and inversions round differently
+    # under other kernels (the FMA ones and Nehalem's give other digests),
+    # the staircase does not.  CI pins numpy and with it OpenBLAS.
     out = tmp_path / "out"
-    assert main(["bound", str(sample_problem_path), "--out", str(out),
-                 "--t-end", "4", "--step", "0.01"]) == 0
+    src = Path(cdde_bound.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "cdde_bound", "bound", str(sample_problem_path),
+                    "--out", str(out), "--t-end", "4", "--step", "0.01"],
+                   env=env, check=True, capture_output=True)
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("certificate.json", "staircase.csv")}
     assert digests == {
-        "certificate.json": "753b705485ec8b2a8134fd448177a46101d11c8b9196f9fa3908ec6be8fec643",
+        "certificate.json": "aaca5fc3cea61d5099caa16b5848d27cb850684521a46974d94625be6c9b73ba",
         "staircase.csv": "d77b7fc2cc372c7c61b66fb13ae5923f53e58b6ce9c48de87403c1a4f11762f2",
     }
+
+
+def test_bound_with_xi_near_underflow_exits_1_without_warnings(tmp_path, capsys):
+    # the witness of xi = 1e-310 scales to an infinite (p, q): refused where
+    # it is scaled, with no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bound", str(SAMPLE_PROBLEM), "--xi", ",".join(["1e-310"] * 5),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL comparison-vectors: ") and "scale of xi" in err
 
 
 def time_rescaled(c):

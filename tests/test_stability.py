@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -74,7 +75,32 @@ def test_joint_condition_singular_coupling_diagnostic():
                       omega_bar=[0.0], d_bar=[0.0], psi_bar=[0.0], phi_bar=[0.0])
     report = check_joint_condition(spec)
     assert not report.joint_condition_holds
-    assert "singular" in report.diagnostic
+    assert report.diagnostic == "coupling matrix singular: exact zero pivot"
+
+
+def x1_in_units(spec: SystemSpec, unit: float) -> SystemSpec:
+    """``spec`` with ``x_1`` measured in ``unit``: ``x_1`` scales by
+    ``1 / unit``, and so do row 1 of ``A`` and ``B``, ``omega_bar_1`` and
+    ``psi_bar_1``, while column 1 of ``A`` and ``C`` scales by ``unit``."""
+    s = np.ones(spec.n)
+    s[0] = 1.0 / unit
+    return SystemSpec(A=s[:, None] * spec.A / s, B=s[:, None] * spec.B, C=spec.C / s,
+                      D=spec.D, h_max=spec.h_max, omega_bar=s * spec.omega_bar,
+                      d_bar=spec.d_bar, psi_bar=s * spec.psi_bar, phi_bar=spec.phi_bar)
+
+
+def test_joint_condition_accepts_x1_in_units_of_1e_minus_12(sample_spec, tmp_path, capsys):
+    """The coupling matrix's entries span 2e-13 to 3e11, and one pivot of
+    its LU is 8e-13 of the largest entry: only an exact zero pivot refuses
+    the solve, the witness proves the matrix Hurwitz, and ``check`` passes."""
+    spec = x1_in_units(sample_spec, 1e-12)
+    assert check_joint_condition(spec).joint_condition_holds
+    fields = ("A", "B", "C", "D", "h_max", "omega_bar", "d_bar", "psi_bar", "phi_bar")
+    path = tmp_path / "x1-units.json"
+    path.write_text(json.dumps({"system": {f: np.asarray(getattr(spec, f)).tolist()
+                                           for f in fields}}))
+    assert main(["check", str(path)]) == 0
+    assert "PASS joint stability condition" in capsys.readouterr().out
 
 
 def test_joint_condition_xi_validation(sample_spec):

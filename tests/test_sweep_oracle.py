@@ -22,6 +22,7 @@ from cdde_bound.envelope import (_LOG_SCREEN_RTOL, BLOCK_BYTES, DecayRateTooLarg
                                  _neg_inverses, finite_time, gamma_component)
 from cdde_bound.linalg import SingularMatrix, inverse, solve
 from cdde_bound.stability import alpha_max, is_metzler_hurwitz
+from conftest import random_metzler_hurwitz
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -131,6 +132,23 @@ def test_pruned_sweep_equals_blocked_sweep_on_fine_sample_grid(sample_spec):
     shift = solve(sample_spec.A, sample_spec.B @ cert.q)
     args = (sample_spec.A, cert.p + shift, (1.0 - cert.mu) * cert.p + shift, 1e-5)
     assert_same(outcome(finite_time, *args), outcome(oracles.finite_time_blocked, *args))
+
+
+def test_pruned_sweep_with_one_rate_per_block_equals_default_blocks(monkeypatch):
+    """A block of ``8 n^2`` bytes holds one rate, as the default one does
+    from n = 182 on: each round still evaluates a rate, so the sweep closes
+    every gap and finds what the default block size finds."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        a, _ = random_metzler_hurwitz(rng, n)
+        theta = rng.uniform(0.5, 1.5, n)
+        cases.append((a, theta, 0.05 * theta, 1e-2))
+    want = [outcome(finite_time, *case) for case in cases]
+    for case, default in zip(cases, want):
+        monkeypatch.setattr(envelope, "BLOCK_BYTES", 8 * case[0].size)
+        assert_same(outcome(finite_time, *case), default)
 
 
 @settings(max_examples=40, deadline=None)
