@@ -111,9 +111,9 @@ def _neg_inverses(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray,
     alphas[g])``, as in ``stability.alpha_max``.
 
     The stack is built with the members on the last axis, ``(n, n, G)``, and
-    every per-member test runs along it, G entries at a time: the condition
-    test in ``inverse``, the ratios and their minimum.  Only LAPACK and the
-    product ``a`` see the members first."""
+    the ratios and their minimum run along it, G entries at a time.  Only
+    LAPACK, the finiteness test in ``inverse`` and the product ``a`` see the
+    members first."""
     span = f"alpha={alphas[0]}" if alphas.size == 1 else f"alpha in [{alphas[0]}, {alphas[-1]}]"
     shifted = np.eye(A.shape[0])[:, :, None] * alphas
     shifted += A[:, :, None]

@@ -3,22 +3,18 @@
 Everything here operates on plain numpy float64 arrays and hands the work to
 LAPACK.  ``solve`` is one ``np.linalg.solve`` call (LU with partial pivoting,
 backward stable), for the coupling matrix's witness and equilibrium and the
-shift of the contraction factor; the witness test of ``stability`` judges
-its result, so it refuses only an exactly singular matrix.  ``inverse`` is
-the package's only ``np.linalg.inv`` call, for a single matrix or a whole
-``(G, n, n)`` stack, for the Hurwitz predicate, whose only tolerance is its
-condition threshold, the decay-rate sweep and the simulator.  A singular
-matrix surfaces as :class:`SingularMatrix` rather than as solver-dependent
-noise.
+shift of the contraction factor.  ``inverse`` is the package's only
+``np.linalg.inv`` call, for a single matrix or a whole ``(G, n, n)`` stack,
+for the Hurwitz predicate, the decay-rate sweep and the simulator.  Neither
+reads a tolerance: the witness test of ``stability`` judges what they
+return, so they refuse only an exactly singular matrix, and ``inverse`` also
+an inverse that overflows.  Either surfaces as :class:`SingularMatrix`
+rather than as solver-dependent noise.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# ``inverse`` rejects a matrix whose reciprocal 1-norm condition is below it
-PIVOT_RTOL = 1e-12
-
 
 class SingularMatrix(ValueError):
     """Matrix is singular to working precision."""
@@ -73,9 +69,8 @@ def solve(matrix, rhs) -> np.ndarray:
 def inverse(matrix) -> np.ndarray:
     """Inverse of a matrix or of each member of a stack ``(G, n, n)``, by
     one LAPACK call.  Raises :class:`SingularMatrix`, naming the stack
-    member, when a member's reciprocal 1-norm condition is below
-    ``PIVOT_RTOL``.  A stack that is a view of an ``(n, n, G)`` array, as
-    the decay-rate sweep passes it, is read along G throughout."""
+    member, when LAPACK meets an exact zero pivot or the inverse is not
+    finite, as ``[[1e-310]]``'s is."""
     # validated in place: np.linalg.inv makes its own copy
     a = _as_array(matrix, "matrix", 3 if np.ndim(matrix) == 3 else 2, copy=False)
     _square(a)
@@ -86,17 +81,9 @@ def inverse(matrix) -> np.ndarray:
         # LAPACK met an exact zero pivot; slogdet factors the same way
         j = int(np.argmin(np.abs(np.linalg.slogdet(a).sign)))
         raise SingularMatrix("exactly singular" + member.format(j)) from None
-    # the 1-norm condition along the members: inv is copied contiguous along
-    # the stack, and the column sums add the rows in order, as members first
-    a_last, inv_last = (a, inv) if a.ndim == 2 else (a.transpose(1, 2, 0), inv.transpose(1, 2, 0))
-    with np.errstate(all="ignore"):         # an overflowing norm is singular too
-        cond = (np.abs(a_last).sum(axis=0).max(axis=0)
-                * np.abs(inv_last, order="C").sum(axis=0).max(axis=0))
-    bad = ~(cond * PIVOT_RTOL < 1.0)        # NaN is singular too
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise SingularMatrix(f"reciprocal condition {1.0 / cond.flat[j]:.3e} below threshold "
-                             f"{PIVOT_RTOL:.3e}" + member.format(j))
+    finite = np.isfinite(inv).all(axis=(-2, -1))
+    if not finite.all():
+        raise SingularMatrix("inverse not finite" + member.format(int(np.argmin(finite))))
     return inv
 
 

@@ -9,7 +9,8 @@ Matrices in the Mathematical Sciences*, 1994):
 
 ``_is_witness`` decides ``v > 0`` and ``M v < 0`` exactly for the float
 ``M``, read through its Metzler majorant, and ``v``: it bounds the rounding
-of the product and reads no tolerance, so no verdict depends on units.
+of the product and reads no tolerance, nor does the inverse that gives
+``v``, so no verdict depends on units or on the condition of ``M``.
 ``_hurwitz`` takes ``v`` from the inverse and makes every Hurwitz decision:
 the Hurwitz and Schur tests, each step of ``alpha_max``, whose last witness
 covers every rate of the sweep of ``envelope``, and the sweep's halving
@@ -84,9 +85,10 @@ def _is_witness(M: np.ndarray, v: np.ndarray) -> bool:
 def _hurwitz(M: np.ndarray) -> bool:
     """Whether the Metzler matrix ``M`` is Hurwitz: ``_is_witness`` of ``v``,
     the row sums of ``-inv(M)``, which for a Hurwitz ``M`` are positive and
-    solve ``M v = -1``.  A matrix that ``inverse`` calls singular fails, and
-    so does one with a non-finite entry, as the shift of ``alpha_max`` gives
-    when it overflows.  Runs under the caller's ``errstate``."""
+    solve ``M v = -1``.  A matrix that ``inverse`` refuses, exactly singular
+    or with an inverse that overflows, fails, and so does one with a
+    non-finite entry, as the shift of ``alpha_max`` gives when it overflows.
+    Runs under the caller's ``errstate``."""
     try:
         v = -inverse(M).sum(axis=1)
     except ValueError:                  # SingularMatrix, or a non-finite entry

@@ -1,35 +1,35 @@
 """Reference implementations the vectorized code is checked against: the
 per-column inverse, the linear Hurwitz-margin scan and the per-rate sweep
-of the decay-rate grid, one matrix at a time; the members-first decay-rate
-sweep and the margin search with a full Hurwitz test per index, which the
-members-last sweep must match bit for bit; the members-last sweep over the
-whole grid, which the pruned sweep must match bit for bit; the entry-time
-choice over a block of rates with an exact log at every rate; the per-step
-simulator, and the windowed one as it was before it was split into stages,
-which the package's must match bit for bit; the entry time of one component
-at one rate; the comparison check of ordered
-initial data; the contraction factor from all three ratio families; one
-signal's values on a grid, one signal at a time; and Python's own "%.9g"
-for CSV rows."""
+of the decay-rate grid, one matrix at a time; the exact inverse and Hurwitz
+test in rational arithmetic; the envelope factors of a members-first stack,
+which the members-last sweep must match bit for bit; the members-last
+sweep over the whole grid, which the pruned sweep must match bit for bit;
+the entry-time choice over a block of rates with an exact log at every
+rate; the per-step simulator, and the windowed one as it was before it was
+split into stages, which the package's must match bit for bit; the entry
+time of one component at one rate; the comparison check of ordered initial
+data; the contraction factor from all three ratio families; one signal's
+values on a grid, one signal at a time; and Python's own "%.9g" for CSV
+rows."""
 
 import math
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
 import numpy as np
 
 from cdde_bound import envelope, simulator, stability
 from cdde_bound.certificate import HypothesisViolated
-from cdde_bound.envelope import (BLOCK_BYTES, ConvergenceResult, DecayRateTooLarge,
-                                 NonpositiveThreshold, _block_entry_times)
-from cdde_bound.linalg import (PIVOT_RTOL, SingularMatrix, _as_array, _square, as_matrix,
-                               as_vector, solve)
+from cdde_bound.envelope import (BLOCK_BYTES, ConvergenceResult, NonpositiveThreshold,
+                                 _block_entry_times)
+from cdde_bound.linalg import as_matrix, as_vector, inverse, solve
 from cdde_bound.model import NONNEG_TOL, SystemSpec, negative
 from cdde_bound.signals import _SignalBatch
 from cdde_bound.simulator import (BLOCK_STEPS, DIVERGENCE_LIMIT, GRID_TOL, JUMP_TOL,
                                   InvalidScenario, MismatchedScenarios, Trajectory, UnstableStep,
                                   _check_envelope, _first_violation_wins, _history_times,
                                   _same_system)
-from cdde_bound.stability import NotMetzler, NotStable, _require_metzler
+from cdde_bound.stability import NotStable, is_metzler_hurwitz
 
 
 def inverse_by_columns(m: np.ndarray) -> np.ndarray:
@@ -92,181 +92,44 @@ def finite_time_loop(a: np.ndarray, theta: np.ndarray, delta: np.ndarray,
                              per_component_alpha=best_alpha)
 
 
-# The members-first decay-rate sweep and the margin search with a full
-# Hurwitz test per index: ``inverse``, ``_neg_inverse_if_hurwitz``,
-# ``is_metzler_hurwitz``, ``alpha_max``, ``_envelope_factors`` and
-# ``finite_time`` as they were before the sweep put the members on the last
-# axis, copied verbatim but for the index sets of ``_envelope_factors``
-# and the entries the sign test reads, which come from ``index_sets`` here
-# as they come from the graph of ``A`` in the package.  They call one
-# another, never the package's versions, so the members-last code is
-# checked against them bit for bit.
-
-def index_sets(M: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(reach, unreached)`` by a depth-first search from each index:
-    ``reach[j, i]`` where ``j == i`` or a path of edges ``k -> l`` with
-    ``M[l, k] > 0`` leads from ``i`` to ``j``, and ``unreached[j]`` where
-    none leads to ``j`` from an ``i`` with ``theta[i] > 0``."""
-    n = M.shape[0]
-    reach = np.eye(n, dtype=bool)
-    for i in range(n):
-        stack = [i]
-        while stack:
-            k = stack.pop()
-            for l in range(n):
-                if M[l, k] > 0.0 and not reach[l, i]:
-                    reach[l, i] = True
-                    stack.append(l)
-    return reach, ~reach[:, theta > 0.0].any(axis=1)
+def fraction_neg_inverse(m) -> list[list[Fraction]] | None:
+    """``-inv(m)`` in exact arithmetic, by Gauss-Jordan elimination on the
+    float entries read as fractions; None if ``m`` is singular."""
+    n = len(m)
+    rows = [[Fraction(float(v)) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                rows[r] = [v - rows[r][col] * w for v, w in zip(rows[r], rows[col])]
+    return [[-v for v in row[n:]] for row in rows]
 
 
-def inverse(matrix) -> np.ndarray:
-    """Inverse of a matrix or of each member of a stack ``(G, n, n)``, by
-    one LAPACK call.  Raises :class:`SingularMatrix`, naming the stack
-    member, when a member's reciprocal 1-norm condition is below
-    ``PIVOT_RTOL``."""
-    # validated in place: np.linalg.inv makes its own copy
-    a = _as_array(matrix, "matrix", 3 if np.ndim(matrix) == 3 else 2, copy=False)
-    _square(a)
-    member = " in stack member {}" if a.ndim == 3 else ""
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        # LAPACK met an exact zero pivot; slogdet factors the same way
-        j = int(np.argmin(np.abs(np.linalg.slogdet(a).sign)))
-        raise SingularMatrix("exactly singular" + member.format(j)) from None
-    with np.errstate(all="ignore"):         # an overflowing norm is singular too
-        cond = np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
-    bad = ~(cond * PIVOT_RTOL < 1.0)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise SingularMatrix(f"reciprocal condition {1.0 / cond.flat[j]:.3e} below threshold "
-                             f"{PIVOT_RTOL:.3e}" + member.format(j))
-    return inv
+def hurwitz_exact(m) -> bool:
+    """Whether the Metzler float matrix ``m`` is Hurwitz, in exact
+    arithmetic: iff ``m v = -1`` has a solution ``v > 0`` (Berman and
+    Plemmons, 1994, ch. 6), the row sums of ``-inv(m)``."""
+    neg_inv = fraction_neg_inverse(m)
+    return neg_inv is not None and all(sum(row) > 0 for row in neg_inv)
 
 
-def _neg_inverse_if_hurwitz(M: np.ndarray) -> np.ndarray | None:
-    """``-inv(M)`` if the Metzler matrix, or every member of the stack, ``M``
-    is Hurwitz (nonsingular with ``inv(M) <= 0`` on the index set
-    ``index_sets`` takes from its graph), else None; raises SingularMatrix
-    for a singular member."""
-    neg_inv = inverse(M)
-    reach, _ = index_sets(M if M.ndim == 2 else M[0], np.zeros(M.shape[-1]))
-    if not (neg_inv <= NONNEG_TOL)[..., reach].all():
-        return None
-    return np.negative(neg_inv, out=neg_inv)
-
-
-def is_metzler_hurwitz(A) -> bool:
-    """Hurwitz test for a Metzler matrix via the sign of its inverse."""
-    M = as_matrix(A, "A")
-    if M.shape[0] != M.shape[1]:
-        raise NotMetzler(f"matrix must be square, got {M.shape}")
-    _require_metzler(M)
-    try:
-        return _neg_inverse_if_hurwitz(M) is not None
-    except SingularMatrix:
-        return False
-
-
-def alpha_max(A, step: float) -> float:
-    """Largest grid multiple of ``step`` keeping ``A + alpha I`` Hurwitz.
-
-    The spectral abscissa of ``A + alpha I`` is strictly increasing in
-    ``alpha``, so the Hurwitz test is monotone in the grid index ``k``: a
-    doubling search brackets the first failing ``k`` and a bisection finds
-    it, about ``2 log2(alpha_max / step)`` tests.
-    """
-    if not (np.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be positive and finite, got {step}")
-    M = as_matrix(A, "A")
-    if not is_metzler_hurwitz(M):
-        raise NotStable("matrix is not Hurwitz, no positive decay rate exists")
-    eye = np.eye(M.shape[0])
-
-    def hurwitz(k: int) -> bool:
-        return is_metzler_hurwitz(M + (k * step) * eye)
-
-    good, bad = 0, 1                    # hurwitz(good) holds throughout
-    while hurwitz(bad):
-        good, bad = bad, 2 * bad
-    while bad - good > 1:               # and from here on, not hurwitz(bad)
-        mid = (good + bad) // 2
-        good, bad = (mid, bad) if hurwitz(mid) else (good, mid)
-    return good * step
-
-
-def _envelope_factors(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Optimal factors ``gamma[g, i]`` at each rate ``alphas[g]``, by one
-    inversion of the stack ``A + alphas[g] I``, which must be Hurwitz."""
-    span = f"alpha={alphas[0]}" if alphas.size == 1 else f"alpha in [{alphas[0]}, {alphas[-1]}]"
-    shifted = alphas[:, None, None] * np.eye(A.shape[0])
-    shifted += A
-    try:
-        neg_inv = _neg_inverse_if_hurwitz(shifted)
-    except SingularMatrix as exc:
-        raise DecayRateTooLarge(f"{span}: shifted matrix singular") from exc
-    if neg_inv is None:
-        raise DecayRateTooLarge(f"{span}: shifted matrix not Hurwitz")
-    a = neg_inv @ theta                                 # (G, n)
-    reach, unreached = index_sets(A, theta)
-    a[:, unreached] = 0.0
-    # b = neg_inv[g, :, i]; the ratio a_j / b_j is overwritten into neg_inv
-    mask = np.broadcast_to(reach, neg_inv.shape)
-    np.divide(a[:, :, None], neg_inv, out=neg_inv, where=mask)
-    np.copyto(neg_inv, np.inf, where=~mask)
-    return neg_inv.min(axis=1)
-
-
-def finite_time(A, theta_bar, delta, alpha_step: float) -> ConvergenceResult:
-    """Certified time after which every solution sits inside the target box.
-
-    Sweeps the decay-rate grid ``alpha_step, 2*alpha_step, ...`` up to the
-    largest admissible rate, takes per component the best (smallest) entry
-    time over the grid, and returns the maximum over components.  Every
-    solution of x' = A x with 0 <= x(0) <= theta_bar satisfies
-    x(t) <= delta for all t >= T.
-    """
-    M = as_matrix(A, "A")
-    theta = as_vector(theta_bar, "theta_bar")
-    dlt = as_vector(delta, "delta")
-    if theta.shape[0] != M.shape[0] or dlt.shape[0] != M.shape[0]:
-        raise ValueError("theta_bar and delta must match the dimension of A")
-    if dlt.min() <= 0.0:
-        raise NonpositiveThreshold(f"delta must be strictly positive, got {dlt}")
-    if negative(theta).any():
-        raise ValueError("theta_bar must be nonnegative")
-
-    dim = M.shape[0]
-    k_max = int(round(alpha_max(M, alpha_step) / alpha_step))
-    if k_max:
-        per_block = max(1, BLOCK_BYTES // (8 * dim * dim))
-        blocks = [np.arange(k0, min(k0 + per_block, k_max + 1)) * alpha_step
-                  for k0 in range(1, k_max + 1, per_block)]
-    else:
-        # Hurwitz margin smaller than the grid step: halve until admissible.
-        eye = np.eye(dim)
-        halved = (alpha_step / 2.0 ** j for j in range(1, 61))
-        rate = next((a for a in halved if is_metzler_hurwitz(M + a * eye)), None)
-        if rate is None:
-            raise NotStable("no admissible decay rate found")
-        blocks = [np.array([rate])]
-
-    best_t = np.full(dim, np.inf)
-    best_alpha = np.zeros(dim)
-    for alphas in blocks:
-        gamma = _envelope_factors(M, alphas, theta)
-        if gamma.min() < 0.0:
-            raise ValueError(f"gamma must be nonnegative, got {gamma.min()}")
-        # time_to_threshold over the block: np.log screens the grid, and
-        # math.log, which rounds as it does there, decides near the minimum
-        first, t_first = _block_entry_times(gamma, dlt, alphas)
-        better = t_first < best_t
-        best_t[better] = t_first[better]
-        best_alpha[better] = alphas[first[better]]
-    return ConvergenceResult(T=float(best_t.max()),
-                             per_component_T=best_t,
-                             per_component_alpha=best_alpha)
+def envelope_factors_members_first(a: np.ndarray, alphas: np.ndarray,
+                                   theta: np.ndarray) -> np.ndarray:
+    """``envelope._envelope_factors`` with the stack ``a + alphas[g] I`` laid
+    out members first, ``(G, n, n)``, inverted by one ``np.linalg.inv`` and
+    tested for nothing: the members-last layout must give the same bits."""
+    neg_inv = -np.linalg.inv(alphas[:, None, None] * np.eye(len(a)) + a)
+    reach, unreached = envelope._index_sets(a, theta)
+    a_vec = neg_inv @ theta                             # (G, n)
+    a_vec[:, unreached] = 0.0
+    mask = np.broadcast_to(reach[:, :, 0], neg_inv.shape)
+    ratios = np.divide(a_vec[:, :, None], neg_inv, out=np.full_like(neg_inv, np.inf), where=mask)
+    return ratios.min(axis=1)
 
 
 # The members-last decay-rate sweep over the whole grid, a block of rates
@@ -560,8 +423,8 @@ def simulate_stepwise(scenarios) -> list[Trajectory]:
 
 
 # ``simulate_many`` as it was before its stages became the methods of one
-# run record, copied verbatim.  It calls ``inverse`` above; the package's
-# ``simulate_many`` must match it bit for bit.
+# run record, copied verbatim.  The package's ``simulate_many`` must match
+# it bit for bit.
 
 def simulate_many(scenarios) -> list[Trajectory]:
     """Integrate scenarios sharing system, delays and grid in one pass, with

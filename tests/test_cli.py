@@ -164,6 +164,31 @@ def test_bound_contraction_factor_below_mu_min_exits_1(tmp_path, capsys, mutate)
     assert not (tmp_path / "out" / "certificate.json").exists()
 
 
+def x1_in_units_of(c):
+    """The sample with ``x_1`` measured in units 1/c: row 1 of ``A`` and of
+    ``B`` and ``omega_bar_1`` and ``psi_bar_1`` multiply by c off ``A``'s
+    diagonal, column 1 of ``A`` and ``C`` divides by c."""
+    def mutate(doc):
+        s = doc["system"]
+        s["A"][0][1:] = [c * a for a in s["A"][0][1:]]
+        for row in s["A"][1:] + s["C"]:
+            row[0] /= c
+        s["B"][0] = [c * b for b in s["B"][0]]
+        s["omega_bar"][0] *= c
+        s["psi_bar"][0] *= c
+    return mutate
+
+
+def test_bound_with_x1_in_units_of_1e_minus_12_exits_0(tmp_path, capsys):
+    """The coupling matrix's entries span 2e-13 to 3e11 and ``A``'s 1-norm
+    condition is 1.9e22; the witness proves ``A`` and its shifts Hurwitz
+    whatever the condition, so ``bound`` certifies the copy."""
+    path = write_problem(tmp_path, x1_in_units_of(1e12))
+    assert main(["bound", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "out" / "certificate.json").exists()
+
+
 @pytest.mark.parametrize("options, flags", [
     pytest.param({"xi": [1.0, 1.0, 1.0, 1.0]}, [], id="xi-short"),
     pytest.param({"xi": [1.0, 1.0, 0.0, 1.0, 1.0]}, [], id="xi-zero"),

@@ -12,9 +12,8 @@ from cdde_bound.envelope import (ConvergenceResult, DecayRateTooLarge, Nonpositi
 from cdde_bound.linalg import solve
 from cdde_bound.stability import NotMetzler, NotStable, alpha_max, is_metzler_hurwitz
 
-import oracles
 from conftest import grid_min_factor, random_metzler_hurwitz
-from oracles import time_to_threshold
+from oracles import alpha_max_scan, finite_time_blocked, time_to_threshold
 
 
 def test_gamma_scalar_is_theta():
@@ -63,14 +62,12 @@ def test_gamma_errors():
 def test_empty_index_set_guard():
     """No index set is empty: each holds its own diagonal entry, however
     small -inv(A + alpha I) is.  A scalar system whose -inv(A + alpha I) is
-    about 1e-13, below NONNEG_TOL, has the factor theta, equal to the
-    members-first code's."""
+    about 1e-13, below NONNEG_TOL, has the factor theta."""
     assert gamma_component([[-1e13]], 0.5, [1.0], 0) == 1.0
     assert gamma_component([[-1e13]], 1e12, [1.0], 0) == 1.0
     args = (np.array([[-1e13]]), np.array([1e12]), np.ones(1))
     got = _envelope_factors(*args)
     assert got.tolist() == [[1.0]]
-    assert got.tolist() == oracles._envelope_factors(*args).tolist()
     reach, _ = _index_sets(np.diag([-1e13, -1.0, -2.0]), np.zeros(3))
     assert reach[:, :, 0].tolist() == np.eye(3, dtype=bool).tolist()
 
@@ -178,12 +175,12 @@ def test_finite_time_narrow_margin_fallback(sample_spec):
     assert 0.0 < res.per_component_alpha[0] < 1e-3
     assert res.T == pytest.approx(math.log(2.0) / res.per_component_alpha[0])
     # the sample certificate's sweep at alpha_step 5, above the margin: the
-    # halved rate, bit for bit as the members-first code picks and sweeps it
+    # halved rate, bit for bit as the sweep over the whole grid picks it
     cert = compute_certificate(sample_spec)
     shift = solve(sample_spec.A, sample_spec.B @ cert.q)
     args = (sample_spec.A, cert.p + shift, (1.0 - cert.mu) * cert.p + shift, 5.0)
     assert alpha_max(sample_spec.A, 5.0) == 0.0
-    got, want = finite_time(*args), oracles.finite_time(*args)
+    got, want = finite_time(*args), finite_time_blocked(*args)
     assert [np.asarray(v).tobytes() for v in (got.T, got.per_component_T, got.per_component_alpha)] \
         == [np.asarray(v).tobytes() for v in (want.T, want.per_component_T, want.per_component_alpha)]
 
@@ -208,16 +205,17 @@ def test_reducible_margin_is_searched_on_the_reachable_pattern():
     every entry made the search starting at the margin return 0.5407 and
     the sweep then fail at 0.5406, and the doubling search stop at 0.5405.
     The witness test reads no entry's sign: every grid rate below the
-    margin passes, and T is the one the doubling search's grid gave."""
+    margin passes, T is the one the doubling search's grid gave, and the
+    linear scan and the sweep over the whole grid agree."""
     step, eye = 1e-4, np.eye(7)
     for k in range(5400, 5408):
         assert is_metzler_hurwitz(REDUCIBLE + (k * step) * eye)
     assert not is_metzler_hurwitz(REDUCIBLE + (5408 * step) * eye)
     assert alpha_max(REDUCIBLE, step) == 5407 * step
-    assert alpha_max(REDUCIBLE, step) == oracles.alpha_max(REDUCIBLE, step)
+    assert alpha_max(REDUCIBLE, step) == alpha_max_scan(REDUCIBLE, step)
     result = finite_time(REDUCIBLE, np.ones(7), np.full(7, 0.5), step)
     assert result.T == 7.487875340535612
-    want = oracles.finite_time(REDUCIBLE, np.ones(7), np.full(7, 0.5), step)
+    want = finite_time_blocked(REDUCIBLE, np.ones(7), np.full(7, 0.5), step)
     assert np.array_equal(result.per_component_T, want.per_component_T)
     assert np.array_equal(result.per_component_alpha, want.per_component_alpha)
 

@@ -116,24 +116,29 @@ def test_inverse_sign_pattern_vs_cofactor_oracle():
     assert (got <= 0.0).all()
 
 
-def test_stack_members_have_their_own_pivot_threshold():
-    # a threshold shared across the stack would call the tiny member singular
+def test_stack_members_are_inverted_on_their_own():
+    # a member 1e18 times smaller than its neighbour is inverted as it is alone
     stack = np.stack([1e-15 * np.eye(3), 1e3 * np.eye(3)])
     got = inverse(stack)
     assert np.array_equal(got[0], inverse(stack[0]))
     assert np.array_equal(got[1], inverse(stack[1]))
 
 
-def test_inverse_names_near_singular_member():
-    # condition about 4e13, above 1 / PIVOT_RTOL: LAPACK inverts it, the
-    # condition test rejects it
+def test_inverse_returns_a_near_singular_members_finite_inverse():
+    # 1-norm condition about 4e13: LAPACK inverts it, and the inverse is kept
     near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
-    assert np.isfinite(np.linalg.inv(near)).all()
     stack = np.stack([np.eye(2), 3.0 * np.eye(2), near, np.eye(2)])
-    with pytest.raises(SingularMatrix, match=r"reciprocal condition .* in stack member 2$"):
-        inverse(stack)
-    with pytest.raises(SingularMatrix, match=r"below threshold 1\.000e-12$"):
-        inverse(near)
+    assert np.array_equal(inverse(stack)[2], np.linalg.inv(near))
+    assert np.array_equal(inverse(near), np.linalg.inv(near))
+
+
+def test_inverse_names_near_singular_member():
+    # LAPACK inverts 1e-310 without an error, to inf
+    assert np.linalg.inv([[1e-310]]).tolist() == [[np.inf]]
+    with pytest.raises(SingularMatrix, match=r"^inverse not finite in stack member 1$"):
+        inverse(np.stack([np.eye(1), [[1e-310]]]))
+    with pytest.raises(SingularMatrix, match=r"^inverse not finite$"):
+        inverse([[1e-310]])
 
 
 def test_inverse_names_exactly_singular_member():

@@ -32,7 +32,7 @@ from cdde_bound.stability import alpha_max
 import oracles
 from conftest import make_sample_scenario, make_sample_system
 from oracles import (alpha_max_scan, block_entry_times_all_logs, csv_rows_fstring,
-                     finite_time_loop, inverse_by_columns, signal_values,
+                     finite_time_loop, hurwitz_exact, inverse_by_columns, signal_values,
                      simulate_stepwise)
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -65,9 +65,13 @@ def placed_margin(draw):
 @settings(max_examples=80, deadline=None)
 @given(placed_margin())
 def test_alpha_max_equals_linear_scan(case):
+    """The search returns what the linear scan with the same predicate
+    returns, a rate at which ``A + alpha I`` is Hurwitz in exact arithmetic,
+    and, with the margin half a step past ``k * step``, that rate."""
     a, step, k, offset, _ = case
     got = alpha_max(a, step)
     assert got == alpha_max_scan(a, step)
+    assert hurwitz_exact(a + got * np.eye(len(a)))
     if offset:
         assert got == k * step
 
@@ -93,11 +97,11 @@ EIGVALS = {
 @pytest.mark.parametrize("start", list(EIGVALS))
 @settings(max_examples=40, deadline=None)
 @given(case=placed_margin())
-def test_alpha_max_from_any_start_equals_members_first_code(start, case):
+def test_alpha_max_from_any_start_equals_linear_scan(start, case):
     a, step, _, _, _ = case
     with mock.patch.object(stability.np.linalg, "eigvals", EIGVALS[start]):
         got = alpha_max(a, step)
-    assert got == oracles.alpha_max(a, step)
+    assert got == alpha_max_scan(a, step)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,11 @@
-"""The members-last decay-rate sweep, the margin search, the Hurwitz test
-and the stacked inverse against the members-first code in ``oracles``, and
-the pruned sweep against the members-last sweep over the whole grid, bit
-for bit: equal results, or the same exception type, message and cause.
-Also what the pruning rests on: the index sets against an exact inverse,
-and no rate inside a gap of the grid entering its box before the gap's
-floor."""
+"""The members-last envelope factors and the stacked inverse against one
+members-first ``np.linalg.inv``, and the pruned sweep against the
+members-last sweep over the whole grid, bit for bit: equal results, or the
+same exception type, message and cause.  The margin search against the
+eigenvalue margin, and the Hurwitz test against exact arithmetic; the
+error table as pinned exceptions.  Also what the pruning rests on: the
+index sets against an exact inverse, and no rate inside a gap of the grid
+entering its box before the gap's floor."""
 
 import math
 from fractions import Fraction
@@ -14,15 +15,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
-import oracles
 from cdde_bound import envelope
 from cdde_bound.certificate import compute_certificate
 from cdde_bound.envelope import (_LOG_SCREEN_RTOL, BLOCK_BYTES, DecayRateTooLarge,
                                  _envelope_factors, _gap_floor, _index_sets, _min_ratios,
                                  _neg_inverses, finite_time, gamma_component)
 from cdde_bound.linalg import SingularMatrix, inverse, solve
-from cdde_bound.stability import alpha_max, is_metzler_hurwitz
+from cdde_bound.stability import NotMetzler, NotStable, alpha_max, is_metzler_hurwitz
 from conftest import random_metzler_hurwitz
+from oracles import (envelope_factors_members_first, finite_time_blocked,
+                     fraction_neg_inverse, hurwitz_exact)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -93,28 +95,32 @@ def sweep_case(draw):
     delta = np.maximum(theta, 0.5) * rng.uniform(0.05, 1.2, n)
     if k and draw(st.booleans()):
         rate = draw(st.integers(1, k)) * step
-        factors = oracles._envelope_factors(a, np.array([rate]), theta)[0]
+        factors = _envelope_factors(a, np.array([rate]), theta)[0]
         delta = np.where(factors > 0.0, np.nextafter(factors, 0.0), delta)
     return a, theta, delta, step
 
 
 @settings(max_examples=60, deadline=None)
 @given(sweep_case())
-def test_sweep_equals_members_first_code(case):
+def test_sweep_equals_references(case):
+    """The margin search returns the last grid rate below the eigenvalue
+    margin, half a step away; the Hurwitz test agrees with the margin on
+    both sides of it, and with exact arithmetic up to n = 8; the factors on
+    the first block of the grid, if it has a rate, are those of a
+    members-first stack, bit for bit."""
     a, theta, delta, step = case
-    assert_same(outcome(alpha_max, a, step), outcome(oracles.alpha_max, a, step))
-    assert_same(outcome(finite_time, a, theta, delta, step),
-                outcome(oracles.finite_time, a, theta, delta, step))
-    # the Hurwitz test on both sides of the margin, and the factors on the
-    # first block of the grid, if the grid has a rate
-    k_max = int(round(alpha_max(a, step) / step))
-    k = max(1, k_max)
-    for shifted in (a + (k - 1) * step * np.eye(len(a)), a + (k + 1) * step * np.eye(len(a))):
-        assert is_metzler_hurwitz(shifted) == oracles.is_metzler_hurwitz(shifted)
+    k_max = math.floor(-np.linalg.eigvals(a).real.max() / step)
+    assert alpha_max(a, step) == k_max * step
+    eye = np.eye(len(a))
+    for k in (k_max, k_max + 1):
+        shifted = a + (k * step) * eye
+        assert is_metzler_hurwitz(shifted) == (k == k_max)
+        if len(a) <= 8:
+            assert hurwitz_exact(shifted) == (k == k_max)
     alphas = np.arange(1, min(k_max, BLOCK_BYTES // (8 * a.size)) + 1) * step
     if alphas.size:
-        assert_same(outcome(_envelope_factors, a, alphas, theta),
-                    outcome(oracles._envelope_factors, a, alphas, theta))
+        assert bits(_envelope_factors(a, alphas, theta)) == \
+            bits(envelope_factors_members_first(a, alphas, theta))
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,7 +128,7 @@ def test_sweep_equals_members_first_code(case):
 def test_pruned_sweep_equals_blocked_sweep(case):
     a, theta, delta, step = case
     assert_same(outcome(finite_time, a, theta, delta, step),
-                outcome(oracles.finite_time_blocked, a, theta, delta, step))
+                outcome(finite_time_blocked, a, theta, delta, step))
 
 
 def test_pruned_sweep_equals_blocked_sweep_on_fine_sample_grid(sample_spec):
@@ -131,7 +137,7 @@ def test_pruned_sweep_equals_blocked_sweep_on_fine_sample_grid(sample_spec):
     cert = compute_certificate(sample_spec)
     shift = solve(sample_spec.A, sample_spec.B @ cert.q)
     args = (sample_spec.A, cert.p + shift, (1.0 - cert.mu) * cert.p + shift, 1e-5)
-    assert_same(outcome(finite_time, *args), outcome(oracles.finite_time_blocked, *args))
+    assert_same(outcome(finite_time, *args), outcome(finite_time_blocked, *args))
 
 
 def test_pruned_sweep_with_one_rate_per_block_equals_default_blocks(monkeypatch):
@@ -170,22 +176,6 @@ def test_gap_floor_bounds_every_rate_inside_the_gap(case, width):
     inside = np.setdiff1d(np.arange(k_max), ends)
     gap = np.searchsorted(hi, inside)
     assert (t[inside] * (1.0 + _LOG_SCREEN_RTOL) >= floor[gap]).all()
-
-
-def fraction_neg_inverse(m) -> list[list[Fraction]]:
-    """``-inv(m)`` in exact arithmetic, by Gauss-Jordan elimination on the
-    float entries read as fractions."""
-    n = len(m)
-    rows = [[Fraction(float(v)) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rows[col] = [v / rows[col][col] for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                rows[r] = [v - rows[r][col] * w for v, w in zip(rows[r], rows[col])]
-    return [[-v for v in row[n:]] for row in rows]
 
 
 @pytest.mark.parametrize("a, theta", [
@@ -231,8 +221,7 @@ def test_reducible_system_with_a_vanishing_factor_certifies():
                       0.28472489786602706])
     res = finite_time(a, theta, delta, step)
     assert res.per_component_T[2] == 0.0
-    for reference in (oracles.finite_time, oracles.finite_time_blocked):
-        assert_same(("ok", res), outcome(reference, a, theta, delta, step))
+    assert_same(("ok", res), outcome(finite_time_blocked, a, theta, delta, step))
     gamma = np.array([gamma_component(a, alpha, theta, i)
                       for i, alpha in enumerate(res.per_component_alpha)])
     for t in np.linspace(0.0, 3.0 * res.T, 61):
@@ -260,44 +249,63 @@ def test_error_met_by_the_pruned_sweep_is_raised_by_it(monkeypatch):
         finite_time(a, [1.0, 1.0], [0.5, 0.5], 1e-4)
 
 
-def _near_singular_pair():
-    """The singular [[-1, 1], [1, -1]] shifted by -1e-3: the shift back by
-    1e-3 leaves a member whose reciprocal condition is about 6e-17."""
-    return np.array([[-1.0, 1.0], [1.0, -1.0]]) - 1e-3 * np.eye(2)
-
-
+# the exceptions the members-first code raised, type, message and cause
 ERROR_CASES = {
-    "singular-member-exact": (_envelope_factors, oracles._envelope_factors,
-                              (np.array([[-1.0]]), np.array([0.5, 1.0, 1.5]), np.ones(1))),
-    "singular-member-condition": (_envelope_factors, oracles._envelope_factors,
-                                  (_near_singular_pair(), np.array([5e-4, 1e-3]), np.ones(2))),
-    # the one rate of gamma_component past the margin, against the same
-    # rate's stack of one in the members-first code
-    "member-not-hurwitz": (gamma_component,
-                           lambda a, alpha, theta, i: oracles._envelope_factors(
-                               np.array(a), np.array([alpha]), np.array(theta))[0, i],
-                           ([[-1.0]], 2.0, [1.0], 0)),
-    # the condition number 1e13 of this stiff Hurwitz diagonal exceeds
-    # 1 / PIVOT_RTOL, so the sweep finds no admissible rate
-    "ill-conditioned-stiff-diagonal": (finite_time, oracles.finite_time,
-                                       (np.diag([-1e13, -1.0]), [1.0, 1.0], [0.5, 0.5], 1e-3)),
-    "non-finite-member": (_envelope_factors, oracles._envelope_factors,
-                          (np.array([[1e308]]), np.array([1e308]), np.ones(1))),
-    "not-hurwitz": (alpha_max, oracles.alpha_max, ([[1.0]], 1e-3)),
-    "not-metzler": (alpha_max, oracles.alpha_max, ([[-1.0, -0.5], [0.0, -1.0]], 1e-3)),
-    "not-square": (alpha_max, oracles.alpha_max, ([[-1.0, 0.0]], 1e-3)),
-    "bad-step": (alpha_max, oracles.alpha_max, ([[-1.0]], 0.0)),
+    "singular-member-exact": (
+        _envelope_factors, (np.array([[-1.0]]), np.array([0.5, 1.0, 1.5]), np.ones(1)),
+        (DecayRateTooLarge, "alpha in [0.5, 1.5]: shifted matrix singular",
+         SingularMatrix, "exactly singular in stack member 1")),
+    "member-not-hurwitz": (
+        gamma_component, ([[-1.0]], 2.0, [1.0], 0),
+        (DecayRateTooLarge, "alpha=2.0: shifted matrix not Hurwitz", type(None), None)),
+    "non-finite-member": (
+        _envelope_factors, (np.array([[1e308]]), np.array([1e308]), np.ones(1)),
+        (ValueError, "matrix contains non-finite entries", type(None), None)),
+    "not-hurwitz": (
+        alpha_max, ([[1.0]], 1e-3),
+        (NotStable, "matrix is not Hurwitz, no positive decay rate exists", type(None), None)),
+    "not-metzler": (
+        alpha_max, ([[-1.0, -0.5], [0.0, -1.0]], 1e-3),
+        (NotMetzler, "off-diagonal entry -0.5 below -1e-12", type(None), None)),
+    "not-square": (
+        alpha_max, ([[-1.0, 0.0]], 1e-3),
+        (NotMetzler, "matrix must be square, got (1, 2)", type(None), None)),
+    "bad-step": (
+        alpha_max, ([[-1.0]], 0.0),
+        (ValueError, "step must be positive and finite, got 0.0", type(None), None)),
 }
 
 
 @pytest.mark.parametrize("case", list(ERROR_CASES))
 def test_errors_equal_members_first_code(case):
-    new, old, args = ERROR_CASES[case]
-    # an overflowing shift warns in the members-first code before it raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        got, want = outcome(new, *args), outcome(old, *args)
-    assert got[0] == "raised"
-    assert_same(got, want)
+    """Each case raises what the members-first code raised, now pinned."""
+    fn, args, want = ERROR_CASES[case]
+    # "non-finite-member"'s shift 1e308 + 1e308 overflows, with a warning
+    with np.errstate(over="ignore"):
+        got = outcome(fn, *args)
+    assert got == ("raised", want)
+
+
+def test_stiff_diagonal_is_certified():
+    """``diag(-1e13, -1)`` is Hurwitz with margin 1 and has the 1-norm
+    condition 1e13: the witness proves every rate of the grid, whatever the
+    condition, and both components reach their box at the last one."""
+    a = np.diag([-1e13, -1.0])
+    assert is_metzler_hurwitz(a)
+    res = finite_time(a, [1.0, 1.0], [0.5, 0.5], 1e-3)
+    assert res.per_component_alpha.tolist() == [0.999, 0.999]
+    assert res.T == math.log(2.0) / 0.999
+
+
+def test_margin_just_past_a_grid_rate_is_searched_to_it():
+    """The margin of ``A`` lies one ulp past the grid rate 0.002, where the
+    1-norm condition of ``A + 0.002 I`` is 1.8e18: the witness proves that
+    rate, so the search returns it and the sweep enters its box there."""
+    a = np.diag([-np.nextafter(0.002, 1.0), -0.785])
+    assert alpha_max(a, 1e-3) == 0.002
+    assert hurwitz_exact(a + 0.002 * np.eye(2))
+    res = finite_time(a, [1.0, 1.0], [0.5, 0.25], 1e-3)
+    assert res.T == math.log(4.0) / 0.002
 
 
 @pytest.mark.parametrize("a", [[[-1.7e308]], -1.7e308 * np.eye(2)], ids=["1x1", "2x2"])
@@ -313,22 +321,33 @@ def test_overflowing_shift_ends_the_sweep_grid():
     assert res.T == math.log(2.0) / 1e308 == 6.931471805599453e-309
 
 
+# the verdict, or the exception, of the members-first code; its condition
+# threshold refused "overflowing-norm", whose eigenvalues are -0.5e308 and
+# -2.5e308.  "ill-conditioned" has the eigenvalue 1.1e-16.
 HURWITZ_CASES = {
-    "hurwitz": [[-1.0, 0.5], [0.2, -1.0]],
-    "singular": [[0.0]],
-    "unstable": [[1.0]],
-    "ill-conditioned": _near_singular_pair() + 1e-3 * np.eye(2),
-    "overflowing-norm": [[-1.5e308, 1e308], [1e308, -1.5e308]],
-    "not-metzler": [[-1.0, -0.5], [0.0, -1.0]],
-    "not-square": [[-1.0, 0.0]],
-    "non-finite": [[-np.inf]],
+    "hurwitz": ([[-1.0, 0.5], [0.2, -1.0]], True),
+    "singular": ([[0.0]], False),
+    "unstable": ([[1.0]], False),
+    "ill-conditioned": ([[-1.0 + 2.0**-53, 1.0], [1.0, -1.0 + 2.0**-53]], False),
+    "overflowing-norm": ([[-1.5e308, 1e308], [1e308, -1.5e308]], True),
+    "not-metzler": ([[-1.0, -0.5], [0.0, -1.0]],
+                    (NotMetzler, "off-diagonal entry -0.5 below -1e-12", type(None), None)),
+    "not-square": ([[-1.0, 0.0]], (NotMetzler, "matrix must be square, got (1, 2)",
+                                   type(None), None)),
+    "non-finite": ([[-np.inf]], (ValueError, "A contains non-finite entries", type(None), None)),
 }
 
 
 @pytest.mark.parametrize("case", list(HURWITZ_CASES))
 def test_hurwitz_test_equals_members_first_code(case):
-    m = HURWITZ_CASES[case]
-    assert_same(outcome(is_metzler_hurwitz, m), outcome(oracles.is_metzler_hurwitz, m))
+    """Each verdict is the exact one, and is what the members-first code
+    gave but where its condition threshold refused a Hurwitz matrix."""
+    m, want = HURWITZ_CASES[case]
+    if isinstance(want, bool):
+        assert is_metzler_hurwitz(m) is want
+        assert hurwitz_exact(m) is want
+    else:
+        assert outcome(is_metzler_hurwitz, m) == ("raised", want)
 
 
 @st.composite
@@ -353,4 +372,15 @@ def stack_case(draw):
 @settings(max_examples=120, deadline=None)
 @given(stack_case())
 def test_inverse_equals_members_first_code(stack):
-    assert_same(outcome(inverse, stack), outcome(oracles.inverse, stack))
+    """``inverse`` equals ``np.linalg.inv`` of the stack copied members
+    first, bit for bit, or names the first member LAPACK finds singular."""
+    try:
+        want = np.linalg.inv(np.ascontiguousarray(stack))
+    except np.linalg.LinAlgError:
+        singular = [j for j, m in enumerate(stack.reshape(-1, *stack.shape[-2:]))
+                    if np.linalg.slogdet(m).sign == 0]
+        member = f" in stack member {singular[0]}" if stack.ndim == 3 else ""
+        assert outcome(inverse, stack) == \
+            ("raised", (SingularMatrix, "exactly singular" + member, type(None), None))
+    else:
+        assert_same(outcome(inverse, stack), ("ok", want))
