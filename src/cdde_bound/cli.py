@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,11 +59,18 @@ def _signal_from_config(cfg, dim: int, name: str) -> SignalSpec:
     return sig
 
 
+def _parse_int(text: str):
+    """A JSON integer as an int, or as +-inf past float range, as a float
+    literal such as 1e400 reads, so each field's finiteness check names it."""
+    value = float(text)
+    return int(text) if math.isfinite(value) else value
+
+
 def load_problem(path) -> tuple[SystemSpec, dict | None, dict]:
     """Parse a problem file into (system, raw scenario config, options)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_parse_int)
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -144,6 +152,16 @@ def _writing(path):
                                  f"{exc.strerror or exc}") from exc
 
 
+@contextlib.contextmanager
+def _allocating(t_end: float, step: float):
+    """A time grid too large to allocate is an input error (exit code 2)."""
+    try:
+        yield
+    except MemoryError:
+        raise ProblemFormatError(f"not enough memory for {round(t_end / step)} time steps, "
+                                 f"t_end / step = {t_end!r} / {step!r}") from None
+
+
 def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -217,7 +235,7 @@ def cmd_bound(args) -> int:
     alpha_step, step, t_end = _options(args, options)
     cert = compute_certificate(spec, alpha_step=alpha_step, xi=_xi(args, spec, options))
     outdir = Path(args.out)
-    with _writing(outdir):
+    with _writing(outdir), _allocating(t_end, step):
         outdir.mkdir(parents=True, exist_ok=True)
         # the certificate last, so a failed write leaves none behind
         _write_staircase_csv(outdir / "staircase.csv", cert, t_end, step)
@@ -232,9 +250,10 @@ def cmd_simulate(args) -> int:
     _, step, t_end = _options(args, options)
     scenario = build_scenario(spec, scenario_cfg, a=args.a, b=args.b,
                               t_end=t_end, step=step)
-    traj = simulate(scenario)
-    with _writing(args.out):
-        write_trajectory_csv(traj, args.out)
+    with _allocating(t_end, step):
+        traj = simulate(scenario)
+        with _writing(args.out):
+            write_trajectory_csv(traj, args.out)
     print(f"wrote {args.out} ({traj.times.shape[0]} rows)")
     return 0
 
@@ -274,15 +293,16 @@ def cmd_verify(args) -> int:
     spec, scenario_cfg, options = load_problem(args.problem)
     alpha_step, step, t_end = _options(args, options)
     cert = compute_certificate(spec, alpha_step=alpha_step, xi=_xi(args, spec, options))
-    if args.a is not None or args.b is not None:
-        a = 1.0 if args.a is None else args.a
-        b = 1.0 if args.b is None else args.b
-        combos = [(a, b)]
-        scenario = build_scenario(spec, scenario_cfg, a=a, b=b, t_end=t_end, step=step)
-        reports = [verify_domination(simulate(scenario), cert)]
-    else:
-        combos = VERIFY_GRID
-        reports = grid_reports(spec, scenario_cfg, cert, t_end=t_end, step=step)
+    with _allocating(t_end, step):
+        if args.a is not None or args.b is not None:
+            a = 1.0 if args.a is None else args.a
+            b = 1.0 if args.b is None else args.b
+            combos = [(a, b)]
+            scenario = build_scenario(spec, scenario_cfg, a=a, b=b, t_end=t_end, step=step)
+            reports = [verify_domination(simulate(scenario), cert)]
+        else:
+            combos = VERIFY_GRID
+            reports = grid_reports(spec, scenario_cfg, cert, t_end=t_end, step=step)
 
     ok = True
     for (a, b), rep in zip(combos, reports):

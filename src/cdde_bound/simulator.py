@@ -81,6 +81,9 @@ from .linalg import DimensionMismatch, SingularMatrix, as_vector, inverse
 from .model import SystemSpec, negative
 from .signals import SignalSpec, _SignalBatch
 
+# a run diverges once a state or output reaches DIVERGENCE_LIMIT times
+# max(1, largest entry of psi_bar, phi_bar, omega_bar, d_bar), so the limit
+# follows the units of the data
 DIVERGENCE_LIMIT = 1e12
 GRID_TOL = 1e-12
 # minimum jump magnitude worth tracking
@@ -259,6 +262,8 @@ class _Run:
         if K < 1:
             raise InvalidScenario(f"t_end {first.t_end} shorter than one step {h}")
         self.ts = ts = np.arange(K + 1) * h
+        self.limit = DIVERGENCE_LIMIT * float(np.concatenate(
+            (spec.psi_bar, spec.phi_bar, spec.omega_bar, spec.d_bar)).max(initial=1.0))
         self.block_steps = max(BLOCK_STEPS, BLOCK_VALUES // (S * max(n, m)))
         self.AT, self.BT, self.CT, self.DT = (M.T.copy() for M in (spec.A, spec.B, spec.C, spec.D))
         # each distinct wave once per call for the whole batch (_SignalBatch)
@@ -576,12 +581,12 @@ class _Run:
     def check(self, k: int, L: int) -> None:
         """Raise at the first grid time in (t_k, t_{k+L}] with a state or an
         output beyond the divergence limit, the state first at equal times."""
-        state, out = (~(np.abs(v[k + 1:k + 1 + L]) < DIVERGENCE_LIMIT).all(axis=(1, 2))
+        state, out = (~(np.abs(v[k + 1:k + 1 + L]) < self.limit).all(axis=(1, 2))
                       for v in (self.xs, self.ys))
         if (state | out).any():
             r = int((state | out).argmax())
             raise UnstableStep(f"{'state' if state[r] else 'output'} magnitude exceeded "
-                               f"{DIVERGENCE_LIMIT:g} at t={self.ts[k + 1 + r]:g}")
+                               f"{self.limit:g} at t={self.ts[k + 1 + r]:g}")
 
 
 def verify_domination(traj: Trajectory, cert: BoundCertificate,

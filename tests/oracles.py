@@ -5,12 +5,10 @@ test in rational arithmetic; the envelope factors of a members-first stack,
 which the members-last sweep must match bit for bit; the members-last
 sweep over the whole grid, which the pruned sweep must match bit for bit;
 the entry-time choice over a block of rates with an exact log at every
-rate; the per-step simulator, and the windowed one as it was before it was
-split into stages, which the package's must match bit for bit; the entry
-time of one component at one rate; the comparison check of ordered initial
-data; the contraction factor from all three ratio families; one signal's
-values on a grid, one signal at a time; and Python's own "%.9g" for CSV
-rows."""
+rate; the per-step simulator; the entry time of one component at one
+rate; the comparison check of ordered initial data; the contraction
+factor from all three ratio families; one signal's values on a grid, one
+signal at a time; and Python's own "%.9g" for CSV rows."""
 
 import math
 from bisect import bisect_left, bisect_right
@@ -24,11 +22,9 @@ from cdde_bound.envelope import (BLOCK_BYTES, ConvergenceResult, NonpositiveThre
                                  _block_entry_times)
 from cdde_bound.linalg import as_matrix, as_vector, inverse, solve
 from cdde_bound.model import NONNEG_TOL, SystemSpec, negative
-from cdde_bound.signals import _SignalBatch
 from cdde_bound.simulator import (BLOCK_STEPS, DIVERGENCE_LIMIT, GRID_TOL, JUMP_TOL,
                                   InvalidScenario, MismatchedScenarios, Trajectory, UnstableStep,
-                                  _check_envelope, _first_violation_wins, _history_times,
-                                  _same_system)
+                                  _check_envelope, _history_times)
 from cdde_bound.stability import NotStable, is_metzler_hurwitz
 
 
@@ -231,6 +227,8 @@ def simulate_stepwise(scenarios) -> list[Trajectory]:
     if K < 1:
         raise InvalidScenario(f"t_end {first.t_end} shorter than one step {h}")
     ts = np.arange(K + 1) * h
+    limit = DIVERGENCE_LIMIT * max(1.0, *spec.psi_bar, *spec.phi_bar, *spec.omega_bar,
+                                   *spec.d_bar)
 
     AT, BT, CT, DT = spec.A.T.copy(), spec.B.T.copy(), spec.C.T.copy(), spec.D.T.copy()
     closure = inverse(np.eye(m) - spec.D).T
@@ -387,8 +385,8 @@ def simulate_stepwise(scenarios) -> list[Trajectory]:
                 zh = yhist(min(t0 + 0.5 * h - h1_h[j], t0), k)
                 z1 = yhist(min(d_hi, t0), k)
                 xn = np.concatenate((xs[k], z0, zh, z1), axis=1) @ xz_map + forcing[j]
-            if not (np.abs(xn) < DIVERGENCE_LIMIT).all():
-                raise UnstableStep(f"state magnitude exceeded {DIVERGENCE_LIMIT:g} at t={t1:g}")
+            if not (np.abs(xn) < limit).all():
+                raise UnstableStep(f"state magnitude exceeded {limit:g} at t={t1:g}")
             xs[k + 1] = xn
 
             # --- propagate y jumps crossed by t - h2(t) in (t0, t1] ---
@@ -411,359 +409,9 @@ def simulate_stepwise(scenarios) -> list[Trajectory]:
 
             # --- evaluate y at the new grid point ---
             yn = output(xn, g_hi, h2_0[j + 1], D0[j + 1], k)
-            if not (np.abs(yn) < DIVERGENCE_LIMIT).all():
-                raise UnstableStep(f"output magnitude exceeded {DIVERGENCE_LIMIT:g} at t={t1:g}")
+            if not (np.abs(yn) < limit).all():
+                raise UnstableStep(f"output magnitude exceeded {limit:g} at t={t1:g}")
             ys[k + 1] = yn
-
-    ts.setflags(write=False)
-    xs.setflags(write=False)
-    ys.setflags(write=False)
-    return [Trajectory(times=ts, x_samples=xs[:, i], y_samples=ys[:, i])
-            for i in range(len(scenarios))]
-
-
-# ``simulate_many`` as it was before its stages became the methods of one
-# run record, copied verbatim.  The package's ``simulate_many`` must match
-# it bit for bit.
-
-def simulate_many(scenarios) -> list[Trajectory]:
-    """Integrate scenarios sharing system, delays and grid in one pass, with
-    states ``(K+1, S, n)``; returns per-member views, in order.  ``omega``,
-    ``d``, ``psi`` and ``phi`` may differ.  The jump list is shared: a jump
-    is tracked when any member jumps there by more than ``JUMP_TOL`` (a
-    member continuous there then moves by truncation error, not rounding)."""
-    first = scenarios[0]
-    spec = first.spec
-    for sc in scenarios[1:]:
-        if not _same_system(sc.spec, spec):
-            raise MismatchedScenarios("scenarios use different systems")
-        if sc.h1 != first.h1 or sc.h2 != first.h2:
-            raise MismatchedScenarios("scenarios use different delay signals")
-        if sc.t_end != first.t_end or sc.step != first.step:
-            raise MismatchedScenarios("scenarios use different grids")
-    n, m, S = spec.n, spec.m, len(scenarios)
-    h = first.step
-    if spec.h_max > 0.0 and h > spec.h_max:
-        raise InvalidScenario(f"step {h} exceeds the delay bound {spec.h_max}")
-    K = int(round(first.t_end / h))
-    if K < 1:
-        raise InvalidScenario(f"t_end {first.t_end} shorter than one step {h}")
-    ts = np.arange(K + 1) * h
-
-    AT, BT, CT, DT = spec.A.T.copy(), spec.B.T.copy(), spec.C.T.copy(), spec.D.T.copy()
-    closure = inverse(np.eye(m) - spec.D).T
-
-    # each distinct wave once per call for the whole batch (_SignalBatch)
-    batch = {name: _SignalBatch([getattr(sc, name) for sc in scenarios])
-             for name in ("omega", "d", "phi")}
-
-    def at(name: str, t: float) -> np.ndarray:              # (S, dim)
-        return batch[name](np.array([t]))[0]
-
-    def on(name: str, times: np.ndarray) -> np.ndarray:     # (len(times), S, dim)
-        return batch[name](times)
-
-    hist_ts = _history_times(spec.h_max, h)
-    H10 = first.h1.sample(ts)[:, 0]
-    H1h = first.h1.sample(ts[:-1] + 0.5 * h)[:, 0]
-    H20 = first.h2.sample(ts)[:, 0]
-
-    xs = np.empty((K + 1, S, n))
-    # zeros, not empty: a history weight of 0 still multiplies a stored row
-    ys = np.zeros((K + 1, S, m))
-    xs[0] = [sc.psi for sc in scenarios]
-
-    # y jumps, sorted by time: times (J,), left and right values (J, S, m)
-    jumps = [np.empty(0), np.empty((0, S, m)), np.empty((0, S, m))]
-
-    def weights(tq: np.ndarray, kmax) -> tuple:
-        """y at the times ``tq`` as ``wt[0] ys[idx[0]] + wt[1] ys[idx[1]] +
-        extra``: phi before 0, ys[kmax] from the grid time kmax on (with
-        weight 0 on the next row, not yet computed and still zero), else
-        linear between grid values, with the matching one-sided value (in
-        ``extra``) in place of the grid value across a jump.  ``kmax`` may
-        differ per read; no jump is stored after t_kmax yet."""
-        bp, lefts, rights = jumps
-        pos = np.minimum(tq / h, kmax)
-        i0 = pos.astype(np.intp)
-        frac = pos - i0
-        idx = i0 + np.array([[0], [1]])
-        wt = np.array([1.0 - frac, frac])
-        extra, with_extra = None, np.zeros(len(tq), dtype=bool)
-        past = np.flatnonzero(tq < 0.0)
-        if len(past):
-            idx[:, past], wt[:, past] = 0, 0.0
-            extra = np.zeros((len(tq), S, m))
-            extra[past] = on("phi", tq[past])
-            with_extra[past] = True
-        t_lo, t_hi = i0 * h, (i0 + 1) * h
-        j = np.searchsorted(bp, t_lo, side="right")
-        cut = np.flatnonzero((j < np.searchsorted(bp, t_hi, side="right")) & (tq >= 0.0))
-        if len(cut):
-            j, q, t_lo, t_hi = j[cut], tq[cut], t_lo[cut], t_hi[cut]
-            tstar = bp[j]
-            before = q < tstar
-            # after the jump, weight 1 on the upper grid value when the jump sits on it
-            denom = t_hi - tstar
-            w = np.where(before, (q - t_lo) / (tstar - t_lo),
-                         np.divide(q - tstar, denom, out=np.ones_like(q), where=denom > 0.0))
-            idx[:, cut] = idx[(~before).astype(np.intp), cut]
-            wt[0, cut], wt[1, cut] = np.where(before, 1.0 - w, w), 0.0
-            if extra is None:
-                extra = np.zeros((len(tq), S, m))
-            extra[cut] = (np.where(before[:, None, None], lefts[j], rights[j])
-                          * np.where(before, w, 1.0 - w)[:, None, None])
-            with_extra[cut] = True
-        # reads with an extra term, counted up to each read
-        if extra is not None:
-            extra = (extra, np.concatenate(([0], np.cumsum(with_extra))))
-        return idx, wt[:, :, None, None], extra
-
-    def gather(plan, r0: int, r1: int) -> np.ndarray:
-        """y at the planned reads r0..r1-1 (``weights``), shape (r1 - r0, S, m)."""
-        idx, wt, extra = plan
-        z = ys.take(idx[:, r0:r1], axis=0)
-        z *= wt[:, r0:r1]
-        z = z[0] + z[1]
-        if extra is not None and extra[1][r1] > extra[1][r0]:
-            z += extra[0][r0:r1]
-        return z
-
-    def yhist(tq: np.ndarray, kmax: int) -> np.ndarray:
-        return gather(weights(tq, kmax), 0, len(tq))
-
-    # the delays at one time, on np.float64 scalars (_SignalBatch.scalar)
-    h1_at, h2_at = first.h1._batch.scalar, first.h2._batch.scalar
-
-    def darg(t: float) -> float:
-        return t - float(h1_at(t))
-
-    def g2(t: float) -> float:
-        return t - float(h2_at(t))
-
-    def rk4(x, hh, z0, zh, z1, w0, wh, w1):
-        c0 = z0 @ BT + w0
-        ch = zh @ BT + wh
-        c1 = z1 @ BT + w1
-        k1 = x @ AT + c0
-        k2 = (x + (0.5 * hh) * k1) @ AT + ch
-        k3 = (x + (0.5 * hh) * k2) @ AT + ch
-        k4 = (x + hh * k3) @ AT + c1
-        return x + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def crossings(f, t0: float, t1: float) -> list[tuple[float, int]]:
-        """Times in (t0, t1] where f crosses a stored jump time (sign test
-        at the endpoints, then bisection until the bracket stops moving)."""
-        out = []
-        f0, f1 = f(t0), f(t1)
-        bp = jumps[0]
-        for i in range(*np.searchsorted(bp, [min(f0, f1), max(f0, f1)], side="right")):
-            target = float(bp[i])
-            ta, tb = t0, t1
-            fa = f(ta) - target
-            for _ in range(60):
-                tm = 0.5 * (ta + tb)
-                if tm == ta or tm == tb:     # the bracket moves no more
-                    break
-                fm = f(tm) - target
-                if (fa <= 0.0) == (fm <= 0.0):
-                    ta, fa = tm, fm
-                else:
-                    tb = tm
-            out.append((0.5 * (ta + tb), i))
-        out.sort()
-        return out
-
-    def advance(x, t0: float, t1: float, kav: int) -> np.ndarray:
-        """Split-aware advance over [t0, t1] (slow path, used near jumps): one
-        step per piece, boundary stages on the matching side of the jump."""
-        tk = kav * h
-        pieces = [(t0, None)] + [(tau, i) for tau, i in crossings(darg, t0, t1)]
-        pieces.append((t1, None))
-        steps = [(ta, start, ta + 0.5 * (tb - ta), tb, end)
-                 for (ta, start), (tb, end) in zip(pieces, pieces[1:])
-                 if tb - ta > 1e-14 or end is None]
-        z = iter(yhist(np.array([min(darg(t), tk) for ta, start, th, tb, end in steps
-                                 for t, side in ((ta, start), (th, None), (tb, end))
-                                 if side is None]), kav))
-        w = on("omega", np.array([t for ta, start, th, tb, end in steps for t in (ta, th, tb)]))
-        for i, (ta, start, th, tb, end) in enumerate(steps):
-            z0 = next(z) if start is None else jumps[2][start]
-            zh = next(z)
-            z1 = next(z) if end is None else jumps[1][end]
-            x = rk4(x, tb - ta, z0, zh, z1, *w[3 * i:3 * i + 3])
-        return x
-
-    def propagate(k: int) -> None:
-        """Store the y jumps made where t - h2(t) crosses a stored jump in
-        (t_k, t_{k+1}]."""
-        t0, t1 = k * h, (k + 1) * h
-        new_events = []
-        for tstar, i in crossings(g2, t0, t1):
-            xstar = advance(xs[k], t0, tstar, k) if tstar - t0 > 1e-14 else xs[k]
-            cx = xstar @ CT
-            dv = at("d", tstar)
-            left, right = (cx + side[i] @ DT + dv for side in jumps[1:])
-            if np.max(np.abs(right - left)) > JUMP_TOL:
-                new_events.append((tstar, left, right))
-        for tstar, left, right in new_events:
-            bp = jumps[0]
-            i = int(np.searchsorted(bp, tstar))
-            if all(abs(u - tstar) >= GRID_TOL for u in bp[max(i - 1, 0):i + 1]):
-                jumps[:] = (np.insert(bp, i, tstar), np.insert(jumps[1], i, left, axis=0),
-                            np.insert(jumps[2], i, right, axis=0))
-
-    def crosses(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Steps whose bracket of delayed arguments holds a stored jump time."""
-        bp = jumps[0]
-        return (np.searchsorted(bp, np.minimum(lo, hi), side="right")
-                < np.searchsorted(bp, np.maximum(lo, hi), side="right"))
-
-    # Away from jumps a step is linear in (x, z0, zh, z1, w0, wh, w1) with
-    # fixed maps; rk4 applied to unit rows gives them once.  The w part of
-    # a block of steps is then one product.
-    parts = np.split(np.eye(4 * n + 3 * m), np.cumsum([n, m, m, m, n, n]), axis=1)
-    step_map = rk4(parts[0], h, *parts[1:])
-    xz_map, w_map = step_map[:n + 3 * m], step_map[n + 3 * m:]
-    P, Mz = xz_map[:n], xz_map[n:]
-
-    def recur(k: int, z: np.ndarray, f: np.ndarray) -> None:
-        """x over the len(f) steps from t_k, given their delayed y as
-        (steps, 3, S, m) in the order z0, zh, z1: x_{i+1} = x_i P + u_i, as
-        a doubling scan over chunks of ``span`` steps.  A lone step is one
-        product of (x, z0, zh, z1) with both maps."""
-        L = len(f)
-        if L == 1:
-            z = z[0]
-            xs[k + 1] = np.concatenate((xs[k], z[0], z[1], z[2]), axis=1) @ xz_map + f[0]
-            return
-        # one row per step and member, so each product is one 2-D matmul
-        u = xs[k + 1:k + 1 + L].reshape(L * S, n)
-        np.matmul(z.transpose(0, 2, 1, 3).reshape(L * S, 3 * m), Mz, out=u)
-        u += f.reshape(L * S, n)
-        x = xs[k]
-        for c in range(0, L * S, span * S):
-            v = u[c:c + span * S]
-            v[:S] += x @ P
-            # Hillis-Steele: after the round with a stride of 2^j steps
-            # (d rows), each step holds the inputs of the 2^(j+1) steps up
-            # to it, each carried there by a power of P
-            for j, Pd in enumerate(powers):
-                d = S << j
-                if d >= len(v):
-                    break
-                v[d:] += v[:-d] @ Pd
-            x = v[-S:]
-
-    def output(x, z, dv, closed: bool):
-        """y from x, d and the delayed y ``z``, as 2-D products over the rows
-        (step, member); a delay below one step is closed algebraically
-        (module docstring) and ignores z."""
-        x, y = x.reshape(-1, n), dv.reshape(-1, m)
-        if closed:
-            y = (x @ CT + y) @ closure
-        else:
-            y = x @ CT + z.reshape(-1, m) @ DT + y
-        return y.reshape(dv.shape)
-
-    def check(k: int, L: int) -> None:
-        """Raise at the first grid time in (t_k, t_{k+L}] with a state or an
-        output beyond the divergence limit, the state first at equal times."""
-        state, out = (~(np.abs(v[k + 1:k + 1 + L]) < DIVERGENCE_LIMIT).all(axis=(1, 2))
-                      for v in (xs, ys))
-        if (state | out).any():
-            r = int((state | out).argmax())
-            raise UnstableStep(f"{'state' if state[r] else 'output'} magnitude exceeded "
-                               f"{DIVERGENCE_LIMIT:g} at t={ts[k + 1 + r]:g}")
-
-    # A finite frequency can overflow a signal's phase, and rows after a
-    # divergence may overflow until the block's check() names the first one.
-    with np.errstate(over="ignore", invalid="ignore"), _first_violation_wins(scenarios, ts):
-        # the scenario data, checked at grid points before the integrator
-        # reads them: psi, phi, the delays and d at t = 0 here, omega and d
-        # block by block
-        _check_envelope("psi", ts[:1], xs[:1], spec.psi_bar)
-        _check_envelope("phi", hist_ts, on("phi", hist_ts), spec.phi_bar)
-        for name, vals in (("h1", H10), ("h2", H20)):
-            _check_envelope(name, ts, vals[:, None], [spec.h_max])
-        d0 = on("d", ts[:1])
-        _check_envelope("d", ts[:1], d0, spec.d_bar)
-
-        # initial y from the difference relation (right-continuous at 0)
-        ys[0] = output(xs[0], yhist(-H20[:1], 0)[0], d0[0], H20[0] < h)
-        left0 = at("phi", 0.0)
-        if np.max(np.abs(ys[0] - left0)) > JUMP_TOL:
-            jumps[:] = (np.zeros(1), left0[None], ys[0][None].copy())
-
-        # P^(2^j) for recur's scan, 2^j < BLOCK_STEPS.  A power that
-        # overflows ends the list (a never-excited mode of 0 * inf would
-        # fake a divergence), and the scan then runs in shorter chunks.
-        powers = [P]
-        while 2 ** len(powers) < BLOCK_STEPS:
-            square = powers[-1] @ powers[-1]
-            if not np.isfinite(square).all():
-                break
-            powers.append(square)
-        span = 2 ** len(powers)
-        # Windows, split steps and plans as in the module docstring.  A step
-        # k reads y at four times: t_k, t_k + h/2 and t_{k+1} less h1
-        # (clamped to t_k) for x, and t_{k+1} less h2 for y.
-        for k0 in range(0, K, BLOCK_STEPS):
-            k1 = min(k0 + BLOCK_STEPS, K)
-            nb = k1 - k0
-            t0s, t1s = ts[k0:k1], ts[k0 + 1:k1 + 1]
-            W0 = on("omega", ts[k0:k1 + 1])
-            _check_envelope("omega", ts[k0:k1 + 1], W0, spec.omega_bar)
-            D1 = on("d", t1s)
-            _check_envelope("d", t1s, D1, spec.d_bar)
-            Wh = on("omega", t0s + 0.5 * h)
-            # products over 2-D rows (step, member): a stacked product runs one
-            # small matmul per step
-            forcing = (np.concatenate((W0[:-1], Wh, W0[1:]), axis=2).reshape(nb * S, 3 * n)
-                       @ w_map).reshape(nb, S, n)
-            lo1, hi1 = t0s - H10[k0:k1], t1s - H10[k0 + 1:k1 + 1]
-            lo2, hi2 = t0s - H20[k0:k1], t1s - H20[k0 + 1:k1 + 1]
-            reads = np.stack((np.minimum(lo1, t0s), np.minimum(t0s + 0.5 * h - H1h[k0:k1], t0s),
-                              np.minimum(hi1, t0s), hi2), axis=1)
-            closed = H20[k0 + 1:k1 + 1] < h
-            latest = np.where(closed, reads[:, :3].max(axis=1), reads.max(axis=1))
-            # a window from step r ends at the first later step that reads
-            # past t_r or that closes y differently
-            flips = np.append(np.flatnonzero(np.diff(closed)) + 1, nb)
-            reach = np.minimum.reduce([
-                np.maximum(np.searchsorted(np.maximum.accumulate(latest), t0s, side="right"),
-                           np.arange(1, nb + 1)),
-                flips[np.searchsorted(flips, np.arange(nb), side="right")]]).tolist()
-            closed = closed.tolist()
-            j = 0
-            while j < nb:
-                hit2 = crosses(lo2[j:], hi2[j:])
-                stop = min(j + 1 + int(np.append(hit2, True).argmax()), nb)
-                hit1 = crosses(lo1[j:stop], hi1[j:stop])
-                split = hit1 | hit2[:stop - j]
-                # the segment's windows; a split step is a window of its own
-                starts, w = [], j
-                for c in (np.flatnonzero(split) + j).tolist() + [stop]:
-                    while w < c:
-                        starts.append(w)
-                        w = min(reach[w], c)
-                    starts.append(c)
-                    w = c + 1
-                plan = weights(reads[j:stop].ravel(),
-                               k0 + np.repeat(starts[:-1], np.diff(starts) * 4))
-                for w, w1 in zip(starts, starts[1:]):
-                    k, L = k0 + w, w1 - w
-                    z = gather(plan, 4 * (w - j), 4 * (w1 - j)).reshape(L, 4, S, m)
-                    if hit1[w - j]:
-                        xs[k + 1] = advance(xs[k], k * h, (k + 1) * h, k)
-                    else:
-                        recur(k, z[:, :3], forcing[w:w1])
-                    if hit2[w - j]:
-                        propagate(k)
-                    ys[k + 1:k + 1 + L] = output(xs[k + 1:k + 1 + L], z[:, 3], D1[w:w1],
-                                                 closed[w])
-                j = stop
-            check(k0, nb)
 
     ts.setflags(write=False)
     xs.setflags(write=False)

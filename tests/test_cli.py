@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cdde_bound
+from cdde_bound import cli
 from cdde_bound.certificate import compute_certificate
 from cdde_bound.cli import VERIFY_GRID, build_scenario, grid_reports, load_problem, main
 from cdde_bound.simulator import simulate, verify_domination
@@ -187,6 +188,88 @@ def test_bound_with_x1_in_units_of_1e_minus_12_exits_0(tmp_path, capsys):
     assert main(["bound", str(path), "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
     assert (tmp_path / "out" / "certificate.json").exists()
+
+
+def test_verify_with_x1_in_units_of_1e_minus_12_exits_0(tmp_path, capsys):
+    """``psi_bar_1`` and ``omega_bar_1`` are 2e12 and 5e11 on that copy; the
+    divergence limit scales with the largest envelope entry, so the default
+    scenario at each grid point stays within it."""
+    def mutate(doc):
+        del doc["scenario"]
+        x1_in_units_of(1e12)(doc)
+    path = write_problem(tmp_path, mutate)
+    assert main(["verify", str(path), "--t-end", "6"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line.endswith("-> OK") for line in out.splitlines()] == [True] * 6
+
+
+# a JSON integer past float range in each family of fields, and the
+# commands that read it; a 5 000-digit one is past Python's limit on
+# converting a string of digits to an int
+HUGE = "1" + "0" * 400
+ALL_COMMANDS = ("check", "bound", "simulate", "verify")
+SCENARIO_COMMANDS = ("simulate", "verify")
+HUGE_INT_FIELDS = [
+    ("A", lambda d, v: d["system"]["A"][0].__setitem__(1, v), ALL_COMMANDS),
+    ("h_max", lambda d, v: d["system"].__setitem__("h_max", v), ALL_COMMANDS),
+    ("psi_bar", lambda d, v: d["system"]["psi_bar"].__setitem__(0, v), ALL_COMMANDS),
+    ("scenario.omega: amplitude",
+     lambda d, v: d["scenario"]["omega"]["amplitude"].__setitem__(0, v), SCENARIO_COMMANDS),
+    ("scenario.omega: frequency",
+     lambda d, v: d["scenario"]["omega"]["frequency"].__setitem__(0, v), SCENARIO_COMMANDS),
+    ("scenario.h1: offset", lambda d, v: d["scenario"]["h1"].__setitem__("offset", v),
+     SCENARIO_COMMANDS),
+    ("psi", lambda d, v: d["scenario"]["psi"].__setitem__(0, v), SCENARIO_COMMANDS),
+    ("scenario.phi", lambda d, v: d["scenario"]["phi"].__setitem__(0, v), SCENARIO_COMMANDS),
+    ("options.step", lambda d, v: d["options"].__setitem__("step", v), ALL_COMMANDS),
+    ("options.t_end", lambda d, v: d["options"].__setitem__("t_end", v), ALL_COMMANDS),
+    ("options.xi", lambda d, v: d["options"].__setitem__("xi", [1, 1, v, 1, 1]), ALL_COMMANDS),
+]
+
+
+@pytest.mark.parametrize("field, mutate, command, digits", [
+    pytest.param(field, mutate, command, HUGE, id=f"{command}-{field}")
+    for field, mutate, commands in HUGE_INT_FIELDS for command in commands
+] + [pytest.param("h_max", HUGE_INT_FIELDS[1][1], "check", "1" + "0" * 4999,
+                  id="check-h_max-5000-digits")])
+def test_json_integer_past_float_range_exits_2(tmp_path, capsys, field, mutate, command,
+                                               digits):
+    """The integer reads as inf, as the float literal 1e400 does, so the
+    field's own finiteness check refuses it with one input error line."""
+    errs = []
+    for literal in ("1e400", digits):
+        doc = json.loads(SAMPLE_PROBLEM.read_text())
+        mutate(doc, "@")
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        assert main([command, str(path), "--out", str(tmp_path / "out")]
+                    if command in ("bound", "simulate") else [command, str(path)]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[1] == errs[0]
+    assert errs[1].startswith("input error: ") and errs[1].count("\n") == 1
+    assert field in errs[1]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, callee, flags", [
+    ("bound", "_write_staircase_csv", ["--out", "OUT"]),
+    ("simulate", "simulate", ["--out", "OUT"]),
+    ("verify", "simulate_many", []),
+    ("verify", "simulate", ["--a", "1"]),
+])
+def test_unallocatable_grid_exits_2(tmp_path, capsys, monkeypatch, sample_problem_path,
+                                    command, callee, flags):
+    """numpy raises MemoryError for a grid it cannot allocate; the callee
+    that would allocate it raises it here instead."""
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, callee, out_of_memory)
+    flags = [str(tmp_path / "out") if f == "OUT" else f for f in flags]
+    assert main([command, str(sample_problem_path), "--t-end", "1e9"] + flags) == 2
+    assert capsys.readouterr().err == ("input error: not enough memory for 1000000000000 "
+                                       "time steps, t_end / step = 1000000000.0 / 0.001\n")
+    assert not (tmp_path / "out" / "certificate.json").exists()
 
 
 @pytest.mark.parametrize("options, flags", [
@@ -394,8 +477,9 @@ def test_simulate_diverging_system_fails_cleanly(tmp_path, capsys):
                  "--out", str(tmp_path / "traj.csv")])
     err = capsys.readouterr().err
     assert code == 1
-    # the first failing grid time of the per-step integrator
-    assert err == "FAIL scenario: state magnitude exceeded 1e+12 at t=23.45\n"
+    # the first failing grid time of the per-step integrator; the limit is
+    # 1e12 times the largest envelope entry, phi_bar's 15
+    assert err == "FAIL scenario: state magnitude exceeded 1.5e+13 at t=25.96\n"
     assert not (tmp_path / "traj.csv").exists()
 
 

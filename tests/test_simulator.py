@@ -243,19 +243,25 @@ def test_unstable_step_detected():
         simulate(scenario)
 
 
-@pytest.mark.parametrize("a_val, c_val, delay, t_end, message", [
-    (40.0, 0.0, 1.0, 1.0, "state magnitude exceeded 1e+12 at t=0.691"),
-    (40.0, 0.0, 5e-4, 1.0, "state magnitude exceeded 1e+12 at t=0.691"),
-    (1.0, 1e10, 1.0, 10.0, "output magnitude exceeded 1e+12 at t=4.606"),
-    (1.0, 1e10, 5e-4, 10.0, "output magnitude exceeded 1e+12 at t=4.606"),
-    (40.0, 1.0, 1.0, 1.0, "state magnitude exceeded 1e+12 at t=0.691"),
-    (1e6, 0.0, 1.0, 1.0, "state magnitude exceeded 1e+12 at t=0.002"),
-], ids=["state", "state-one-step-windows", "output", "output-closed", "both", "state-overflow"])
-def test_divergence_names_first_failing_grid_time(a_val, c_val, delay, t_end, message):
+@pytest.mark.parametrize("a_val, c_val, delay, t_end, psi, message", [
+    (40.0, 0.0, 1.0, 1.0, 1.0, "state magnitude exceeded 1e+12 at t=0.691"),
+    (40.0, 0.0, 5e-4, 1.0, 1.0, "state magnitude exceeded 1e+12 at t=0.691"),
+    (1.0, 1e10, 1.0, 10.0, 1.0, "output magnitude exceeded 1e+12 at t=4.606"),
+    (1.0, 1e10, 5e-4, 10.0, 1.0, "output magnitude exceeded 1e+12 at t=4.606"),
+    (40.0, 1.0, 1.0, 1.0, 1.0, "state magnitude exceeded 1e+12 at t=0.691"),
+    (1e6, 0.0, 1.0, 1.0, 1.0, "state magnitude exceeded 1e+12 at t=0.002"),
+    (40.0, 0.0, 1.0, 2.0, 1e-6, "state magnitude exceeded 1e+12 at t=1.037"),
+    (40.0, 0.0, 1.0, 1.0, 1e6, "state magnitude exceeded 1e+18 at t=0.691"),
+    (40.0, 0.0, 1.0, 1.0, 1e12, "state magnitude exceeded 1e+24 at t=0.691"),
+], ids=["state", "state-one-step-windows", "output", "output-closed", "both", "state-overflow",
+        "state-small-envelope", "state-envelope-1e6", "state-envelope-1e12"])
+def test_divergence_names_first_failing_grid_time(a_val, c_val, delay, t_end, psi, message):
     # the divergence checks run once per block of steps; they must still name
     # the first failing grid time of the per-step integrator, state before
-    # output, and the rest of the block may overflow without a numpy warning
-    scenario = scalar_scenario(a_val=a_val, c_val=c_val, delay=delay, t_end=t_end)
+    # output, and the rest of the block may overflow without a numpy warning.
+    # The limit is 1e12 * max(1, psi_bar): x = psi e^(40 t) reaches it at the
+    # same time for any psi = psi_bar >= 1, later for a smaller one
+    scenario = scalar_scenario(a_val=a_val, c_val=c_val, delay=delay, t_end=t_end, psi=psi)
     for run in (simulate_many, simulate_stepwise):
         with pytest.raises(UnstableStep) as err:
             run([scenario])
