@@ -5,8 +5,10 @@
 The problem file is JSON with a ``system`` section (matrices as arrays of
 row arrays, vectors as arrays), an optional ``scenario`` section using the
 signal presets, and an optional ``options`` section (alpha_step, step,
-t_end, xi).  Exit codes: 0 all checks pass, 1 hypothesis or verification
-failure, 2 unreadable or malformed input or an unwritable output.
+t_end, xi).  Every command checks the file's scenario against the
+system's envelopes when it loads the file.  Exit codes: 0 all checks pass, 1
+hypothesis or verification failure, 2 unreadable or malformed input (a
+scenario outside its envelopes among them) or an unwritable output.
 """
 
 from __future__ import annotations
@@ -95,6 +97,11 @@ def load_problem(path) -> tuple[SystemSpec, dict | None, dict]:
                for key, value in options.items()}
     if options.get("xi") is not None:
         options["xi"] = _weights("options.xi", options["xi"], spec)
+    # the file's own scenario, on the file's grid, whatever the command; the
+    # default one sits at the bars, which the system's own checks cover
+    if scenario_cfg is not None:
+        _scenario(spec, scenario_cfg, a=1.0, b=1.0, t_end=options.get("t_end", DEFAULTS["t_end"]),
+                  step=options.get("step", DEFAULTS["step"]))
     return spec, scenario_cfg, options
 
 
@@ -124,6 +131,13 @@ def build_scenario(spec: SystemSpec, scenario_cfg, *, a: float, b: float,
         raise ProblemFormatError(f"--a and --b must be finite, got {a!r} and {b!r}")
     if not spec.h_max / step <= _STEPS_MAX:
         raise ProblemFormatError(f"h_max / step must be at most 2**53, got {spec.h_max!r} / {step!r}")
+    return _scenario(spec, scenario_cfg, a=a, b=b, t_end=t_end, step=step)
+
+
+def _scenario(spec: SystemSpec, scenario_cfg, *, a: float, b: float,
+              t_end: float, step: float) -> SimulationScenario:
+    """``build_scenario`` without the checks of the scales and the history
+    grid: the scenario, checked against its envelopes as it is built."""
     if scenario_cfg is None:
         scenario_cfg = {"omega": spec.omega_bar.tolist(), "d": spec.d_bar.tolist()}
     if not isinstance(scenario_cfg, dict):
@@ -138,6 +152,8 @@ def build_scenario(spec: SystemSpec, scenario_cfg, *, a: float, b: float,
         return SimulationScenario(spec=spec, omega=omega.scaled(a), d=d_sig.scaled(b),
                                   h1=h1, h2=h2, psi=np.asarray(psi, dtype=float),
                                   phi=phi, t_end=t_end, step=step)
+    except InvalidScenario as exc:
+        raise ProblemFormatError(str(exc)) from None
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"scenario: {exc}") from exc
 

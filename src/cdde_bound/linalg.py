@@ -81,8 +81,10 @@ def inverse(matrix) -> np.ndarray:
         # LAPACK met an exact zero pivot; slogdet factors the same way
         j = int(np.argmin(np.abs(np.linalg.slogdet(a).sign)))
         raise SingularMatrix("exactly singular" + member.format(j)) from None
-    finite = np.isfinite(inv).all(axis=(-2, -1))
-    if not finite.all():
+    # one test of the whole stack; the failing member is located only on
+    # failure, since a reduction over each member's small axes costs more
+    if not np.isfinite(inv).all():
+        finite = np.isfinite(inv).all(axis=(-2, -1))
         raise SingularMatrix("inverse not finite" + member.format(int(np.argmin(finite))))
     return inv
 

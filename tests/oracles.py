@@ -22,9 +22,8 @@ from cdde_bound.envelope import (BLOCK_BYTES, ConvergenceResult, NonpositiveThre
                                  _block_entry_times)
 from cdde_bound.linalg import as_matrix, as_vector, inverse, solve
 from cdde_bound.model import NONNEG_TOL, SystemSpec, negative
-from cdde_bound.simulator import (BLOCK_STEPS, DIVERGENCE_LIMIT, GRID_TOL, JUMP_TOL,
-                                  InvalidScenario, MismatchedScenarios, Trajectory, UnstableStep,
-                                  _check_envelope, _history_times)
+from cdde_bound.simulator import (BLOCK_STEPS, DIVERGENCE_LIMIT, GRID_TOL, JUMP_TOL, InvalidScenario,
+                                  MismatchedScenarios, Trajectory, UnstableStep)
 from cdde_bound.stability import NotStable, is_metzler_hurwitz
 
 
@@ -239,21 +238,9 @@ def simulate_stepwise(scenarios) -> list[Trajectory]:
     def on(name: str, times: np.ndarray) -> np.ndarray:     # (len(times), S, dim)
         return np.stack([getattr(sc, name).sample(times) for sc in scenarios], axis=1)
 
-    # admissibility of the scenario data, checked at grid points; the
-    # disturbances are sampled in blocks so memory does not grow with t_end
-    hist_ts = _history_times(spec.h_max, h)
-    for sc in scenarios:
-        _check_envelope("psi", ts[:1], sc.psi, spec.psi_bar)
-        _check_envelope("phi", hist_ts, sc.phi.sample(hist_ts), spec.phi_bar)
-        for name, sig, upper in (("omega", sc.omega, spec.omega_bar), ("d", sc.d, spec.d_bar)):
-            for k0 in range(0, K + 1, BLOCK_STEPS):
-                block = ts[k0:k0 + BLOCK_STEPS]
-                _check_envelope(name, block, sig.sample(block), upper)
     H10 = first.h1.sample(ts)[:, 0]
     H1h = first.h1.sample(ts[:-1] + 0.5 * h)[:, 0]
     H20 = first.h2.sample(ts)[:, 0]
-    for name, vals in (("h1", H10), ("h2", H20)):
-        _check_envelope(name, ts, vals[:, None], np.array([spec.h_max]))
 
     xs = np.empty((K + 1, len(scenarios), n))
     ys = np.empty((K + 1, len(scenarios), m))
@@ -434,7 +421,7 @@ def comparison_check(scenario_lo, scenario_hi, slack: float = 1e-9) -> bool:
             raise MismatchedScenarios(f"scenarios use different {name} signals")
     if (lo.psi > hi.psi).any():
         raise MismatchedScenarios("psi_lo exceeds psi_hi")
-    hist = _history_times(lo.spec.h_max, lo.step)
+    hist = np.arange(-lo.spec.h_max, 0.0, lo.step)
     if lo.phi != hi.phi and (lo.phi.sample(hist) > hi.phi.sample(hist)).any():
         raise MismatchedScenarios("phi_lo exceeds phi_hi on the history grid")
     tr_lo, tr_hi = simulator.simulate_many([lo, hi])

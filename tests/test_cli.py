@@ -140,8 +140,10 @@ def test_bound_with_xi_near_underflow_exits_1_without_warnings(tmp_path, capsys)
 
 def time_rescaled(c):
     """The sample with time measured in units 1/c: A, B and omega_bar
-    divide by c, h_max multiplies by c."""
+    divide by c, h_max multiplies by c.  The scenario section is dropped,
+    so the scenario is the default one, at the rescaled bars."""
     def mutate(doc):
+        del doc["scenario"]
         system = doc["system"]
         for name in ("A", "B"):
             system[name] = (np.array(system[name]) / c).tolist()
@@ -150,10 +152,15 @@ def time_rescaled(c):
     return mutate
 
 
+def d_near_one(doc):
+    """A scalar system with D = 1 - 1e-9, in the default scenario."""
+    del doc["scenario"]
+    doc["system"].update(A=[[-1.0]], B=[[1e-12]], C=[[1.0]], D=[[1.0 - 1e-9]], h_max=0.1,
+                         omega_bar=[0.0], d_bar=[0.0], psi_bar=[1.0], phi_bar=[1.0])
+
+
 @pytest.mark.parametrize("mutate", [
-    pytest.param(lambda d: d["system"].update(
-        A=[[-1.0]], B=[[1e-12]], C=[[1.0]], D=[[1.0 - 1e-9]], h_max=0.1,
-        omega_bar=[0.0], d_bar=[0.0], psi_bar=[1.0], phi_bar=[1.0]), id="d-near-one"),
+    pytest.param(d_near_one, id="d-near-one"),
     pytest.param(time_rescaled(1e9), id="sample-time-rescaled-1e9"),
 ])
 def test_bound_contraction_factor_below_mu_min_exits_1(tmp_path, capsys, mutate):
@@ -204,33 +211,31 @@ def test_verify_with_x1_in_units_of_1e_minus_12_exits_0(tmp_path, capsys):
     assert [line.endswith("-> OK") for line in out.splitlines()] == [True] * 6
 
 
-# a JSON integer past float range in each family of fields, and the
-# commands that read it; a 5 000-digit one is past Python's limit on
-# converting a string of digits to an int
+# a JSON integer past float range in each family of fields, each refused by
+# every command, since every command loads the scenario too; a 5 000-digit
+# one is past Python's limit on converting a string of digits to an int
 HUGE = "1" + "0" * 400
 ALL_COMMANDS = ("check", "bound", "simulate", "verify")
-SCENARIO_COMMANDS = ("simulate", "verify")
 HUGE_INT_FIELDS = [
-    ("A", lambda d, v: d["system"]["A"][0].__setitem__(1, v), ALL_COMMANDS),
-    ("h_max", lambda d, v: d["system"].__setitem__("h_max", v), ALL_COMMANDS),
-    ("psi_bar", lambda d, v: d["system"]["psi_bar"].__setitem__(0, v), ALL_COMMANDS),
+    ("A", lambda d, v: d["system"]["A"][0].__setitem__(1, v)),
+    ("h_max", lambda d, v: d["system"].__setitem__("h_max", v)),
+    ("psi_bar", lambda d, v: d["system"]["psi_bar"].__setitem__(0, v)),
     ("scenario.omega: amplitude",
-     lambda d, v: d["scenario"]["omega"]["amplitude"].__setitem__(0, v), SCENARIO_COMMANDS),
+     lambda d, v: d["scenario"]["omega"]["amplitude"].__setitem__(0, v)),
     ("scenario.omega: frequency",
-     lambda d, v: d["scenario"]["omega"]["frequency"].__setitem__(0, v), SCENARIO_COMMANDS),
-    ("scenario.h1: offset", lambda d, v: d["scenario"]["h1"].__setitem__("offset", v),
-     SCENARIO_COMMANDS),
-    ("psi", lambda d, v: d["scenario"]["psi"].__setitem__(0, v), SCENARIO_COMMANDS),
-    ("scenario.phi", lambda d, v: d["scenario"]["phi"].__setitem__(0, v), SCENARIO_COMMANDS),
-    ("options.step", lambda d, v: d["options"].__setitem__("step", v), ALL_COMMANDS),
-    ("options.t_end", lambda d, v: d["options"].__setitem__("t_end", v), ALL_COMMANDS),
-    ("options.xi", lambda d, v: d["options"].__setitem__("xi", [1, 1, v, 1, 1]), ALL_COMMANDS),
+     lambda d, v: d["scenario"]["omega"]["frequency"].__setitem__(0, v)),
+    ("scenario.h1: offset", lambda d, v: d["scenario"]["h1"].__setitem__("offset", v)),
+    ("psi", lambda d, v: d["scenario"]["psi"].__setitem__(0, v)),
+    ("scenario.phi", lambda d, v: d["scenario"]["phi"].__setitem__(0, v)),
+    ("options.step", lambda d, v: d["options"].__setitem__("step", v)),
+    ("options.t_end", lambda d, v: d["options"].__setitem__("t_end", v)),
+    ("options.xi", lambda d, v: d["options"].__setitem__("xi", [1, 1, v, 1, 1])),
 ]
 
 
 @pytest.mark.parametrize("field, mutate, command, digits", [
     pytest.param(field, mutate, command, HUGE, id=f"{command}-{field}")
-    for field, mutate, commands in HUGE_INT_FIELDS for command in commands
+    for field, mutate in HUGE_INT_FIELDS for command in ALL_COMMANDS
 ] + [pytest.param("h_max", HUGE_INT_FIELDS[1][1], "check", "1" + "0" * 4999,
                   id="check-h_max-5000-digits")])
 def test_json_integer_past_float_range_exits_2(tmp_path, capsys, field, mutate, command,
@@ -249,6 +254,18 @@ def test_json_integer_past_float_range_exits_2(tmp_path, capsys, field, mutate, 
     assert errs[1] == errs[0]
     assert errs[1].startswith("input error: ") and errs[1].count("\n") == 1
     assert field in errs[1]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_scenario_outside_its_envelopes_exits_2(tmp_path, capsys, command):
+    # h2 = 1.5 + |cos t| peaks at 2.5 > h_max: every command, check and bound
+    # among them, refuses the file on load with one line that names the
+    # field and the component
+    path = write_problem(tmp_path, lambda d: d["scenario"]["h2"].update(offset=1.5))
+    out = ["--out", str(tmp_path / "out")] if command in ("bound", "simulate") else []
+    assert main([command, str(path)] + out) == 2
+    assert capsys.readouterr().err == "input error: scenario.h2[0] reaches 2.5 > h_max = 2.0\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -305,6 +322,8 @@ def test_step_count_overflow_exits_2(tmp_path, capsys, sample_problem_path, comm
 
 def test_bound_short_circuit_flag(tmp_path, sample_problem_path):
     def shrink(doc):
+        # the sample's scenario would leave the smaller bars: the default one
+        del doc["scenario"]
         doc["system"]["psi_bar"] = [0.07, 0.14, 0.05]
         doc["system"]["phi_bar"] = [0.37, 0.11]
     path = write_problem(tmp_path, shrink)
@@ -401,8 +420,9 @@ def test_simulate_inadmissible_scale_fails(tmp_path, capsys, sample_problem_path
     out = tmp_path / "traj.csv"
     code = main(["simulate", str(sample_problem_path), "--a", "2",
                  "--t-end", "10", "--step", "0.002", "--out", str(out)])
-    assert code == 1
-    assert "scenario" in capsys.readouterr().err
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "input error: scenario.omega[0] reaches 1.0 > omega_bar[0] = 0.5\n"
 
 
 def test_verify_single_combo(tmp_path, capsys, sample_problem_path):
@@ -415,14 +435,15 @@ def test_verify_single_combo(tmp_path, capsys, sample_problem_path):
 
 def test_verify_rejects_scenario_exceeding_certified_envelope(tmp_path, capsys):
     # certificate computed for a smaller omega_bar than the scenario drives:
-    # the admissibility check names the first offending time and exits nonzero
+    # the scenario check on load names the first offending component
     def shrink_bounds(doc):
         doc["system"]["omega_bar"] = [0.05, 0.03, 0.01]
     path = write_problem(tmp_path, shrink_bounds)
     code = main(["verify", str(path), "--a", "1", "--b", "1",
                  "--t-end", "10", "--step", "0.002"])
-    assert code == 1
-    assert "at t=" in capsys.readouterr().err
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "input error: scenario.omega[0] reaches 0.5 > omega_bar[0] = 0.05\n"
 
 
 def test_verify_sample_stdout_pinned(capsys, sample_problem_path):
@@ -484,15 +505,16 @@ def test_simulate_diverging_system_fails_cleanly(tmp_path, capsys):
 
 
 def test_verify_nonfinite_sample_reported_without_warnings(tmp_path, capsys):
-    # a finite frequency overflows the phase from t = 1.798 on: the NaN
-    # sample is named as such, and numpy stays quiet
+    # a finite frequency overflows the phase from t = 1.798 on: refused on
+    # load, over the file's horizon, and numpy stays quiet
     path = write_problem(tmp_path, lambda d: d["scenario"].update(
         omega={"kind": "abs_sin", "amplitude": [0.1, 0.1, 0.1], "frequency": [1e308]}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["verify", str(path), "--t-end", "3"])
-    assert code == 1
-    assert capsys.readouterr().err == "FAIL scenario: omega not finite at t=1.798: nan\n"
+    assert code == 2
+    assert capsys.readouterr().err == ("input error: scenario.omega.frequency[0] = 1e+308 "
+                                       "overflows the phase by t = 40.001\n")
     assert not caught
 
 

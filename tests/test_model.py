@@ -4,7 +4,7 @@ import pytest
 from cdde_bound.envelope import gamma_component
 from cdde_bound.linalg import DimensionMismatch
 from cdde_bound.model import NONNEG_TOL, SystemSpec, negative, validate_structure
-from cdde_bound.simulator import InvalidScenario, _check_envelope
+from cdde_bound.signals import InvalidScenario, SignalSpec, validate_scenario
 from cdde_bound.stability import (NotMetzler, NotNonnegative, check_joint_condition,
                                   is_metzler_hurwitz, is_schur_nonneg)
 
@@ -76,6 +76,15 @@ def test_tolerated_negative_not_clamped():
     assert validate_structure(spec) == []
 
 
+def _validate(spec, psi, omega=None):
+    """The scenario check on ``psi``, ``omega`` (default zero) and quiet
+    rest: phi at its bar, no d, delays of 1."""
+    validate_scenario(spec, psi=psi, phi=SignalSpec.constant(spec.phi_bar),
+                      omega=omega or SignalSpec("zero", (0.0,) * spec.n),
+                      d=SignalSpec("zero", (0.0,) * spec.m), h1=SignalSpec.constant([1.0]),
+                      h2=SignalSpec.constant([1.0]), t_end=1.0, step=1e-3)
+
+
 def _passes(check, *args) -> bool:
     try:
         check(*args)
@@ -106,17 +115,19 @@ def test_sign_tolerance_boundary_across_modules(scale, accepted):
     else:
         with pytest.raises(ValueError, match="theta_bar must be nonnegative"):
             gamma_component(make_sample_system().A, 0.1, theta, 0)
-    times = np.zeros(1)
-    assert _passes(_check_envelope, "w", times, np.array([[e]]), np.array([1.0])) is accepted
-    assert _passes(_check_envelope, "w", times, np.array([[-e]]), np.array([0.0])) is accepted
+    # the scenario check's signs too: psi at its bar, psi_bar[2] = e; but
+    # its bars are exact, so psi_3 = -e is above psi_bar[2] at either scale
+    assert _passes(_validate, spec, spec.psi_bar) is accepted
+    assert _passes(_validate, spec, [2.0, 5.0, -e]) is False
+    omega = SignalSpec("abs_sin", (0.5, 0.3, e), (1.0,))
+    assert _passes(_validate, _spec_with(), [2.0, 5.0, 3.0], omega) is accepted
 
 
 def test_nan_counts_as_negative():
     assert negative([np.nan, -NONNEG_TOL, -2 * NONNEG_TOL, 0.0]).tolist() == [True, False, True, False]
-    times = np.zeros(1)
-    for values in ([np.nan], [0.5, np.nan]):
-        with pytest.raises(InvalidScenario):
-            _check_envelope("w", times, np.array([values]), np.ones(len(values)))
+    for i, psi in enumerate(([np.nan, 1.0, 1.0], [0.5, np.nan, 1.0])):
+        with pytest.raises(InvalidScenario, match=rf"^scenario.psi\[{i}\] reaches nan < 0$"):
+            _validate(_spec_with(), psi)
 
 
 def test_dimension_mismatch_raises():

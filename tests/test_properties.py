@@ -5,8 +5,9 @@ screened entry-time choice against an exact log at every rate; emitted
 certificates against numpy.linalg, and their contraction factor against
 all three ratio families; the batched simulator against single runs
 and against superposition; the windowed simulator against the per-step
-one; the shared-wave signal batch against one signal at a time; the CSV
-encoder against Python's "%.9g"."""
+one; the shared-wave signal batch against one signal at a time; the
+scenario check on a preset's parameters against dense sampling and the
+preset's analytic extremes; the CSV encoder against Python's "%.9g"."""
 
 import math
 from dataclasses import replace
@@ -23,8 +24,8 @@ from cdde_bound.certificate import (MU_SAFETY, CertificateError, compute_certifi
 from cdde_bound.csvio import _encode
 from cdde_bound.envelope import _block_entry_times, finite_time
 from cdde_bound.linalg import SingularMatrix, inverse
-from cdde_bound.model import SystemSpec
-from cdde_bound.signals import SIGNAL_KINDS, _SignalBatch
+from cdde_bound.model import NONNEG_TOL, SystemSpec
+from cdde_bound.signals import SIGNAL_KINDS, InvalidScenario, _SignalBatch, validate_scenario
 from cdde_bound.simulator import SignalSpec, simulate, simulate_many
 from cdde_bound.stability import alpha_max
 
@@ -564,3 +565,80 @@ def test_scalar_delay_path_equals_sample(kind, amp, freq, offset, times):
         got = np.array([sig._batch.scalar(t) for t in times])
     want = sig.sample(np.array(times))[:, 0]
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def preset_extremes(sig) -> list[list[float]]:
+    """Each component's values at the extremes of its wave: |sin(f t)| and
+    |cos(f t)| reach 0 and 1 when f != 0, and stay at |sin 0| = 0 and
+    |cos 0| = 1 when f = 0; ``constant`` has the wave 1, ``zero`` the value
+    0.  Python floats, one component at a time."""
+    out = []
+    for a, f in zip(sig.amplitude, sig.frequency):
+        if sig.kind in ("zero", "constant"):
+            out.append([0.0 if sig.kind == "zero" else a])
+            continue
+        waves = [0.0, 1.0] if f != 0.0 else [abs(math.sin(0.0) if "sin" in sig.kind
+                                                    else math.cos(0.0))]
+        offset = sig.offset if sig.kind.startswith("const_plus") else 0.0
+        out.append([w * a + offset for w in waves])
+    return out
+
+
+# values at and around the sign tolerance, and any others
+PRESET_VALUES = st.one_of(st.floats(-3.0, 3.0),
+                          st.sampled_from([0.0, -0.0, NONNEG_TOL, -NONNEG_TOL, -2 * NONNEG_TOL]))
+
+
+@st.composite
+def one_signal_scenario(draw):
+    """A scenario whose one field ``field`` holds a random preset, at rest
+    elsewhere, on a system with n = m; the field's bar is free, or within
+    one ulp of the preset's peak."""
+    field = draw(st.sampled_from(["phi", "omega", "d", "h1", "h2"]))
+    dim = 1 if field in ("h1", "h2") else draw(st.integers(1, 3))
+    sig = SignalSpec(draw(st.sampled_from(SIGNAL_KINDS)),
+                     tuple(draw(st.lists(PRESET_VALUES, min_size=dim, max_size=dim))),
+                     tuple(draw(st.lists(FREQS, min_size=dim, max_size=dim))),
+                     draw(PRESET_VALUES))
+    peaks = [max(v) for v in preset_extremes(sig)]
+    if draw(st.booleans()):
+        bar = [float(np.nextafter(p, draw(st.sampled_from([-np.inf, p, np.inf]))))
+               for p in peaks]
+    else:
+        bar = draw(st.lists(st.floats(0.0, 3.0), min_size=dim, max_size=dim))
+    h_max = max(bar[0], 0.0) if field in ("h1", "h2") else draw(st.floats(0.5, 3.0))
+    spec = SystemSpec(A=-np.eye(dim), B=np.zeros((dim, dim)), C=np.zeros((dim, dim)),
+                      D=np.zeros((dim, dim)), h_max=h_max,
+                      **{name: bar if name == field + "_bar" else [0.0] * dim
+                         for name in ("omega_bar", "d_bar", "psi_bar", "phi_bar")})
+    rest = {"phi": SignalSpec("zero", (0.0,) * dim), "omega": SignalSpec("zero", (0.0,) * dim),
+            "d": SignalSpec("zero", (0.0,) * dim), "h1": SignalSpec.constant([0.0]),
+            "h2": SignalSpec.constant([0.0])}
+    rest[field] = sig
+    t_end = draw(st.floats(0.1, 20.0))
+    step = draw(st.sampled_from([1e-3, 0.01, 0.1]))
+    return field, spec, rest, t_end, step
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_signal_scenario())
+def test_scenario_check_equals_dense_sampling(case):
+    field, spec, signals, t_end, step = case
+    sig = signals[field]
+    # the times a run reads: [-h_max, 0] for the history, else the grid's span
+    times = (np.linspace(-spec.h_max, 0.0, 2001) if field == "phi"
+             else np.linspace(0.0, t_end + step, 2001))
+    samples = signal_values(sig, times)
+    lo, hi = sig.bounds()
+    # the closed-form range holds every sample that is a number
+    assert (np.isnan(samples) | ((lo <= samples) & (samples <= hi))).all()
+    bar = np.array([spec.h_max]) if field in ("h1", "h2") else getattr(spec, field + "_bar")
+    values = [list(col) + ext for col, ext in zip(samples.T, preset_extremes(sig))]
+    violation = any(not (-NONNEG_TOL <= v <= b) for col, b in zip(values, bar) for v in col)
+    try:
+        validate_scenario(spec, psi=np.zeros(spec.n), t_end=t_end, step=step, **signals)
+    except InvalidScenario as exc:
+        assert violation
+        assert str(exc).startswith(f"scenario.{field}")
+    else:
+        assert not violation

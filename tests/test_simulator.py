@@ -159,27 +159,55 @@ def test_comparison_check_rejects_different_driving(sample_spec):
 
 
 def test_invalid_scenario_disturbance_over_bound(sample_spec):
-    # the doubled signal first exceeds omega_bar once the sine has risen
-    scenario = make_sample_scenario(sample_spec, 2.0, 1.0, t_end=10.0, step=2e-3)
-    with pytest.raises(InvalidScenario):
-        simulate(scenario)
+    # the doubled signal exceeds omega_bar once the sine has risen, at
+    # t = 2.6; refused when built, whatever the horizon
+    for t_end in (10.0, 1.0):
+        with pytest.raises(InvalidScenario,
+                           match=r"^scenario.omega\[0\] reaches 1.0 > omega_bar\[0\] = 0.5$"):
+            make_sample_scenario(sample_spec, 2.0, 1.0, t_end=t_end, step=2e-3)
 
 
 def test_invalid_scenario_psi_over_bound(sample_spec):
-    scenario = make_sample_scenario(sample_spec, 1.0, 1.0, t_end=1.0, step=1e-3,
-                                    psi=2.0 * sample_spec.psi_bar)
-    with pytest.raises(InvalidScenario):
-        simulate(scenario)
+    with pytest.raises(InvalidScenario,
+                       match=r"^scenario.psi\[0\] reaches 4.0 > psi_bar\[0\] = 2.0$"):
+        make_sample_scenario(sample_spec, 1.0, 1.0, t_end=1.0, step=1e-3,
+                             psi=2.0 * sample_spec.psi_bar)
 
 
 def test_invalid_scenario_delay_over_bound(sample_spec):
     scenario = make_sample_scenario(sample_spec, 1.0, 1.0, t_end=1.0, step=1e-3)
-    bad = SimulationScenario(spec=sample_spec, omega=scenario.omega, d=scenario.d,
-                             h1=SignalSpec.constant([3.0]), h2=scenario.h2,
-                             psi=scenario.psi, phi=scenario.phi,
-                             t_end=1.0, step=1e-3)
-    with pytest.raises(InvalidScenario):
-        simulate(bad)
+    with pytest.raises(InvalidScenario, match=r"^scenario.h1\[0\] reaches 3.0 > h_max = 2.0$"):
+        replace(scenario, h1=SignalSpec.constant([3.0]))
+
+
+def test_scenario_check_admits_a_peak_equal_to_its_bar(sample_spec):
+    # the benchmark's inputs peak at their bars: the sample's delays 1 +
+    # |sin t| and 1 + |cos t| at h_max = 2 and its omega amplitudes at
+    # omega_bar, under the scales 0.5 and 1; random bars times factors up to
+    # 1 for d and psi.  Each passes; one ulp above its bar is refused
+    def up(x):
+        return float(np.nextafter(x, np.inf))
+
+    make_sample_scenario(sample_spec, 0.5, 1.0, t_end=1.0)
+    base = make_sample_scenario(sample_spec, 1.0, 1.0, t_end=1.0)
+    d = SignalSpec("abs_cos", tuple(sample_spec.d_bar), (0.7, 1.3))
+    replace(base, d=d, psi=sample_spec.psi_bar * 1.0)
+    faults = [
+        ("h1", dict(spec=replace(sample_spec, h_max=float(np.nextafter(2.0, 0.0)))),
+         "reaches 2.0 > h_max = 1.9999999999999998"),
+        # 1 + |cos| peaks at 2 + 4.4e-16, one ulp of 2 above h_max
+        ("h2", dict(h2=SignalSpec("const_plus_abs_cos", (up(up(1.0)),), (1.0,), 1.0)),
+         "reaches 2.0000000000000004 > h_max = 2.0"),
+        ("omega[1]", dict(omega=SignalSpec("abs_sin", (0.5, up(0.3), 0.1), (0.2, 0.1, 0.3))),
+         "reaches 0.30000000000000004 > omega_bar[1] = 0.3"),
+        ("d[0]", dict(d=d.scaled(up(1.0))), "reaches 0.30000000000000004 > d_bar[0] = 0.3"),
+        ("psi[2]", dict(psi=[2.0, 5.0, up(3.0)]), "reaches 3.0000000000000004 > psi_bar[2] = 3.0"),
+    ]
+    for field, change, message in faults:
+        field += "[0]" if field in ("h1", "h2") else ""
+        with pytest.raises(InvalidScenario) as err:
+            replace(base, **change)
+        assert str(err.value) == f"scenario.{field} {message}"
 
 
 def test_invalid_scenario_step_exceeds_delay_bound(sample_spec):
@@ -222,18 +250,19 @@ def test_singular_closure_fails_the_step_that_closes(sample_spec):
 
 
 @pytest.mark.parametrize("fault, message", [
-    ("psi", "psi exceeds its bound at t=0: 2.0 > 1.0"),
-    ("omega", "omega exceeds its bound at t=1.806: 1.000244597866036 > 1.0")])
+    ("psi", "scenario.psi[0] reaches 2.0 > psi_bar[0] = 1.0"),
+    ("omega", "scenario.omega[0] reaches 2.0 > omega_bar[0] = 1.0")], ids=["psi", "omega"])
 def test_singular_closure_loses_to_an_envelope_violation(fault, message):
-    # every step closes, so the closure fails at t = 0 (for a psi fault,
-    # after psi's own check); the full scan still reports the violation
+    # every step closes, so a run of these members fails its closure at
+    # t = 0; the faulty member is refused before, when it is built
     calm = replace(_identity_d(scalar_scenario(t_end=2.0, omega=SignalSpec.constant([0.5]),
                                                c_val=1.0)),
                    h2=SignalSpec.constant([5e-4]))
-    faulty = (replace(calm, psi=[2.0]) if fault == "psi"
-              else replace(calm, omega=SignalSpec("abs_sin", (2.0,), (0.29,))))
+    with pytest.raises(InvalidScenario, match="^h2 falls below the step"):
+        simulate(calm)
     with pytest.raises(InvalidScenario) as err:
-        simulate_many([calm, faulty])
+        simulate_many([calm, replace(calm, psi=[2.0]) if fault == "psi"
+                       else replace(calm, omega=SignalSpec("abs_sin", (2.0,), (0.29,)))])
     assert str(err.value) == message
 
 
@@ -393,10 +422,10 @@ def test_batch_members_are_views(sample_spec):
 
 
 def test_batch_checks_every_member(sample_spec):
+    # each member is checked as it is built
     ok = make_sample_scenario(sample_spec, 1.0, 1.0, t_end=10.0, step=2e-3)
-    too_strong = make_sample_scenario(sample_spec, 2.0, 1.0, t_end=10.0, step=2e-3)
     with pytest.raises(InvalidScenario):
-        simulate_many([ok, too_strong])
+        simulate_many([ok, make_sample_scenario(sample_spec, 2.0, 1.0, t_end=10.0, step=2e-3)])
     # with A = 40 only the member that starts away from zero diverges
     growing = scalar_scenario(a_val=40.0)
     with pytest.raises(UnstableStep, match="^state magnitude exceeded 1e[+]12 at t=0.691$"):
@@ -404,39 +433,40 @@ def test_batch_checks_every_member(sample_spec):
 
 
 def _precedence_cases():
-    """Members with faults in different 512-step blocks; the error raised is
-    the first one of psi, phi, omega (every grid time), d (every grid time),
-    member by member, and any envelope violation before a divergence."""
-    # 2 |sin(0.29 t)| first exceeds a bound of 1 at t = 1.806, in block 3
+    """Member lists, built on demand, with faults in several fields or
+    members.  Each member is checked as it is built, so the error raised is
+    the first faulty member's first fault, in the order psi, phi, omega, d, h1,
+    h2, and it comes before any divergence, which needs a run.  The faulty
+    signal, 2 |sin(0.29 t)|, first exceeds its bar of 1 at t = 1.806, late
+    in the run; the check on its parameters refuses it whatever the time."""
     late = SignalSpec("abs_sin", (2.0,), (0.29,))
-    calm = scalar_scenario(t_end=2.0, omega=late)
-    growing = scalar_scenario(a_val=40.0, t_end=2.0, omega=late)
+    calm = scalar_scenario(t_end=2.0, omega=SignalSpec.constant([0.5]))
+    growing = scalar_scenario(a_val=40.0, t_end=2.0, omega=SignalSpec.constant([0.5]))
     quiet_d = replace(calm, spec=replace(calm.spec, d_bar=[1.0]),
                       omega=SignalSpec("zero", (0.0,)))
-    omega_late = "omega exceeds its bound at t=1.806: 1.000244597866036 > 1.0"
+    omega_late = "scenario.omega[0] reaches 2.0 > omega_bar[0] = 1.0"
     return {
-        # the member without omega diverges at t = 0.691, in block 1
+        # the member without omega would diverge at t = 0.691
         "late-omega-after-divergence": (
-            [replace(growing, omega=SignalSpec("zero", (0.0,))), growing], omega_late),
-        "d-at-block-0-then-late-omega": ([replace(calm, d=SignalSpec.constant([0.5]))],
-                                         omega_late),
-        "later-psi-after-earlier-omega": ([calm, replace(calm, psi=[2.0])], omega_late),
+            lambda: [replace(growing, omega=SignalSpec("zero", (0.0,))),
+                     replace(growing, omega=late)], omega_late),
+        # d = 0.5 is above its bar of 0 too, but omega comes first
+        "d-at-block-0-then-late-omega": (
+            lambda: [replace(calm, d=SignalSpec.constant([0.5]), omega=late)], omega_late),
+        "later-psi-after-earlier-omega": (
+            lambda: [replace(calm, omega=late), replace(calm, psi=[2.0])], omega_late),
         "late-d-in-second-member": (
-            [quiet_d, replace(quiet_d, d=late)],
-            "d exceeds its bound at t=1.806: 1.000244597866036 > 1.0"),
+            lambda: [quiet_d, replace(quiet_d, d=late)],
+            "scenario.d[0] reaches 2.0 > d_bar[0] = 1.0"),
     }
 
 
 @pytest.mark.parametrize("case", list(_precedence_cases()))
-def test_error_precedence_is_member_by_member(monkeypatch, case):
+def test_error_precedence_is_member_by_member(case):
     members, message = _precedence_cases()[case]
-    # these scalar runs fit in one block of the value budget; in 512-step
-    # blocks the faults sit in different blocks, as the cases describe
-    for block_values in (BLOCK_VALUES, 0):
-        monkeypatch.setattr("cdde_bound.simulator.BLOCK_VALUES", block_values)
-        with pytest.raises(InvalidScenario) as err:
-            simulate_many(members)
-        assert str(err.value) == message
+    with pytest.raises(InvalidScenario) as err:
+        simulate_many(members())
+    assert str(err.value) == message
 
 
 def blocks_of(scenarios, block_values=BLOCK_VALUES):
