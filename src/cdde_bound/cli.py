@@ -68,8 +68,10 @@ def _parse_int(text: str):
     return int(text) if math.isfinite(value) else value
 
 
-def load_problem(path) -> tuple[SystemSpec, dict | None, dict]:
-    """Parse a problem file into (system, raw scenario config, options)."""
+def load_problem(path, args=None) -> tuple[SystemSpec, dict | None, dict]:
+    """Parse a problem file into (system, raw scenario config, options).  The
+    file's scenario is checked on the grid the command runs: the flags of
+    ``args``, else the file's options, else the defaults."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_int=_parse_int)
@@ -97,11 +99,11 @@ def load_problem(path) -> tuple[SystemSpec, dict | None, dict]:
                for key, value in options.items()}
     if options.get("xi") is not None:
         options["xi"] = _weights("options.xi", options["xi"], spec)
-    # the file's own scenario, on the file's grid, whatever the command; the
-    # default one sits at the bars, which the system's own checks cover
+    # the file's own scenario, on the command's grid, whatever the command;
+    # the default one sits at the bars, which the system's own checks cover
     if scenario_cfg is not None:
-        _scenario(spec, scenario_cfg, a=1.0, b=1.0, t_end=options.get("t_end", DEFAULTS["t_end"]),
-                  step=options.get("step", DEFAULTS["step"]))
+        _scenario(spec, scenario_cfg, a=1.0, b=1.0, t_end=_option(args, options, "t_end"),
+                  step=_option(args, options, "step"))
     return spec, scenario_cfg, options
 
 
@@ -195,7 +197,7 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 
 def cmd_check(args) -> int:
-    spec, _, options = load_problem(args.problem)
+    spec, _, options = load_problem(args.problem, args)
     findings = validate_structure(spec)
     for f in findings:
         print(f"FAIL structure: {f}")
@@ -221,11 +223,17 @@ def _xi(args, spec: SystemSpec, options: dict):
     return options.get("xi") if args.xi is None else _weights("--xi", args.xi.split(","), spec)
 
 
+def _option(args, options: dict, key: str) -> float:
+    """A flag overrides the file, the file the default."""
+    flag = getattr(args, key, None)
+    if flag is None:
+        return options.get(key, DEFAULTS[key])
+    return _positive("--" + key.replace("_", "-"), flag)
+
+
 def _options(args, options: dict):
-    """(alpha_step, step, t_end): a flag overrides the file, the file the default."""
-    alpha_step, step, t_end = (options.get(key, default) if getattr(args, key, None) is None
-                               else _positive("--" + key.replace("_", "-"), getattr(args, key))
-                               for key, default in DEFAULTS.items())
+    """(alpha_step, step, t_end), by ``_option``."""
+    alpha_step, step, t_end = (_option(args, options, key) for key in DEFAULTS)
     # the number of time steps; NaN and inf fail the test too
     if not t_end / step <= _STEPS_MAX:
         raise ProblemFormatError(f"t_end / step must be at most 2**53, got {t_end!r} / {step!r}")
@@ -247,7 +255,7 @@ def _certificate_summary(cert: BoundCertificate) -> str:
 
 
 def cmd_bound(args) -> int:
-    spec, _, options = load_problem(args.problem)
+    spec, _, options = load_problem(args.problem, args)
     alpha_step, step, t_end = _options(args, options)
     cert = compute_certificate(spec, alpha_step=alpha_step, xi=_xi(args, spec, options))
     outdir = Path(args.out)
@@ -262,7 +270,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec, scenario_cfg, options = load_problem(args.problem)
+    spec, scenario_cfg, options = load_problem(args.problem, args)
     _, step, t_end = _options(args, options)
     scenario = build_scenario(spec, scenario_cfg, a=args.a, b=args.b,
                               t_end=t_end, step=step)
@@ -306,7 +314,7 @@ def grid_reports(spec: SystemSpec, scenario_cfg, cert: BoundCertificate, *,
 
 
 def cmd_verify(args) -> int:
-    spec, scenario_cfg, options = load_problem(args.problem)
+    spec, scenario_cfg, options = load_problem(args.problem, args)
     alpha_step, step, t_end = _options(args, options)
     cert = compute_certificate(spec, alpha_step=alpha_step, xi=_xi(args, spec, options))
     with _allocating(t_end, step):

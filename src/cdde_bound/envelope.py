@@ -27,9 +27,15 @@ Hurwitz, and ``gamma_component`` tests its one rate.
 The sweep inverts only the rates that can still hold a component's earliest
 entry time.  ``N(alpha) = -inv(A + alpha I)`` grows in every entry with
 alpha, so the factors at the two ends of a gap of the grid bound the entry
-times at every rate inside it from below; a gap whose bound exceeds every
-component's best time so far is never inverted.  The result is the one the
-sweep over the whole grid gives, bit for bit.
+times at every rate inside it from below (Berman and Plemmons, 1994; the
+gap bound is in the manner of Shubert, SIAM J. Numer. Anal., 1972); a gap
+whose bound exceeds every component's best time so far is never inverted.
+The grid is searched in rounds whose sizes come from the number of rates
+and the dimension: the first spreads about ``G ** (1 / L)`` rates over a
+grid of ``G``, and each later one splits every gap still open at once, for
+the number of rounds ``L`` that weighs a round's fixed cost against its
+inversions best.  The result is the one the sweep over the whole grid
+gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,18 +49,18 @@ from .linalg import SingularMatrix, as_matrix, as_vector, inverse
 from .model import negative
 from .stability import NotStable, _require_metzler, alpha_max, is_metzler_hurwitz
 
-# finite_time evaluates the alpha grid in blocks whose (n, n, G) float64
-# arrays take about this many bytes each; about three are alive at once
+# finite_time inverts a round's rates in chunks whose (n, n, G) float64
+# arrays take about this many bytes each; two are alive at once, beside N
+# at the upper ends of the open gaps
 BLOCK_BYTES = 1 << 18
-# each round of finite_time after the first splits the gaps of the alpha grid
-# that are still open into this many parts.  Medians of 24 interleaved calls
-# (CPU time, one BLAS thread, 2-vCPU host) with 2, 4, 8 and 16 parts: 9.5,
-# 8.5, 8.7 and 7.5 ms on the seed-1 n = 30 benchmark system and 8.8, 8.0,
-# 8.4 and 8.3 ms on seed 7; 5.2, 4.4, 4.6 and 4.6 ms at n = 10 (seed 1);
-# 40, 40, 42 and 49 ms on the sample at alpha_step 1e-6 and 261, 248, 280
-# and 321 ms on the seed-1 n = 30 system at 1e-5.  4 is the fastest or
-# within 14 % of it everywhere
-_GAP_PARTS = 4
+# a round of finite_time costs, besides its inversions, about as much as
+# inverting the rates whose (n, n) matrices fill this many bytes.  Fitted
+# as time = c + G * per-rate cost over one-round sweeps (CPU time, one BLAS
+# thread, 2-vCPU host): c was 95-120 us at n = 3, 10, 30 and 60, as much as
+# 150, 22, 2.8 and 0.8 rates, that is 11-23 kB; calls on the benchmark
+# systems with 2**14, 2**15 and 2**16 bytes took times within 3 % of one
+# another, and 2**15 allows for the colder caches between calls of the CLI
+_ROUND_BYTES = 1 << 15
 # finite_time refuses a grid of more rates: beyond 2**53, k * alpha_step no
 # longer tells neighbouring k apart in float64
 _GRID_MAX = 2**53
@@ -114,12 +120,12 @@ def _neg_inverses(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray,
     the ratios and their minimum run along it, G entries at a time.  Only
     LAPACK, the finiteness test in ``inverse`` and the product ``a`` see the
     members first."""
-    span = f"alpha={alphas[0]}" if alphas.size == 1 else f"alpha in [{alphas[0]}, {alphas[-1]}]"
     shifted = np.eye(A.shape[0])[:, :, None] * alphas
     shifted += A[:, :, None]
     try:
         neg_inv = inverse(shifted.transpose(2, 0, 1))
     except SingularMatrix as exc:
+        span = f"alpha={alphas[0]}" if alphas.size == 1 else f"alpha in [{alphas[0]}, {alphas[-1]}]"
         raise DecayRateTooLarge(f"{span}: shifted matrix singular") from exc
     np.negative(neg_inv, out=neg_inv)
     a = neg_inv @ theta                                 # (G, n)
@@ -133,8 +139,11 @@ def _neg_inverses(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray,
 def _min_ratios(a: np.ndarray, b: np.ndarray, reach: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``min a[g, j] / b[j, i, g]`` over the j with ``reach[j, i, 0]``, as
     ``(G, n)``; the ratios are written into ``out``, which may be ``b``."""
-    np.divide(a.T[:, None, :], b, out=out, where=reach)
-    np.copyto(out, np.inf, where=~reach)
+    if reach.all():                     # an irreducible A: no mask to apply
+        np.divide(a.T[:, None, :], b, out=out)
+    else:
+        np.divide(a.T[:, None, :], b, out=out, where=reach)
+        np.copyto(out, np.inf, where=~reach)
     return out.min(axis=0).T
 
 
@@ -147,7 +156,8 @@ def _envelope_factors(A: np.ndarray, alphas: np.ndarray, theta: np.ndarray) -> n
 
 
 def _gap_floor(a_lo: np.ndarray, b_hi: np.ndarray, reach: np.ndarray,
-               alphas_hi: np.ndarray, dlt: np.ndarray) -> np.ndarray:
+               alphas_hi: np.ndarray, dlt: np.ndarray, out: np.ndarray | None = None
+               ) -> np.ndarray:
     """Lower bound ``(G, n)`` on the entry time of each component at every
     rate strictly between the ends ``lo < hi`` of a gap of the grid, from
     ``a`` at ``lo`` and ``b`` at ``hi`` (``_neg_inverses``).
@@ -158,8 +168,9 @@ def _gap_floor(a_lo: np.ndarray, b_hi: np.ndarray, reach: np.ndarray,
     every rate.  Each ratio ``a_j / N_ji`` is at least ``a_j(lo) /
     N_ji(hi)``, so the factor is at least the smallest such ratio, and the
     entry time at least its log over ``delta_i`` divided by ``alpha_hi``,
-    the largest rate of the gap."""
-    floor = _min_ratios(a_lo, b_hi, reach, out=np.empty_like(b_hi))
+    the largest rate of the gap.  The ratios are written into ``out`` if
+    given."""
+    floor = _min_ratios(a_lo, b_hi, reach, out=np.empty_like(b_hi) if out is None else out)
     return np.log(np.maximum(floor / dlt, 1.0)) / alphas_hi[:, None]
 
 
@@ -225,72 +236,132 @@ def _sweep(M: np.ndarray, theta: np.ndarray, dlt: np.ndarray, step: float,
            k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The earliest entry time of each component over the rates ``k *
     step``, ``k = 1..k_max``, and the smallest rate that attains it, from
-    the rates that may hold it, one stacked inversion per round.
+    the rates that may hold it, in a few rounds of stacked inversions.
 
-    The first round evaluates as many rates as fit in one block, spread
-    evenly over the grid with both ends: the whole grid if it fits.
-    Between two neighbouring evaluated rates lies a gap; ``_gap_floor``
-    bounds the entry times inside it.  A gap stays open while some
-    component may have a rate in it that would be chosen over its best
-    evaluated one: a floor below that time (with the relative margin of
-    the log screen of ``_block_entry_times``), or one equal to it below the
-    rate chosen so far, since ties go to the smallest rate.  Best times
-    only fall, so a closed gap stays closed.  Each later round splits open
-    gaps into ``_GAP_PARTS`` parts and evaluates the lowest of the new
-    rates, as many as fit in one block beside the ``N`` kept at the upper
-    ends of the open gaps, which is all that is kept of the inversions.
-    The gaps not split wait for the next round."""
+    The first round evaluates rates spread evenly over the grid with both
+    ends, as many as ``_stride`` asks for.  Between two neighbouring
+    evaluated rates lies a gap; ``_gap_floor`` bounds the entry times
+    inside it.  A gap stays open while some component may have a rate in
+    it that would be chosen over its best evaluated one: a floor below that
+    time (with the relative margin of the log screen of
+    ``_block_entry_times``), or one equal to it below the rate chosen so
+    far, since ties go to the smallest rate.  Best times only fall, so a
+    closed gap stays closed.  Each later round splits every open gap at
+    once, into gaps no wider than ``_stride`` of the widest.  Of the
+    inversions, only ``a`` at the lower ends of the open gaps is kept
+    between rounds, and ``N`` at the upper ends of those whose top part,
+    above the last rate the split puts in, is wider than one rate.  A
+    round inverts its rates in chunks of ``BLOCK_BYTES``."""
     dim = M.shape[0]
     reach, unreached = _index_sets(M, theta)
     per_block = max(1, BLOCK_BYTES // (8 * dim * dim))
     best_t, best_k = np.full(dim, np.inf), np.zeros(dim, np.int64)
-    # the evaluated k in order and a there; k = 0 (a = 0) stands below the
-    # grid, and its gap to k = 1 is never open
-    ks, a_ks = np.zeros(1, np.int64), np.zeros((1, dim))
-    # the open gaps by their upper ends, and N there, laid out (n, n, G)
-    open_hi, open_n = np.zeros(0, np.int64), np.zeros((dim, dim, 0))
-    width = min(k_max, max(2, per_block))
-    span = max(1, width - 1)
+    # the open gaps in order, by their lower ends and a there.  The first
+    # round splits the one above k = 0 (a = 0), which stands below the grid
+    # and whose gap to k = 1 is never open, into rates spread evenly over
+    # the grid, the top one included.
+    lo, a_lo = np.zeros(1, np.int64), np.zeros((1, dim))
+    span = max(1, -(-(k_max - 1) // _stride(max(k_max - 1, 1), 1, dim)))
     q, r = divmod(k_max - 1, span)
-    j = np.arange(width)
-    new = 1 + j * q + (j * r) // span
-    while new.size:
-        alphas = new * step
-        a, b = _neg_inverses(M, alphas, theta, unreached)
-        gamma = _min_ratios(a, b, reach, out=np.empty_like(b))
-        if gamma.min() < 0.0:           # rounding must not make a factor negative
-            raise ValueError(f"gamma must be nonnegative, got {gamma.min()}")
-        first, t = _block_entry_times(gamma, dlt, alphas)
-        better = (t < best_t) | ((t == best_t) & (new[first] < best_k))
-        best_t[better] = t[better]
-        best_k[better] = new[first[better]]
-        if new.size == k_max:           # the grid evaluated whole: no gap left
-            break
-        ks = np.concatenate((ks, new))
-        order = np.argsort(ks, kind="stable")
-        ks, a_ks = ks[order], np.concatenate((a_ks, a))[order]
-        # the gaps below the new rates and below the open upper ends
-        hi = np.concatenate((new, open_hi))
-        below = np.searchsorted(ks, hi) - 1
-        floor = np.concatenate((
-            _gap_floor(a_ks[below[:new.size]], b, reach, alphas, dlt),
-            _gap_floor(a_ks[below[new.size:]], open_n, reach, open_hi * step, dlt)))
+    j = np.arange(min(k_max, span + 1))
+    new, firsts = 1 + j * q + (j * r) // span, np.zeros(1, np.int64)
+    # the open gaps whose top part is wider than one rate: their index,
+    # upper end and N there, laid out (n, n, G)
+    top, top_hi, n_top = np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((dim, dim, 0))
+    while True:
+        gaps, size = lo.size, new.size
+        # the upper ends of the gaps the round leaves that may be open: the
+        # new rates, then the upper ends of the top parts.  Below each new
+        # rate lies its gap's lower end or the new rate before it, below
+        # each top part the last new rate of its gap; a at the lower ends,
+        # then at the new rates
+        ups = np.concatenate((new, top_hi))
+        below = np.arange(gaps - 1, gaps - 1 + ups.size)
+        below[firsts] = np.arange(gaps)
+        below[size:] = gaps + np.append(firsts[1:], size)[top] - 1
+        downs = np.concatenate((lo, new))[below]
+        wide = ups - downs > 1
+        a = np.concatenate((a_lo, np.empty((size, dim))))
+        # the gaps that may stay open: index into ups, floor, and where N is
+        idx, floors, ns = [], [], []
+        cuts = [*range(0, size, per_block), size, ups.size]
+        for c, d in zip(cuts, cuts[1:]):
+            alphas = ups[c:d] * step
+            if c < size:
+                a[gaps + c:gaps + d], b = _neg_inverses(M, alphas, theta, unreached)
+                ratios = np.empty_like(b)
+                gamma = _min_ratios(a[gaps + c:gaps + d], b, reach, out=ratios)
+                if gamma.min() < 0.0:   # rounding must not make a factor negative
+                    raise ValueError(f"gamma must be nonnegative, got {gamma.min()}")
+                first, t = _block_entry_times(gamma, dlt, alphas)
+                better = (t < best_t) | ((t == best_t) & (ups[c + first] < best_k))
+                best_t[better] = t[better]
+                best_k[better] = ups[c + first[better]]
+            else:
+                b, ratios = n_top, np.empty_like(n_top)
+            if wide[c:d].any():
+                floor = _gap_floor(a[below[c:d]], b, reach, alphas, dlt, out=ratios)
+                # a best time only falls, so this keeps every gap that is
+                # still open at the end of the round
+                limit = best_t * (1.0 + _LOG_SCREEN_RTOL)
+                maybe = np.flatnonzero(wide[c:d] & (floor <= limit).any(axis=1))
+                idx.append(c + maybe)
+                floors.append(floor[maybe])
+                ns.append((b, maybe))
+            del b, ratios               # before the next chunk's inversion
+        if not idx:
+            return best_t, best_k * step
+        del n_top
+        idx, floor = np.concatenate(idx), np.concatenate(floors)
         limit = best_t * (1.0 + _LOG_SCREEN_RTOL)
-        may_hold = (floor < limit) | ((floor <= limit) & (hi[:, None] <= best_k))
-        keep = np.flatnonzero((hi - ks[below] > 1) & may_hold.any(axis=1))
-        from_new = keep < new.size
-        open_n = np.concatenate((b[:, :, keep[from_new]],
-                                 open_n[:, :, keep[~from_new] - new.size]), axis=2)
-        open_hi, lo = hi[keep], ks[below[keep]]
-        del a, b                        # before the next round's inversion
-        parts = np.minimum(open_hi - lo, _GAP_PARTS)
-        j = np.arange(1, _GAP_PARTS)
-        inside = j < parts[:, None]
-        new = np.sort((lo[:, None] + (j * (open_hi - lo)[:, None]) // parts[:, None])[inside])
-        # a block less one rate per N kept, so that a round's memory peaks
-        # no higher than the first's, but at least half a block and one rate
-        new = new[:max(per_block - open_hi.size, per_block // 2, 1)]
-    return best_t, best_k * step
+        may_hold = (floor < limit) | ((floor <= limit) & (ups[idx, None] <= best_k))
+        keep = np.flatnonzero(may_hold.any(axis=1))
+        if not keep.size:
+            return best_t, best_k * step
+        keep = keep[np.argsort(ups[idx[keep]], kind="stable")]
+        lo, a_lo, hi = downs[idx[keep]], a[below[idx[keep]]], ups[idx[keep]]
+        # split every open gap into gaps no wider than the stride
+        width = hi - lo
+        parts = np.maximum(2, -(-width // _stride(int(width.max()), width.size, dim)))
+        q, r = np.divmod(width, parts)
+        counts = parts - 1
+        firsts = np.cumsum(counts) - counts
+        gap = np.repeat(np.arange(width.size), counts)
+        j = np.arange(gap.size) - firsts[gap] + 1
+        new = lo[gap] + j * q[gap] + (j * r[gap]) // parts[gap]
+        top = np.flatnonzero(width - counts * q - (counts * r) // parts > 1)
+        top_hi, n_top, start = hi[top], np.empty((dim, dim, top.size)), 0
+        for src, cols in ns:            # N at the top parts' upper ends
+            mine = (keep[top] >= start) & (keep[top] < start + cols.size)
+            n_top[:, :, mine] = src[:, :, cols[keep[top][mine] - start]]
+            start += cols.size
+        del a, ns, src                  # before the next round's inversion
+
+
+def _stride(width: int, gaps: int, dim: int) -> int:
+    """The width of the gaps the next round leaves, for ``gaps`` open gaps
+    at most ``width`` rates wide: ``width ** ((L - 1) / L)``, with ``L =
+    _levels(width, gaps, dim)``."""
+    levels = _levels(width, gaps, dim)
+    return max(1, int(width ** ((levels - 1) / levels)))
+
+
+def _levels(width: int, gaps: int, dim: int) -> int:
+    """The number of rounds ``L`` that closes ``gaps`` open gaps at most
+    ``width`` rates wide at the least cost, if each round splits every gap
+    into ``width ** (1 / L)`` parts, leaves as many open as it splits and
+    costs ``_ROUND_BYTES / (8 dim^2)`` inversions besides its own.  The
+    cost is convex in ``L``, so the first rise ends the search.  A gap much
+    wider than a round's cost in rates is thus never filled in one round,
+    however few gaps are open."""
+    round_cost = _ROUND_BYTES / (8 * dim * dim)
+    best, levels = math.inf, 1
+    for rounds in range(1, 64):
+        cost = rounds * (round_cost + gaps * (width ** (1.0 / rounds) - 1.0))
+        if cost >= best:
+            break
+        best, levels = cost, rounds
+    return levels
 
 
 def _block_entry_times(gamma: np.ndarray, dlt: np.ndarray,

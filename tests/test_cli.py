@@ -506,7 +506,7 @@ def test_simulate_diverging_system_fails_cleanly(tmp_path, capsys):
 
 def test_verify_nonfinite_sample_reported_without_warnings(tmp_path, capsys):
     # a finite frequency overflows the phase from t = 1.798 on: refused on
-    # load, over the file's horizon, and numpy stays quiet
+    # load, over the flag's horizon, and numpy stays quiet
     path = write_problem(tmp_path, lambda d: d["scenario"].update(
         omega={"kind": "abs_sin", "amplitude": [0.1, 0.1, 0.1], "frequency": [1e308]}))
     with warnings.catch_warnings(record=True) as caught:
@@ -514,8 +514,23 @@ def test_verify_nonfinite_sample_reported_without_warnings(tmp_path, capsys):
         code = main(["verify", str(path), "--t-end", "3"])
     assert code == 2
     assert capsys.readouterr().err == ("input error: scenario.omega.frequency[0] = 1e+308 "
-                                       "overflows the phase by t = 40.001\n")
+                                       "overflows the phase by t = 3.001\n")
     assert not caught
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_scenario_checked_on_the_grid_the_command_runs(tmp_path, capsys, command):
+    """A frequency of 1e307 overflows the phase from t = 17.98 on: past the
+    run that ``--t-end 3`` asks for, so that run goes ahead, but within the
+    file's horizon of 40, which the same command refuses without the flag."""
+    path = write_problem(tmp_path, lambda d: d["scenario"].update(
+        omega={"kind": "abs_sin", "amplitude": [0.1, 0.1, 0.1], "frequency": [1e307]}))
+    out = ["--out", str(tmp_path / "traj.csv")] if command == "simulate" else []
+    assert main([command, str(path), "--t-end", "3"] + out) == 0
+    capsys.readouterr()
+    assert main([command, str(path)] + out) == 2
+    assert capsys.readouterr().err == ("input error: scenario.omega.frequency[0] = 1e+307 "
+                                       "overflows the phase by t = 40.001\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

@@ -7,6 +7,7 @@ error table as pinned exceptions.  Also what the pruning rests on: the
 index sets against an exact inverse, and no rate inside a gap of the grid
 entering its box before the gap's floor."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -56,32 +57,43 @@ def assert_same(got, want):
         assert bits(got[1]) == bits(want[1])
 
 
+@functools.cache
+def level_thresholds(n: int, top: int = 4096) -> tuple[int, ...]:
+    """The grid sizes ``G <= top`` from which the first round of the sweep
+    at dimension ``n`` plans one round more than at ``G - 1``."""
+    levels = [envelope._levels(max(g - 1, 1), 1, n) for g in range(1, top + 1)]
+    return tuple(g for g in range(2, top + 1) if levels[g - 1] != levels[g - 2])
+
+
 @st.composite
 def sweep_case(draw):
-    """A Metzler-Hurwitz ``A`` whose grid of ``k_max`` rates ends on a block
-    boundary, inside a block or before the first rate (the halving branch),
-    with a target box that some components may already contain.  Diagonal
-    matrices with repeated entries give exact ties between components and,
-    through ratios equal at every rate, between rates; their entry times
-    fall with the rate, so the best is at ``k_max``.  A box one ulp inside
-    the factors at one rate of the grid puts the best at ``k = 1`` where
-    the factor grows with the rate.  Diagonal factors are ``theta`` up to
-    an ulp that varies with the rate, so there the best is the first rate
-    whose factor rounds down: a tie at t = 0 inside the grid, which the
-    smallest rate wins.  Grids of up to eight blocks take the pruned sweep
-    through several rounds."""
+    """A Metzler-Hurwitz ``A`` whose grid of ``k_max`` rates has a size at
+    which the sweep branches: one or two rates, a perfect square or next to
+    one, just below or at a size from which the first round plans one round
+    more, any size up to 4096, or no rate before the first (the halving
+    branch).  The target box may already contain some components.
+    Diagonal matrices with repeated entries give exact ties between
+    components and, through ratios equal at every rate, between rates;
+    their entry times fall with the rate, so the best is at ``k_max``.  A
+    box one ulp inside the factors at one rate of the grid puts the best at
+    ``k = 1`` where the factor grows with the rate.  Diagonal factors are
+    ``theta`` up to an ulp that varies with the rate, so there the best is
+    the first rate whose factor rounds down: a tie at t = 0 inside the
+    grid, which the smallest rate wins."""
     n = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(SEEDS))
     step = draw(st.sampled_from([1e-3, 1e-2, 0.05]))
-    per_block = BLOCK_BYTES // (8 * n * n)
-    end = draw(st.sampled_from(["boundary", "inside", "halving"]))
-    blocks = draw(st.integers(1, 8))
-    if end == "boundary":
-        k = blocks * per_block
-    elif end == "inside":
-        k = (blocks - 1) * per_block + draw(st.integers(1, min(per_block - 1, 400)))
-    else:
+    size = draw(st.sampled_from(["small", "square", "threshold", "any", "halving"]))
+    if size == "small":
+        k = draw(st.integers(1, 2))
+    elif size == "square":
+        k = draw(st.integers(2, 64)) ** 2 + draw(st.integers(-1, 1))
+    elif size == "threshold" and level_thresholds(n):
+        k = draw(st.sampled_from(level_thresholds(n))) - draw(st.integers(0, 1))
+    elif size == "halving":
         k = 0
+    else:
+        k = draw(st.integers(3, 4096))
     if draw(st.booleans()):
         a0 = -np.diag(rng.choice([1.0, 2.0], n))
         theta = np.full(n, draw(st.sampled_from([0.0, 1.0, 3.0])))
@@ -138,6 +150,37 @@ def test_pruned_sweep_equals_blocked_sweep_on_fine_sample_grid(sample_spec):
     shift = solve(sample_spec.A, sample_spec.B @ cert.q)
     args = (sample_spec.A, cert.p + shift, (1.0 - cert.mu) * cert.p + shift, 1e-5)
     assert_same(outcome(finite_time, *args), outcome(finite_time_blocked, *args))
+
+
+# a ceiling on the rates the sweep inverts: the sample's grids of 1 741,
+# 174 000 and 1.7 million rates at alpha_step 1e-3, 1e-5 and 1e-6, and the
+# 1x1 system whose margin lies 1.4e10 rates up a grid of step 1e-10, whose
+# gaps near the margin never close; from the second on, the counts of the
+# sweep that split open gaps into four parts, a block of rates per round
+SWEEP_COST_CASES = {"sample-1e-3": (1e-3, 1000), "sample-1e-5": (1e-5, 9225),
+                    "sample-1e-6": (1e-6, 23190), "near-margin-1e-10": (1e-10, 438633)}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_COST_CASES))
+def test_sweep_inverts_at_most_its_ceiling(monkeypatch, sample_spec, case):
+    """The rates that reach ``inverse`` stay within the case's ceiling."""
+    step, ceiling = SWEEP_COST_CASES[case]
+    if case.startswith("sample"):
+        cert = compute_certificate(sample_spec)
+        shift = solve(sample_spec.A, sample_spec.B @ cert.q)
+        args = (sample_spec.A, cert.p + shift, (1.0 - cert.mu) * cert.p + shift, step)
+    else:
+        args = ([[-1.3572947460946414]], [1.0], [0.5], step)
+    rates = []
+    real = envelope.inverse
+
+    def counting(stack):
+        rates.append(stack.shape[0])
+        return real(stack)
+
+    monkeypatch.setattr(envelope, "inverse", counting)
+    finite_time(*args)
+    assert sum(rates) <= ceiling
 
 
 def test_pruned_sweep_with_one_rate_per_block_equals_default_blocks(monkeypatch):
