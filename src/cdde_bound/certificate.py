@@ -192,24 +192,29 @@ def compute_certificate(spec: SystemSpec, alpha_step: float = 1e-3,
 
 def staircase(cert: BoundCertificate, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Bound vectors valid at time ``t``; nonincreasing in t, limit (eta, varsigma)."""
-    if t < 0.0:
-        raise NegativeTime(f"bound requested at negative time {t}")
-    xb, yb = sample_staircase(cert, [t])
+    _, xb, yb = staircase_runs(cert, [t])
     return xb[0], yb[0]
 
 
-def sample_staircase(cert: BoundCertificate, times) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized staircase evaluation on a time grid."""
+def staircase_runs(cert: BoundCertificate, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The staircase on a time grid as runs ``(starts, xb, yb)``: the row
+    where each dwell index ``k = floor(t / T_star)`` starts, and a bound row
+    per run; a constant bound is one run."""
     ts = as_vector(times, "times")
     if ts.size and ts.min() < 0.0:
-        raise NegativeTime("bound requested at negative time")
-    if cert.constant_bound:
-        xb = np.tile(cert.eta, (ts.shape[0], 1))
-        yb = np.tile(cert.varsigma, (ts.shape[0], 1))
-        return xb, yb
+        raise NegativeTime(f"bound requested at negative time {ts.min()}")
     k = np.floor(ts / cert.T_star)
-    factor = (1.0 - cert.mu) ** k
+    starts = np.flatnonzero(np.r_[ts.size > 0, k[1:] != k[:-1]])
+    if cert.constant_bound:
+        starts = starts[:1]
+        return starts, np.tile(cert.eta, (starts.size, 1)), np.tile(cert.varsigma, (starts.size, 1))
+    factor = (1.0 - cert.mu) ** k[starts]
     xb = cert.eta[None, :] + factor[:, None] * cert.p[None, :]
     yb = cert.varsigma[None, :] + (factor * (1.0 - cert.mu))[:, None] * cert.q[None, :]
-    return xb, yb
+    return starts, xb, yb
 
+
+def sample_staircase(cert: BoundCertificate, times) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized staircase evaluation on a time grid: the runs, expanded."""
+    starts, *bounds = staircase_runs(cert, times)
+    return tuple(np.repeat(b, np.diff(starts, append=np.size(times)), axis=0) for b in bounds)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .certificate import (BoundCertificate, CertificateError, compute_certificate,
-                          sample_staircase)
+                          staircase_runs)
 from .csvio import write_csv
 from .model import SystemSpec, validate_structure
 from .simulator import (DominationReport, InvalidScenario, SignalSpec,
@@ -188,8 +188,8 @@ def _write_json(path, payload: dict) -> None:
 
 def _write_staircase_csv(path, cert: BoundCertificate, t_end: float, step: float) -> None:
     times = np.arange(int(round(t_end / step)) + 1) * step
-    xb, yb = sample_staircase(cert, times)
-    write_csv(path, times, {"xb": xb, "yb": yb})
+    starts, xb, yb = staircase_runs(cert, times)
+    write_csv(path, times, {"xb": xb, "yb": yb}, starts)
 
 
 def _fmt_vec(v: np.ndarray) -> str:
@@ -287,12 +287,12 @@ def grid_reports(spec: SystemSpec, scenario_cfg, cert: BoundCertificate, *,
     """Reports for VERIFY_GRID from one batched run of the corners F = (0, 0),
     W = (1, 0) and Delta = (0, 1).  For fixed delays the system is linear in
     (psi, phi, w, d), so scenario (a, b) is ``F + a (W - F) + b (Delta - F)``;
-    the differences and the staircase are formed once, and each point is
-    composed and checked in turn."""
+    the differences and the staircase's runs are formed once, and each point
+    is composed and checked in turn."""
     free, omega, dist = simulate_many([
         build_scenario(spec, scenario_cfg, a=a, b=b, t_end=t_end, step=step)
         for a, b in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))])
-    bound = sample_staircase(cert, free.times)
+    runs = staircase_runs(cert, free.times)
     # each trajectory is a view that steps over the batch's rows; a
     # contiguous F makes the differences and every composition contiguous
     parts = {}
@@ -309,7 +309,7 @@ def grid_reports(spec: SystemSpec, scenario_cfg, cert: BoundCertificate, *,
         return out
 
     return [verify_domination(Trajectory(free.times, compose("x_samples", a, b),
-                                         compose("y_samples", a, b)), cert, bound=bound)
+                                         compose("y_samples", a, b)), cert, runs=runs)
             for a, b in VERIFY_GRID]
 
 

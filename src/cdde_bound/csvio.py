@@ -1,48 +1,47 @@
 """The one CSV writer and its numpy ``%.9g`` encoder.
 
-``write_csv`` writes the trajectory CSV of ``simulate`` and the
-``staircase.csv`` of ``bound``: column ``t``, then the named columns, every
-value as Python's ``"%.9g" % v``, LF endings.  Only the modules that write
-CSV import it.
+``write_csv`` writes the trajectory CSV of ``simulate``, row by row, and
+the ``staircase.csv`` of ``bound``, run by run: column ``t``, then the
+named columns, every value as Python's ``"%.9g" % v``, LF endings.  Only
+the modules that write CSV import it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_CSV_ROWS = 512                         # rows formatted at a time: bounds the writer's memory
+_CSV_ROWS = 512                         # t values formatted at a time on the run path
 
 
-def write_csv(path, times: np.ndarray, columns: dict[str, np.ndarray]) -> None:
+def write_csv(path, times: np.ndarray, columns: dict[str, np.ndarray], starts=None) -> None:
     """The one CSV writer: column ``t``, then ``prefix_1..prefix_k`` for each
-    ``prefix -> (rows, k)`` array; ``%.9g`` values, LF endings.  Rows are
-    formatted a block at a time, so memory does not grow with the rows.
-    Within a block, a run of rows whose values after ``t`` repeat bit for
-    bit (a staircase's dwell interval) formats that tail once and writes
-    the run as its rows' ``t`` values (one ``%`` for the block) joined by
-    the tail, plus the tail; a block without a repeated row goes through
-    the numpy encoder ``_encode``, ``_CSV_CELLS`` cells at a time."""
+    ``prefix -> (rows, k)`` array; ``%.9g`` values, LF endings.  The arrays
+    hold a row per time, encoded ``_CSV_CELLS`` cells at a time, or, given
+    ``starts`` (the first row of each run of one tail: a staircase's dwells),
+    a row per run, formatted once and joined with the run's ``t`` values,
+    which are formatted ``_CSV_ROWS`` at a time by one ``%``."""
     header = ["t"] + [f"{prefix}_{i + 1}" for prefix, block in columns.items()
                       for i in range(block.shape[1])]
-    tail_fmt = b",%.9g" * (len(header) - 1) + b"\n"
-    chunk = max(1, _CSV_CELLS // len(header))
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\n")
-        for r0 in range(0, times.shape[0], _CSV_ROWS):
-            rows = slice(r0, r0 + _CSV_ROWS)
-            data = np.hstack([times[rows, None], *(c[rows] for c in columns.values())])
-            # bits, not ==: -0.0 equals 0.0 but prints differently
-            bits = data[:, 1:].view(np.int64)
-            repeat = (bits[1:] == bits[:-1]).all(axis=1)
-            if not repeat.any():
-                fh.writelines(_encode(data[c0:c0 + chunk]) for c0 in range(0, len(data), chunk))
-                continue
-            starts = np.append(0, np.flatnonzero(~repeat) + 1)
-            tails = [tail_fmt % tuple(row) for row in data[starts, 1:].tolist()]
-            bounds = [*starts.tolist(), len(data)]
-            ts = ((b"%.9g\n" * len(data)) % tuple(data[:, 0].tolist())).split(b"\n")
-            fh.writelines(tail.join(ts[r:r1]) + tail
-                          for tail, r, r1 in zip(tails, bounds, bounds[1:]))
+        if starts is None:
+            chunk = max(1, _CSV_CELLS // len(header))
+            fh.writelines(_encode(np.hstack([times[r0:r0 + chunk, None],
+                                             *(c[r0:r0 + chunk] for c in columns.values())]))
+                          for r0 in range(0, times.shape[0], chunk))
+            return
+        tail_fmt = b",%.9g" * (len(header) - 1) + b"\n"
+        rows = np.hstack([np.empty((len(starts), 0)), *columns.values()]).tolist()
+        tails = [tail_fmt % tuple(row) for row in rows]
+        # every block start cuts a run, so no piece crosses a block
+        cuts = sorted({*starts.tolist(), *range(0, times.shape[0], _CSV_ROWS)})
+        runs = (np.searchsorted(starts, cuts, "right") - 1).tolist()
+        for lo, hi, run in zip(cuts, [*cuts[1:], times.shape[0]], runs):
+            r = lo % _CSV_ROWS
+            if r == 0:
+                block = times[lo:lo + _CSV_ROWS].tolist()
+                ts = ((b"%.9g\n" * len(block)) % tuple(block)).split(b"\n")
+            fh.write(tails[run].join(ts[r:r + hi - lo]) + tails[run])
 
 
 # The "%.9g" encoder.  Each cell is written into a 32-byte slot: the nine

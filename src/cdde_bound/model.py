@@ -49,10 +49,7 @@ class SystemSpec:
     phi_bar: np.ndarray
 
     def __post_init__(self):
-        A = as_matrix(self.A, "A")
-        B = as_matrix(self.B, "B")
-        C = as_matrix(self.C, "C")
-        D = as_matrix(self.D, "D")
+        A, B, C, D = (as_matrix(getattr(self, name), name) for name in "ABCD")
         n = A.shape[0]
         m = D.shape[0]
         if A.shape != (n, n):
@@ -80,9 +77,7 @@ class SystemSpec:
         off = ~np.eye(n, dtype=bool)
         A = A.copy()
         A[off] = _clamp_roundoff(A[off])
-        B = _clamp_roundoff(B)
-        C = _clamp_roundoff(C)
-        D = _clamp_roundoff(D)
+        B, C, D = (_clamp_roundoff(M) for M in (B, C, D))
 
         h = float(self.h_max)
         if not np.isfinite(h):

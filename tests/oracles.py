@@ -8,7 +8,9 @@ the entry-time choice over a block of rates with an exact log at every
 rate; the per-step simulator; the entry time of one component at one
 rate; the comparison check of ordered initial data; the contraction
 factor from all three ratio families; one signal's values on a grid, one
-signal at a time; and Python's own "%.9g" for CSV rows."""
+signal at a time; the staircase and the domination check on the dense
+time-by-component grid, which the run-by-run ones must match bit for bit;
+and Python's own "%.9g" for CSV rows."""
 
 import math
 from bisect import bisect_left, bisect_right
@@ -22,8 +24,9 @@ from cdde_bound.envelope import (BLOCK_BYTES, ConvergenceResult, NonpositiveThre
                                  _block_entry_times)
 from cdde_bound.linalg import as_matrix, as_vector, inverse, solve
 from cdde_bound.model import NONNEG_TOL, SystemSpec, negative
-from cdde_bound.simulator import (BLOCK_STEPS, DIVERGENCE_LIMIT, GRID_TOL, JUMP_TOL, InvalidScenario,
-                                  MismatchedScenarios, Trajectory, UnstableStep)
+from cdde_bound.simulator import (BLOCK_STEPS, DIVERGENCE_LIMIT, GRID_TOL, JUMP_TOL,
+                                  DominationReport, InvalidScenario, MismatchedScenarios,
+                                  Trajectory, UnstableStep)
 from cdde_bound.stability import NotStable, is_metzler_hurwitz
 
 
@@ -448,6 +451,29 @@ def raw_contraction_factor(spec: SystemSpec, p, q, shift=None) -> float:
         raise HypothesisViolated(
             f"comparison inequalities fail for the supplied (p, q): mu={mu}")
     return mu
+
+
+def sample_staircase_dense(cert, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The staircase at every time, from ``k = floor(t / T_star)`` per row."""
+    if cert.constant_bound:
+        return np.tile(cert.eta, (times.shape[0], 1)), np.tile(cert.varsigma, (times.shape[0], 1))
+    factor = (1.0 - cert.mu) ** np.floor(times / cert.T_star)
+    xb = cert.eta[None, :] + factor[:, None] * cert.p[None, :]
+    yb = cert.varsigma[None, :] + (factor * (1.0 - cert.mu))[:, None] * cert.q[None, :]
+    return xb, yb
+
+
+def verify_domination_dense(traj: Trajectory, cert, slack: float = 1e-6) -> DominationReport:
+    """Trajectory minus the dense staircase at every time and component:
+    each margin is a column's maximum, and the first violation is the
+    first row with a difference not at most ``slack`` (NaN included)."""
+    xb, yb = sample_staircase_dense(cert, traj.times)
+    dx = traj.x_samples - xb
+    dy = traj.y_samples - yb
+    viol = ~(dx <= slack).all(axis=1) | ~(dy <= slack).all(axis=1)
+    first = float(traj.times[int(np.argmax(viol))]) if viol.any() else None
+    return DominationReport(x_margin=dx.max(axis=0), y_margin=dy.max(axis=0),
+                            first_violation_time=first)
 
 
 def csv_rows_fstring(rows) -> bytes:

@@ -1,17 +1,21 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cdde_bound.certificate import (MU_MIN, CertificateError, HypothesisViolated,
                                     NegativeTime, compute_certificate,
                                     comparison_vectors, contraction_factor,
                                     raw_contraction_factor, sample_staircase,
-                                    staircase, ultimate_bound)
+                                    staircase, staircase_runs, ultimate_bound)
 from cdde_bound.linalg import cmp_leq, solve
 from cdde_bound.model import SystemSpec
 from cdde_bound.stability import check_joint_condition
+
+from oracles import sample_staircase_dense
 
 
 def scalar_coupled_spec(**overrides):
@@ -248,3 +252,38 @@ def test_certificate_serialization(sample_cert):
     assert back["mu"] == sample_cert.mu
     assert back["eta"] == sample_cert.eta.tolist()
     assert back["T_star"] == sample_cert.T_star
+
+
+@settings(max_examples=60, deadline=None)
+@given(step=st.floats(1e-3, 2.0), t_end=st.floats(1e-3, 20.0), t_star=st.floats(1e-4, 30.0),
+       mu=st.floats(MU_MIN, 0.999), constant=st.booleans())
+@example(step=0.01, t_end=4.0, t_star=2.0, mu=0.0706, constant=False)   # a multiple of the step
+@example(step=1e-3, t_end=40.0, t_star=2.0, mu=0.0706, constant=False)
+@example(step=0.3, t_end=10.0, t_star=0.1, mu=0.0706, constant=False)   # below the step
+@example(step=1e-3, t_end=2.0, t_star=5.0, mu=0.0706, constant=False)   # beyond t_end
+@example(step=0.01, t_end=4.0, t_star=2.0, mu=0.0706, constant=True)
+@example(step=0.3, t_end=10.0, t_star=2.0, mu=0.0706, constant=False)   # t_end / step = 33.3
+def test_staircase_runs_expand_to_dense_staircase(sample_cert, step, t_end, t_star, mu,
+                                                   constant):
+    # the grid of bound's staircase.csv; each run is one dwell index, and
+    # its rows, repeated, are the per-time staircase bit for bit
+    assume(t_end / step <= 40_000)
+    cert = replace(sample_cert, T_star=t_star, mu=mu, constant_bound=constant)
+    times = np.arange(int(round(t_end / step)) + 1) * step
+    starts, xb, yb = staircase_runs(cert, times)
+    dwell = np.floor(times / t_star)
+    assert starts.tolist() == ([0] if constant else
+                               np.flatnonzero(np.r_[True, np.diff(dwell) != 0]).tolist())
+    counts = np.diff(starts, append=times.size)
+    want = sample_staircase_dense(cert, times)
+    for got in ((np.repeat(xb, counts, axis=0), np.repeat(yb, counts, axis=0)),
+                sample_staircase(cert, times)):
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def test_staircase_runs_on_an_empty_grid(sample_cert):
+    for cert in (sample_cert, replace(sample_cert, constant_bound=True)):
+        starts, xb, yb = staircase_runs(cert, np.empty(0))
+        assert starts.shape == (0,) and xb.shape == (0, 3) and yb.shape == (0, 2)

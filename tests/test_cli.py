@@ -15,9 +15,10 @@ import cdde_bound
 from cdde_bound import cli
 from cdde_bound.certificate import compute_certificate
 from cdde_bound.cli import VERIFY_GRID, build_scenario, grid_reports, load_problem, main
-from cdde_bound.simulator import simulate, verify_domination
+from cdde_bound.simulator import Trajectory, simulate, simulate_many, verify_domination
 
 from conftest import SAMPLE_PROBLEM
+from oracles import verify_domination_dense
 
 
 def write_problem(tmp_path, mutate=None, name="problem.json"):
@@ -488,6 +489,59 @@ def test_verify_grid_matches_direct_runs(sample_problem_path):
             assert np.abs(got.x_margin - want.x_margin).max() <= 1e-12
             assert np.abs(got.y_margin - want.y_margin).max() <= 1e-12
             assert got.first_violation_time == want.first_violation_time
+
+
+def test_verify_grid_equals_dense_oracle(monkeypatch, sample_problem_path):
+    # each of the six points, checked against the shared staircase runs, bit
+    # for bit against the dense check of the trajectory it was composed to;
+    # tampered certificates make them violate at t = 0 or later
+    checked = []
+
+    def recording(traj, cert, **kwargs):
+        checked.append(traj)
+        return verify_domination(traj, cert, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_domination", recording)
+    spec, cfg, _ = load_problem(sample_problem_path)
+    computed = compute_certificate(spec)
+    for cert in (computed, replace(computed, eta=0.5 * computed.eta),
+                 replace(computed, T_star=0.2 * computed.T_star)):
+        checked.clear()
+        reports = grid_reports(spec, cfg, cert, t_end=6.0, step=1e-3)
+        assert len(checked) == len(reports) == len(VERIFY_GRID)
+        assert [rep.ok for rep in reports] == [cert is computed] * len(VERIFY_GRID)
+        for got, traj in zip(reports, checked):
+            want = verify_domination_dense(traj, cert)
+            for g, w in ((got.x_margin, want.x_margin), (got.y_margin, want.y_margin)):
+                assert np.array_equal(g.view(np.int64), w.view(np.int64))
+            assert got.first_violation_time == want.first_violation_time
+
+
+def with_nan(traj):
+    """The trajectory with x_1 NaN at its fourth grid time."""
+    x = traj.x_samples.copy()
+    x[3, 0] = np.nan
+    return Trajectory(traj.times, x, traj.y_samples)
+
+
+@pytest.mark.parametrize("path", ["one-scenario", "grid"])
+def test_verify_reports_a_nan_sample_as_a_violation(monkeypatch, capsys, sample_problem_path,
+                                                    path):
+    # the divergence check stops a run before verify sees a NaN, so the
+    # simulator is replaced; a NaN in the W corner reaches every grid point
+    argv = ["verify", str(sample_problem_path), "--t-end", "2", "--step", "0.01"]
+    if path == "one-scenario":
+        monkeypatch.setattr(cli, "simulate", lambda scenario: with_nan(simulate(scenario)))
+        argv += ["--a", "1", "--b", "1"]
+    else:
+        monkeypatch.setattr(cli, "simulate_many", lambda scenarios: [
+            with_nan(t) if i == 1 else t for i, t in enumerate(simulate_many(scenarios))])
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == (1 if path == "one-scenario" else len(VERIFY_GRID))
+    for line in lines:
+        assert "x margins [nan, " in line
+        assert line.endswith("-> VIOLATION at t=0.03")
 
 
 def test_simulate_diverging_system_fails_cleanly(tmp_path, capsys):

@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cdde_bound.certificate import compute_certificate
+from cdde_bound.certificate import compute_certificate, staircase_runs
 from cdde_bound.cli import build_scenario, load_problem, main
 from cdde_bound.csvio import _CSV_CELLS, _CSV_ROWS, _encode, write_csv
 from cdde_bound.model import SystemSpec
 from cdde_bound.simulator import (BLOCK_STEPS, BLOCK_VALUES, JUMP_TOL, InvalidScenario,
                                   MismatchedScenarios, SignalSpec, SimulationScenario,
-                                  UnstableStep, _Run, simulate, simulate_many,
+                                  Trajectory, UnstableStep, _Run, simulate, simulate_many,
                                   verify_domination, write_trajectory_csv)
 
 from conftest import SAMPLE_PROBLEM, make_sample_scenario
-from oracles import comparison_check, csv_rows_fstring, simulate_stepwise
+from oracles import (comparison_check, csv_rows_fstring, simulate_stepwise,
+                     verify_domination_dense)
 
 
 def scalar_scenario(a_val=-1.0, psi=1.0, t_end=1.0, step=1e-3, omega=None, c_val=0.0,
@@ -360,6 +361,60 @@ def test_verify_domination_detects_violation(sample_spec):
     assert report.x_margin.max() > 0 or report.y_margin.max() > 0
 
 
+@pytest.fixture(scope="module")
+def sample_run(sample_spec):
+    """The sample's certificate and its a = b = 1 run over three dwells."""
+    scenario = make_sample_scenario(sample_spec, 1.0, 1.0, t_end=6.0, step=1e-2)
+    return compute_certificate(sample_spec), simulate(scenario)
+
+
+def assert_same_report(got, want):
+    for g, w in ((got.x_margin, want.x_margin), (got.y_margin, want.y_margin)):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+    assert got.first_violation_time == want.first_violation_time
+
+
+@pytest.mark.parametrize("constant", [False, True], ids=["staircase", "constant-bound"])
+@pytest.mark.parametrize("bump", [None, "t=0", "run-start", "mid-run", "y-only", "last-row"])
+def test_verify_domination_equals_dense_oracle(sample_run, bump, constant):
+    # run maxima minus the run's bound against the difference at every time
+    cert, traj = sample_run
+    starts = staircase_runs(cert, traj.times)[0]
+    assert starts.tolist() == [0, 200, 400, 600]          # the last row a run of its own
+    cert = replace(cert, constant_bound=constant)
+    x, y = traj.x_samples.copy(), traj.y_samples.copy()
+    if bump is not None:
+        target, row, col = {"t=0": (x, 0, 0), "run-start": (x, starts[1], 1),
+                            "mid-run": (x, (starts[1] + starts[2]) // 2, 2),
+                            "y-only": (y, starts[2] + 10, 0), "last-row": (y, -1, 1)}[bump]
+        target[row, col] += 100.0
+    bumped = Trajectory(traj.times, x, y)
+    want = verify_domination_dense(bumped, cert)
+    assert_same_report(verify_domination(bumped, cert), want)
+    if not constant:
+        # the certificate holds on the sample; each bump is the first violation
+        assert want.first_violation_time == (None if bump is None else traj.times[row])
+
+
+@pytest.mark.parametrize("constant", [False, True], ids=["staircase", "constant-bound"])
+@pytest.mark.parametrize("name", ["x", "y"])
+def test_verify_domination_flags_a_nan_sample(sample_run, name, constant):
+    # a NaN fails every comparison, so it is a violation at its own time,
+    # and it does not hide a real violation later in its run
+    cert, traj = sample_run
+    cert = replace(cert, constant_bound=constant)
+    x, y = np.zeros_like(traj.x_samples), np.zeros_like(traj.y_samples)
+    target = x if name == "x" else y
+    target[3, 0] = np.nan
+    target[5, 1] = 1e3
+    bad = Trajectory(traj.times, x, y)
+    report = verify_domination(bad, cert)
+    assert not report.ok
+    assert report.first_violation_time == traj.times[3]
+    assert np.isnan((report.x_margin if name == "x" else report.y_margin)[0])
+    assert_same_report(report, verify_domination_dense(bad, cert))
+
+
 def test_trajectory_csv(tmp_path, sample_spec):
     scenario = make_sample_scenario(sample_spec, 1.0, 1.0, t_end=0.5, step=1e-3)
     traj = simulate(scenario)
@@ -576,7 +631,8 @@ def test_csv_writer_matches_fstring_reference(tmp_path):
 
 
 def _repeated_rows():
-    """(times, columns) cases for the writer's reuse of a repeated row tail."""
+    """(times, columns) cases with repeated rows, which the encoder writes
+    like any other."""
     rng = np.random.default_rng(3)
     signed_zero = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
     nan_rows = np.array([[np.nan, 2.0]] * 3 + [[np.nan, -np.inf]] * 2)
@@ -606,6 +662,43 @@ def test_csv_tail_reuse_matches_fstring_reference(tmp_path, case):
     want = ",".join(header) + "\n" + "".join(
         ",".join(f"{v:.9g}" for v in row) + "\n" for row in rows)
     assert out.read_bytes() == want.encode()
+
+
+def _runs():
+    """(times, starts, columns) cases for the writer's run path: one row of
+    each column per run."""
+    rng = np.random.default_rng(5)
+
+    def values(runs, cols):
+        return rng.uniform(size=(runs, cols)) * 10.0 ** rng.integers(-12, 12, (runs, cols))
+
+    rows = 2 * _CSV_ROWS + 7
+    special = np.array([[-0.0, np.nan], [np.inf, 5e-324], [1e16, -2.0]])
+    return {
+        # the third run crosses two block boundaries
+        "across-blocks": (np.arange(rows) * 1e-3, np.array([0, 100, _CSV_ROWS - 3, 2 * _CSV_ROWS + 2]),
+                          {"xb": values(4, 3), "yb": values(4, 2)}),
+        "at-block-edges": (np.arange(rows) * 0.04, np.array([0, _CSV_ROWS - 1, _CSV_ROWS, 2 * _CSV_ROWS]),
+                           {"xb": values(4, 2)}),
+        "one-row-runs": (np.arange(_CSV_ROWS + 5) * 0.3, np.arange(_CSV_ROWS + 5),
+                         {"xb": values(_CSV_ROWS + 5, 3), "yb": values(_CSV_ROWS + 5, 2)}),
+        "constant-bound": (np.arange(rows) * 0.01, np.array([0]),
+                           {"xb": np.array([[0.25, 1.0 / 3.0]]), "yb": np.array([[7e-9]])}),
+        "special-values": (np.arange(6) * 0.5, np.array([0, 2, 5]),
+                           {"x": special[:, :1], "y": special[:, 1:]}),
+        "t-only": (np.arange(_CSV_ROWS + 3) * 1e-3, np.array([0, 7]), {}),
+    }
+
+
+@pytest.mark.parametrize("case", list(_runs()))
+def test_csv_run_path_matches_fstring_reference(tmp_path, case):
+    times, starts, columns = _runs()[case]
+    out = tmp_path / "t.csv"
+    write_csv(out, times, columns, starts)
+    counts = np.diff(starts, append=times.size)
+    rows = np.hstack([times[:, None], *(np.repeat(c, counts, axis=0) for c in columns.values())])
+    header = ["t"] + [f"{p}_{i + 1}" for p, c in columns.items() for i in range(c.shape[1])]
+    assert out.read_bytes() == (",".join(header) + "\n").encode() + csv_rows_fstring(rows)
 
 
 @pytest.mark.parametrize("value", [
