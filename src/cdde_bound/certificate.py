@@ -25,7 +25,7 @@ import numpy as np
 
 from . import envelope, stability
 from .linalg import as_vector, solve
-from .model import SystemSpec, _clamp_roundoff, validate_structure
+from .model import SystemSpec, validate_structure
 
 # Shrinking mu by this factor keeps the comparison inequalities strict and
 # the downstream target box strictly positive when the closed-form mu makes
@@ -84,11 +84,13 @@ class BoundCertificate:
 
 def ultimate_bound(spec: SystemSpec, equilibrium=None) -> tuple[np.ndarray, np.ndarray]:
     """Equilibrium under maximal constant disturbances; the limsup bound.
-    ``equilibrium`` is the one ``check_joint_condition`` solved, if known."""
+    ``equilibrium`` is the one ``check_joint_condition`` solved, if known.
+    The exact one is nonnegative, so a negative entry is rounded up to 0."""
     if equilibrium is None:
         equilibrium = solve(stability.coupling_matrix(spec),
                             -np.concatenate([spec.omega_bar, spec.d_bar]))
-    return _clamp_roundoff(equilibrium[:spec.n]), _clamp_roundoff(equilibrium[spec.n:])
+    bound = np.maximum(equilibrium, 0.0)
+    return bound[:spec.n], bound[spec.n:]
 
 
 def comparison_vectors(direction, init_x_bound, init_y_bound) -> tuple[np.ndarray, np.ndarray]:

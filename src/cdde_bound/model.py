@@ -13,25 +13,17 @@ time is fixed at 0; a nonzero start is a time shift and not modelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DimensionMismatch, as_matrix, as_vector
 
-# The one sign tolerance.  Entries this far below zero are treated as
-# round-off from textual input: values in (-NONNEG_TOL, 0) are clamped to 0
-# on load, and every sign decision of the package uses this threshold.
-NONNEG_TOL = 1e-12
-
 
 def negative(a) -> np.ndarray:
-    """Mask of the entries that are not ``>= -NONNEG_TOL``; NaN counts as negative."""
-    return ~(np.asarray(a) >= -NONNEG_TOL)
-
-
-def _clamp_roundoff(a: np.ndarray) -> np.ndarray:
-    return np.where((a > -NONNEG_TOL) & (a < 0.0), 0.0, a)
+    """Mask of the entries that are not ``>= 0``, the one sign rule of the
+    package: NaN counts as negative, ``-0.0`` does not."""
+    return ~(np.asarray(a) >= 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,36 +52,21 @@ class SystemSpec:
             raise DimensionMismatch(f"B must be {n}x{m}, got {B.shape}")
         if C.shape != (m, n):
             raise DimensionMismatch(f"C must be {m}x{n}, got {C.shape}")
-        vecs = {
-            "omega_bar": (self.omega_bar, n),
-            "d_bar": (self.d_bar, m),
-            "psi_bar": (self.psi_bar, n),
-            "phi_bar": (self.phi_bar, m),
-        }
-        cleaned = {}
-        for name, (value, dim) in vecs.items():
-            v = as_vector(value, name)
+        # stored as parsed, read-only
+        arrays = {"A": A, "B": B, "C": C, "D": D}
+        for name, dim in (("omega_bar", n), ("d_bar", m), ("psi_bar", n), ("phi_bar", m)):
+            v = arrays[name] = as_vector(getattr(self, name), name)
             if v.shape[0] != dim:
                 raise DimensionMismatch(f"{name} must have length {dim}, got {v.shape[0]}")
-            cleaned[name] = _clamp_roundoff(v)
-
-        # clamp parser round-off: off-diagonals of A and all of B, C, D
-        off = ~np.eye(n, dtype=bool)
-        A = A.copy()
-        A[off] = _clamp_roundoff(A[off])
-        B, C, D = (_clamp_roundoff(M) for M in (B, C, D))
 
         h = float(self.h_max)
         if not np.isfinite(h):
             raise ValueError("h_max must be finite")
 
-        for name, value in [("A", A), ("B", B), ("C", C), ("D", D),
-                            ("h_max", h), *cleaned.items()]:
+        object.__setattr__(self, "h_max", h)
+        for name, value in arrays.items():
+            value.setflags(write=False)
             object.__setattr__(self, name, value)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
 
     @property
     def n(self) -> int:

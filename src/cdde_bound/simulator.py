@@ -86,7 +86,6 @@ from .signals import InvalidScenario, SignalSpec, _SignalBatch, validate_scenari
 # max(1, largest entry of psi_bar, phi_bar, omega_bar, d_bar), so the limit
 # follows the units of the data
 DIVERGENCE_LIMIT = 1e12
-GRID_TOL = 1e-12
 # minimum jump magnitude worth tracking
 JUMP_TOL = 1e-13
 # grid steps per block of sampled disturbances: at least BLOCK_STEPS, and as
@@ -429,8 +428,7 @@ class _Run:
         h1_at, tk = self.h1_at, kav * self.h
         pieces = [(t0, None)] + self.crossings(h1_at, t0, t1) + [(t1, None)]
         steps = [(ta, start, ta + 0.5 * (tb - ta), tb, end)
-                 for (ta, start), (tb, end) in zip(pieces, pieces[1:])
-                 if tb - ta > 1e-14 or end is None]
+                 for (ta, start), (tb, end) in zip(pieces, pieces[1:]) if tb > ta]
         tq = np.array([min(t - float(h1_at(t)), tk) for ta, start, th, tb, end in steps
                        for t, side in ((ta, start), (th, None), (tb, end)) if side is None])
         z = iter(self.gather(self.weights(tq, kav), 0, len(tq)))
@@ -449,7 +447,7 @@ class _Run:
         x0 = self.xs[k]
         new_events = []
         for tstar, i in self.crossings(self.h2_at, t0, t1):
-            xstar = self.advance(x0, t0, tstar, k) if tstar - t0 > 1e-14 else x0
+            xstar = self.advance(x0, t0, tstar, k) if tstar > t0 else x0
             dv = self.d(np.array([tstar]))[0]
             left, right = (self.output(xstar, z[i], dv, False)
                            for z in (self.jump_left, self.jump_right))
@@ -458,7 +456,7 @@ class _Run:
         for tstar, left, right in new_events:
             bp = self.jump_times
             i = int(np.searchsorted(bp, tstar))
-            if all(abs(u - tstar) >= GRID_TOL for u in bp[max(i - 1, 0):i + 1]):
+            if i == len(bp) or bp[i] != tstar:      # none stored at tstar yet
                 self.jump_times = np.insert(bp, i, tstar)
                 self.jump_left = np.insert(self.jump_left, i, left, axis=0)
                 self.jump_right = np.insert(self.jump_right, i, right, axis=0)

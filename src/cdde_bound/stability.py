@@ -29,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SingularMatrix, as_matrix, as_vector, inverse, solve
-from .model import NONNEG_TOL, SystemSpec, negative
+from .model import SystemSpec, negative
 
 
 class NotMetzler(ValueError):
-    """Matrix has an off-diagonal entry below the Metzler tolerance."""
+    """Matrix has a negative off-diagonal entry."""
 
 
 class NotNonnegative(ValueError):
@@ -60,7 +60,7 @@ class StabilityReport:
 def _require_metzler(A: np.ndarray) -> None:
     off = A[~np.eye(A.shape[0], dtype=bool)]
     if negative(off).any():
-        raise NotMetzler(f"off-diagonal entry {off.min()} below -{NONNEG_TOL}")
+        raise NotMetzler(f"off-diagonal entry {off.min()} is negative")
 
 
 def _is_witness(M: np.ndarray, v: np.ndarray) -> bool:
@@ -113,7 +113,7 @@ def is_schur_nonneg(D) -> bool:
     if M.shape[0] != M.shape[1]:
         raise NotNonnegative(f"matrix must be square, got {M.shape}")
     if negative(M).any():
-        raise NotNonnegative(f"entry {M.min()} below -{NONNEG_TOL}")
+        raise NotNonnegative(f"entry {M.min()} is negative")
     return is_metzler_hurwitz(M - np.eye(M.shape[0]))
 
 

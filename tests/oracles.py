@@ -23,11 +23,20 @@ from cdde_bound.certificate import HypothesisViolated
 from cdde_bound.envelope import (BLOCK_BYTES, ConvergenceResult, NonpositiveThreshold,
                                  _block_entry_times)
 from cdde_bound.linalg import as_matrix, as_vector, inverse, solve
-from cdde_bound.model import NONNEG_TOL, SystemSpec, negative
-from cdde_bound.simulator import (BLOCK_STEPS, DIVERGENCE_LIMIT, GRID_TOL, JUMP_TOL,
+from cdde_bound.model import SystemSpec, negative
+from cdde_bound.simulator import (BLOCK_STEPS, DIVERGENCE_LIMIT, JUMP_TOL,
                                   DominationReport, InvalidScenario, MismatchedScenarios,
                                   Trajectory, UnstableStep)
 from cdde_bound.stability import NotStable, is_metzler_hurwitz
+
+# The references keep their own absolute thresholds, independent of the
+# package's exact sign and time rule: a sign margin for the entries of
+# -inv(A + alpha I), the length below which a split piece ending at a jump,
+# or the advance to a crossing, is skipped, and the distance within which a
+# new jump joins a stored one.
+SIGN_TOL = 1e-12
+PIECE_TOL = 1e-14
+GRID_TOL = 1e-12
 
 
 def inverse_by_columns(m: np.ndarray) -> np.ndarray:
@@ -75,12 +84,12 @@ def finite_time_loop(a: np.ndarray, theta: np.ndarray, delta: np.ndarray,
             minv = inverse_by_columns(a + alpha * np.eye(n))
         except np.linalg.LinAlgError:
             raise AssertionError(f"grid rate {alpha} singular") from None
-        assert (minv <= NONNEG_TOL).all()
+        assert (minv <= SIGN_TOL).all()
         neg_inv = -minv
         a_vec = neg_inv @ theta
         for i in range(n):
             b = neg_inv[:, i]
-            mask = b > NONNEG_TOL
+            mask = b > SIGN_TOL
             t_i = time_to_threshold(float((a_vec[mask] / b[mask]).min()),
                                     float(delta[i]), alpha)
             if t_i < best_t[i]:
@@ -320,7 +329,7 @@ def simulate_stepwise(scenarios) -> list[Trajectory]:
         pieces = [(t0, None)] + [(tau, i) for tau, i in crossings(darg, t0, t1)]
         pieces.append((t1, None))
         for (ta, start), (tb, end) in zip(pieces, pieces[1:]):
-            if tb - ta <= 1e-14 and end is not None:
+            if tb - ta <= PIECE_TOL and end is not None:
                 continue
             th = ta + 0.5 * (tb - ta)
             z0 = bp_lr[start][1] if start is not None else yhist(min(darg(ta), tk), kav)
@@ -385,7 +394,7 @@ def simulate_stepwise(scenarios) -> list[Trajectory]:
             if bp_t and bracket_hits(g_lo, g_hi):
                 new_events = []
                 for tstar, i in crossings(g2, t0, t1):
-                    xstar = advance(xs[k], t0, tstar, k) if tstar - t0 > 1e-14 else xs[k]
+                    xstar = advance(xs[k], t0, tstar, k) if tstar - t0 > PIECE_TOL else xs[k]
                     cx = xstar @ CT
                     dv = at("d", tstar)
                     left, right = (cx + side @ DT + dv for side in bp_lr[i])

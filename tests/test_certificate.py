@@ -46,6 +46,16 @@ def test_ultimate_bound_homogeneous(sample_spec):
     assert varsigma == pytest.approx([0.0] * 2, abs=1e-14)
 
 
+def test_ultimate_bound_raises_a_negative_equilibrium_entry_to_zero(sample_spec):
+    # the exact equilibrium is nonnegative, so a computed entry below 0, of
+    # any size, is rounded up to 0, and -0.0 prints as 0.0
+    equilibrium = np.array([1.0, -1e-3, -0.0, 2.0, -1e-300])
+    eta, varsigma = ultimate_bound(sample_spec, equilibrium=equilibrium)
+    assert eta.tolist() == [1.0, 0.0, 0.0] and varsigma.tolist() == [2.0, 0.0]
+    assert not np.signbit(eta).any() and not np.signbit(varsigma).any()
+    assert json.dumps(eta.tolist()) == "[1.0, 0.0, 0.0]"
+
+
 def test_ultimate_bound_scalar_fixed_point():
     # steady state by hand: x' = 0 with y = 0.5 x gives x = 2, y = 1
     eta, varsigma = ultimate_bound(scalar_coupled_spec())

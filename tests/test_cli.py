@@ -173,6 +173,27 @@ def test_bound_contraction_factor_below_mu_min_exits_1(tmp_path, capsys, mutate)
     assert not (tmp_path / "out" / "certificate.json").exists()
 
 
+def non_metzler_in_fast_time(doc):
+    """The sample with ``A[0][2] = -0.5``, then in time units of 1e-12, so
+    that the entry is -5e-13."""
+    doc["system"]["A"][0][2] = -0.5
+    time_rescaled(1e12)(doc)
+
+
+def test_non_metzler_sample_in_fast_time_exits_1(tmp_path, capsys):
+    """A negative entry is refused at any size: rescaling time makes it
+    small, not nonnegative."""
+    path = write_problem(tmp_path, non_metzler_in_fast_time)
+    assert main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL structure: A not Metzler at (0, 2): -5e-13\n" in out
+    assert "PASS A is Metzler" not in out and err == ""
+    assert main(["bound", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "FAIL structural-validation: A not Metzler at (0, 2): -5e-13\n"
+    assert not (tmp_path / "out" / "certificate.json").exists()
+
+
 def x1_in_units_of(c):
     """The sample with ``x_1`` measured in units 1/c: row 1 of ``A`` and of
     ``B`` and ``omega_bar_1`` and ``psi_bar_1`` multiply by c off ``A``'s

@@ -62,7 +62,8 @@ def test_gamma_errors():
 def test_empty_index_set_guard():
     """No index set is empty: each holds its own diagonal entry, however
     small -inv(A + alpha I) is.  A scalar system whose -inv(A + alpha I) is
-    about 1e-13, below NONNEG_TOL, has the factor theta."""
+    about 1e-13, below any absolute threshold of 1e-12, has the factor
+    theta."""
     assert gamma_component([[-1e13]], 0.5, [1.0], 0) == 1.0
     assert gamma_component([[-1e13]], 1e12, [1.0], 0) == 1.0
     args = (np.array([[-1e13]]), np.array([1e12]), np.ones(1))
@@ -76,7 +77,7 @@ def test_empty_index_set_guard():
                          ids=["scalar", "reducible-2x2"])
 def test_gamma_component_refuses_a_positive_diagonal(a):
     """The inverse of A + 0.5 I is at most about 1e-13 in every entry,
-    within NONNEG_TOL of nonpositive, and the matrix is well conditioned;
+    within 1e-12 of nonpositive, and the matrix is well conditioned;
     its row sums are no positive witness all the same, and the rate is
     checked before any factor is formed."""
     with pytest.raises(DecayRateTooLarge, match=r"^alpha=0\.5: shifted matrix not Hurwitz$"):
@@ -200,8 +201,8 @@ REDUCIBLE = np.array([
 
 
 def test_reducible_margin_is_searched_on_the_reachable_pattern():
-    """Computed, the exact zeros of ``inv(A + 0.5406 I)`` read above the
-    sign tolerance, but those at 0.5405 and 0.5407 do not: a sign test of
+    """Computed, the exact zeros of ``inv(A + 0.5406 I)`` read above a sign
+    threshold of 1e-12, but those at 0.5405 and 0.5407 do not: a sign test of
     every entry made the search starting at the margin return 0.5407 and
     the sweep then fail at 0.5406, and the doubling search stop at 0.5405.
     The witness test reads no entry's sign: every grid rate below the

@@ -3,7 +3,7 @@ import pytest
 
 from cdde_bound.envelope import gamma_component
 from cdde_bound.linalg import DimensionMismatch
-from cdde_bound.model import NONNEG_TOL, SystemSpec, negative, validate_structure
+from cdde_bound.model import SystemSpec, negative, validate_structure
 from cdde_bound.signals import InvalidScenario, SignalSpec, validate_scenario
 from cdde_bound.stability import (NotMetzler, NotNonnegative, check_joint_condition,
                                   is_metzler_hurwitz, is_schur_nonneg)
@@ -62,18 +62,23 @@ def test_validate_is_total_and_collects_everything():
     assert len(findings) == 3
 
 
-def test_roundoff_negatives_clamped_on_load():
-    spec = _spec_with(B=[[0.2, -1e-13], [0.5, 0.3], [0.0, 0.4]],
-                      omega_bar=[0.5, -5e-13, 0.1])
-    assert spec.B[0, 1] == 0.0
-    assert spec.omega_bar[1] == 0.0
-    assert validate_structure(spec) == []
+def test_small_negatives_kept_on_load():
+    # the arrays are stored as parsed, and a negative entry of any size is
+    # a finding, however close to zero
+    spec = _spec_with(A=[[-2.5, 0.3, -5e-324], [0.5, -2.0, 0.1], [0.4, 0.6, -3.0]],
+                      B=[[0.2, -1e-13], [0.5, 0.3], [0.0, 0.4]],
+                      omega_bar=[0.5, -5e-13, 0.1], d_bar=[-0.0, 0.1])
+    assert (spec.A[0, 2], spec.B[0, 1], spec.omega_bar[1]) == (-5e-324, -1e-13, -5e-13)
+    assert np.signbit(spec.d_bar[0])
+    assert validate_structure(spec) == ["A not Metzler at (0, 2): -5e-324",
+                                        "B not nonnegative at (0, 1): -1e-13",
+                                        "omega_bar not nonnegative at 1: -5e-13"]
 
 
-def test_tolerated_negative_not_clamped():
+def test_negative_bar_entry_kept_and_refused():
     spec = _spec_with(omega_bar=[0.5, -1e-12, 0.1])
     assert spec.omega_bar[1] == -1e-12
-    assert validate_structure(spec) == []
+    assert validate_structure(spec) == ["omega_bar not nonnegative at 1: -1e-12"]
 
 
 def _validate(spec, psi, omega=None):
@@ -93,11 +98,11 @@ def _passes(check, *args) -> bool:
     return True
 
 
-@pytest.mark.parametrize("scale, accepted", [(1.0, True), (2.0, False)])
-def test_sign_tolerance_boundary_across_modules(scale, accepted):
-    # -NONNEG_TOL is not clamped on load and passes every sign check;
-    # -2 NONNEG_TOL fails every one of them
-    e = -scale * NONNEG_TOL
+@pytest.mark.parametrize("e", [-0.0, -5e-324, -1e-13, -1e-12, -2e-12])
+def test_sign_rule_across_modules(e):
+    # the one sign rule: -0.0 passes every sign check, and a negative entry
+    # of any size fails every one of them
+    accepted = e == 0.0
     A = [[-2.5, 0.3, e], [0.5, -2.0, 0.1], [0.4, 0.6, -3.0]]
     D = [[0.6, 0.3], [e, 0.2]]
     spec = _spec_with(A=A, B=[[0.2, 0.1], [0.5, 0.3], [e, 0.4]],
@@ -115,16 +120,16 @@ def test_sign_tolerance_boundary_across_modules(scale, accepted):
     else:
         with pytest.raises(ValueError, match="theta_bar must be nonnegative"):
             gamma_component(make_sample_system().A, 0.1, theta, 0)
-    # the scenario check's signs too: psi at its bar, psi_bar[2] = e; but
-    # its bars are exact, so psi_3 = -e is above psi_bar[2] at either scale
+    # the scenario check's signs too: psi at its bar, psi_bar[2] = e, and
+    # psi_3 = -e, above psi_bar[2] unless e is -0.0
     assert _passes(_validate, spec, spec.psi_bar) is accepted
-    assert _passes(_validate, spec, [2.0, 5.0, -e]) is False
+    assert _passes(_validate, spec, [2.0, 5.0, -e]) is accepted
     omega = SignalSpec("abs_sin", (0.5, 0.3, e), (1.0,))
     assert _passes(_validate, _spec_with(), [2.0, 5.0, 3.0], omega) is accepted
 
 
 def test_nan_counts_as_negative():
-    assert negative([np.nan, -NONNEG_TOL, -2 * NONNEG_TOL, 0.0]).tolist() == [True, False, True, False]
+    assert negative([np.nan, -5e-324, -0.0, 0.0]).tolist() == [True, True, False, False]
     for i, psi in enumerate(([np.nan, 1.0, 1.0], [0.5, np.nan, 1.0])):
         with pytest.raises(InvalidScenario, match=rf"^scenario.psi\[{i}\] reaches nan < 0$"):
             _validate(_spec_with(), psi)

@@ -302,13 +302,20 @@ def test_divergence_names_first_failing_grid_time(a_val, c_val, delay, t_end, ps
     (SignalSpec.constant([0.0]), SignalSpec.constant([0.0])),
     (SignalSpec.constant([0.015]), SignalSpec.constant([0.015])),
     (SignalSpec.constant([0.5]), SignalSpec("const_plus_abs_sin", (0.02,), (40.0,), 0.0)),
-], ids=["delay-free", "one-and-a-half-steps", "h2-crossing-the-step"])
+    (SignalSpec.constant([0.02]), SignalSpec.constant([0.03])),
+], ids=["delay-free", "one-and-a-half-steps", "h2-crossing-the-step", "whole-steps"])
 def test_short_delays_match_stepwise(sample_spec, h1, h2):
-    # windows of one or two steps; in the last case h2 dips below the step
-    # over and over, so a window must end where closed and held steps meet
+    # windows of one or two steps; in the third case h2 dips below the step
+    # over and over, so a window must end where closed and held steps meet.
+    # In the last, delays of two and three steps carry each jump's image to
+    # a grid time or within a few ulps of one, so crossings land on a step's
+    # end or a few ulps from its start, and the stored jump times stay
+    # strictly increasing
     scenarios = [replace(make_sample_scenario(sample_spec, a, 1.0, t_end=3.0, step=0.01),
                          h1=h1, h2=h2) for a in (0.0, 1.0)]
-    for got, want in zip(simulate_many(scenarios), simulate_stepwise(scenarios)):
+    trajs, _, jump_times = blocks_of(scenarios)
+    assert (np.diff(jump_times) > 0.0).all()
+    for got, want in zip(trajs, simulate_stepwise(scenarios)):
         for name in ("x_samples", "y_samples"):
             ref = getattr(want, name)
             assert np.abs(getattr(got, name) - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -149,16 +149,22 @@ def test_positive_diagonal_is_not_hurwitz():
 
 
 def test_negative_off_diagonal_inside_the_tolerance_is_not_hurwitz():
-    """Off-diagonal entries of -5e-13 pass the Metzler and nonnegativity
-    checks, which allow -NONNEG_TOL.  These matrices have the eigenvalue
-    4e-13 and the spectral radius 1 + 4e-13, yet the row sums of -inv(M)
-    are positive and ``M v`` is about -1: only the Metzler majorant, with
-    +5e-13 off the diagonal, refuses them."""
+    """Off-diagonal entries of -5e-13, inside any sign tolerance of the
+    usual 1e-12, are negative, and the Metzler and nonnegativity checks
+    refuse them.  These matrices have the eigenvalue 4e-13 and the spectral
+    radius 1 + 4e-13, yet the row sums of -inv(M) are positive and ``M v``
+    is about -1: the witness test, read through the Metzler majorant with
+    +5e-13 off the diagonal, refuses them on its own."""
     a = np.array([[-1e-13, -5e-13], [-5e-13, -1e-13]])
-    assert not is_metzler_hurwitz(a)
-    assert not is_schur_nonneg(a + np.eye(2))
-    with pytest.raises(NotStable):
+    with pytest.raises(NotMetzler, match=r"^off-diagonal entry -5e-13 is negative$"):
+        is_metzler_hurwitz(a)
+    with pytest.raises(NotNonnegative, match=r"^entry -5e-13 is negative$"):
+        is_schur_nonneg(a + np.eye(2))
+    with pytest.raises(NotMetzler):
         alpha_max(a, 1e-15)
+    v = -inverse(a).sum(axis=1)
+    assert (v > 0.0).all() and (a @ v < 0.0).all()
+    assert not stability._is_witness(a, v)
 
 
 def test_alpha_max_in_fast_time_units():

@@ -227,14 +227,14 @@ def test_gap_floor_bounds_every_rate_inside_the_gap(case, width):
     ([[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [1.0, 0.0, -2.0]], [0.0, 0.0, 1.0]),
     ([[-2.0, 1.0], [0.0, -2.0]], [1.0, 1.0]),           # 2 does not reach 1
     ([[-2.0, 1.0], [1.0, -2.0]], [0.0, 0.0]),           # a = 0
-    ([[-2.0, 1.0], [-1e-13, -2.0]], [1.0, 1.0]),        # Metzler only to NONNEG_TOL
+    ([[-2.0, 1.0], [-1e-13, -2.0]], [1.0, 1.0]),        # a tiny negative entry
 ], ids=["coupled", "scalar", "cycle", "reducible", "zero-theta", "negative-entry"])
 def test_prunable_needs_positive_n_and_a(a, theta):
     """Every grid is pruned; the floors need the index sets of ``N = -inv(A
     + alpha I)`` and ``a = N theta``, which ``_index_sets`` takes from the
     graph of ``A``.  At every admissible rate, ``N`` is positive exactly
     where the mask holds and ``a`` exactly where the support of ``theta``
-    reaches; a Metzler-to-tolerance entry is no edge."""
+    reaches; a negative entry, however small, is no edge."""
     reach, unreached = _index_sets(np.array(a), np.array(theta))
     for alpha in (0.25, 0.5, 0.75):
         shifted = np.array(a) + alpha * np.eye(len(a))
@@ -309,7 +309,7 @@ ERROR_CASES = {
         (NotStable, "matrix is not Hurwitz, no positive decay rate exists", type(None), None)),
     "not-metzler": (
         alpha_max, ([[-1.0, -0.5], [0.0, -1.0]], 1e-3),
-        (NotMetzler, "off-diagonal entry -0.5 below -1e-12", type(None), None)),
+        (NotMetzler, "off-diagonal entry -0.5 is negative", type(None), None)),
     "not-square": (
         alpha_max, ([[-1.0, 0.0]], 1e-3),
         (NotMetzler, "matrix must be square, got (1, 2)", type(None), None)),
@@ -374,7 +374,7 @@ HURWITZ_CASES = {
     "ill-conditioned": ([[-1.0 + 2.0**-53, 1.0], [1.0, -1.0 + 2.0**-53]], False),
     "overflowing-norm": ([[-1.5e308, 1e308], [1e308, -1.5e308]], True),
     "not-metzler": ([[-1.0, -0.5], [0.0, -1.0]],
-                    (NotMetzler, "off-diagonal entry -0.5 below -1e-12", type(None), None)),
+                    (NotMetzler, "off-diagonal entry -0.5 is negative", type(None), None)),
     "not-square": ([[-1.0, 0.0]], (NotMetzler, "matrix must be square, got (1, 2)",
                                    type(None), None)),
     "non-finite": ([[-np.inf]], (ValueError, "A contains non-finite entries", type(None), None)),
