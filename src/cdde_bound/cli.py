@@ -29,7 +29,7 @@ from .csvio import write_csv
 from .model import SystemSpec, validate_structure
 from .simulator import (DominationReport, InvalidScenario, SignalSpec,
                         SimulationScenario, Trajectory, UnstableStep, simulate,
-                        simulate_many, verify_domination, write_trajectory_csv)
+                        simulate_corners, verify_domination, write_trajectory_csv)
 from .stability import check_joint_condition
 
 # alpha_step, simulation step and t_end; each must be finite and positive
@@ -81,6 +81,9 @@ def load_problem(path, args=None) -> tuple[SystemSpec, dict | None, dict]:
         raise ProblemFormatError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict) or "system" not in doc:
         raise ProblemFormatError("problem file must be an object with a 'system' section")
+    for section in ("system", "scenario", "options"):
+        if isinstance(doc.get(section), dict):
+            _numbers_only(doc[section], section)
     sysd = doc["system"]
     try:
         spec = SystemSpec(A=sysd["A"], B=sysd["B"], C=sysd["C"], D=sysd["D"],
@@ -105,6 +108,21 @@ def load_problem(path, args=None) -> tuple[SystemSpec, dict | None, dict]:
         _scenario(spec, scenario_cfg, a=1.0, b=1.0, t_end=_option(args, options, "t_end"),
                   step=_option(args, options, "step"))
     return spec, scenario_cfg, options
+
+
+def _numbers_only(value, name: str) -> None:
+    """Refuse a boolean or a string where the file holds a number, which
+    ``float`` would read (true as 1.0, "0.3" as 0.3); a signal's kind is
+    the one string.  A list of numbers costs one set test."""
+    if isinstance(value, (bool, str)):
+        raise ProblemFormatError(f"{name} must be a number, got {json.dumps(value)}")
+    if isinstance(value, dict):
+        for key, v in value.items():
+            if key != "kind":
+                _numbers_only(v, f"{name}.{key}")
+    elif isinstance(value, list) and not {float, int}.issuperset(map(type, value)):
+        for i, v in enumerate(value):
+            _numbers_only(v, f"{name}[{i}]")
 
 
 def _positive(name: str, value) -> float:
@@ -284,14 +302,14 @@ def cmd_simulate(args) -> int:
 
 def grid_reports(spec: SystemSpec, scenario_cfg, cert: BoundCertificate, *,
                  t_end: float, step: float) -> list[DominationReport]:
-    """Reports for VERIFY_GRID from one batched run of the corners F = (0, 0),
-    W = (1, 0) and Delta = (0, 1).  For fixed delays the system is linear in
-    (psi, phi, w, d), so scenario (a, b) is ``F + a (W - F) + b (Delta - F)``;
-    the differences and the staircase's runs are formed once, and each point
-    is composed and checked in turn."""
-    free, omega, dist = simulate_many([
-        build_scenario(spec, scenario_cfg, a=a, b=b, t_end=t_end, step=step)
-        for a, b in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))])
+    """Reports for VERIFY_GRID from one batched run of the scenario's corners
+    F = (0, 0), W = (1, 0) and Delta = (0, 1) (``simulate_corners``).  For
+    fixed delays the system is linear in (psi, phi, w, d), so scenario (a, b)
+    is ``F + a (W - F) + b (Delta - F)``; the differences and the
+    staircase's runs are formed once, and each point is composed and
+    checked in turn."""
+    free, omega, dist = simulate_corners(
+        build_scenario(spec, scenario_cfg, a=1.0, b=1.0, t_end=t_end, step=step))
     runs = staircase_runs(cert, free.times)
     # each trajectory is a view that steps over the batch's rows; every
     # composition reads F again, so one contiguous copy of F pays (it halved

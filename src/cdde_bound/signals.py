@@ -1,8 +1,6 @@
-"""Signal presets for simulator scenarios: ``SignalSpec``, with its range
-in closed form; ``validate_scenario``, which checks a scenario against its
-envelopes once, on its parameters; and ``_SignalBatch``, which evaluates
-signals of one dimension together and shares each distinct wave between
-them."""
+"""Signal presets for simulator scenarios: ``SignalSpec``, with its values
+and its range in closed form, and ``validate_scenario``, which checks a
+scenario against its envelopes once, on its parameters."""
 
 from __future__ import annotations
 
@@ -61,8 +59,17 @@ class SignalSpec:
         return len(self.amplitude)
 
     @cached_property
-    def _batch(self) -> "_SignalBatch":
-        return _SignalBatch([self])
+    def _terms(self) -> tuple:
+        """The preset as numpy constants, formed once per signal: the wave's
+        function, the frequencies and the amplitudes as columns (dim, 1),
+        the offset (None unless ``const_plus_*``), and the first frequency
+        and amplitude as np.float64 scalars.  The wave of 1 of ``constant``
+        and ``zero`` is |cos(0 t)|, and ``zero`` has the amplitude 0."""
+        freq = np.array(self.frequency) if self.kind in _TRIG else np.zeros(self.dim)
+        amp = np.zeros(self.dim) if self.kind == "zero" else np.array(self.amplitude)
+        offset = np.float64(self.offset) if self.kind.startswith("const_plus") else None
+        return (_TRIG.get(self.kind, np.cos), freq[:, None], amp[:, None], offset,
+                freq[0], amp[0])
 
     def __call__(self, t: float) -> np.ndarray:
         return self.sample(np.array([t]))[0]
@@ -71,8 +78,27 @@ class SignalSpec:
     # validate_scenario checks; the NaN that follows raises no numpy warning
     @np.errstate(over="ignore", invalid="ignore")
     def sample(self, times: np.ndarray) -> np.ndarray:
-        """Evaluate on a grid; shape (len(times), dim)."""
-        return self._batch(np.asarray(times, dtype=float))[:, 0]
+        """Evaluate on a grid, shape (len(times), dim): ``wave * amplitude``,
+        plus the offset for the ``const_plus_*`` kinds, where the wave is
+        |sin(f t)| or |cos(f t)|.  The values are formed as rows (dim,
+        len(times)), where numpy's loops run over the times, several times
+        faster than over a few components, and returned transposed."""
+        trig, freq, amp, offset, _, _ = self._terms
+        rows = np.abs(trig(freq * np.asarray(times, dtype=float)))
+        rows *= amp
+        if offset is not None:
+            rows += offset
+        return rows.T
+
+    def scalar(self, t: float) -> np.float64:
+        """The first component at ``t``: the formula of ``sample`` on
+        np.float64 scalars, for the delays in the jump bisection, where a
+        call on a one-element array costs several times more.  numpy's sin
+        and cos, not the math module's, keep it equal to ``sample`` bit for
+        bit."""
+        trig, _, _, offset, f, amp = self._terms
+        value = np.abs(trig(t * f)) * amp
+        return value if offset is None else value + offset
 
     def bounds(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The lowest and the highest value of each component over t >= 0,
@@ -154,56 +180,3 @@ def validate_scenario(spec, *, psi, phi: SignalSpec, omega: SignalSpec, d: Signa
             raise InvalidScenario(f"scenario.{name}[{i}] reaches {lo[k]} < 0")
         raise InvalidScenario(f"scenario.{name}[{i}] reaches {hi[k]} > "
                               f"{label.format(i)} = {bar[k]}")
-
-
-class _SignalBatch:
-    """Signals of one dimension, evaluated together: each value is ``wave *
-    amplitude``, plus the offset for the ``const_plus_*`` kinds, where the
-    wave is |sin(f t)| or |cos(f t)| for the oscillating kinds and 1 for
-    ``constant`` (``zero`` counts with amplitude 0).  Each distinct wave, one
-    (sin or cos, f), is evaluated once per call and shared by the members;
-    ``SignalSpec.sample`` is the batch of one."""
-
-    def __init__(self, signals):
-        self.shape = (len(signals), signals[0].dim)
-        # a column per member and component: (np.sin, np.cos or None; f;
-        # amplitude; offset or None)
-        cols = [(_TRIG.get(s.kind), np.float64(f), np.float64(0.0 if s.kind == "zero" else a),
-                 np.float64(s.offset) if s.kind.startswith("const_plus") else None)
-                for s in signals for a, f in zip(s.amplitude, s.frequency)]
-        # the rows of the table of waves: the distinct sines, the distinct
-        # cosines, then a row of ones
-        sines = [*dict.fromkeys(c[:2] for c in cols if c[0] is np.sin)]
-        waves = sines + [*dict.fromkeys(c[:2] for c in cols if c[0] is np.cos)]
-        self._trigs = ((np.sin, slice(0, len(sines))), (np.cos, slice(len(sines), len(waves))))
-        self._freqs = np.array([f for trig, f in waves]).reshape(-1, 1)
-        self._take = np.array([waves.index(c[:2]) if c[0] else len(waves) for c in cols])
-        self._amp = np.array([[c[2]] for c in cols])
-        self._offset = np.array([[0.0 if c[3] is None else c[3]] for c in cols])
-        plus = np.array([[c[3] is not None] for c in cols])
-        self._plus = plus if plus.any() else None
-        self._first = cols[0]
-
-    def __call__(self, times: np.ndarray) -> np.ndarray:
-        """Values at the float64 ``times``, shape (len(times), members, dim)."""
-        table = np.empty((len(self._freqs) + 1, len(times)))
-        waves = np.multiply(self._freqs, times, out=table[:-1])
-        for trig, rows in self._trigs:
-            trig(waves[rows], out=waves[rows])
-        np.abs(waves, out=waves)
-        table[-1] = 1.0
-        out = table[self._take]
-        out *= self._amp
-        if self._plus is not None:
-            np.add(out, self._offset, out=out, where=self._plus)
-        return out.T.reshape(len(times), *self.shape)
-
-    def scalar(self, t: float) -> np.float64:
-        """The first member's first value at ``t``: the formula of
-        ``__call__`` on np.float64 scalars, for the delays in the jump
-        bisection, where a call on a one-element array costs several times
-        more.  numpy's sin and cos, not the math module's, keep it equal to
-        ``__call__`` bit for bit."""
-        trig, f, amp, offset = self._first
-        value = (np.abs(trig(t * f)) if trig else 1.0) * amp
-        return value if offset is None else value + offset

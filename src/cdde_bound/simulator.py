@@ -26,20 +26,22 @@ A scenario is checked against its envelopes once, when it is built
 closed form, so the check covers every time, not only the grid points, and
 a run reads only admissible data.
 
-Scenarios that share the system, the delays and the grid run as one batch,
-held by one run record (``_Run``): its constant maps, signal batches and
-delays, and the state it fills in, x, y and the stored jumps.  Its stages
-run in this order:
+A run integrates one scenario for S members, which scale its omega and d
+by their own ``(a, b)`` and share the rest; a sample times 0 or 1 is exact.
+A jump is tracked when any member jumps there by more than ``JUMP_TOL`` (a
+member continuous there then moves by truncation error, not rounding).  One
+run record (``_Run``) holds the constant maps, the signals, the scales and
+the delays, and the state it fills in, x, y and the stored jumps.  Its
+stages run in this order:
 
 1. start: set y at 0 from the difference relation and store its jump
    from phi;
 2. then, block by block of ``max(BLOCK_STEPS, BLOCK_VALUES // (S *
    max(n, m)))`` steps, so a block holds at most ``BLOCK_VALUES`` states
    of the batch, or ``BLOCK_STEPS`` steps of a wider one:
-   - signal sampling: each distinct wave, |sin| or |cos| at one frequency,
-     once for the grid times and once for the half-step times for the
-     whole batch, each member's values as amplitude times wave (plus its
-     offset);
+   - signal sampling: omega and d once for the grid times and omega once
+     for the half-step times, each member's values as its scale times the
+     sample;
    - the segment and window walk below, which per window runs read
      planning (``weights``, ``gather``), then the windowed scan
      (``recur``) or the split step (``advance``, with the crossing search),
@@ -80,7 +82,7 @@ from .certificate import BoundCertificate, staircase_runs
 from .csvio import write_csv
 from .linalg import DimensionMismatch, SingularMatrix, as_vector, inverse
 from .model import SystemSpec
-from .signals import InvalidScenario, SignalSpec, _SignalBatch, validate_scenario
+from .signals import InvalidScenario, SignalSpec, validate_scenario
 
 # a run diverges once a state or output reaches DIVERGENCE_LIMIT times
 # max(1, largest entry of psi_bar, phi_bar, omega_bar, d_bar), so the limit
@@ -96,10 +98,6 @@ BLOCK_VALUES = 512 * 30
 
 class UnstableStep(RuntimeError):
     """A sample exceeded the divergence limit."""
-
-
-class MismatchedScenarios(ValueError):
-    """Scenario pair is not comparable."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,24 +162,19 @@ class DominationReport:
 
 def simulate(scenario: SimulationScenario) -> Trajectory:
     """Integrate the scenario over [0, t_end] on the uniform grid."""
-    return simulate_many([scenario])[0]
+    return _simulate(scenario, [(1.0, 1.0)])[0]
 
 
-def simulate_many(scenarios) -> list[Trajectory]:
-    """Integrate scenarios sharing system, delays and grid in one pass, with
-    states ``(K+1, S, n)``; returns per-member views, in order.  ``omega``,
-    ``d``, ``psi`` and ``phi`` may differ.  The jump list is shared: a jump
-    is tracked when any member jumps there by more than ``JUMP_TOL`` (a
-    member continuous there then moves by truncation error, not rounding)."""
-    first = scenarios[0]
-    for sc in scenarios[1:]:
-        if not _same_system(sc.spec, first.spec):
-            raise MismatchedScenarios("scenarios use different systems")
-        if sc.h1 != first.h1 or sc.h2 != first.h2:
-            raise MismatchedScenarios("scenarios use different delay signals")
-        if sc.t_end != first.t_end or sc.step != first.step:
-            raise MismatchedScenarios("scenarios use different grids")
-    run = _Run(scenarios)
+def simulate_corners(scenario: SimulationScenario) -> list[Trajectory]:
+    """The scenario's runs with omega and d scaled by (0, 0), (1, 0) and
+    (0, 1), verify's corners F, W and Delta, in one pass."""
+    return _simulate(scenario, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+
+
+def _simulate(scenario: SimulationScenario, scales) -> list[Trajectory]:
+    """The scenario with omega and d scaled by each ``(a, b)`` of ``scales``,
+    in one pass (module docstring): views of states ``(K+1, S, n)``."""
+    run = _Run(scenario, scales)
     # rows after a divergence may overflow until the block's check names
     # the first one
     with np.errstate(over="ignore", invalid="ignore"):
@@ -191,40 +184,39 @@ def simulate_many(scenarios) -> list[Trajectory]:
     for v in (run.ts, run.xs, run.ys):
         v.setflags(write=False)
     return [Trajectory(times=run.ts, x_samples=run.xs[:, i], y_samples=run.ys[:, i])
-            for i in range(len(scenarios))]
+            for i in range(run.S)]
 
 
 class _Run:
-    """One batch on its grid (module docstring).  The constants are the
-    maps of a step away from jumps, the transposed system matrices, the
-    signal batches and the delays; the state is x and y on the grid,
-    ``xs`` (K+1, S, n) and ``ys`` (K+1, S, m), and the stored y jumps,
+    """One scenario for S members on its grid (module docstring).  The
+    constants are the maps of a step away from jumps, the transposed system
+    matrices, the signals, the scales and the delays; the state is x and y
+    on the grid, ``xs`` (K+1, S, n) and ``ys`` (K+1, S, m), and the stored y jumps,
     sorted by time: ``jump_times`` (J,) with the values on either side,
     ``jump_left`` and ``jump_right`` (J, S, m)."""
 
-    def __init__(self, scenarios):
-        first = scenarios[0]
-        self.spec = spec = first.spec
-        n, m, S = self.n, self.m, self.S = spec.n, spec.m, len(scenarios)
-        self.h = h = first.step
+    def __init__(self, scenario: SimulationScenario, scales):
+        self.spec = spec = scenario.spec
+        n, m, S = self.n, self.m, self.S = spec.n, spec.m, len(scales)
+        self.h = h = scenario.step
         if spec.h_max > 0.0 and h > spec.h_max:
             raise InvalidScenario(f"step {h} exceeds the delay bound {spec.h_max}")
-        self.K = K = int(round(first.t_end / h))
+        self.K = K = int(round(scenario.t_end / h))
         if K < 1:
-            raise InvalidScenario(f"t_end {first.t_end} shorter than one step {h}")
+            raise InvalidScenario(f"t_end {scenario.t_end} shorter than one step {h}")
         self.ts = ts = np.arange(K + 1) * h
         self.limit = DIVERGENCE_LIMIT * float(np.concatenate(
             (spec.psi_bar, spec.phi_bar, spec.omega_bar, spec.d_bar)).max(initial=1.0))
         self.block_steps = max(BLOCK_STEPS, BLOCK_VALUES // (S * max(n, m)))
         self.AT, self.BT, self.CT, self.DT = (M.T.copy() for M in (spec.A, spec.B, spec.C, spec.D))
-        # each distinct wave once per call for the whole batch (_SignalBatch)
-        self.omega, self.d, self.phi = (_SignalBatch([getattr(sc, name) for sc in scenarios])
-                                        for name in ("omega", "d", "phi"))
-        self.H10 = first.h1.sample(ts)[:, 0]
-        self.H1h = first.h1.sample(ts[:-1] + 0.5 * h)[:, 0]
-        self.H20 = first.h2.sample(ts)[:, 0]
-        # the delays at one time, on np.float64 scalars (_SignalBatch.scalar)
-        self.h1_at, self.h2_at = first.h1._batch.scalar, first.h2._batch.scalar
+        self.scenario = scenario
+        # each member's scales of omega and d, (S, 1, 1)
+        self.a, self.b = np.array(scales, dtype=float).T[:, :, None, None]
+        self.H10 = scenario.h1.sample(ts)[:, 0]
+        self.H1h = scenario.h1.sample(ts[:-1] + 0.5 * h)[:, 0]
+        self.H20 = scenario.h2.sample(ts)[:, 0]
+        # the delays at one time, on np.float64 scalars
+        self.h1_at, self.h2_at = scenario.h1.scalar, scenario.h2.scalar
         # Away from jumps a step is linear in (x, z0, zh, z1, w0, wh, w1) with
         # fixed maps; rk4 applied to unit rows gives them once.  The w part of
         # a block of steps is then one product.
@@ -233,7 +225,7 @@ class _Run:
         self.xz_map, self.w_map = step_map[:n + 3 * m], step_map[n + 3 * m:]
         self.P, self.Mz = self.xz_map[:n], self.xz_map[n:]
         self.xs = np.empty((K + 1, S, n))
-        self.xs[0] = [sc.psi for sc in scenarios]
+        self.xs[0] = scenario.psi
         # zeros, not empty: a history weight of 0 still multiplies a stored row
         self.ys = np.zeros((K + 1, S, m))
         self.jump_times = np.empty(0)
@@ -244,9 +236,9 @@ class _Run:
         # initial y from the difference relation (right-continuous at 0)
         z0 = self.gather(self.weights(-self.H20[:1], 0), 0, 1)[0]
         self.ys[0] = self.output(self.xs[0], z0, self.d(self.ts[:1])[0], self.H20[0] < self.h)
-        left0 = self.phi(np.zeros(1))[0]
+        left0 = np.broadcast_to(self.scenario.phi.sample(np.zeros(1))[0], self.ys[0].shape)
         if np.max(np.abs(self.ys[0] - left0)) > JUMP_TOL:
-            self.jump_times, self.jump_left = np.zeros(1), left0[None]
+            self.jump_times, self.jump_left = np.zeros(1), left0[None].copy()
             self.jump_right = self.ys[0][None].copy()
 
         # P^(2^j) for recur's scan, 2^j < BLOCK_STEPS.  A power that
@@ -259,6 +251,14 @@ class _Run:
                 break
             self.powers.append(square)
         self.span = 2 ** len(self.powers)
+
+    def omega(self, times: np.ndarray) -> np.ndarray:
+        """omega at the times, (len(times), S, n), scaled on the sample's rows."""
+        return (self.scenario.omega.sample(times).T * self.a).transpose(2, 0, 1)
+
+    def d(self, times: np.ndarray) -> np.ndarray:
+        """d at the times, scaled per member, (len(times), S, m)."""
+        return (self.scenario.d.sample(times).T * self.b).transpose(2, 0, 1)
 
     def sample(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
         """The disturbances of steps k0..k1-1: each step's forcing, omega
@@ -352,7 +352,7 @@ class _Run:
         if len(past):
             idx[:, past], wt[:, past] = 0, 0.0
             extra = np.zeros((len(tq), S, m))
-            extra[past] = self.phi(tq[past])
+            extra[past] = self.scenario.phi.sample(tq[past])[:, None]
             with_extra[past] = True
         t_lo, t_hi = i0 * h, (i0 + 1) * h
         j = np.searchsorted(bp, t_lo, side="right")
@@ -550,13 +550,6 @@ def verify_domination(traj: Trajectory, cert: BoundCertificate,
         first = float(traj.times[rows][(d <= slack).all(axis=1).argmin()])
     return DominationReport(x_margin=dx.max(axis=0), y_margin=dy.max(axis=0),
                             first_violation_time=first)
-
-
-def _same_system(a: SystemSpec, b: SystemSpec) -> bool:
-    return (a is b) or all(
-        np.array_equal(getattr(a, f), getattr(b, f))
-        for f in ("A", "B", "C", "D", "omega_bar", "d_bar", "psi_bar", "phi_bar")
-    ) and a.h_max == b.h_max
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -2,8 +2,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cdde_bound import SignalSpec, SimulationScenario, SystemSpec
+
+# Property tests draw the same examples on every run (derandomize), and no
+# example database replays a failure saved by an earlier run.  The
+# "explore" profile draws new ones: pytest --hypothesis-profile explore
+# [--hypothesis-seed N], since derandomize would override the seed.
+settings.register_profile("default", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, database=None)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_PROBLEM = REPO_ROOT / "sample_problem.json"

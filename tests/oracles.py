@@ -14,6 +14,7 @@ and Python's own "%.9g" for CSV rows."""
 
 import math
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,8 +26,7 @@ from cdde_bound.envelope import (BLOCK_BYTES, ConvergenceResult, NonpositiveThre
 from cdde_bound.linalg import as_matrix, as_vector, inverse, solve
 from cdde_bound.model import SystemSpec, negative
 from cdde_bound.simulator import (BLOCK_STEPS, DIVERGENCE_LIMIT, JUMP_TOL,
-                                  DominationReport, InvalidScenario, MismatchedScenarios,
-                                  Trajectory, UnstableStep)
+                                  DominationReport, InvalidScenario, Trajectory, UnstableStep)
 from cdde_bound.stability import NotStable, is_metzler_hurwitz
 
 # The references keep their own absolute thresholds, independent of the
@@ -223,11 +223,20 @@ def signal_values(sig, times: np.ndarray) -> np.ndarray:
     return wave + sig.offset if sig.kind.startswith("const_plus") else wave
 
 
+def scaled_members(scenario, scales) -> list:
+    """The scenario once per scale ``(a, b)``, with omega and d scaled: the
+    members of the package's scaled run as whole scenarios."""
+    return [replace(scenario, omega=scenario.omega.scaled(a), d=scenario.d.scaled(b))
+            for a, b in scales]
+
+
 def simulate_stepwise(scenarios) -> list[Trajectory]:
-    """The per-step integrator that the windowed ``simulate_many`` replaced:
-    every grid step gathers its delayed outputs with scalar history lookups
-    and tests both jump brackets on its own.  Same batch semantics, checks
-    and messages."""
+    """The per-step integrator that the windowed simulator replaced: every
+    grid step gathers its delayed outputs with scalar history lookups and
+    tests both jump brackets on its own.  The members are whole scenarios
+    on the first one's system, delays and grid, such as one scenario with
+    its omega and d scaled per member; same union of jumps, checks and
+    messages."""
     first = scenarios[0]
     spec = first.spec
     n, m = spec.n, spec.m
@@ -419,24 +428,28 @@ def simulate_stepwise(scenarios) -> list[Trajectory]:
             for i in range(len(scenarios))]
 
 
+class MismatchedScenarios(ValueError):
+    """Scenario pair is not comparable."""
+
+
 def comparison_check(scenario_lo, scenario_hi, slack: float = 1e-9) -> bool:
     """Ordered initial data with identical driving must stay ordered.
 
-    Requires identical system, disturbances, delays and grid, and
-    ``psi_lo <= psi_hi``, ``phi_lo <= phi_hi``; simulates both as one batch
-    with the package's ``simulate_many`` and checks the ordering at every
-    grid time.
+    Requires the same system object and identical disturbances, delays and
+    grid, and ``psi_lo <= psi_hi``, ``phi_lo <= phi_hi``; simulates each
+    with the package's ``simulate`` and checks the ordering at every grid
+    time.
     """
     lo, hi = scenario_lo, scenario_hi
-    for name in ("omega", "d"):
+    for name in ("spec", "omega", "d", "h1", "h2", "t_end", "step"):
         if getattr(lo, name) != getattr(hi, name):
-            raise MismatchedScenarios(f"scenarios use different {name} signals")
+            raise MismatchedScenarios(f"scenarios use different {name}")
     if (lo.psi > hi.psi).any():
         raise MismatchedScenarios("psi_lo exceeds psi_hi")
     hist = np.arange(-lo.spec.h_max, 0.0, lo.step)
     if lo.phi != hi.phi and (lo.phi.sample(hist) > hi.phi.sample(hist)).any():
         raise MismatchedScenarios("phi_lo exceeds phi_hi on the history grid")
-    tr_lo, tr_hi = simulator.simulate_many([lo, hi])
+    tr_lo, tr_hi = simulator.simulate(lo), simulator.simulate(hi)
     return bool((tr_lo.x_samples <= tr_hi.x_samples + slack).all()
                 and (tr_lo.y_samples <= tr_hi.y_samples + slack).all())
 

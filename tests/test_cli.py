@@ -15,7 +15,7 @@ import cdde_bound
 from cdde_bound import cli
 from cdde_bound.certificate import compute_certificate
 from cdde_bound.cli import VERIFY_GRID, build_scenario, grid_reports, load_problem, main
-from cdde_bound.simulator import Trajectory, simulate, simulate_many, verify_domination
+from cdde_bound.simulator import Trajectory, simulate, simulate_corners, verify_domination
 
 from conftest import SAMPLE_PROBLEM
 from oracles import verify_domination_dense
@@ -279,6 +279,41 @@ def test_json_integer_past_float_range_exits_2(tmp_path, capsys, field, mutate, 
     assert not (tmp_path / "out").exists()
 
 
+# a boolean or a string where the file holds a number, in each family of
+# fields; float() would read true as 1.0 and "0.3" as 0.3
+NOT_A_NUMBER_FIELDS = [
+    ("system.h_max", "true", lambda d, v: d["system"].__setitem__("h_max", v)),
+    ("system.D[0][1]", '"0.3"', lambda d, v: d["system"]["D"][0].__setitem__(1, v)),
+    ("system.A[1][0]", "false", lambda d, v: d["system"]["A"][1].__setitem__(0, v)),
+    ("system.omega_bar[2]", '"0.1"', lambda d, v: d["system"]["omega_bar"].__setitem__(2, v)),
+    ("scenario.omega.amplitude[0]", "true",
+     lambda d, v: d["scenario"]["omega"]["amplitude"].__setitem__(0, v)),
+    ("scenario.d.frequency[1]", '"0.2"',
+     lambda d, v: d["scenario"]["d"]["frequency"].__setitem__(1, v)),
+    ("scenario.h1.offset", "true", lambda d, v: d["scenario"]["h1"].__setitem__("offset", v)),
+    ("scenario.psi[1]", '"5"', lambda d, v: d["scenario"]["psi"].__setitem__(1, v)),
+    ("scenario.phi[0]", "true", lambda d, v: d["scenario"]["phi"].__setitem__(0, v)),
+    ("options.t_end", '"4"', lambda d, v: d["options"].__setitem__("t_end", v)),
+    ("options.alpha_step", "true", lambda d, v: d["options"].__setitem__("alpha_step", v)),
+    ("options.xi[2]", "true", lambda d, v: d["options"].__setitem__("xi", [1, 1, v, 1, 1])),
+]
+
+
+@pytest.mark.parametrize("field, literal, mutate, command", [
+    pytest.param(field, literal, mutate, command, id=f"{command}-{field}")
+    for field, literal, mutate in NOT_A_NUMBER_FIELDS for command in ALL_COMMANDS])
+def test_boolean_or_string_number_exits_2(tmp_path, capsys, field, literal, mutate, command):
+    """Every command refuses the file on load, naming the field."""
+    doc = json.loads(SAMPLE_PROBLEM.read_text())
+    mutate(doc, "@")
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc).replace('"@"', literal))
+    out = ["--out", str(tmp_path / "out")] if command in ("bound", "simulate") else []
+    assert main([command, str(path)] + out) == 2
+    assert capsys.readouterr().err == f"input error: {field} must be a number, got {literal}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ALL_COMMANDS)
 def test_scenario_outside_its_envelopes_exits_2(tmp_path, capsys, command):
     # h2 = 1.5 + |cos t| peaks at 2.5 > h_max: every command, check and bound
@@ -294,7 +329,7 @@ def test_scenario_outside_its_envelopes_exits_2(tmp_path, capsys, command):
 @pytest.mark.parametrize("command, callee, flags", [
     ("bound", "_write_staircase_csv", ["--out", "OUT"]),
     ("simulate", "simulate", ["--out", "OUT"]),
-    ("verify", "simulate_many", []),
+    ("verify", "simulate_corners", []),
     ("verify", "simulate", ["--a", "1"]),
 ])
 def test_unallocatable_grid_exits_2(tmp_path, capsys, monkeypatch, sample_problem_path,
@@ -555,8 +590,8 @@ def test_verify_reports_a_nan_sample_as_a_violation(monkeypatch, capsys, sample_
         monkeypatch.setattr(cli, "simulate", lambda scenario: with_nan(simulate(scenario)))
         argv += ["--a", "1", "--b", "1"]
     else:
-        monkeypatch.setattr(cli, "simulate_many", lambda scenarios: [
-            with_nan(t) if i == 1 else t for i, t in enumerate(simulate_many(scenarios))])
+        monkeypatch.setattr(cli, "simulate_corners", lambda scenario: [
+            with_nan(t) if i == 1 else t for i, t in enumerate(simulate_corners(scenario))])
     assert main(argv) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == (1 if path == "one-scenario" else len(VERIFY_GRID))

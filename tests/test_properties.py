@@ -3,11 +3,12 @@ the blocked decay-rate sweep against the one-matrix-at-a-time oracles; the
 Hurwitz witness test against eigenvalues and exact arithmetic; the
 screened entry-time choice against an exact log at every rate; emitted
 certificates against numpy.linalg, and their contraction factor against
-all three ratio families; the batched simulator against single runs
+all three ratio families; the scaled run's members against single runs
 and against superposition; the windowed simulator against the per-step
-one; the shared-wave signal batch against one signal at a time; the
-scenario check on a preset's parameters against dense sampling and the
-preset's analytic extremes; the CSV encoder against Python's "%.9g"."""
+one; a signal's samples and its scalar path against the one-signal
+formula; the scenario check on a preset's parameters against dense
+sampling and the preset's analytic extremes; the CSV encoder against
+Python's "%.9g"."""
 
 import math
 from dataclasses import replace
@@ -16,6 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from cdde_bound import certificate, stability
@@ -25,15 +27,15 @@ from cdde_bound.csvio import _encode
 from cdde_bound.envelope import _block_entry_times, finite_time
 from cdde_bound.linalg import SingularMatrix, inverse
 from cdde_bound.model import SystemSpec
-from cdde_bound.signals import SIGNAL_KINDS, InvalidScenario, _SignalBatch, validate_scenario
-from cdde_bound.simulator import SignalSpec, simulate, simulate_many
+from cdde_bound.signals import SIGNAL_KINDS, InvalidScenario, validate_scenario
+from cdde_bound.simulator import SignalSpec, _simulate, simulate, simulate_corners
 from cdde_bound.stability import alpha_max
 
 import oracles
 from conftest import make_sample_scenario, make_sample_system
 from oracles import (alpha_max_scan, block_entry_times_all_logs, csv_rows_fstring,
-                     finite_time_loop, hurwitz_exact, inverse_by_columns, signal_values,
-                     simulate_stepwise)
+                     finite_time_loop, hurwitz_exact, inverse_by_columns, scaled_members,
+                     signal_values, simulate_stepwise)
 
 SEEDS = st.integers(0, 2**32 - 1)
 UNIT = st.floats(0.0, 1.0)
@@ -43,23 +45,28 @@ UNIT = st.floats(0.0, 1.0)
 # steps, and then agrees only to the integrator's truncation error.
 HISTORY = st.floats(0.5, 1.0)
 SAMPLE = make_sample_system()
+EPS = np.finfo(float).eps
 
 
-@st.composite
-def placed_margin(draw):
-    """Random Metzler matrix shifted so its spectral abscissa is -margin,
-    with margin on the alpha grid or half a step off it."""
-    n = draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(SEEDS))
-    step = draw(st.sampled_from([1e-3, 1e-2, 0.05]))
-    k = draw(st.integers(1, 120))
-    offset = draw(st.sampled_from([0.0, 0.5]))
+def placed_case(n: int, seed: int, step: float, k: int, offset: float) -> tuple:
+    """Random n x n Metzler matrix shifted so its spectral abscissa is
+    -(k + offset) * step, with the step, k, offset and the generator that
+    drew it."""
+    rng = np.random.default_rng(seed)
     off = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.6)
     np.fill_diagonal(off, 0.0)
     a0 = off - np.diag(rng.uniform(0.0, 2.0, n))
     abscissa = np.linalg.eigvals(a0).real.max()
     a = a0 - (abscissa + (k + offset) * step) * np.eye(n)
     return a, step, k, offset, rng
+
+
+@st.composite
+def placed_margin(draw):
+    """``placed_case`` with the margin on the alpha grid or half a step off it."""
+    return placed_case(draw(st.integers(1, 6)), draw(SEEDS),
+                       draw(st.sampled_from([1e-3, 1e-2, 0.05])), draw(st.integers(1, 120)),
+                       draw(st.sampled_from([0.0, 0.5])))
 
 
 @settings(max_examples=80, deadline=None)
@@ -104,9 +111,38 @@ def test_alpha_max_from_any_start_equals_linear_scan(start, case):
     assert got == alpha_max_scan(a, step)
 
 
+def log_gamma_rounding(a: np.ndarray, theta: np.ndarray, alpha: float, i: int) -> float:
+    """A first-order bound on the rounding of ``log gamma_i`` at the rate
+    alpha, for ``-inv(A + alpha I)`` formed from one pivoted LU, column by
+    column or at once: each column solve is backward stable with ``|dM| <=
+    3 n u |P L| |U|`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, Thm. 9.4), so ``|dN| <= 3 n u K N`` with ``K = N |P
+    L| |U|``, and every ratio ``a_j / b_j`` that can set gamma moves by at
+    most ``3 n u ((K a)_j / a_j + (K b)_j / b_j)`` relative, both terms at
+    least 1, which covers the rounding of the product ``a = N theta`` and of
+    the ratio too.  Here ``u = eps / 2``, and the bound takes ``eps``."""
+    n = len(a)
+    m = a + alpha * np.eye(n)
+    p, low, up = scipy.linalg.lu(m)
+    neg_inv = -np.linalg.inv(m)
+    k_mat = np.abs(neg_inv) @ np.abs(p @ low) @ np.abs(up)
+    av, b = neg_inv @ theta, neg_inv[:, i]
+    j = b > 0.0
+    return 3 * n * EPS * float(((k_mat @ av)[j] / av[j] + k_mat[:, i][j] / b[j]).max())
+
+
 @settings(max_examples=60, deadline=None)
 @given(placed_margin())
+# a draw that read 3.1e-12 relative in T against the loop at rtol 1e-12:
+# gamma_0 at the one rate 1e-3 of a margin of 1.5e-3, with A + alpha I of
+# condition 1.9e4, so log(gamma / delta) = 0.0742 carries a rounding of
+# 2.3e-13 between the two inversions
+@example(case=placed_case(5, 325, 1e-3, 1, 0.5))
 def test_finite_time_equals_per_rate_loop(case):
+    """Per component, the same rate, exactly, and the same ``alpha T =
+    log(gamma / delta)`` (or 0) to the rounding of gamma in either
+    inversion (``log_gamma_rounding``): a difference at the rounding of
+    gamma is 1 / (alpha T) times larger in T, relative."""
     a, step, k, offset, rng = case
     if k == 1 and not offset:
         return              # the oracle needs a nonempty grid
@@ -116,7 +152,10 @@ def test_finite_time_equals_per_rate_loop(case):
     got = finite_time(a, theta, delta, step)
     want = finite_time_loop(a, theta, delta, step)
     assert np.array_equal(got.per_component_alpha, want.per_component_alpha)
-    np.testing.assert_allclose(got.per_component_T, want.per_component_T, rtol=1e-12, atol=0)
+    for i, alpha in enumerate(got.per_component_alpha):
+        log_got, log_want = alpha * got.per_component_T[i], alpha * want.per_component_T[i]
+        tol = 2.0 * log_gamma_rounding(a, theta, alpha, i) + 4.0 * EPS * log_want
+        assert abs(log_got - log_want) <= tol
     assert got.T == got.per_component_T.max()
 
 
@@ -422,11 +461,11 @@ def sample_run(a, b, psi_scale=1.0, phi_scale=1.0):
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.lists(st.tuples(UNIT, UNIT, UNIT, HISTORY), min_size=1, max_size=4))
-def test_batch_member_equals_its_single_run(members):
-    scenarios = [sample_run(*member) for member in members]
-    for scenario, got in zip(scenarios, simulate_many(scenarios)):
-        want = simulate(scenario)
+@given(UNIT, HISTORY, st.lists(st.tuples(UNIT, UNIT), min_size=1, max_size=4))
+def test_batch_member_equals_its_single_run(psi_scale, phi_scale, scales):
+    scenario = sample_run(1.0, 1.0, psi_scale, phi_scale)
+    for (a, b), got in zip(scales, _simulate(scenario, scales)):
+        want = simulate(sample_run(a, b, psi_scale, phi_scale))
         assert np.abs(got.x_samples - want.x_samples).max() <= 1e-12
         assert np.abs(got.y_samples - want.y_samples).max() <= 1e-12
 
@@ -434,9 +473,7 @@ def test_batch_member_equals_its_single_run(members):
 @settings(max_examples=15, deadline=None)
 @given(UNIT, UNIT, UNIT, HISTORY)
 def test_superposed_corners_equal_direct_run(a, b, psi_scale, phi_scale):
-    free, omega, dist = simulate_many([sample_run(0.0, 0.0, psi_scale, phi_scale),
-                                       sample_run(1.0, 0.0, psi_scale, phi_scale),
-                                       sample_run(0.0, 1.0, psi_scale, phi_scale)])
+    free, omega, dist = simulate_corners(sample_run(1.0, 1.0, psi_scale, phi_scale))
     want = simulate(sample_run(a, b, psi_scale, phi_scale))
     for name in ("x_samples", "y_samples"):
         base = getattr(free, name)
@@ -465,25 +502,29 @@ def delay(draw, step):
 
 @st.composite
 def delay_batch(draw):
-    """Sample-system members sharing random delays on a coarse grid.  An
-    optional member at rest (all data zero) has no jump of its own, so the
-    batch's union jump list differs from its own."""
+    """One sample-system scenario with random delays on a coarse grid, and
+    its members' scales of omega and d.  The scenario may be at rest (psi =
+    phi = 0), and an optional member (0, 0) of it then has no jump of its
+    own, so the run's union jump list differs from its own."""
     step = draw(st.sampled_from([1.0 / 128.0, 0.01, 0.02]))
     h1, h2 = draw(delay(step)), draw(delay(step))
     t_end = draw(st.floats(0.5, 3.0))
-    members = draw(st.lists(st.tuples(UNIT, UNIT, UNIT, UNIT), min_size=1, max_size=3))
+    psi, phi = (0.0, 0.0) if draw(st.booleans()) else (draw(UNIT), draw(UNIT))
+    scales = draw(st.lists(st.tuples(UNIT, UNIT), min_size=1, max_size=3))
     if draw(st.booleans()):
-        members.insert(draw(st.integers(0, len(members))), (0.0, 0.0, 0.0, 0.0))
-    return [replace(make_sample_scenario(SAMPLE, a, b, t_end=t_end, step=step,
-                                         psi=psi * SAMPLE.psi_bar, phi=phi * SAMPLE.phi_bar),
-                    h1=h1, h2=h2)
-            for a, b, psi, phi in members]
+        scales.insert(draw(st.integers(0, len(scales))), (0.0, 0.0))
+    scenario = replace(make_sample_scenario(SAMPLE, 1.0, 1.0, t_end=t_end, step=step,
+                                            psi=psi * SAMPLE.psi_bar, phi=phi * SAMPLE.phi_bar),
+                       h1=h1, h2=h2)
+    return scenario, scales
 
 
 @settings(max_examples=40, deadline=None)
 @given(delay_batch())
-def test_windowed_run_equals_stepwise_run(scenarios):
-    for got, want in zip(simulate_many(scenarios), simulate_stepwise(scenarios)):
+def test_windowed_run_equals_stepwise_run(case):
+    scenario, scales = case
+    for got, want in zip(_simulate(scenario, scales),
+                         simulate_stepwise(scaled_members(scenario, scales))):
         assert np.array_equal(got.times, want.times)
         for name in ("x_samples", "y_samples"):
             ref = getattr(want, name)
@@ -545,15 +586,12 @@ def signal_batch(draw):
 @settings(max_examples=200, deadline=None)
 @given(signal_batch())
 def test_signal_batch_equals_member_samples(case):
+    # each signal's sample is the one-signal formula, bit for bit
     members, times = case
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = _SignalBatch(members)(times)
-    want = np.stack([sig.sample(times) for sig in members], axis=1)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    # and each member's sample is the one-signal formula, bit for bit
-    ref = np.stack([signal_values(sig, times) for sig in members], axis=1)
-    assert np.array_equal(want.view(np.int64), ref.view(np.int64))
+    for sig in members:
+        got, want = sig.sample(times), signal_values(sig, times)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=200, deadline=None)
@@ -562,7 +600,7 @@ def test_signal_batch_equals_member_samples(case):
 def test_scalar_delay_path_equals_sample(kind, amp, freq, offset, times):
     sig = SignalSpec(kind, (amp,), (freq,), offset)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = np.array([sig._batch.scalar(t) for t in times])
+        got = np.array([sig.scalar(t) for t in times])
     want = sig.sample(np.array(times))[:, 0]
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

@@ -9,14 +9,17 @@ from cdde_bound.certificate import compute_certificate, staircase_runs
 from cdde_bound.cli import build_scenario, load_problem, main
 from cdde_bound.csvio import _CSV_CELLS, _CSV_ROWS, _encode, write_csv
 from cdde_bound.model import SystemSpec
-from cdde_bound.simulator import (BLOCK_STEPS, BLOCK_VALUES, JUMP_TOL, InvalidScenario,
-                                  MismatchedScenarios, SignalSpec, SimulationScenario,
-                                  Trajectory, UnstableStep, _Run, simulate, simulate_many,
-                                  verify_domination, write_trajectory_csv)
+from cdde_bound.simulator import (BLOCK_STEPS, BLOCK_VALUES, InvalidScenario, SignalSpec,
+                                  SimulationScenario, Trajectory, UnstableStep, _Run,
+                                  _simulate, simulate, simulate_corners, verify_domination,
+                                  write_trajectory_csv)
 
 from conftest import SAMPLE_PROBLEM, make_sample_scenario
-from oracles import (comparison_check, csv_rows_fstring, simulate_stepwise,
-                     verify_domination_dense)
+from oracles import (MismatchedScenarios, comparison_check, csv_rows_fstring, scaled_members,
+                     simulate_stepwise, verify_domination_dense)
+
+# verify's corners F, W and Delta, the scales of simulate_corners
+CORNERS = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 
 
 def scalar_scenario(a_val=-1.0, psi=1.0, t_end=1.0, step=1e-3, omega=None, c_val=0.0,
@@ -254,16 +257,16 @@ def test_singular_closure_fails_the_step_that_closes(sample_spec):
     ("psi", "scenario.psi[0] reaches 2.0 > psi_bar[0] = 1.0"),
     ("omega", "scenario.omega[0] reaches 2.0 > omega_bar[0] = 1.0")], ids=["psi", "omega"])
 def test_singular_closure_loses_to_an_envelope_violation(fault, message):
-    # every step closes, so a run of these members fails its closure at
-    # t = 0; the faulty member is refused before, when it is built
+    # every step closes, so a run of this scenario fails its closure at
+    # t = 0; the faulty scenario is refused before, when it is built
     calm = replace(_identity_d(scalar_scenario(t_end=2.0, omega=SignalSpec.constant([0.5]),
                                                c_val=1.0)),
                    h2=SignalSpec.constant([5e-4]))
     with pytest.raises(InvalidScenario, match="^h2 falls below the step"):
-        simulate(calm)
+        simulate_corners(calm)
     with pytest.raises(InvalidScenario) as err:
-        simulate_many([calm, replace(calm, psi=[2.0]) if fault == "psi"
-                       else replace(calm, omega=SignalSpec("abs_sin", (2.0,), (0.29,)))])
+        simulate_corners(replace(calm, psi=[2.0]) if fault == "psi"
+                         else replace(calm, omega=SignalSpec("abs_sin", (2.0,), (0.29,))))
     assert str(err.value) == message
 
 
@@ -292,9 +295,9 @@ def test_divergence_names_first_failing_grid_time(a_val, c_val, delay, t_end, ps
     # The limit is 1e12 * max(1, psi_bar): x = psi e^(40 t) reaches it at the
     # same time for any psi = psi_bar >= 1, later for a smaller one
     scenario = scalar_scenario(a_val=a_val, c_val=c_val, delay=delay, t_end=t_end, psi=psi)
-    for run in (simulate_many, simulate_stepwise):
+    for run in (simulate, lambda sc: simulate_stepwise([sc])):
         with pytest.raises(UnstableStep) as err:
-            run([scenario])
+            run(scenario)
         assert str(err.value) == message
 
 
@@ -311,11 +314,12 @@ def test_short_delays_match_stepwise(sample_spec, h1, h2):
     # a grid time or within a few ulps of one, so crossings land on a step's
     # end or a few ulps from its start, and the stored jump times stay
     # strictly increasing
-    scenarios = [replace(make_sample_scenario(sample_spec, a, 1.0, t_end=3.0, step=0.01),
-                         h1=h1, h2=h2) for a in (0.0, 1.0)]
-    trajs, _, jump_times = blocks_of(scenarios)
+    scenario = replace(make_sample_scenario(sample_spec, 1.0, 1.0, t_end=3.0, step=0.01),
+                       h1=h1, h2=h2)
+    scales = [(0.0, 1.0), (1.0, 1.0)]
+    trajs, _, jump_times = blocks_of(scenario, scales)
     assert (np.diff(jump_times) > 0.0).all()
-    for got, want in zip(trajs, simulate_stepwise(scenarios)):
+    for got, want in zip(trajs, simulate_stepwise(scaled_members(scenario, scales))):
         for name in ("x_samples", "y_samples"):
             ref = getattr(want, name)
             assert np.abs(getattr(got, name) - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -333,7 +337,7 @@ def test_overflowing_step_map_power_fakes_no_divergence():
     scenario = SimulationScenario(spec=spec, omega=SignalSpec("zero", (0.0, 0.0)), d=zero,
                                   h1=SignalSpec.constant([1.0]), h2=SignalSpec.constant([1.0]),
                                   psi=[0.0, 1.0], phi=zero, t_end=2.0, step=1e-3)
-    (got,), (want,) = simulate_many([scenario]), simulate_stepwise([scenario])
+    got, (want,) = simulate(scenario), simulate_stepwise([scenario])
     assert (got.x_samples[:, 0] == 0.0).all()
     np.testing.assert_allclose(got.x_samples, want.x_samples, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(got.y_samples, want.y_samples, rtol=1e-12, atol=0.0)
@@ -435,72 +439,78 @@ def test_trajectory_csv(tmp_path, sample_spec):
     assert first[1:4] == pytest.approx(sample_spec.psi_bar.tolist(), abs=1e-8)
 
 
-def assert_batch_matches_single_runs(scenarios, tol=1e-12):
-    batch = simulate_many(scenarios)
-    assert len(batch) == len(scenarios)
-    for scenario, got in zip(scenarios, batch):
-        want = simulate(scenario)
+def assert_batch_matches_single_runs(scenario, scales, tol=1e-12):
+    """Each member of the scaled run against its scenario run alone."""
+    batch = _simulate(scenario, scales)
+    assert len(batch) == len(scales)
+    for member, got in zip(scaled_members(scenario, scales), batch):
+        want = simulate(member)
         assert np.array_equal(got.times, want.times)
         assert np.abs(got.x_samples - want.x_samples).max() <= tol
         assert np.abs(got.y_samples - want.y_samples).max() <= tol
 
 
 def test_batch_members_match_single_runs(sample_spec):
-    # the sample's time-varying delays; histories of at least half phi_bar
-    # give every member a y jump at t = 0, so all share one jump list
+    # the sample's time-varying delays; a history of at least half phi_bar
+    # gives every member a y jump at t = 0, so all share one jump list
     rng = np.random.default_rng(3)
-    scenarios = [make_sample_scenario(sample_spec, a, b, t_end=5.0, step=2e-3,
-                                      psi=rng.uniform(0.0, 1.0, 3) * sample_spec.psi_bar,
-                                      phi=rng.uniform(0.5, 1.0, 2) * sample_spec.phi_bar)
-                 for a, b in [(0.0, 0.0), (1.0, 0.3), (0.4, 1.0), (0.7, 0.7)]]
-    assert_batch_matches_single_runs(scenarios)
+    scenario = make_sample_scenario(sample_spec, 1.0, 1.0, t_end=5.0, step=2e-3,
+                                    psi=rng.uniform(0.0, 1.0, 3) * sample_spec.psi_bar,
+                                    phi=rng.uniform(0.5, 1.0, 2) * sample_spec.phi_bar)
+    assert_batch_matches_single_runs(scenario, [(0.0, 0.0), (1.0, 0.3), (0.4, 1.0), (0.7, 0.7)])
+    # simulate_corners is the run at verify's corners, bit for bit
+    for got, want in zip(simulate_corners(scenario), _simulate(scenario, CORNERS)):
+        for name in ("x_samples", "y_samples"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_batch_tracks_the_union_of_jumps(sample_spec):
-    # one member rests at the equilibrium of constant disturbances, so its
-    # history matches y(0) and it has no jump; the other starts with a jump.
-    # The shared jump list must keep the jump for the second member.
-    spec = sample_spec
-    w, d = 0.8 * spec.omega_bar, 0.5 * spec.d_bar
-    coupling = np.block([[spec.A, spec.B], [spec.C, spec.D - np.eye(2)]])
-    eq = np.linalg.solve(coupling, -np.concatenate([w, d]))
-    wave = make_sample_scenario(spec, 1.0, 1.0, t_end=6.0, step=2e-3)
-    rest = SimulationScenario(spec=spec, omega=SignalSpec.constant(w),
-                              d=SignalSpec.constant(d), h1=wave.h1, h2=wave.h2,
-                              psi=eq[:3], phi=eq[3:], t_end=6.0, step=2e-3)
-    alone = [simulate(rest), simulate(wave)]
-    assert np.abs(alone[0].y_samples[0] - eq[3:]).max() <= JUMP_TOL
-    assert np.abs(alone[1].y_samples[0] - spec.phi_bar).max() > 1.0
-    assert_batch_matches_single_runs([rest, wave])
-    assert_batch_matches_single_runs([wave, rest])
+    # a scenario at rest, psi = phi = 0, without omega: the member without
+    # d stays at 0 = phi(0), so it has no jump of its own, and the member
+    # with d starts with a jump of d(0).  The shared jump list must keep the
+    # jumps for the second member, in either order.  (A member with omega
+    # but no jump of its own would read its history across the union's
+    # jumps piecewise, and agree with its own run to truncation error.)
+    rest = make_sample_scenario(sample_spec, 1.0, 1.0, t_end=6.0, step=2e-3,
+                                psi=np.zeros(3), phi=np.zeros(2))
+    scales = [(0.0, 0.0), (0.0, 1.0)]
+    own = [blocks_of(rest, [scale])[2] for scale in scales]
+    assert len(own[0]) == 0 < len(own[1])
+    _, _, union = blocks_of(rest, scales)
+    np.testing.assert_array_equal(union, own[1])
+    assert_batch_matches_single_runs(rest, scales)
+    assert_batch_matches_single_runs(rest, scales[::-1])
 
 
 def test_batch_members_are_views(sample_spec):
-    scenarios = [make_sample_scenario(sample_spec, a, 1.0, t_end=0.5, step=1e-3)
-                 for a in (0.0, 1.0)]
-    first, second = simulate_many(scenarios)
+    scenario = make_sample_scenario(sample_spec, 1.0, 1.0, t_end=0.5, step=1e-3)
+    first, second, _ = simulate_corners(scenario)
     assert first.x_samples.base is second.x_samples.base
     assert not first.x_samples.flags.writeable
 
 
-def test_batch_checks_every_member(sample_spec):
-    # each member is checked as it is built
-    ok = make_sample_scenario(sample_spec, 1.0, 1.0, t_end=10.0, step=2e-3)
-    with pytest.raises(InvalidScenario):
-        simulate_many([ok, make_sample_scenario(sample_spec, 2.0, 1.0, t_end=10.0, step=2e-3)])
-    # with A = 40 only the member that starts away from zero diverges
-    growing = scalar_scenario(a_val=40.0)
-    with pytest.raises(UnstableStep, match="^state magnitude exceeded 1e[+]12 at t=0.691$"):
-        simulate_many([replace(growing, psi=[0.0]), growing])
+def test_batch_checks_every_member():
+    # with A = 40, psi = 0 and d = 0 only the corner with omega, W,
+    # leaves 0 and diverges; the run names its first failing grid time
+    growing = scalar_scenario(a_val=40.0, psi=0.0, omega=SignalSpec.constant([1.0]))
+    with pytest.raises(UnstableStep) as alone:
+        simulate(growing)
+    with pytest.raises(UnstableStep) as corners:
+        simulate_corners(growing)
+    assert str(corners.value) == str(alone.value)
+    assert str(alone.value).startswith("state magnitude exceeded 1e+12 at t=")
+    # the same free corner alone stays at 0
+    assert not _simulate(growing, [(0.0, 0.0)])[0].x_samples.any()
 
 
 def _precedence_cases():
-    """Member lists, built on demand, with faults in several fields or
-    members.  Each member is checked as it is built, so the error raised is
-    the first faulty member's first fault, in the order psi, phi, omega, d, h1,
-    h2, and it comes before any divergence, which needs a run.  The faulty
-    signal, 2 |sin(0.29 t)|, first exceeds its bar of 1 at t = 1.806, late
-    in the run; the check on its parameters refuses it whatever the time."""
+    """Scenarios, built on demand, with faults in several fields, for the
+    members (0, 0) and (1, 1).  The members share one scenario, checked as
+    it is built, so the error raised is its first fault, in the order psi,
+    phi, omega, d, h1, h2, whichever member carries it, and it comes before
+    any member's divergence, which needs a run.  The faulty signal, 2
+    |sin(0.29 t)|, first exceeds its bar of 1 at t = 1.806, late in the run;
+    the check on its parameters refuses it whatever the time."""
     late = SignalSpec("abs_sin", (2.0,), (0.29,))
     calm = scalar_scenario(t_end=2.0, omega=SignalSpec.constant([0.5]))
     growing = scalar_scenario(a_val=40.0, t_end=2.0, omega=SignalSpec.constant([0.5]))
@@ -508,31 +518,29 @@ def _precedence_cases():
                       omega=SignalSpec("zero", (0.0,)))
     omega_late = "scenario.omega[0] reaches 2.0 > omega_bar[0] = 1.0"
     return {
-        # the member without omega would diverge at t = 0.691
-        "late-omega-after-divergence": (
-            lambda: [replace(growing, omega=SignalSpec("zero", (0.0,))),
-                     replace(growing, omega=late)], omega_late),
+        # the first member, without omega, would diverge at t = 0.691
+        "late-omega-after-divergence": (lambda: replace(growing, omega=late), omega_late),
         # d = 0.5 is above its bar of 0 too, but omega comes first
         "d-at-block-0-then-late-omega": (
-            lambda: [replace(calm, d=SignalSpec.constant([0.5]), omega=late)], omega_late),
-        "later-psi-after-earlier-omega": (
-            lambda: [replace(calm, omega=late), replace(calm, psi=[2.0])], omega_late),
-        "late-d-in-second-member": (
-            lambda: [quiet_d, replace(quiet_d, d=late)],
-            "scenario.d[0] reaches 2.0 > d_bar[0] = 1.0"),
+            lambda: replace(calm, d=SignalSpec.constant([0.5]), omega=late), omega_late),
+        # psi, which every member shares, comes before omega
+        "psi-before-omega": (lambda: replace(calm, omega=late, psi=[2.0]),
+                             "scenario.psi[0] reaches 2.0 > psi_bar[0] = 1.0"),
+        "late-d-in-second-member": (lambda: replace(quiet_d, d=late),
+                                    "scenario.d[0] reaches 2.0 > d_bar[0] = 1.0"),
     }
 
 
 @pytest.mark.parametrize("case", list(_precedence_cases()))
 def test_error_precedence_is_member_by_member(case):
-    members, message = _precedence_cases()[case]
+    scenario, message = _precedence_cases()[case]
     with pytest.raises(InvalidScenario) as err:
-        simulate_many(members())
+        _simulate(scenario(), [(0.0, 0.0), (1.0, 1.0)])
     assert str(err.value) == message
 
 
-def blocks_of(scenarios, block_values=BLOCK_VALUES):
-    """simulate_many on the scenarios with ``block_values`` for
+def blocks_of(scenario, scales, block_values=BLOCK_VALUES):
+    """The scenario's run at the scales with ``block_values`` for
     BLOCK_VALUES: the trajectories, the length of each block, and the
     stored jump times at the end."""
     lengths, runs, block = [], [], _Run.block
@@ -545,7 +553,7 @@ def blocks_of(scenarios, block_values=BLOCK_VALUES):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Run, "block", counted)
         mp.setattr("cdde_bound.simulator.BLOCK_VALUES", block_values)
-        trajs = simulate_many(scenarios)
+        trajs = _simulate(scenario, scales)
     return trajs, lengths, runs[-1].jump_times
 
 
@@ -562,11 +570,10 @@ def test_verify_corners_match_512_step_blocks(capsys, monkeypatch, t_end):
     # verify's three corners, S = 3 and n = 3: blocks of 15 360 // 9 = 1 706
     # steps, whose windows run across the edges of the 512-step blocks
     spec, scenario_cfg, _ = load_problem(SAMPLE_PROBLEM)
-    corners = [build_scenario(spec, scenario_cfg, a=a, b=b, t_end=t_end, step=1e-3)
-               for a, b in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))]
-    budgeted, lengths, _ = blocks_of(corners)
+    scenario = build_scenario(spec, scenario_cfg, a=1.0, b=1.0, t_end=t_end, step=1e-3)
+    budgeted, lengths, _ = blocks_of(scenario, CORNERS)
     assert lengths[:-1] == [1706] * (len(lengths) - 1)
-    short, lengths, _ = blocks_of(corners, 0)
+    short, lengths, _ = blocks_of(scenario, CORNERS, 0)
     assert lengths[:-1] == [BLOCK_STEPS] * (len(lengths) - 1)
     assert_close_runs(budgeted, short)
     stdout = []
@@ -585,11 +592,12 @@ def test_verify_corners_match_512_step_blocks(capsys, monkeypatch, t_end):
 def test_delay_batch_with_jumps_matches_512_step_blocks(sample_spec, h1, h2):
     # two members with y jumps from t = 0 on; a delay of 256 steps
     # reproduces them on every edge of the 512-step blocks
-    scenarios = [replace(make_sample_scenario(sample_spec, a, b, t_end=3.0, step=1e-3),
-                         h1=h1, h2=h2) for a, b in ((1.0, 1.0), (0.5, 0.0))]
-    budgeted, lengths, jumps = blocks_of(scenarios)
+    scenario = replace(make_sample_scenario(sample_spec, 1.0, 1.0, t_end=3.0, step=1e-3),
+                       h1=h1, h2=h2)
+    scales = [(1.0, 1.0), (0.5, 0.0)]
+    budgeted, lengths, jumps = blocks_of(scenario, scales)
     assert lengths == [2560, 440]
-    short, lengths, short_jumps = blocks_of(scenarios, 0)
+    short, lengths, short_jumps = blocks_of(scenario, scales, 0)
     assert lengths == [BLOCK_STEPS] * 5 + [440]
     assert len(jumps) > 1
     np.testing.assert_array_equal(jumps, short_jumps)
@@ -607,19 +615,8 @@ def test_wide_batch_keeps_512_step_blocks():
                                   d=SignalSpec.constant(np.ones(m)),
                                   h1=SignalSpec.constant([1.0]), h2=SignalSpec.constant([1.0]),
                                   psi=np.ones(n), phi=np.ones(m), t_end=1.1, step=1e-3)
-    _, lengths, _ = blocks_of([scenario])
+    _, lengths, _ = blocks_of(scenario, [(1.0, 1.0)])
     assert lengths == [BLOCK_STEPS, BLOCK_STEPS, 76]
-
-
-@pytest.mark.parametrize("field, value", [
-    ("spec", None), ("h1", SignalSpec.constant([1.5])), ("h2", SignalSpec.constant([1.5])),
-    ("step", 2e-3), ("t_end", 2.0)], ids=["system", "h1", "h2", "step", "t_end"])
-def test_batch_rejects_mismatched_members(sample_spec, field, value):
-    base = make_sample_scenario(sample_spec, 1.0, 1.0, t_end=1.0, step=1e-3)
-    if field == "spec":
-        value = replace(sample_spec, A=2.0 * sample_spec.A)
-    with pytest.raises(MismatchedScenarios):
-        simulate_many([base, replace(base, **{field: value})])
 
 
 def test_csv_writer_matches_fstring_reference(tmp_path):
