@@ -26,16 +26,16 @@ Hurwitz, and ``gamma_component`` tests its one rate.
 
 The sweep inverts only the rates that can still hold a component's earliest
 entry time.  ``N(alpha) = -inv(A + alpha I)`` grows in every entry with
-alpha, so the factors at the two ends of a gap of the grid bound the entry
-times at every rate inside it from below (Berman and Plemmons, 1994; the
-gap bound is in the manner of Shubert, SIAM J. Numer. Anal., 1972); a gap
-whose bound exceeds every component's best time so far is never inverted.
-The grid is searched in rounds whose sizes come from the number of rates
-and the dimension: the first spreads about ``G ** (1 / L)`` rates over a
-grid of ``G``, and each later one splits every gap still open at once, for
-the number of rounds ``L`` that weighs a round's fixed cost against its
-inversions best.  The result is the one the sweep over the whole grid
-gives, bit for bit.
+alpha, so ``a`` below a gap of the grid and ``N`` at its top bound the
+entry times at every rate inside it from below (Berman and Plemmons, 1994;
+the gap bound is in the manner of Shubert, SIAM J. Numer. Anal., 1972); a
+gap whose bound exceeds every component's best time so far is never
+inverted.  The grid is searched in rounds whose sizes come from the number
+of rates and the dimension: each splits every gap still open at once and
+inverts the top rate of each part, for the number of rounds ``L`` that
+weighs a round's fixed cost against its inversions best, and keeps only
+``a`` below the gaps it leaves open.  The result is the one the sweep over
+the whole grid gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -50,16 +50,17 @@ from .model import negative
 from .stability import NotStable, _require_metzler, alpha_max, is_metzler_hurwitz
 
 # finite_time inverts a round's rates in chunks whose (n, n, G) float64
-# arrays take about this many bytes each; two are alive at once, beside N
-# at the upper ends of the open gaps
+# arrays take about this many bytes each; two are alive at once, and none
+# outlives its chunk
 BLOCK_BYTES = 1 << 18
 # a round of finite_time costs, besides its inversions, about as much as
 # inverting the rates whose (n, n) matrices fill this many bytes.  Fitted
-# as time = c + G * per-rate cost over one-round sweeps (CPU time, one BLAS
-# thread, 2-vCPU host): c was 95-120 us at n = 3, 10, 30 and 60, as much as
-# 150, 22, 2.8 and 0.8 rates, that is 11-23 kB; calls on the benchmark
-# systems with 2**14, 2**15 and 2**16 bytes took times within 3 % of one
-# another, and 2**15 allows for the colder caches between calls of the CLI
+# as time = c + G * per-rate cost over one-round sweeps, less the index sets
+# and a at the rate 0 (CPU time, one BLAS thread, 2-vCPU host): c was
+# 70-240 us at n = 3, 10, 30 and 60, as much as 150, 27, 3-4 and 1.4 rates,
+# that is 11-39 kB; calls on the benchmark systems with 2**14, 2**15 and
+# 2**16 bytes took times within 5 % of one another, and 2**15 allows for the
+# colder caches between calls of the CLI
 _ROUND_BYTES = 1 << 15
 # finite_time refuses a grid of more rates: beyond 2**53, k * alpha_step no
 # longer tells neighbouring k apart in float64
@@ -238,104 +239,66 @@ def _sweep(M: np.ndarray, theta: np.ndarray, dlt: np.ndarray, step: float,
     step``, ``k = 1..k_max``, and the smallest rate that attains it, from
     the rates that may hold it, in a few rounds of stacked inversions.
 
-    The first round evaluates rates spread evenly over the grid with both
-    ends, as many as ``_stride`` asks for.  Between two neighbouring
-    evaluated rates lies a gap; ``_gap_floor`` bounds the entry times
-    inside it.  A gap stays open while some component may have a rate in
-    it that would be chosen over its best evaluated one: a floor below that
-    time (with the relative margin of the log screen of
-    ``_block_entry_times``), or one equal to it below the rate chosen so
-    far, since ties go to the smallest rate.  Best times only fall, so a
-    closed gap stays closed.  Each later round splits every open gap at
-    once, into gaps no wider than ``_stride`` of the widest.  Of the
-    inversions, only ``a`` at the lower ends of the open gaps is kept
-    between rounds, and ``N`` at the upper ends of those whose top part,
-    above the last rate the split puts in, is wider than one rate.  A
+    An open gap is an evaluated lower end and the rates above it up to its
+    top, none of them evaluated yet.  The first is the whole grid, above
+    k = 0: ``A`` is Hurwitz, and ``a`` at the rate 0 is below ``a`` at every
+    rate of the grid.  Each round splits every open gap into parts no wider
+    than ``_stride`` of the widest and evaluates the top rate of each part,
+    so ``_gap_floor`` bounds the entry times at the rates below it from
+    ``a`` at the part's lower end and ``N`` at its top.  Those rates stay
+    open while some component may have one there that would be chosen over
+    its best evaluated one: a floor below that time (with the relative
+    margin of the log screen of ``_block_entry_times``), or one equal to it
+    below the rate chosen so far, since ties go to the smallest rate.  Best
+    times only fall, so a closed gap stays closed.  Only the lower ends of
+    the open gaps, ``a`` there and their tops are kept between rounds; a
     round inverts its rates in chunks of ``BLOCK_BYTES``."""
     dim = M.shape[0]
     reach, unreached = _index_sets(M, theta)
     per_block = max(1, BLOCK_BYTES // (8 * dim * dim))
     best_t, best_k = np.full(dim, np.inf), np.zeros(dim, np.int64)
-    # the open gaps in order, by their lower ends and a there.  The first
-    # round splits the one above k = 0 (a = 0), which stands below the grid
-    # and whose gap to k = 1 is never open, into rates spread evenly over
-    # the grid, the top one included.
-    lo, a_lo = np.zeros(1, np.int64), np.zeros((1, dim))
-    span = max(1, -(-(k_max - 1) // _stride(max(k_max - 1, 1), 1, dim)))
-    q, r = divmod(k_max - 1, span)
-    j = np.arange(min(k_max, span + 1))
-    new, firsts = 1 + j * q + (j * r) // span, np.zeros(1, np.int64)
-    # the open gaps whose top part is wider than one rate: their index,
-    # upper end and N there, laid out (n, n, G)
-    top, top_hi, n_top = np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((dim, dim, 0))
+    lo, top = np.zeros(1, np.int64), np.array([k_max])
+    a_lo = _neg_inverses(M, np.zeros(1), theta, unreached)[0]
     while True:
-        gaps, size = lo.size, new.size
-        # the upper ends of the gaps the round leaves that may be open: the
-        # new rates, then the upper ends of the top parts.  Below each new
-        # rate lies its gap's lower end or the new rate before it, below
-        # each top part the last new rate of its gap; a at the lower ends,
-        # then at the new rates
-        ups = np.concatenate((new, top_hi))
-        below = np.arange(gaps - 1, gaps - 1 + ups.size)
-        below[firsts] = np.arange(gaps)
-        below[size:] = gaps + np.append(firsts[1:], size)[top] - 1
-        downs = np.concatenate((lo, new))[below]
-        wide = ups - downs > 1
-        a = np.concatenate((a_lo, np.empty((size, dim))))
-        # the gaps that may stay open: index into ups, floor, and where N is
-        idx, floors, ns = [], [], []
-        cuts = [*range(0, size, per_block), size, ups.size]
-        for c, d in zip(cuts, cuts[1:]):
-            alphas = ups[c:d] * step
-            if c < size:
-                a[gaps + c:gaps + d], b = _neg_inverses(M, alphas, theta, unreached)
-                ratios = np.empty_like(b)
-                gamma = _min_ratios(a[gaps + c:gaps + d], b, reach, out=ratios)
-                if gamma.min() < 0.0:   # rounding must not make a factor negative
-                    raise ValueError(f"gamma must be nonnegative, got {gamma.min()}")
-                first, t = _block_entry_times(gamma, dlt, alphas)
-                better = (t < best_t) | ((t == best_t) & (ups[c + first] < best_k))
-                best_t[better] = t[better]
-                best_k[better] = ups[c + first[better]]
-            else:
-                b, ratios = n_top, np.empty_like(n_top)
-            if wide[c:d].any():
-                floor = _gap_floor(a[below[c:d]], b, reach, alphas, dlt, out=ratios)
-                # a best time only falls, so this keeps every gap that is
-                # still open at the end of the round
-                limit = best_t * (1.0 + _LOG_SCREEN_RTOL)
-                maybe = np.flatnonzero(wide[c:d] & (floor <= limit).any(axis=1))
-                idx.append(c + maybe)
-                floors.append(floor[maybe])
-                ns.append((b, maybe))
-            del b, ratios               # before the next chunk's inversion
-        if not idx:
-            return best_t, best_k * step
-        del n_top
-        idx, floor = np.concatenate(idx), np.concatenate(floors)
-        limit = best_t * (1.0 + _LOG_SCREEN_RTOL)
-        may_hold = (floor < limit) | ((floor <= limit) & (ups[idx, None] <= best_k))
-        keep = np.flatnonzero(may_hold.any(axis=1))
-        if not keep.size:
-            return best_t, best_k * step
-        keep = keep[np.argsort(ups[idx[keep]], kind="stable")]
-        lo, a_lo, hi = downs[idx[keep]], a[below[idx[keep]]], ups[idx[keep]]
-        # split every open gap into gaps no wider than the stride
-        width = hi - lo
-        parts = np.maximum(2, -(-width // _stride(int(width.max()), width.size, dim)))
+        # the new rates in order: the top of each part of each open gap.
+        # Below each lies its gap's lower end or the new rate before it; a
+        # at the lower ends, then at the new rates
+        width = top - lo
+        parts = -(-width // _stride(int(width.max()), width.size, dim))
         q, r = np.divmod(width, parts)
-        counts = parts - 1
-        firsts = np.cumsum(counts) - counts
-        gap = np.repeat(np.arange(width.size), counts)
+        firsts = np.cumsum(parts) - parts
+        gap = np.repeat(np.arange(width.size), parts)
         j = np.arange(gap.size) - firsts[gap] + 1
         new = lo[gap] + j * q[gap] + (j * r[gap]) // parts[gap]
-        top = np.flatnonzero(width - counts * q - (counts * r) // parts > 1)
-        top_hi, n_top, start = hi[top], np.empty((dim, dim, top.size)), 0
-        for src, cols in ns:            # N at the top parts' upper ends
-            mine = (keep[top] >= start) & (keep[top] < start + cols.size)
-            n_top[:, :, mine] = src[:, :, cols[keep[top][mine] - start]]
-            start += cols.size
-        del a, ns, src                  # before the next round's inversion
+        gaps, size = lo.size, new.size
+        below = np.arange(gaps - 1, gaps - 1 + size)
+        below[firsts] = np.arange(gaps)
+        downs = np.concatenate((lo, new))[below]
+        wide = new - downs > 1
+        a = np.concatenate((a_lo, np.empty((size, dim))))
+        floor = np.full((size, dim), np.inf)
+        for c in range(0, size, per_block):
+            d = min(c + per_block, size)
+            alphas = new[c:d] * step
+            a[gaps + c:gaps + d], b = _neg_inverses(M, alphas, theta, unreached)
+            ratios = np.empty_like(b)
+            gamma = _min_ratios(a[gaps + c:gaps + d], b, reach, out=ratios)
+            if gamma.min() < 0.0:       # rounding must not make a factor negative
+                raise ValueError(f"gamma must be nonnegative, got {gamma.min()}")
+            first, t = _block_entry_times(gamma, dlt, alphas)
+            better = (t < best_t) | ((t == best_t) & (new[c + first] < best_k))
+            best_t[better] = t[better]
+            best_k[better] = new[c + first[better]]
+            if wide[c:d].any():
+                floor[c:d] = _gap_floor(a[below[c:d]], b, reach, alphas, dlt, out=ratios)
+            del b, ratios               # before the next chunk's inversion
+        limit = best_t * (1.0 + _LOG_SCREEN_RTOL)
+        may_hold = (floor < limit) | ((floor <= limit) & (new[:, None] <= best_k))
+        keep = np.flatnonzero(wide & may_hold.any(axis=1))
+        if not keep.size:
+            return best_t, best_k * step
+        lo, a_lo, top = downs[keep], a[below[keep]], new[keep] - 1
+        del a                           # before the next round's inversion
 
 
 def _stride(width: int, gaps: int, dim: int) -> int:

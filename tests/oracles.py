@@ -30,11 +30,9 @@ from cdde_bound.simulator import (BLOCK_STEPS, DIVERGENCE_LIMIT, JUMP_TOL,
 from cdde_bound.stability import NotStable, is_metzler_hurwitz
 
 # The references keep their own absolute thresholds, independent of the
-# package's exact sign and time rule: a sign margin for the entries of
-# -inv(A + alpha I), the length below which a split piece ending at a jump,
-# or the advance to a crossing, is skipped, and the distance within which a
-# new jump joins a stored one.
-SIGN_TOL = 1e-12
+# package's exact sign and time rule: the length below which a split piece
+# ending at a jump, or the advance to a crossing, is skipped, and the
+# distance within which a new jump joins a stored one.
 PIECE_TOL = 1e-14
 GRID_TOL = 1e-12
 
@@ -70,13 +68,34 @@ def alpha_max_scan(a: np.ndarray, step: float) -> float:
     return (k - 1) * step
 
 
+def reachable(a: np.ndarray) -> np.ndarray:
+    """``reach[j, i]``: ``j == i``, or a path of positive off-diagonal
+    entries of ``a`` leads from ``i`` to ``j`` (an edge ``k -> l`` for each
+    ``a[l, k] > 0``), by a depth-first search from each ``i``."""
+    n = a.shape[0]
+    reach = np.eye(n, dtype=bool)
+    for i in range(n):
+        todo = [i]
+        while todo:
+            k = todo.pop()
+            for l in range(n):
+                if l != k and a[l, k] > 0.0 and not reach[l, i]:
+                    reach[l, i] = True
+                    todo.append(l)
+    return reach
+
+
 def finite_time_loop(a: np.ndarray, theta: np.ndarray, delta: np.ndarray,
                      step: float) -> ConvergenceResult:
     """finite_time with one inversion and one ratio minimum per rate and
-    component; the grid must be nonempty."""
+    component; the grid must be nonempty.  ``-inv(A + alpha I)`` is
+    positive exactly where ``reachable`` holds and 0 elsewhere, so its
+    computed entries there are asserted positive and the others, rounding
+    noise of either sign, are taken as 0."""
     n = a.shape[0]
     k_max = int(round(alpha_max_scan(a, step) / step))
     assert k_max >= 1
+    reach = reachable(a)
     best_t = np.full(n, np.inf)
     best_alpha = np.zeros(n)
     for alpha in [k * step for k in range(1, k_max + 1)]:
@@ -84,12 +103,12 @@ def finite_time_loop(a: np.ndarray, theta: np.ndarray, delta: np.ndarray,
             minv = inverse_by_columns(a + alpha * np.eye(n))
         except np.linalg.LinAlgError:
             raise AssertionError(f"grid rate {alpha} singular") from None
-        assert (minv <= SIGN_TOL).all()
-        neg_inv = -minv
+        assert (minv[reach] < 0.0).all()
+        neg_inv = np.where(reach, -minv, 0.0)
         a_vec = neg_inv @ theta
         for i in range(n):
             b = neg_inv[:, i]
-            mask = b > SIGN_TOL
+            mask = b > 0.0
             t_i = time_to_threshold(float((a_vec[mask] / b[mask]).min()),
                                     float(delta[i]), alpha)
             if t_i < best_t[i]:

@@ -138,6 +138,9 @@ def log_gamma_rounding(a: np.ndarray, theta: np.ndarray, alpha: float, i: int) -
 # condition 1.9e4, so log(gamma / delta) = 0.0742 carries a rounding of
 # 2.3e-13 between the two inversions
 @example(case=placed_case(5, 325, 1e-3, 1, 0.5))
+# a draw whose exact inverse has zeros (A's second row is diagonal only)
+# that rounding puts at 1.6e-12, above an absolute sign margin of 1e-12
+@example(case=placed_case(4, 42, 1e-3, 1, 0.5))
 def test_finite_time_equals_per_rate_loop(case):
     """Per component, the same rate, exactly, and the same ``alpha T =
     log(gamma / delta)`` (or 0) to the rounding of gamma in either

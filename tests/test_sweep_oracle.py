@@ -9,6 +9,7 @@ entering its box before the gap's floor."""
 
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -61,7 +62,7 @@ def assert_same(got, want):
 def level_thresholds(n: int, top: int = 4096) -> tuple[int, ...]:
     """The grid sizes ``G <= top`` from which the first round of the sweep
     at dimension ``n`` plans one round more than at ``G - 1``."""
-    levels = [envelope._levels(max(g - 1, 1), 1, n) for g in range(1, top + 1)]
+    levels = [envelope._levels(g, 1, n) for g in range(1, top + 1)]
     return tuple(g for g in range(2, top + 1) if levels[g - 1] != levels[g - 2])
 
 
@@ -183,6 +184,30 @@ def test_sweep_inverts_at_most_its_ceiling(monkeypatch, sample_spec, case):
     assert sum(rates) <= ceiling
 
 
+def test_sweep_memory_is_a_few_chunks():
+    """A dense n = 120 system with 300 grid rates, on inputs like a
+    certificate's (delta about 0.7 theta): the sweep keeps only ``a``, one
+    vector per open gap, from one round to the next, so the tracemalloc
+    peak of ``finite_time`` is that of a few chunks, each at most
+    ``max(BLOCK_BYTES, 8 n^2)`` bytes, beside a few ``n x n`` matrices of
+    the margin search and a round's vectors per rate."""
+    n = 120
+    rng = np.random.default_rng(1)
+    m = rng.uniform(0.0, 2.0 / n, (n, n))
+    np.fill_diagonal(m, -rng.uniform(0.5, 1.5, n))
+    a = m - (np.linalg.eigvals(m).real.max() + 0.3005) * np.eye(n)
+    theta = rng.uniform(1.0, 5.0, n)
+    args = (a, theta, theta * rng.uniform(0.68, 0.71, n), 1e-3)
+    finite_time(*args)
+    tracemalloc.start()
+    try:
+        finite_time(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * max(BLOCK_BYTES, 8 * n * n) + 8 * (8 * n * n)
+
+
 def test_pruned_sweep_with_one_rate_per_block_equals_default_blocks(monkeypatch):
     """A block of ``8 n^2`` bytes holds one rate, as the default one does
     from n = 182 on: each round still evaluates a rate, so the sweep closes
@@ -276,8 +301,8 @@ def test_reducible_system_with_a_vanishing_factor_certifies():
 
 def test_error_met_by_the_pruned_sweep_is_raised_by_it(monkeypatch):
     """Members made singular from alpha = 0.5 on: the first round of the
-    pruned sweep, which spans the grid, meets one and raises it, naming the
-    round's rates."""
+    pruned sweep, which evaluates the top rate of each part of the grid up
+    to the last, meets one and raises it, naming the round's rates."""
     a = np.array([[-2.0, 1.0], [1.0, -2.0]])
     real = envelope.inverse
 
@@ -288,7 +313,7 @@ def test_error_met_by_the_pruned_sweep_is_raised_by_it(monkeypatch):
 
     monkeypatch.setattr(envelope, "inverse", failing)
     with pytest.raises(DecayRateTooLarge,
-                       match=r"^alpha in \[0\.0001, 0\.9999\]: shifted matrix singular$"):
+                       match=r"^alpha in \[0\.0099, 0\.9999\]: shifted matrix singular$"):
         finite_time(a, [1.0, 1.0], [0.5, 0.5], 1e-4)
 
 
