@@ -77,7 +77,9 @@ def load_problem(path, args=None) -> tuple[SystemSpec, dict | None, dict]:
             doc = json.load(fh, parse_int=_parse_int)
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # bytes that are not UTF-8, and arrays nested past the recursion limit,
+    # are malformed input too, not a failed hypothesis
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ProblemFormatError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict) or "system" not in doc:
         raise ProblemFormatError("problem file must be an object with a 'system' section")

@@ -13,7 +13,7 @@ import pytest
 
 import cdde_bound
 from cdde_bound import cli
-from cdde_bound.certificate import compute_certificate
+from cdde_bound.certificate import compute_certificate, sample_staircase
 from cdde_bound.cli import VERIFY_GRID, build_scenario, grid_reports, load_problem, main
 from cdde_bound.simulator import Trajectory, simulate, simulate_corners, verify_domination
 
@@ -62,13 +62,6 @@ def test_check_identity_d_fails(tmp_path, capsys):
     assert "FAIL D is Schur" in out
 
 
-def test_check_malformed_json_exits_2(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert main(["check", str(path)]) == 2
-    assert "input error" in capsys.readouterr().err
-
-
 def test_check_missing_field_exits_2(tmp_path, capsys):
     path = write_problem(tmp_path, lambda d: d["system"].pop("h_max"))
     assert main(["check", str(path)]) == 2
@@ -81,19 +74,24 @@ def test_check_bad_dimensions_exit_2(tmp_path):
 
 
 def test_bound_writes_outputs(tmp_path, capsys, sample_problem_path):
-    out = tmp_path / "out"
-    code = main(["bound", str(sample_problem_path), "--out", str(out),
-                 "--t-end", "4", "--step", "0.01"])
-    assert code == 0
-    cert = json.loads((out / "certificate.json").read_text())
-    assert cert["T_star"] == 2.0
-    assert cert["mu"] == pytest.approx(0.999 * 0.0707, abs=5e-4)
-    assert cert["eta"] == pytest.approx([0.7249, 1.4756, 0.5780], abs=5e-4)
-    lines = (out / "staircase.csv").read_text().splitlines()
-    assert lines[0] == "t,xb_1,xb_2,xb_3,yb_1,yb_2"
-    assert len(lines) == 402
-    stdout = capsys.readouterr().out
-    assert "T_star" in stdout
+    # the staircase, also at the full horizon of 40 001 rows written run by
+    # run, is byte for byte sample_staircase rendered row by row with "%.9g"
+    computed = compute_certificate(load_problem(sample_problem_path)[0])
+    for t_end, step, rows in (("4", "0.01", 401), ("40", "1e-3", 40001)):
+        out = tmp_path / t_end
+        code = main(["bound", str(sample_problem_path), "--out", str(out),
+                     "--t-end", t_end, "--step", step])
+        assert code == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["T_star"] == 2.0
+        assert cert["mu"] == pytest.approx(0.999 * 0.0707, abs=5e-4)
+        assert cert["eta"] == pytest.approx([0.7249, 1.4756, 0.5780], abs=5e-4)
+        t = np.arange(rows) * float(step)
+        xb, yb = sample_staircase(computed, t)
+        assert (out / "staircase.csv").read_text() == "t,xb_1,xb_2,xb_3,yb_1,yb_2\n" + "".join(
+            ",".join(f"{v:.9g}" for v in row) + "\n" for row in np.hstack([t[:, None], xb, yb]))
+        stdout = capsys.readouterr().out
+        assert "T_star" in stdout
 
 
 def test_bound_deterministic_bytes(tmp_path, sample_problem_path):
@@ -212,8 +210,11 @@ def x1_in_units_of(c):
 def test_bound_with_x1_in_units_of_1e_minus_12_exits_0(tmp_path, capsys):
     """The coupling matrix's entries span 2e-13 to 3e11 and ``A``'s 1-norm
     condition is 1.9e22; the witness proves ``A`` and its shifts Hurwitz
-    whatever the condition, so ``bound`` certifies the copy."""
+    whatever the condition, so ``check`` passes and ``bound`` certifies the
+    copy."""
     path = write_problem(tmp_path, x1_in_units_of(1e12))
+    assert main(["check", str(path)]) == 0
+    assert "PASS joint stability condition" in capsys.readouterr().out
     assert main(["bound", str(path), "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
     assert (tmp_path / "out" / "certificate.json").exists()
@@ -222,12 +223,12 @@ def test_bound_with_x1_in_units_of_1e_minus_12_exits_0(tmp_path, capsys):
 def test_verify_with_x1_in_units_of_1e_minus_12_exits_0(tmp_path, capsys):
     """``psi_bar_1`` and ``omega_bar_1`` are 2e12 and 5e11 on that copy; the
     divergence limit scales with the largest envelope entry, so the default
-    scenario at each grid point stays within it."""
+    scenario at each grid point stays within it over the file's horizon."""
     def mutate(doc):
         del doc["scenario"]
         x1_in_units_of(1e12)(doc)
     path = write_problem(tmp_path, mutate)
-    assert main(["verify", str(path), "--t-end", "6"]) == 0
+    assert main(["verify", str(path)]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert [line.endswith("-> OK") for line in out.splitlines()] == [True] * 6
@@ -239,28 +240,37 @@ def test_verify_with_x1_in_units_of_1e_minus_12_exits_0(tmp_path, capsys):
 HUGE = "1" + "0" * 400
 ALL_COMMANDS = ("check", "bound", "simulate", "verify")
 HUGE_INT_FIELDS = [
-    ("A", lambda d, v: d["system"]["A"][0].__setitem__(1, v)),
-    ("h_max", lambda d, v: d["system"].__setitem__("h_max", v)),
-    ("psi_bar", lambda d, v: d["system"]["psi_bar"].__setitem__(0, v)),
-    ("scenario.omega: amplitude",
+    ("A", "system section: A contains non-finite entries",
+     lambda d, v: d["system"]["A"][0].__setitem__(1, v)),
+    ("h_max", "system section: h_max must be finite",
+     lambda d, v: d["system"].__setitem__("h_max", v)),
+    ("psi_bar", "system section: psi_bar contains non-finite entries",
+     lambda d, v: d["system"]["psi_bar"].__setitem__(0, v)),
+    ("scenario.omega: amplitude", "scenario.omega: amplitude must be finite, got (inf, 0.3, 0.1)",
      lambda d, v: d["scenario"]["omega"]["amplitude"].__setitem__(0, v)),
-    ("scenario.omega: frequency",
+    ("scenario.omega: frequency", "scenario.omega: frequency must be finite, got (inf, 0.1, 0.3)",
      lambda d, v: d["scenario"]["omega"]["frequency"].__setitem__(0, v)),
-    ("scenario.h1: offset", lambda d, v: d["scenario"]["h1"].__setitem__("offset", v)),
-    ("psi", lambda d, v: d["scenario"]["psi"].__setitem__(0, v)),
-    ("scenario.phi", lambda d, v: d["scenario"]["phi"].__setitem__(0, v)),
-    ("options.step", lambda d, v: d["options"].__setitem__("step", v)),
-    ("options.t_end", lambda d, v: d["options"].__setitem__("t_end", v)),
-    ("options.xi", lambda d, v: d["options"].__setitem__("xi", [1, 1, v, 1, 1])),
+    ("scenario.h1: offset", "scenario.h1: offset must be finite, got (inf,)",
+     lambda d, v: d["scenario"]["h1"].__setitem__("offset", v)),
+    ("psi", "scenario: psi contains non-finite entries",
+     lambda d, v: d["scenario"]["psi"].__setitem__(0, v)),
+    ("scenario.phi", "scenario.phi: amplitude must be finite, got (inf, 5.0)",
+     lambda d, v: d["scenario"]["phi"].__setitem__(0, v)),
+    ("options.step", "options.step must be finite and positive, got inf",
+     lambda d, v: d["options"].__setitem__("step", v)),
+    ("options.t_end", "options.t_end must be finite and positive, got inf",
+     lambda d, v: d["options"].__setitem__("t_end", v)),
+    ("options.xi", "options.xi must be finite and positive, got inf",
+     lambda d, v: d["options"].__setitem__("xi", [1, 1, v, 1, 1])),
 ]
 
 
-@pytest.mark.parametrize("field, mutate, command, digits", [
-    pytest.param(field, mutate, command, HUGE, id=f"{command}-{field}")
-    for field, mutate in HUGE_INT_FIELDS for command in ALL_COMMANDS
-] + [pytest.param("h_max", HUGE_INT_FIELDS[1][1], "check", "1" + "0" * 4999,
+@pytest.mark.parametrize("error, mutate, command, digits", [
+    pytest.param(error, mutate, command, HUGE, id=f"{command}-{field}")
+    for field, error, mutate in HUGE_INT_FIELDS for command in ALL_COMMANDS
+] + [pytest.param(*HUGE_INT_FIELDS[1][1:], "check", "1" + "0" * 4999,
                   id="check-h_max-5000-digits")])
-def test_json_integer_past_float_range_exits_2(tmp_path, capsys, field, mutate, command,
+def test_json_integer_past_float_range_exits_2(tmp_path, capsys, error, mutate, command,
                                                digits):
     """The integer reads as inf, as the float literal 1e400 does, so the
     field's own finiteness check refuses it with one input error line."""
@@ -273,9 +283,7 @@ def test_json_integer_past_float_range_exits_2(tmp_path, capsys, field, mutate, 
         assert main([command, str(path), "--out", str(tmp_path / "out")]
                     if command in ("bound", "simulate") else [command, str(path)]) == 2
         errs.append(capsys.readouterr().err)
-    assert errs[1] == errs[0]
-    assert errs[1].startswith("input error: ") and errs[1].count("\n") == 1
-    assert field in errs[1]
+    assert errs == [f"input error: {error}\n"] * 2
     assert not (tmp_path / "out").exists()
 
 
@@ -323,6 +331,32 @@ def test_scenario_outside_its_envelopes_exits_2(tmp_path, capsys, command):
     out = ["--out", str(tmp_path / "out")] if command in ("bound", "simulate") else []
     assert main([command, str(path)] + out) == 2
     assert capsys.readouterr().err == "input error: scenario.h2[0] reaches 2.5 > h_max = 2.0\n"
+    assert not (tmp_path / "out").exists()
+
+
+# a problem file that cannot be read or parsed: no file, text that is not
+# JSON, bytes that are not UTF-8, and psi nested past any recursion limit
+UNREADABLE_FILES = {
+    "missing": ("cannot read", None),
+    "not-json": ("malformed JSON in", b"{not json"),
+    "not-utf-8": ("malformed JSON in", b"\xff\xfe{}"),
+    "psi-nested-100000-deep": ("malformed JSON in", SAMPLE_PROBLEM.read_bytes().replace(
+        b'"psi": [2.0, 5.0, 3.0]', b'"psi": ' + b"[" * 100_000 + b"]" * 100_000)),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_FILES))
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_unreadable_problem_file_exits_2(tmp_path, capsys, command, case):
+    """Every command refuses the file with one input error line."""
+    reason, content = UNREADABLE_FILES[case]
+    path = tmp_path / "problem.json"
+    if content is not None:
+        path.write_bytes(content)
+    out = ["--out", str(tmp_path / "out")] if command in ("bound", "simulate") else []
+    assert main([command, str(path)] + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {reason} {path}: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -480,14 +514,18 @@ def test_simulate_inadmissible_scale_fails(tmp_path, capsys, sample_problem_path
     assert code == 2
     assert capsys.readouterr().err == \
         "input error: scenario.omega[0] reaches 1.0 > omega_bar[0] = 0.5\n"
+    assert not out.exists()
 
 
 def test_verify_single_combo(tmp_path, capsys, sample_problem_path):
-    code = main(["verify", str(sample_problem_path), "--a", "1", "--b", "1",
-                 "--t-end", "4", "--step", "0.002"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "OK" in out and "VIOLATION" not in out
+    # --a and --b select one scenario: the single-run path, not the corners
+    for a, b in (("1", "1"), ("0.5", "0.3")):
+        code = main(["verify", str(sample_problem_path), "--a", a, "--b", b,
+                     "--t-end", "4", "--step", "0.002"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith(f"a={a} b={b}: ") and out.endswith("-> OK\n")
+        assert out.count("\n") == 1
 
 
 def test_verify_rejects_scenario_exceeding_certified_envelope(tmp_path, capsys):
@@ -678,6 +716,13 @@ def _identity_d_h2_below_step(doc):
     doc["scenario"]["h2"] = [0.0005]
 
 
+def _reducible(doc):
+    # x_1 reaches no other component, x_2 only x_1: the pruned sweep runs on
+    # the index sets of the graph
+    a = doc["system"]["A"]
+    a[1][0] = a[2][0] = a[2][1] = 0.0
+
+
 def _h_max(value):
     # the initial history on [-h_max, 0) is checked on the time grid
     return lambda doc: doc["system"].update(h_max=value)
@@ -699,11 +744,15 @@ def _h_max(value):
     ("verify", None, ["--step", "3"], 1, "FAIL scenario: step 3.0 exceeds the delay bound 2.0"),
     ("simulate", _h_max(1e308), [], 2, "input error: h_max / step must be at most 2**53"),
     ("verify", _h_max(1e13), [], 2, "input error: h_max / step must be at most 2**53"),
+    # alpha grids of 1.7 million rates and, on the reducible copy, 200 000
+    ("bound", None, ["--alpha-step", "1e-6"], 0, ""),
+    ("bound", _reducible, ["--alpha-step", "1e-5"], 0, ""),
 ], ids=["check-identity-d", "bound-identity-d", "verify-identity-d", "simulate-identity-d",
         "simulate-identity-d-h2-below-step", "bound-out-is-file", "bound-out-under-file",
         "simulate-out-under-file", "simulate-out-in-missing-dir", "simulate-step-above-h-max",
         "verify-step-above-h-max", "simulate-history-steps-overflowing",
-        "verify-history-steps-past-2**53"])
+        "verify-history-steps-past-2**53", "bound-fine-alpha-grid",
+        "bound-reducible-fine-alpha-grid"])
 def test_failures_exit_with_a_code_not_a_traceback(tmp_path, capsys, command, mutate, flags,
                                                   code, err):
     path = write_problem(tmp_path, mutate)
@@ -715,6 +764,9 @@ def test_failures_exit_with_a_code_not_a_traceback(tmp_path, capsys, command, mu
         flags += ["--t-end", "1"]
     assert main([command, str(path)] + flags) == code
     assert capsys.readouterr().err.startswith(err)
+    written = {"bound": ["out/certificate.json", "out/staircase.csv"], "simulate": ["out"]}
+    if code == 0:
+        assert all((tmp_path / name).stat().st_size > 0 for name in written.get(command, []))
 
 
 def test_bound_failed_staircase_write_leaves_no_certificate(tmp_path, capsys,
