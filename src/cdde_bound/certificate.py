@@ -147,7 +147,9 @@ def compute_certificate(spec: SystemSpec, alpha_step: float = 1e-3,
 
     The short-circuit case (initial envelopes already inside the ultimate
     bound) is recorded in ``constant_bound``; the staircase quantities are
-    computed regardless, so the certificate is usable either way.
+    computed regardless, so the certificate is usable either way.  A failed
+    stage raises :class:`CertificateError`; an ``alpha_step`` too fine for
+    the grid raises ``envelope.GridTooFine``.
     """
     findings = validate_structure(spec)
     if findings:
@@ -179,16 +181,13 @@ def compute_certificate(spec: SystemSpec, alpha_step: float = 1e-3,
         theta_bar = p + shift
         delta = (1.0 - mu) * p + shift
         conv = envelope.finite_time(spec.A, theta_bar, delta, alpha_step)
+    except envelope.GridTooFine:
+        raise                           # the input's grid, not a failed stage
     except Exception as exc:
         raise CertificateError("convergence-time", str(exc)) from exc
 
-    # degenerate dwell (delay-free system converging instantly): keep the
-    # staircase well defined by flooring at one grid step
-    t_star = max(conv.T, spec.h_max)
-    if t_star <= 0.0:
-        t_star = alpha_step
     return BoundCertificate(eta=eta, varsigma=varsigma, p=p, q=q, mu=mu,
-                            T_star=t_star, convergence=conv,
+                            T_star=max(conv.T, spec.h_max), convergence=conv,
                             constant_bound=constant)
 
 

@@ -83,6 +83,10 @@ class NonpositiveThreshold(ValueError):
     """Target box has a nonpositive component."""
 
 
+class GridTooFine(ValueError):
+    """The decay-rate grid holds more than ``_GRID_MAX`` rates."""
+
+
 @dataclass(frozen=True, eq=False)
 class ConvergenceResult:
     """Certified entry times into the target box, per component and overall."""
@@ -216,7 +220,7 @@ def finite_time(A, theta_bar, delta, alpha_step: float) -> ConvergenceResult:
     while k_max * step > top:           # no rate past the witnessed one, on grids past 2**51
         k_max -= 1
     if k_max > _GRID_MAX:
-        raise ValueError(f"decay-rate grid of {k_max:.3g} rates exceeds 2**53: "
+        raise GridTooFine(f"decay-rate grid of {k_max:.3g} rates exceeds 2**53: "
                          f"alpha_step {alpha_step} is too fine")
     if not k_max:
         # Hurwitz margin smaller than the grid step: sweep the one rate

@@ -1,6 +1,7 @@
 """Signal presets for simulator scenarios: ``SignalSpec``, with its values
-and its range in closed form, and ``validate_scenario``, which checks a
-scenario against its envelopes once, on its parameters."""
+and its range in closed form, and ``validate_scenario``, the one check of a
+scenario's fields, once, on its parameters: field by field, each field's
+phase, then its dimension, then each component's sign, then its bar."""
 
 from __future__ import annotations
 
@@ -53,6 +54,16 @@ class SignalSpec:
         object.__setattr__(self, "amplitude", amp)
         object.__setattr__(self, "frequency", freq)
         object.__setattr__(self, "offset", offset)
+        # the kind, resolved once into the form that sample, scalar, bounds
+        # and validate_scenario read: the wave, |sin(f t)| or |cos(f t)|; the
+        # frequencies, 0 unless the kind oscillates, so that ``constant`` and
+        # ``zero`` are the wave |cos 0| = 1; the amplitudes, 0 for ``zero``;
+        # the offset, None unless ``const_plus_*``
+        trig = _TRIG.get(self.kind)
+        object.__setattr__(self, "_form", (
+            trig or np.cos, freq if trig else (0.0,) * len(amp),
+            (0.0,) * len(amp) if self.kind == "zero" else amp,
+            offset if self.kind.startswith("const_plus") else None))
 
     @property
     def dim(self) -> int:
@@ -60,16 +71,14 @@ class SignalSpec:
 
     @cached_property
     def _terms(self) -> tuple:
-        """The preset as numpy constants, formed once per signal: the wave's
+        """The form as numpy constants, formed once per signal: the wave's
         function, the frequencies and the amplitudes as columns (dim, 1),
-        the offset (None unless ``const_plus_*``), and the first frequency
-        and amplitude as np.float64 scalars.  The wave of 1 of ``constant``
-        and ``zero`` is |cos(0 t)|, and ``zero`` has the amplitude 0."""
-        freq = np.array(self.frequency) if self.kind in _TRIG else np.zeros(self.dim)
-        amp = np.zeros(self.dim) if self.kind == "zero" else np.array(self.amplitude)
-        offset = np.float64(self.offset) if self.kind.startswith("const_plus") else None
-        return (_TRIG.get(self.kind, np.cos), freq[:, None], amp[:, None], offset,
-                freq[0], amp[0])
+        the offset or None, and the first frequency and amplitude as
+        np.float64 scalars."""
+        wave, freq, amp, offset = self._form
+        freq, amp = np.array(freq), np.array(amp)
+        return (wave, freq[:, None], amp[:, None],
+                None if offset is None else np.float64(offset), freq[0], amp[0])
 
     def __call__(self, t: float) -> np.ndarray:
         return self.sample(np.array([t]))[0]
@@ -103,22 +112,17 @@ class SignalSpec:
     def bounds(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The lowest and the highest value of each component over t >= 0,
         in closed form.  The wave, |sin(f t)| or |cos(f t)|, takes every
-        value in [0, 1], or at f = 0 only 0 (sin) or 1 (cos); ``constant``
-        is a wave of 1 and ``zero`` an amplitude of 0.  The extremes are the
-        preset at the extreme waves, ``wave * amplitude (+ offset)``, and
-        they bound the float values too: numpy's |sin| and |cos| stay in
+        value in [0, 1], or at f = 0 only 0 (sin) or 1 (cos).  The extremes
+        are the form at the extreme waves, ``wave * amplitude (+ offset)``,
+        and they bound the float values too: numpy's |sin| and |cos| stay in
         [0, 1], and the rounded ``wave * amplitude + offset`` is monotone in
         the wave.  Python floats: on a few components they cost less than
         arrays."""
-        trig = _TRIG.get(self.kind)
-        # the wave where it does not move: kinds without one, or f = 0
-        still = 0.0 if trig is np.sin or self.kind == "zero" else 1.0
-        offset = self.offset if self.kind.startswith("const_plus") else 0.0
-        if trig is None:
-            values = tuple(still * a + offset for a in self.amplitude)
-            return values, values
+        wave, freq, amp, offset = self._form
+        still = 0.0 if wave is np.sin else 1.0     # the wave at f = 0
+        offset = offset or 0.0
         ends = [(min(0.0, a), max(0.0, a)) if f != 0.0 else (still * a,) * 2
-                for a, f in zip(self.amplitude, self.frequency)]
+                for a, f in zip(amp, freq)]
         return tuple(lo + offset for lo, _ in ends), tuple(hi + offset for _, hi in ends)
 
     def scaled(self, factor: float) -> "SignalSpec":
@@ -137,46 +141,40 @@ _TRIG = {"abs_sin": np.sin, "const_plus_abs_sin": np.sin,
 
 def validate_scenario(spec, *, psi, phi: SignalSpec, omega: SignalSpec, d: SignalSpec,
                       h1: SignalSpec, h2: SignalSpec, t_end: float, step: float) -> None:
-    """Raise :class:`InvalidScenario`, naming the field and the component,
-    unless the scenario stays in its envelopes at every time: psi and each
-    signal's range (``SignalSpec.bounds``) nonnegative (``negative``) and at
-    most its bar, exactly, where the bar of h1 and h2 is h_max.  The check
-    is on the parameters, so it covers every time, on or between grid
-    points and whatever the horizon.  An oscillating signal's phase f t
-    must also stay finite over the times a run reads: [-h_max, 0] for phi,
-    [0, t_end + step] for the others (the grid ends within step / 2 of
-    t_end).  The phases are checked first; then the first component, in
-    the order of the signature, that is negative or above its bar is
-    named, its sign before its bar."""
+    """Raise :class:`InvalidScenario`, naming the field of the first fault,
+    unless the scenario fits the system.  One pass over the fields, in the
+    order of the signature, checks per field: that an oscillating signal's
+    phase f t stays finite over the times a run reads, [-h_max, 0] for phi
+    and [0, t_end + step] for the others (the grid ends within step / 2 of
+    t_end); its dimension, n for psi and omega, m for phi and d, 1 for h1
+    and h2; then, component by component, that psi or the signal's range
+    (``SignalSpec.bounds``) is nonnegative (``negative``) and at most its
+    bar, exactly, where the bar of h1 and h2 is h_max.  The check is on the
+    parameters, so it covers every time, on or between grid points and
+    whatever the horizon."""
     end = t_end + step
-    fields = (("psi", None, "psi_bar[{}]", 0.0), ("phi", phi, "phi_bar[{}]", -spec.h_max),
-              ("omega", omega, "omega_bar[{}]", end), ("d", d, "d_bar[{}]", end),
-              ("h1", h1, "h_max", end), ("h2", h2, "h_max", end))
-    for name, sig, _, horizon in fields[1:]:
-        if sig.kind in _TRIG:
-            for i, f in enumerate(sig.frequency):
-                if not math.isfinite(f * horizon):
+    for name, sig, bar, label, horizon in (
+            ("psi", psi, spec.psi_bar, "psi_bar[{}]", None),
+            ("phi", phi, spec.phi_bar, "phi_bar[{}]", -spec.h_max),
+            ("omega", omega, spec.omega_bar, "omega_bar[{}]", end),
+            ("d", d, spec.d_bar, "d_bar[{}]", end),
+            ("h1", h1, (spec.h_max,), "h_max", end), ("h2", h2, (spec.h_max,), "h_max", end)):
+        if horizon is None:
+            lo = hi = np.asarray(sig, dtype=float)
+        else:
+            # a frequency of 0, as every kind that does not oscillate has,
+            # keeps the phase at 0
+            for i, f in enumerate(sig._form[1]):
+                if f != 0.0 and not math.isfinite(f * horizon):
                     raise InvalidScenario(f"scenario.{name}.frequency[{i}] = {f} "
                                           f"overflows the phase by t = {horizon}")
-    # every component at once, in field order
-    psi = np.asarray(psi, dtype=float).tolist()
-    lo, hi, sizes = psi[:], psi[:], [len(psi)]
-    for _, sig, _, _ in fields[1:]:
-        ends = sig.bounds()
-        lo += ends[0]
-        hi += ends[1]
-        sizes.append(sig.dim)
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    bar = np.concatenate((spec.psi_bar, spec.phi_bar, spec.omega_bar, spec.d_bar,
-                          [spec.h_max, spec.h_max]))
-    bad = negative(lo) | ~(hi <= bar)
-    if bad.any():
-        k = i = int(bad.argmax())
-        for (name, _, label, _), size in zip(fields, sizes):
-            if i < size:
-                break
-            i -= size
-        if negative(lo[k]):
-            raise InvalidScenario(f"scenario.{name}[{i}] reaches {lo[k]} < 0")
-        raise InvalidScenario(f"scenario.{name}[{i}] reaches {hi[k]} > "
-                              f"{label.format(i)} = {bar[k]}")
+            lo, hi = np.array(sig.bounds())
+        if len(lo) != len(bar):
+            raise InvalidScenario(f"scenario.{name} must have dimension {len(bar)}, got {len(lo)}")
+        bad = negative(lo) | ~(hi <= bar)
+        if bad.any():
+            i = int(bad.argmax())
+            if negative(lo[i]):
+                raise InvalidScenario(f"scenario.{name}[{i}] reaches {lo[i]} < 0")
+            raise InvalidScenario(f"scenario.{name}[{i}] reaches {hi[i]} > "
+                                  f"{label.format(i)} = {bar[i]}")

@@ -21,10 +21,11 @@ inverse of ``I - D`` is formed by the first step that closes, so a run that
 closes none accepts a singular ``I - D``, and one that does fails there as
 an invalid scenario.
 
-A scenario is checked against its envelopes once, when it is built
-(``signals.validate_scenario``): each signal is a preset whose range is
-closed form, so the check covers every time, not only the grid points, and
-a run reads only admissible data.
+A scenario is checked once, when it is built, by ``signals.validate_scenario``
+alone: field by field, its phase, its dimension, then each component's sign
+and bar, naming the field of the first fault.  Each signal is a preset whose
+range is closed form, so the check covers every time, not only the grid
+points, and a run reads only admissible data.
 
 A run integrates one scenario for S members, which scale its omega and d
 by their own ``(a, b)`` and share the rest; a sample times 0 or 1 is exact.
@@ -103,7 +104,8 @@ class UnstableStep(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class SimulationScenario:
     """Concrete disturbances, delays and initial data for one run, checked
-    against the system's envelopes when built (``validate_scenario``)."""
+    against the system's dimensions and envelopes when built
+    (``validate_scenario``, which raises ``InvalidScenario``)."""
 
     spec: SystemSpec
     omega: SignalSpec
@@ -120,13 +122,6 @@ class SimulationScenario:
         phi = self.phi
         if not isinstance(phi, SignalSpec):
             phi = SignalSpec.constant(phi)
-        n, m = self.spec.n, self.spec.m
-        if psi.shape[0] != n:
-            raise DimensionMismatch(f"psi must have length {n}, got {psi.shape[0]}")
-        for name, sig, dim in [("omega", self.omega, n), ("d", self.d, m),
-                               ("phi", phi, m), ("h1", self.h1, 1), ("h2", self.h2, 1)]:
-            if sig.dim != dim:
-                raise DimensionMismatch(f"{name} signal must have dimension {dim}, got {sig.dim}")
         if not (0.0 < self.t_end < math.inf and 0.0 < self.step < math.inf):
             raise ValueError("t_end and step must be finite and positive")
         validate_scenario(self.spec, psi=psi, phi=phi, omega=self.omega, d=self.d,

@@ -74,12 +74,15 @@ def _is_witness(M: np.ndarray, v: np.ndarray) -> bool:
     Stability of Numerical Algorithms*, 2002, section 3.5).  So a pass of
     ``fl(M+ v) + 2 gamma_(n+2) fl(|M| v) + n 2^-1074 < 0``, whose doubled
     ``gamma`` covers the rounding of the bound itself, is exact, and both
-    sides scale with ``M`` and ``v``.  A non-finite product fails."""
+    sides scale with ``M`` and ``v``.  A ``v`` that is not finite, as a solve
+    that overflows gives, fails before the products."""
+    if not ((v > 0.0) & (v < np.inf)).all():
+        return False
     n = M.shape[0]
     nu = (n + 2) * 2.0**-53
     major = np.where(np.eye(n, dtype=bool), M, np.abs(M))
     slack = (2.0 * nu / (1.0 - nu)) * (np.abs(M) @ v) + n * 2.0**-1074
-    return bool((v > 0.0).all() and (major @ v + slack < 0.0).all())
+    return bool((major @ v + slack < 0.0).all())
 
 
 def _hurwitz(M: np.ndarray) -> bool:

@@ -133,8 +133,16 @@ def test_bound_with_xi_near_underflow_exits_1_without_warnings(tmp_path, capsys)
         warnings.simplefilter("error")
         assert main(["bound", str(SAMPLE_PROBLEM), "--xi", ",".join(["1e-310"] * 5),
                      "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("FAIL comparison-vectors: ") and "scale of xi" in err
+        err = capsys.readouterr().err
+        assert err.startswith("FAIL comparison-vectors: ") and "scale of xi" in err
+        # its twin: the witness solve of xi = 1e308 overflows v to inf, which
+        # fails as no witness before any product of it
+        for command in ("check", "bound", "verify"):
+            out = ["--out", str(tmp_path / "out")] if command == "bound" else []
+            assert main([command, str(SAMPLE_PROBLEM), "--xi", ",".join(["1e308"] * 5)] + out) == 1
+            captured = capsys.readouterr()
+            assert "no witness: v > 0 with M v < 0 not proven\n" in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def time_rescaled(c):
@@ -334,14 +342,53 @@ def test_scenario_outside_its_envelopes_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def sample_bytes(mutate):
+    """The sample problem file after ``mutate``, or the document it returns."""
+    doc = json.loads(SAMPLE_PROBLEM.read_text())
+    return json.dumps(mutate(doc) or doc).encode()
+
+
 # a problem file that cannot be read or parsed: no file, text that is not
-# JSON, bytes that are not UTF-8, and psi nested past any recursion limit
+# JSON, bytes that are not UTF-8, and psi nested past any recursion limit;
+# then files that parse but that the loader refuses, each with its message
 UNREADABLE_FILES = {
-    "missing": ("cannot read", None),
-    "not-json": ("malformed JSON in", b"{not json"),
-    "not-utf-8": ("malformed JSON in", b"\xff\xfe{}"),
-    "psi-nested-100000-deep": ("malformed JSON in", SAMPLE_PROBLEM.read_bytes().replace(
+    "missing": ("cannot read {path}: ", None),
+    "not-json": ("malformed JSON in {path}: ", b"{not json"),
+    "not-utf-8": ("malformed JSON in {path}: ", b"\xff\xfe{}"),
+    "psi-nested-100000-deep": ("malformed JSON in {path}: ", SAMPLE_PROBLEM.read_bytes().replace(
         b'"psi": [2.0, 5.0, 3.0]', b'"psi": ' + b"[" * 100_000 + b"]" * 100_000)),
+    "top-level-array": ("problem file must be an object with a 'system' section\n",
+                        sample_bytes(lambda d: [d])),
+    "no-system": ("problem file must be an object with a 'system' section\n",
+                  sample_bytes(lambda d: d.pop("system") and None)),
+    "A-2x3": ("system section: A must be square, got (2, 3)\n", sample_bytes(
+        lambda d: d["system"].update(A=[[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]))),
+    "D-1x2": ("system section: D must be square, got (1, 2)\n",
+              sample_bytes(lambda d: d["system"].update(D=[[0.5, 0.0]]))),
+    "C-2x2": ("system section: C must be 2x3, got (2, 2)\n",
+              sample_bytes(lambda d: d["system"].update(C=[[0.3, 0.4], [0.2, 0.2]]))),
+    "options-array": ("options must be an object\n", sample_bytes(lambda d: d.update(options=[]))),
+    "options-step-list": ("options.step: float() argument must be a string or a real number, "
+                          "not 'list'\n",
+                          sample_bytes(lambda d: d["options"].update(step=[0.001]))),
+    "options-xi-number": ("options.xi must be an array\n",
+                          sample_bytes(lambda d: d["options"].update(xi=1.0))),
+    "scenario-array": ("scenario must be an object\n",
+                       sample_bytes(lambda d: d.update(scenario=[]))),
+    "omega-a-number": ("scenario.omega must be a signal object or an array\n",
+                       sample_bytes(lambda d: d["scenario"].update(omega=5))),
+    "omega-amplitude-empty": ("scenario.omega: amplitude must have at least one component\n",
+                              sample_bytes(lambda d: d["scenario"]["omega"].update(amplitude=[]))),
+    "psi-length-2": ("scenario.psi must have dimension 3, got 2\n",
+                     sample_bytes(lambda d: d["scenario"].update(psi=[2.0, 5.0]))),
+    "omega-length-2": ("scenario.omega must have dimension 3, got 2\n",
+                       sample_bytes(lambda d: d["scenario"].update(omega=[0.1, 0.1]))),
+    "h1-dimension-2": ("scenario.h1 must have dimension 1, got 2\n",
+                       sample_bytes(lambda d: d["scenario"]["h1"].update(amplitude=[1.0, 1.0]))),
+    # one pass, field by field: phi's sign comes before omega's phase
+    "phi-sign-then-omega-phase": ("scenario.phi[0] reaches -1.0 < 0\n", sample_bytes(
+        lambda d: d["scenario"].update(phi=[-1.0, 5.0]) or d["scenario"]["omega"].update(
+            frequency=[1e308]))),
 }
 
 
@@ -349,14 +396,14 @@ UNREADABLE_FILES = {
 @pytest.mark.parametrize("command", ALL_COMMANDS)
 def test_unreadable_problem_file_exits_2(tmp_path, capsys, command, case):
     """Every command refuses the file with one input error line."""
-    reason, content = UNREADABLE_FILES[case]
+    message, content = UNREADABLE_FILES[case]
     path = tmp_path / "problem.json"
     if content is not None:
         path.write_bytes(content)
     out = ["--out", str(tmp_path / "out")] if command in ("bound", "simulate") else []
     assert main([command, str(path)] + out) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"input error: {reason} {path}: ") and err.count("\n") == 1
+    assert err.startswith("input error: " + message.format(path=path)) and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -393,6 +440,8 @@ def test_unallocatable_grid_exits_2(tmp_path, capsys, monkeypatch, sample_proble
     pytest.param({}, ["--t-end", "0"], id="flag-t-end-zero"),
     pytest.param({}, ["--step", "inf"], id="flag-step-inf"),
     pytest.param({}, ["--xi", "1,1,1,1,0"], id="flag-xi-zero"),
+    # a decay-rate grid of 1.74e+300 rates
+    pytest.param({}, ["--alpha-step", "1e-300"], id="flag-alpha-step-grid-past-2**53"),
 ])
 def test_bound_malformed_options_exit_2(tmp_path, capsys, options, flags):
     path = write_problem(tmp_path, lambda d: d.setdefault("options", {}).update(options))
@@ -744,6 +793,8 @@ def _h_max(value):
     ("verify", None, ["--step", "3"], 1, "FAIL scenario: step 3.0 exceeds the delay bound 2.0"),
     ("simulate", _h_max(1e308), [], 2, "input error: h_max / step must be at most 2**53"),
     ("verify", _h_max(1e13), [], 2, "input error: h_max / step must be at most 2**53"),
+    ("verify", None, ["--alpha-step", "1e-300"], 2, "input error: decay-rate grid of 1.74e+300 "
+     "rates exceeds 2**53: alpha_step 1e-300 is too fine\n"),
     # alpha grids of 1.7 million rates and, on the reducible copy, 200 000
     ("bound", None, ["--alpha-step", "1e-6"], 0, ""),
     ("bound", _reducible, ["--alpha-step", "1e-5"], 0, ""),
@@ -751,7 +802,7 @@ def _h_max(value):
         "simulate-identity-d-h2-below-step", "bound-out-is-file", "bound-out-under-file",
         "simulate-out-under-file", "simulate-out-in-missing-dir", "simulate-step-above-h-max",
         "verify-step-above-h-max", "simulate-history-steps-overflowing",
-        "verify-history-steps-past-2**53", "bound-fine-alpha-grid",
+        "verify-history-steps-past-2**53", "verify-alpha-grid-past-2**53", "bound-fine-alpha-grid",
         "bound-reducible-fine-alpha-grid"])
 def test_failures_exit_with_a_code_not_a_traceback(tmp_path, capsys, command, mutate, flags,
                                                   code, err):

@@ -528,6 +528,14 @@ def _precedence_cases():
                              "scenario.psi[0] reaches 2.0 > psi_bar[0] = 1.0"),
         "late-d-in-second-member": (lambda: replace(quiet_d, d=late),
                                     "scenario.d[0] reaches 2.0 > d_bar[0] = 1.0"),
+        # one pass, field by field: phi's sign before omega's phase, which
+        # overflows at t = 2.001
+        "phi-sign-before-omega-phase": (
+            lambda: replace(calm, phi=SignalSpec.constant([-1.0]),
+                            omega=SignalSpec("abs_sin", (0.5,), (1e308,))),
+            "scenario.phi[0] reaches -1.0 < 0"),
+        "psi-dimension-before-omega": (lambda: replace(calm, omega=late, psi=[1.0, 1.0]),
+                                       "scenario.psi must have dimension 1, got 2"),
     }
 
 
